@@ -2,44 +2,54 @@
 # CI gate for the fabric reproduction.
 #
 #  1. Tier-1 (ROADMAP.md): release build + full quiet test suite.
-#  2. The peer crate (committer + multi-channel pipeline) passes clippy
+#  2. The primitives crate passes clippy with -D warnings and its unit
+#     tests pass on their own: its `flow` module carries the threads and
+#     locks (DRR scheduler, worker pool) every pooled stage runs on.
+#  3. The peer crate (committer + multi-channel pipeline) passes clippy
 #     with -D warnings and its unit tests pass on their own.
-#  3. The statesync and chaincode crates pass clippy with -D warnings
-#     (chaincode carries the pooled execution runtime this gate guards).
-#  4. The multi-channel test battery (cross-channel fairness, deliver
+#  4. The kvstore, statesync and chaincode crates pass clippy with
+#     -D warnings (kvstore carries the storage engines, chaincode the
+#     pooled execution runtime).
+#  5. The endorsement battery (equivalence proptests + fault injection)
+#     re-runs on its own so a tier-1 wobble can't mask it.
+#  6. The storage battery (kill-at-every-offset crash recovery +
+#     three-engine equivalence proptest) re-runs on its own.
+#  7. The multi-channel test battery (cross-channel fairness, deliver
 #     credits, gap parking) re-runs under --release: the starvation
 #     regression measures real latencies, and release timing is what the
 #     acceptance bound is calibrated against.
-#  5. The endorsement battery (equivalence proptests + fault injection)
-#     re-runs on its own so a tier-1 wobble can't mask it.
-#  6. The ordering battery (equivalence proptests, fault injection,
+#  8. The ordering battery (equivalence proptests, fault injection,
 #     safety properties incl. the PBFT view-change partial-batch case)
 #     re-runs under --release: the proptests sign/verify hundreds of
 #     envelopes per case and release timing is what keeps them honest.
-#  7. The ordering, raft, and pbft crates pass clippy with -D warnings
+#  9. The ordering, raft, and pbft crates pass clippy with -D warnings
 #     (these carry the pipelined replication windows, batched
-#     pre-prepares, and the verify pool this gate guards).
-#  8. The gossip churn battery (1000 peers under --release, 120 in
+#     pre-prepares, and the verify pool's scatter/gather).
+# 10. The gossip churn battery (1000 peers under --release, 120 in
 #     debug) re-runs under --release: crash/restart waves with
 #     incarnations, late joins, a partition window, leaves with member
 #     GC, and snapshot-catch-up flips — release timing is what the
 #     1000-peer run is calibrated against.
-#  9. The gossip and simnet crates pass clippy with -D warnings (these
+# 11. The gossip and simnet crates pass clippy with -D warnings (these
 #     carry the two-lane scheduler, rate-limit/reputation state machine,
 #     and the churn orchestration this gate guards).
-# 10. The snapshot catch-up, multi-channel overlap, endorsement overlap,
+# 12. The snapshot catch-up, multi-channel overlap, endorsement overlap,
 #     storage scale, ordering throughput, and gossip scale benches
-#     complete a smoke sweep (~30 s) — catches bit-rot in the snapshot wire path, the
-#     shared-pool pipeline manager, the starved-channel DRR/FIFO
-#     scenario, the endorse-pipeline submit/sign path, and the simnet
-#     ordering driver (which also asserts pipelined beats lockstep)
-#     that unit tests alone might miss; the gossip smoke also asserts
+#     complete a smoke sweep (~30 s) — catches bit-rot in the snapshot
+#     wire path, the shared-pool pipeline manager, the starved-channel
+#     DRR scenario, the endorse-pipeline submit/sign path, and the simnet
+#     ordering driver (which also asserts pipelined beats lockstep) that
+#     unit tests alone might miss; the gossip smoke also asserts
 #     priority-lane p99 beats flat under bulk statesync load.
-# 11. The gateway battery (equivalence proptest, fault injection, closed-
+# 13. The gateway battery (equivalence proptest, fault injection, closed-
 #     loop e2e conservation) re-runs under --release, the gateway crate
 #     passes clippy with -D warnings, and the gateway e2e bench smoke
 #     asserts the 2x-overload bars (throughput within 10% of the
 #     ceiling, bounded p99, baseline degradation).
+# 14. The system benchmark (BENCHMARK.json, `benchmark/`) builds against
+#     the current API and completes its smoke run: all four workloads
+#     through the full client -> gateway -> endorse -> order -> gossip ->
+#     commit path, a few seconds each, output checks on.
 #
 # Run from the repo root: ./ci.sh
 set -euo pipefail
@@ -50,6 +60,17 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== fabric-primitives: clippy gate (-D warnings) + unit tests =="
+if cargo clippy --version >/dev/null 2>&1; then
+    find crates/primitives/src -name '*.rs' -exec touch {} +
+    cargo clippy -p fabric-primitives --all-targets -- -D warnings
+else
+    echo "clippy not installed; falling back to rustc warning gate"
+    find crates/primitives/src -name '*.rs' -exec touch {} +
+    RUSTFLAGS="-Dwarnings" cargo build -p fabric-primitives
+fi
+cargo test -q -p fabric-primitives
 
 echo "== fabric-peer: clippy gate (-D warnings) + unit tests =="
 if cargo clippy --version >/dev/null 2>&1; then
@@ -156,5 +177,8 @@ fi
 
 echo "== gateway e2e bench: smoke run (FABRIC_BENCH_SMOKE=1) =="
 FABRIC_BENCH_SMOKE=1 cargo bench -q --bench gateway_e2e -p fabric-bench
+
+echo "== system benchmark: smoke run (benchmark/run.sh --smoke) =="
+bash benchmark/run.sh --smoke
 
 echo "== ci.sh: all gates passed =="

@@ -1,7 +1,7 @@
 //! Multi-channel pipeline benchmark: per-channel validation pipelines
 //! sharing one global VSCC worker pool ([`fabric::peer::PipelineManager`]).
 //!
-//! Two scenarios:
+//! Three scenarios:
 //!
 //! 1. **Pool sharing under a barrier-stalled channel.** Channel A commits
 //!    a chain of lifecycle (LSCC-writing) blocks — every one a dependency
@@ -11,20 +11,22 @@
 //!    holds no pool workers, B's throughput next to A must stay within a
 //!    few percent of B running alone.
 //!
-//! 2. **Key-level vs block-level dependency stalls.** Fabcoin's custom
-//!    VSCC reads committed coin state, so the conservative block-level
-//!    rule serializes every block behind its predecessor. The key-level
-//!    conflict index sees that the spends touch disjoint coins and lets
-//!    them overlap — the pipelining win on exactly the workload the paper
-//!    optimizes (Sec. 4.2, Fabcoin).
+//! 2. **Key-level dependency stalls.** Fabcoin's custom VSCC reads
+//!    committed coin state, so a block-level rule would serialize every
+//!    block behind its predecessor (the PR 3 comparison row, now
+//!    historical — see EXPERIMENTS.md). The key-level conflict index sees
+//!    that the spends touch disjoint coins and lets them overlap — the
+//!    pipelining win on exactly the workload the paper optimizes
+//!    (Sec. 4.2, Fabcoin): zero dependency stalls.
 //!
-//! 3. **Starved channel: FIFO vs DRR task scheduling.** Channel A dumps a
+//! 3. **Starved channel under DRR task scheduling.** Channel A dumps a
 //!    deep backlog of cheap VSCC chunks into the shared pool while
-//!    channel B trickles sparse single-transaction blocks. Under the old
-//!    global FIFO task queue B's probes wait behind A's entire standing
-//!    queue (p99 grows with backlog depth — unbounded); under the DRR
-//!    scheduler a freshly woken channel is served within about one chunk,
-//!    so B's p99 must stay within 2x of its solo run.
+//!    channel B trickles sparse single-transaction blocks. Under a global
+//!    FIFO task queue B's probes would wait behind A's entire standing
+//!    queue (p99 grows with backlog depth — the PR 4 comparison row, now
+//!    historical); under the DRR scheduler a freshly woken channel is
+//!    served within about one chunk, so B's p99 must stay within 2x of
+//!    its solo run — measured with A's backlog verified to be queued.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,10 +41,7 @@ use fabric::ledger::Ledger;
 use fabric::msp::{MspRegistry, Role};
 use fabric::ordering::testkit::{make_envelope, TestNet};
 use fabric::ordering::OrderingCluster;
-use fabric::peer::{
-    DependencyMode, Peer, PeerConfig, PipelineHandle, PipelineManager, PipelineOptions,
-    SchedulerPolicy,
-};
+use fabric::peer::{Peer, PeerConfig, PipelineHandle, PipelineManager, PipelineOptions};
 use fabric::primitives::block::Block;
 use fabric::primitives::config::ConsensusType;
 use fabric::primitives::ids::{TxId, TxValidationCode};
@@ -475,12 +474,12 @@ fn main() {
         );
     }
 
-    // Scenario 2: block-level vs key-level dependency stalls on the
-    // key-disjoint spend workload (Fabcoin's VSCC reads committed state,
-    // so block-level serializes every block). The peer persists durably
+    // Scenario 2: key-level dependency stalls on the key-disjoint spend
+    // workload (Fabcoin's VSCC reads committed state, so a block-level
+    // rule would serialize every block). The peer persists durably
     // (FsBackend + synced appends), as a production committer would: the
-    // fsync is the sequential stage the block-level rule exposes on every
-    // block and the key-level rule hides behind the next blocks' VSCC.
+    // fsync is the sequential stage the key-level rule hides behind the
+    // next blocks' VSCC.
     let fine_per_block = if smoke { 5 } else { 10 };
     let fine_blocks = (n_tx / fine_per_block).max(4);
     let (fine_setup, fine_measured) =
@@ -488,7 +487,7 @@ fn main() {
     let fine_txs: usize = fine_measured.iter().map(|b| b.envelopes.len()).sum();
     let bench_dir = std::env::temp_dir().join(format!("fabric-mc-overlap-{}", std::process::id()));
     let mut run_seq = 0u32;
-    let mut run_mode = |mode: DependencyMode| {
+    let mut run_key_level = || {
         run_seq += 1;
         let dir = bench_dir.join(format!("run-{run_seq}"));
         let backend = Arc::new(
@@ -502,66 +501,39 @@ fn main() {
         let handle = peer.pipeline_with(PipelineOptions {
             vscc_workers: workers,
             intake_capacity: 64,
-            dependency_mode: mode,
             ..PipelineOptions::default()
         });
         let tps = drive(&handle, &fine_measured, fine_txs);
         let stats = handle.close().expect("pipeline closes");
         assert_eq!(stats.blocks, fine_measured.len() as u64);
-        if std::env::var("FABRIC_BENCH_DEBUG").is_ok() {
-            eprintln!(
-                "[{mode:?}] vscc avg {}us, rw-check avg {}us, append avg {}us, total avg {}us",
-                stats.vscc.avg().as_micros(),
-                stats.rw_check.avg().as_micros(),
-                stats.ledger.avg().as_micros(),
-                stats.total.avg().as_micros(),
-            );
-        }
         drop(peer);
         let _ = std::fs::remove_dir_all(&dir);
         (tps, stats.queues.dependency_stalls, stats.queues.spec_hits)
     };
-    let modes = [
-        ("block-level", DependencyMode::BlockLevel),
-        ("key-level", DependencyMode::KeyLevel),
-    ];
-    let mut best = [(0.0f64, 0usize, 0usize); 2];
+    let mut best = (0.0f64, 0usize, 0usize);
     for _ in 0..reps {
-        for (i, &(_, mode)) in modes.iter().enumerate() {
-            let run = run_mode(mode);
-            if run.0 > best[i].0 {
-                best[i] = run;
-            }
+        let run = run_key_level();
+        if run.0 > best.0 {
+            best = run;
         }
     }
+    let (tps, stalls, spec_hits) = best;
     let mut mode_table = Table::new(&["dependency mode", "tps", "dep stalls", "spec hits"]);
-    for (i, (label, _)) in modes.iter().enumerate() {
-        let (tps, stalls, spec_hits) = best[i];
-        mode_table.row(vec![
-            (*label).into(),
-            format!("{tps:.0}"),
-            format!("{stalls}"),
-            format!("{spec_hits}"),
-        ]);
-    }
-    let tps_by_mode = [best[0].0, best[1].0];
+    mode_table.row(vec![
+        "key-level".into(),
+        format!("{tps:.0}"),
+        format!("{stalls}"),
+        format!("{spec_hits}"),
+    ]);
     println!(
         "\n-- dependency stalls on {fine_blocks} blocks x {fine_per_block} \
          key-disjoint spends --"
     );
     mode_table.print();
-    if !smoke {
-        assert!(
-            tps_by_mode[1] > tps_by_mode[0],
-            "key-level stalls must beat block-level on key-disjoint spends \
-             ({:.0} vs {:.0} tps)",
-            tps_by_mode[1],
-            tps_by_mode[0]
-        );
-    }
+    assert_eq!(stalls, 0, "disjoint coins must never stall the admitter");
     // Scenario 3: starved channel — sparse single-tx probes on channel B
-    // beside a deep backlog of cheap chunks on channel A, FIFO vs DRR
-    // task scheduling in the shared pool. The probe's VSCC cost is kept
+    // beside a deep backlog of cheap chunks on channel A, under the
+    // shared pool's DRR task scheduling. The probe's VSCC cost is kept
     // well above the backlog chunk cost so its latency is dominated by
     // pool service order (what the scheduler controls) rather than OS
     // thread-scheduling noise from the backlog's sequencer on small
@@ -572,8 +544,8 @@ fn main() {
         if smoke { (24, 8, 6) } else { (128, 32, 20) };
     let backlog = build_sleep_chain(&net, &genesis, backlog_blocks, backlog_txs, 31);
     let probes = build_sleep_chain(&net, &genesis, probe_count, 1, 37);
-    let starved_run = |policy: SchedulerPolicy, with_backlog: bool| -> Duration {
-        let pool = PipelineManager::with_policy(workers, policy);
+    let starved_run = |with_backlog: bool| -> Duration {
+        let pool = PipelineManager::new(workers);
         let peer_b = make_sleep_peer(&net, &genesis, "sparse.org1", probe_vscc);
         let handle_b = peer_b.pipeline_shared(&pool, opts);
         let mut latencies = if with_backlog {
@@ -587,8 +559,17 @@ fn main() {
                         }
                     }
                 });
-                // Let the backlog pile up in A's queue before probing.
+                // Let the backlog pile up in A's queues before probing,
+                // and check it did (blocks in the intake plus blocks'
+                // worth of chunks in A's scheduler queue) — otherwise
+                // the probes measure an idle pool.
                 std::thread::sleep(Duration::from_millis(30));
+                let queues = handle_a.stats().queues;
+                let queued = queues.intake_peak + queues.vscc_tasks_peak / backlog_txs as usize;
+                assert!(
+                    smoke || queued >= 8,
+                    "channel A's backlog never queued ({queues:?})"
+                );
                 probe_latencies(&handle_b, &probes)
             });
             handle_b.close().expect("sparse channel closes");
@@ -606,11 +587,9 @@ fn main() {
     let mut solo_p99 = Duration::MAX;
     let mut drr_p99 = Duration::MAX;
     for _ in 0..reps {
-        solo_p99 = solo_p99.min(starved_run(SchedulerPolicy::default(), false));
-        drr_p99 = drr_p99.min(starved_run(SchedulerPolicy::default(), true));
+        solo_p99 = solo_p99.min(starved_run(false));
+        drr_p99 = drr_p99.min(starved_run(true));
     }
-    // FIFO is the pathological baseline; one rep tells the story.
-    let fifo_p99 = starved_run(SchedulerPolicy::Fifo, true);
     let ms = |d: Duration| format!("{:.2} ms", d.as_secs_f64() * 1e3);
     println!(
         "\n-- starved channel: {probe_count} sparse probes beside a \
@@ -619,7 +598,6 @@ fn main() {
     let mut starved_table = Table::new(&["sparse channel B", "p99 commit latency"]);
     starved_table.row(vec!["solo".into(), ms(solo_p99)]);
     starved_table.row(vec!["beside backlog, DRR".into(), ms(drr_p99)]);
-    starved_table.row(vec!["beside backlog, FIFO".into(), ms(fifo_p99)]);
     starved_table.print();
     if !smoke {
         assert!(
@@ -629,19 +607,11 @@ fn main() {
             ms(drr_p99),
             ms(solo_p99)
         );
-        assert!(
-            fifo_p99 > drr_p99,
-            "FIFO baseline should starve the sparse channel ({} vs {} DRR) — \
-             if not, the backlog never queued",
-            ms(fifo_p99),
-            ms(drr_p99)
-        );
     }
 
     println!(
         "\nexpected shape: channel B within 10% of alone despite the barrier \
-         channel; key-level tps above block-level (disjoint coins never \
-         stall); sparse-channel p99 within 2x of solo under DRR, far beyond \
-         it under FIFO."
+         channel; zero dependency stalls on disjoint coins; sparse-channel \
+         p99 within 2x of solo under DRR with the sibling's backlog queued."
     );
 }

@@ -1,91 +1,21 @@
-//! The admission core shared by both gateway faces: transaction-id LRU
-//! dedup (the cheapest rejection, taken before any signature is verified)
-//! and per-client token buckets (lazy integer refill in milli-tokens —
-//! no floats, no wall clock, fully deterministic).
+//! The admission core shared by both gateway faces: transaction-id dedup
+//! (the cheapest rejection, taken before any signature is verified) and
+//! per-client token buckets, both built from `fabric_primitives::flow`.
+//! Tokens are kept in milli-tokens so that a rate of `r` tokens/second
+//! refills exactly `r` milli-tokens per millisecond — integer math, no
+//! floats, no wall clock, no drift, fully deterministic.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
+use fabric_primitives::flow::{DedupWindow, TokenBucket};
 use fabric_primitives::ids::TxId;
 
-/// A bounded LRU set of recently seen transaction ids.
-///
-/// Hits refresh recency, so a transaction being actively flooded stays in
-/// the window for as long as the flood lasts — exactly the case the dedup
-/// exists for.
-pub struct DedupLru {
-    capacity: usize,
-    stamp: u64,
-    by_id: HashMap<TxId, u64>,
-    by_stamp: BTreeMap<u64, TxId>,
-}
-
-impl DedupLru {
-    /// A window remembering at most `capacity` ids (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        DedupLru {
-            capacity: capacity.max(1),
-            stamp: 0,
-            by_id: HashMap::new(),
-            by_stamp: BTreeMap::new(),
-        }
-    }
-
-    /// Whether `id` is in the window; a hit refreshes its recency.
-    pub fn check(&mut self, id: &TxId) -> bool {
-        let Some(stamp) = self.by_id.get(id).copied() else {
-            return false;
-        };
-        self.by_stamp.remove(&stamp);
-        self.stamp += 1;
-        self.by_stamp.insert(self.stamp, *id);
-        self.by_id.insert(*id, self.stamp);
-        true
-    }
-
-    /// Records `id`, evicting the least-recently-seen id past capacity.
-    pub fn insert(&mut self, id: TxId) {
-        if self.check(&id) {
-            return;
-        }
-        self.stamp += 1;
-        self.by_id.insert(id, self.stamp);
-        self.by_stamp.insert(self.stamp, id);
-        if self.by_id.len() > self.capacity {
-            if let Some((&oldest, &victim)) = self.by_stamp.iter().next() {
-                self.by_stamp.remove(&oldest);
-                self.by_id.remove(&victim);
-            }
-        }
-    }
-
-    /// Forgets `id` (a mempool eviction hands the slot back so the
-    /// transaction can be legitimately resubmitted).
-    pub fn remove(&mut self, id: &TxId) {
-        if let Some(stamp) = self.by_id.remove(id) {
-            self.by_stamp.remove(&stamp);
-        }
-    }
-
-    /// Ids currently remembered.
-    pub fn len(&self) -> usize {
-        self.by_id.len()
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-}
-
-/// One client's token bucket. Tokens are kept in milli-tokens so that a
-/// rate of `r` tokens/second refills exactly `r` milli-tokens per
-/// millisecond — integer math, no drift.
-struct TokenBucket {
-    tokens_milli: u64,
-    last_ms: u64,
-}
-
 const TOKEN: u64 = 1000;
+
+/// Client buckets tracked before full ones are pruned. The map is keyed
+/// by *unverified* creator bytes, so without a bound a client cycling
+/// forged certificates grows it at will.
+const BUCKETS_PRUNE_AT: usize = 4096;
 
 /// Per-client admission state: the LRU dedup window plus one token
 /// bucket per client key (creator certificate bytes).
@@ -93,7 +23,9 @@ pub(crate) struct Admission {
     rate_per_sec: u64,
     burst_milli: u64,
     buckets: HashMap<Vec<u8>, TokenBucket>,
-    pub(crate) dedup: DedupLru,
+    /// Map size that triggers the next prune of full buckets.
+    prune_at: usize,
+    pub(crate) dedup: DedupWindow<TxId>,
 }
 
 /// Verdict of the pre-checks (dedup, rate): pass does not yet consume a
@@ -111,25 +43,35 @@ impl Admission {
             rate_per_sec,
             burst_milli: burst.max(1) * TOKEN,
             buckets: HashMap::new(),
-            dedup: DedupLru::new(dedup_capacity),
+            prune_at: BUCKETS_PRUNE_AT,
+            dedup: DedupWindow::new(dedup_capacity),
         }
     }
 
+    /// Client buckets currently tracked.
+    pub(crate) fn tracked_clients(&self) -> usize {
+        self.buckets.len()
+    }
+
     fn refill(&mut self, client: &[u8], now_ms: u64) -> &mut TokenBucket {
-        let burst = self.burst_milli;
-        let rate = self.rate_per_sec;
+        let (rate, burst) = (self.rate_per_sec, self.burst_milli);
+        if self.buckets.len() >= self.prune_at {
+            // A bucket that has refilled to `burst` is indistinguishable
+            // from a fresh one: forget it. What survives is bounded by
+            // the clients that spent a token within the last
+            // `burst / rate` seconds; doubling the trigger past them
+            // keeps the sweep amortized O(1) per submission.
+            self.buckets.retain(|_, bucket| {
+                bucket.refill(now_ms, rate, burst);
+                bucket.deficit(burst) > 0
+            });
+            self.prune_at = (self.buckets.len() * 2).max(BUCKETS_PRUNE_AT);
+        }
         let bucket = self
             .buckets
             .entry(client.to_vec())
-            .or_insert(TokenBucket { tokens_milli: burst, last_ms: now_ms });
-        if now_ms > bucket.last_ms {
-            let elapsed = now_ms - bucket.last_ms;
-            bucket.tokens_milli = bucket
-                .tokens_milli
-                .saturating_add(elapsed.saturating_mul(rate))
-                .min(burst);
-            bucket.last_ms = now_ms;
-        }
+            .or_insert(TokenBucket::full(burst, now_ms));
+        bucket.refill(now_ms, rate, burst);
         bucket
     }
 
@@ -142,13 +84,10 @@ impl Admission {
             return Gate::Pass;
         }
         let rate = self.rate_per_sec;
-        let bucket = self.refill(client, now_ms);
-        if bucket.tokens_milli >= TOKEN {
-            Gate::Pass
-        } else {
+        match self.refill(client, now_ms).deficit(TOKEN) {
+            0 => Gate::Pass,
             // Exact wait until the next whole token accrues.
-            let deficit = TOKEN - bucket.tokens_milli;
-            Gate::Limited { after_ms: deficit.div_ceil(rate).max(1) }
+            deficit => Gate::Limited { after_ms: deficit.div_ceil(rate) },
         }
     }
 
@@ -157,8 +96,7 @@ impl Admission {
     /// admission condition held.
     pub(crate) fn commit(&mut self, tx_id: TxId, client: &[u8], now_ms: u64) {
         if self.rate_per_sec > 0 {
-            let bucket = self.refill(client, now_ms);
-            bucket.tokens_milli = bucket.tokens_milli.saturating_sub(TOKEN);
+            self.refill(client, now_ms).try_take(TOKEN);
         }
         self.dedup.insert(tx_id);
     }
@@ -170,28 +108,6 @@ mod tests {
 
     fn id(n: u8) -> TxId {
         TxId(fabric_crypto::digest(&[n]))
-    }
-
-    #[test]
-    fn dedup_lru_evicts_least_recent() {
-        let mut lru = DedupLru::new(2);
-        lru.insert(id(1));
-        lru.insert(id(2));
-        assert!(lru.check(&id(1)), "hit refreshes 1");
-        lru.insert(id(3)); // evicts 2, the least recently seen
-        assert!(lru.check(&id(1)));
-        assert!(!lru.check(&id(2)));
-        assert!(lru.check(&id(3)));
-        assert_eq!(lru.len(), 2);
-    }
-
-    #[test]
-    fn dedup_remove_reopens_slot() {
-        let mut lru = DedupLru::new(4);
-        lru.insert(id(1));
-        lru.remove(&id(1));
-        assert!(!lru.check(&id(1)));
-        assert!(lru.is_empty());
     }
 
     #[test]

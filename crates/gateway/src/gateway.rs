@@ -159,6 +159,12 @@ impl Gateway {
         self.stats
     }
 
+    /// Per-client rate-limit buckets currently held (a bounded gauge:
+    /// buckets that refilled to their burst are pruned).
+    pub fn tracked_clients(&self) -> usize {
+        self.admission.tracked_clients()
+    }
+
     /// Queued (admitted, undispatched) transaction count.
     pub fn mempool_len(&self) -> usize {
         self.pool.len()

@@ -31,7 +31,6 @@ mod front;
 mod gateway;
 mod mempool;
 
-pub use admission::DedupLru;
 pub use front::{FrontConfig, FrontStats, FrontSubmit, GatewayFront};
 pub use gateway::{Admit, DrainReport, Gateway, GatewayConfig, GatewayStats, ShedReason};
 

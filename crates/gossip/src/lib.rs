@@ -47,13 +47,14 @@
 //! peer layer reports the verdict back so gossip can score the provider.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use fabric_primitives::flow::{DedupWindow, TokenBucket};
 use fabric_primitives::ChannelId;
 
 /// Identifier of a peer in the gossip overlay.
@@ -290,74 +291,6 @@ pub struct GossipStats {
     pub blocks_pruned: u64,
 }
 
-/// Lazily refilled token bucket: `tokens` accumulate with elapsed ticks,
-/// capped at the burst size; each admitted message costs one.
-#[derive(Clone, Copy, Debug)]
-struct TokenBucket {
-    tokens: u64,
-    last: u64,
-}
-
-impl TokenBucket {
-    fn new(burst: u64) -> Self {
-        TokenBucket {
-            tokens: burst,
-            last: 0,
-        }
-    }
-
-    fn try_take(&mut self, now: u64, burst: u64, refill: u64) -> bool {
-        let elapsed = now.saturating_sub(self.last);
-        self.last = now;
-        self.tokens = self
-            .tokens
-            .saturating_add(elapsed.saturating_mul(refill))
-            .min(burst);
-        if self.tokens > 0 {
-            self.tokens -= 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Fixed-capacity seen-set with FIFO eviction (the classic gossip dedup
-/// cache: recent message ids stay, ancient ones age out).
-struct LruSet {
-    seen: HashSet<u64>,
-    order: VecDeque<u64>,
-    capacity: usize,
-}
-
-impl LruSet {
-    fn new(capacity: usize) -> Self {
-        LruSet {
-            seen: HashSet::with_capacity(capacity.min(1 << 16)),
-            order: VecDeque::with_capacity(capacity.min(1 << 16)),
-            capacity,
-        }
-    }
-
-    /// Inserts `key`; returns `false` if it was already present
-    /// (a duplicate). Capacity 0 disables dedup (everything is "new").
-    fn insert(&mut self, key: u64) -> bool {
-        if self.capacity == 0 {
-            return true;
-        }
-        if !self.seen.insert(key) {
-            return false;
-        }
-        self.order.push_back(key);
-        if self.order.len() > self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.seen.remove(&oldest);
-            }
-        }
-        true
-    }
-}
-
 /// Reputation standing of a member.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Standing {
@@ -383,7 +316,8 @@ struct Member {
     /// heights this is *not* monotone, so it is only overwritten by a
     /// fresher heartbeat.
     credits: HashMap<ChannelId, u64>,
-    /// Ingress rate limiter for messages from this peer.
+    /// Ingress rate limiter for messages from this peer: whole tokens,
+    /// refilled per tick, one per message.
     bucket: TokenBucket,
     /// Net failed-verification score (driver verdicts).
     mismatches: u32,
@@ -400,7 +334,7 @@ impl Member {
             delivered: HashMap::new(),
             snapshots: HashMap::new(),
             credits: HashMap::new(),
-            bucket: TokenBucket::new(burst),
+            bucket: TokenBucket::full(burst, 0),
             mismatches: 0,
             standing: Standing::Healthy,
         }
@@ -477,8 +411,9 @@ pub struct GossipNode {
     /// (driver-fed from `DeliverMux::credits`). Absent = unbounded.
     my_credits: HashMap<ChannelId, u64>,
     channels: Vec<ChannelId>,
-    /// Dedup cache over block pushes.
-    dedup: LruSet,
+    /// Dedup window over block pushes; `None` when
+    /// [`GossipConfig::dedup_capacity`] is 0 (dedup off).
+    dedup: Option<DedupWindow<u64>>,
     /// Throttled egress lane for bulk statesync payloads.
     bulk_queue: VecDeque<(PeerId, ChannelId, Vec<u8>)>,
     bulk_queued_bytes: usize,
@@ -511,7 +446,7 @@ impl GossipNode {
                 );
             }
         }
-        let dedup = LruSet::new(config.dedup_capacity);
+        let dedup = (config.dedup_capacity > 0).then(|| DedupWindow::new(config.dedup_capacity));
         GossipNode {
             id,
             org,
@@ -748,7 +683,7 @@ impl GossipNode {
         let mut out = Vec::new();
         let threshold = self.config.quarantine_threshold;
         let (burst, refill) = (self.config.rate_limit_burst, self.config.rate_limit_refill);
-        if let Some(m) = self.members.get_mut(&from) {
+        let bucket = if let Some(m) = self.members.get_mut(&from) {
             m.refresh_standing(self.now, threshold);
             if m.quarantined(self.now) {
                 self.stats.quarantine_drops += 1;
@@ -756,10 +691,7 @@ impl GossipNode {
             }
             // Any direct message is a liveness signal.
             m.last_heard = self.now;
-            if !m.bucket.try_take(self.now, burst, refill) {
-                self.stats.rate_limited += 1;
-                return out;
-            }
+            &mut m.bucket
         } else {
             // Unknown sender: a shared, coarsely bounded bucket map. A
             // many-id flood gets no durable state — the map is reset
@@ -767,14 +699,14 @@ impl GossipNode {
             if self.stranger_buckets.len() > 1024 {
                 self.stranger_buckets.clear();
             }
-            let bucket = self
-                .stranger_buckets
+            self.stranger_buckets
                 .entry(from)
-                .or_insert_with(|| TokenBucket::new(burst));
-            if !bucket.try_take(self.now, burst, refill) {
-                self.stats.rate_limited += 1;
-                return out;
-            }
+                .or_insert_with(|| TokenBucket::full(burst, 0))
+        };
+        bucket.refill(self.now, refill, burst);
+        if !bucket.try_take(1) {
+            self.stats.rate_limited += 1;
+            return out;
         }
         match message {
             GossipMessage::BlockPush {
@@ -782,7 +714,8 @@ impl GossipNode {
                 block_num,
                 payload,
             } => {
-                if !self.dedup.insert(push_key(&channel, block_num, &payload)) {
+                let key = push_key(&channel, block_num, &payload);
+                if self.dedup.as_mut().is_some_and(|seen| !seen.insert(key)) {
                     self.stats.deduped += 1;
                     return out;
                 }

@@ -20,14 +20,18 @@
 //! (PR 5): parallel inside, deterministic outside.
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Sender};
 
+use fabric_primitives::flow::Pool;
 use fabric_primitives::transaction::Envelope;
 
 use crate::channel::ChannelAccess;
 use crate::OrderError;
+
+/// What a worker reports for one slot. The outer `Err` carries the panic
+/// payload of a check that unwound (see [`VerifyPool::verify_batch`]).
+type Verdict = std::thread::Result<Result<(), OrderError>>;
 
 /// One verification request: check `envelope` against `access`, report
 /// under `slot`.
@@ -35,57 +39,43 @@ struct Job {
     access: Arc<ChannelAccess>,
     envelope: Envelope,
     slot: usize,
-    reply: Sender<(usize, Envelope, Result<(), OrderError>)>,
+    reply: Sender<(usize, Envelope, Verdict)>,
 }
 
 /// A pool of persistent verification workers shared by every OSN in a
-/// process (cloning the `Arc` it usually lives behind is cheap).
+/// process (cloning the `Arc` it usually lives behind is cheap). The
+/// threads and their queue are a [`Pool`]; this type adds only the
+/// slot-ordered scatter/gather. Dropping it drains and joins the workers.
 pub struct VerifyPool {
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    pool: Pool<Job>,
+    /// The pool's single queue: batches are served in submission order.
+    queue: u64,
 }
 
 impl VerifyPool {
     /// Spawns a pool with `workers` threads; `0` uses the host's available
     /// parallelism.
     pub fn new(workers: usize) -> Self {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            workers
-        };
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = channel::unbounded();
-        let handles = (0..workers)
-            .map(|i| {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("osn-verify-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            let verdict = job.access.check_broadcast(&job.envelope);
-                            // A dropped receiver means the caller gave up;
-                            // nothing useful to do with the verdict.
-                            let _ = job.reply.send((job.slot, job.envelope, verdict));
-                        }
-                    })
-                    .expect("spawn verify worker")
-            })
-            .collect();
-        VerifyPool {
-            tx: Some(tx),
-            workers: handles,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        let pool = Pool::new(
+            "osn-verify",
+            workers,
+            |job: &Job| job.access.check_broadcast(&job.envelope),
+            |job: Job, verdict| {
+                // A dropped receiver means the caller gave up; nothing
+                // useful to do with the verdict.
+                let _ = job.reply.send((job.slot, job.envelope, verdict));
+            },
+        );
+        let queue = pool.scheduler().register(1);
+        VerifyPool { pool, queue }
     }
 
     /// Verifies a batch of `(access, envelope)` pairs in parallel,
     /// returning `(envelope, verdict)` in the submission order given.
+    ///
+    /// A check that panics on a worker is re-raised here, on the calling
+    /// thread — exactly what the inline (pool-less) path would have done —
+    /// while the worker itself survives for the next batch.
     pub fn verify_batch(
         &self,
         jobs: Vec<(Arc<ChannelAccess>, Envelope)>,
@@ -94,42 +84,27 @@ impl VerifyPool {
         if n == 0 {
             return Vec::new();
         }
-        let tx = self.tx.as_ref().expect("pool is open");
         let (reply_tx, reply_rx) = channel::bounded(n);
         for (slot, (access, envelope)) in jobs.into_iter().enumerate() {
-            let sent = tx.send(Job {
+            let job = Job {
                 access,
                 envelope,
                 slot,
                 reply: reply_tx.clone(),
-            });
-            assert!(sent.is_ok(), "verify workers alive");
+            };
+            let queued = self.pool.scheduler().submit(self.queue, 1, job);
+            assert!(queued.is_some(), "verify pool open");
         }
         drop(reply_tx);
         let mut out: Vec<Option<(Envelope, Result<(), OrderError>)>> =
             (0..n).map(|_| None).collect();
         for _ in 0..n {
             let (slot, envelope, verdict) = reply_rx.recv().expect("worker reply");
+            let verdict = verdict.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             out[slot] = Some((envelope, verdict));
         }
         out.into_iter()
             .map(|x| x.expect("every slot filled"))
             .collect()
-    }
-
-    /// Shuts the pool down, joining all workers. Called by `Drop`.
-    pub fn close(&mut self) {
-        if let Some(tx) = self.tx.take() {
-            drop(tx);
-            for handle in self.workers.drain(..) {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-impl Drop for VerifyPool {
-    fn drop(&mut self) {
-        self.close();
     }
 }

@@ -29,7 +29,9 @@
 //!   (authenticate + execute against a fresh snapshot). With the runtime
 //!   in [`fabric_chaincode::ExecutionMode::Pooled`] (or with inline
 //!   execution, `exec_timeout: None`), same-chaincode proposals simulate
-//!   concurrently.
+//!   concurrently. A simulation that panics (inline execution has no
+//!   runtime-level containment) fails its own ticket with
+//!   `ChaincodeError::Aborted`; the worker carries on.
 //! * **Batching signer** — successful simulations are endorsed by
 //!   [`fabric_chaincode::batch_escc`], which drains whatever has
 //!   accumulated (up to [`EndorseOptions::sign_batch_max`]) and signs the
@@ -54,12 +56,12 @@ use parking_lot::Mutex;
 
 use fabric_chaincode::batch_escc;
 use fabric_ledger::Ledger;
+use fabric_primitives::flow::Pool;
 use fabric_primitives::transaction::{
     ProposalResponse, ProposalResponsePayload, SignedProposal,
 };
 
 use crate::endorser::Endorser;
-use crate::pipeline::{Scheduler, SchedulerPolicy};
 use crate::PeerError;
 
 /// Endorsement-pipeline construction knobs.
@@ -76,8 +78,6 @@ pub struct EndorseOptions {
     /// Per-client in-flight cap (keyed by creator certificate); `0`
     /// disables the cap.
     pub client_max_inflight: usize,
-    /// Cross-chaincode arbitration policy for the simulation workers.
-    pub scheduler: SchedulerPolicy,
 }
 
 impl Default for EndorseOptions {
@@ -87,7 +87,6 @@ impl Default for EndorseOptions {
             intake_capacity: 1024,
             sign_batch_max: 32,
             client_max_inflight: 0,
-            scheduler: SchedulerPolicy::default(),
         }
     }
 }
@@ -166,7 +165,6 @@ struct SignJob {
 
 /// State shared by the submit path, the workers, and the signer.
 struct Shared {
-    scheduler: Scheduler<SimTask>,
     /// Chaincode name → scheduler slot (lazily registered, weight 1).
     slots: Mutex<HashMap<String, u64>>,
     /// Proposals admitted and not yet delivered (intake gauge).
@@ -204,11 +202,11 @@ impl Shared {
 pub struct EndorsePipeline {
     shared: Arc<Shared>,
     opts: EndorseOptions,
-    workers: Vec<JoinHandle<()>>,
+    /// The simulation workers, draining the per-chaincode DRR queues.
+    /// Their job closure owns the only senders to the signer stage, so
+    /// closing the pool is also what lets the signer drain and exit.
+    pool: Pool<SimTask>,
     signer: Option<JoinHandle<()>>,
-    /// Kept so `close`/`drop` can disconnect the signer after the workers
-    /// (which hold their own clones) have exited.
-    sign_tx: Option<channel::Sender<SignJob>>,
 }
 
 impl EndorsePipeline {
@@ -218,7 +216,6 @@ impl EndorsePipeline {
         opts: EndorseOptions,
     ) -> Self {
         let shared = Arc::new(Shared {
-            scheduler: Scheduler::new(opts.scheduler),
             slots: Mutex::new(HashMap::new()),
             pending: AtomicUsize::new(0),
             inflight: Mutex::new(HashMap::new()),
@@ -229,49 +226,44 @@ impl EndorsePipeline {
             rejected_saturated: AtomicU64::new(0),
             rejected_client: AtomicU64::new(0),
         });
-        let width = if opts.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            opts.workers
-        };
         let (sign_tx, sign_rx) = channel::unbounded::<SignJob>();
-        let workers = (0..width)
-            .map(|i| {
-                let shared = shared.clone();
-                let endorser = endorser.clone();
-                let ledger = ledger.clone();
-                let sign_tx = sign_tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("endorse-sim-{i}"))
-                    .spawn(move || {
-                        while let Some(task) = shared.scheduler.next() {
-                            shared.pending.fetch_sub(1, Ordering::SeqCst);
-                            match endorser.simulate(&ledger, &task.signed) {
-                                Ok(payload) => {
-                                    // Delivery (and the client-cap release)
-                                    // happen in the signer stage.
-                                    let _ = sign_tx.send(SignJob {
-                                        payload,
-                                        ticket_tx: task.ticket_tx,
-                                        client_key: task.client_key,
-                                    });
-                                }
-                                Err(err) => {
-                                    shared.failed.fetch_add(1, Ordering::SeqCst);
-                                    shared.release_client(&task.client_key);
-                                    let _ = task.ticket_tx.send(Err(err));
-                                }
-                            }
+        let identity = endorser.identity().clone();
+        let pool = {
+            let (intake, shared) = (shared.clone(), shared.clone());
+            Pool::new(
+                "endorse-sim",
+                opts.workers,
+                move |task: &SimTask| {
+                    intake.pending.fetch_sub(1, Ordering::SeqCst);
+                    endorser.simulate(&ledger, &task.signed)
+                },
+                move |task: SimTask, simulated| {
+                    let aborted = |_| {
+                        Err(PeerError::Chaincode(
+                            fabric_chaincode::ChaincodeError::Aborted("simulation panicked".into()),
+                        ))
+                    };
+                    match simulated.unwrap_or_else(aborted) {
+                        Ok(payload) => {
+                            // Delivery (and the client-cap release)
+                            // happen in the signer stage.
+                            let _ = sign_tx.send(SignJob {
+                                payload,
+                                ticket_tx: task.ticket_tx,
+                                client_key: task.client_key,
+                            });
                         }
-                    })
-                    .expect("spawn endorsement worker")
-            })
-            .collect();
+                        Err(err) => {
+                            shared.failed.fetch_add(1, Ordering::SeqCst);
+                            shared.release_client(&task.client_key);
+                            let _ = task.ticket_tx.send(Err(err));
+                        }
+                    }
+                },
+            )
+        };
         let signer = {
             let shared = shared.clone();
-            let identity = endorser.identity().clone();
             let batch_max = opts.sign_batch_max.max(1);
             std::thread::Builder::new()
                 .name("endorse-sign".into())
@@ -313,9 +305,8 @@ impl EndorsePipeline {
         EndorsePipeline {
             shared,
             opts,
-            workers,
+            pool,
             signer: Some(signer),
-            sign_tx: Some(sign_tx),
         }
     }
 
@@ -361,7 +352,7 @@ impl EndorsePipeline {
             match slots.get(&signed.proposal.payload.chaincode.name) {
                 Some(slot) => *slot,
                 None => {
-                    let slot = self.shared.scheduler.register(1);
+                    let slot = self.pool.scheduler().register(1);
                     slots.insert(signed.proposal.payload.chaincode.name.clone(), slot);
                     slot
                 }
@@ -373,7 +364,7 @@ impl EndorsePipeline {
             ticket_tx,
             client_key,
         };
-        match self.shared.scheduler.submit(slot, 1, task) {
+        match self.pool.scheduler().submit(slot, 1, task) {
             Some(_) => Ok(EndorseTicket { rx: ticket_rx }),
             None => {
                 // `close`/`drop` need exclusive access to the pipeline, so
@@ -419,27 +410,17 @@ impl EndorsePipeline {
 
     /// Drains queued proposals, then stops and joins every stage. Tickets
     /// for admitted proposals are all answered before this returns.
-    pub fn close(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.shared.scheduler.close();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        // Workers (and their sign_tx clones) are gone; dropping ours
-        // disconnects the signer once it drains the queue.
-        self.sign_tx = None;
-        if let Some(signer) = self.signer.take() {
-            let _ = signer.join();
-        }
-    }
+    pub fn close(self) {}
 }
 
 impl Drop for EndorsePipeline {
     fn drop(&mut self) {
-        self.shutdown();
+        // Joining the workers drops their job closure and with it the
+        // last sign-queue sender: the signer drains the queue and exits.
+        self.pool.close();
+        if let Some(signer) = self.signer.take() {
+            let _ = signer.join();
+        }
     }
 }
 

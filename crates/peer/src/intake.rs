@@ -36,7 +36,7 @@ use fabric_primitives::block::Block;
 use fabric_primitives::ids::ChannelId;
 use fabric_primitives::wire::Wire;
 
-use crate::pipeline::{CommitEvent, PipelineManager, PipelineOptions, PipelineStats, SchedulerPolicy};
+use crate::pipeline::{CommitEvent, PipelineManager, PipelineOptions, PipelineStats};
 use crate::{Peer, PeerError, PipelineHandle};
 
 /// What [`DeliverMux::deliver`] did with one delivered block.
@@ -119,17 +119,11 @@ pub struct DeliverMux {
 
 impl DeliverMux {
     /// Creates a mux whose channels share a pool of `vscc_workers`
-    /// persistent workers under the default cross-channel scheduler
+    /// persistent workers under the pool's cross-channel scheduler
     /// (weighted DRR).
     pub fn new(vscc_workers: usize) -> Self {
-        Self::with_policy(vscc_workers, SchedulerPolicy::default())
-    }
-
-    /// Creates a mux with an explicit pool scheduling policy
-    /// ([`SchedulerPolicy::Fifo`] for the pre-scheduler baseline).
-    pub fn with_policy(vscc_workers: usize, policy: SchedulerPolicy) -> Self {
         DeliverMux {
-            pool: PipelineManager::with_policy(vscc_workers, policy),
+            pool: PipelineManager::new(vscc_workers),
             channels: Mutex::new(HashMap::new()),
         }
     }

@@ -22,8 +22,8 @@ pub use endorser::Endorser;
 pub use intake::{Deliver, DeliverMux, MuxGauges};
 pub use peer::{Peer, PeerConfig};
 pub use pipeline::{
-    CommitEvent, DependencyMode, PipelineHandle, PipelineManager, PipelineOptions, PipelineStats,
-    QueueGauges, SchedulerPolicy, StageHistogram, StageSummary,
+    CommitEvent, PipelineHandle, PipelineManager, PipelineOptions, PipelineStats, QueueGauges,
+    StageHistogram, StageSummary,
 };
 pub use view::ChannelView;
 

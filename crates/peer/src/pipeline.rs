@@ -26,12 +26,11 @@
 //!   global: workers pull chunks from *any* admitted block of *any*
 //!   attached channel, so a slow or barrier-stalled channel never idles
 //!   the cores serving the others. Which channel's chunk a freed worker
-//!   picks is decided by an explicit cross-channel scheduler
-//!   ([`SchedulerPolicy`], default weighted deficit-round-robin): each
-//!   channel keeps its own chunk queue and earns `quantum × weight`
-//!   transactions of service per round, so a channel behind a sibling's
-//!   256-block backlog is served within one round instead of behind the
-//!   whole backlog (the FIFO policy survives for comparison benchmarks).
+//!   picks is decided by the pool's weighted deficit-round-robin
+//!   [`Scheduler`]: each channel keeps its own chunk queue and earns
+//!   `DRR_QUANTUM × weight` transactions of service per round, so a
+//!   channel behind a sibling's 256-block backlog is served within one
+//!   round instead of behind the whole backlog.
 //! * Each channel's **sequencer** restores strict block order with a
 //!   reorder buffer and runs the stages that must stay sequential: MVCC
 //!   rw-check, metadata flags, ledger append (savepoint), and config view
@@ -55,17 +54,14 @@
 //!    * For chaincodes with a **custom VSCC** (which may read committed
 //!      state, e.g. Fabcoin's input coins), the admitter consults the
 //!      channel's *conflict index* — a multiset of every key an in-flight
-//!      block still intends to write. Under the default
-//!      [`DependencyMode::KeyLevel`], the block stalls only while a key
+//!      block still intends to write. The block stalls only while a key
 //!      in its declared read set (or inside one of its range queries) is
 //!      in-flight, and it is released as soon as the conflicting *keys*
 //!      retire — when their transaction turns VSCC-invalid, or when its
 //!      writes land in the ledger append — rather than waiting for the
-//!      whole predecessor block. [`DependencyMode::BlockLevel`] keeps the
-//!      conservative rule (any state-reading block waits for every
-//!      in-flight block) for comparison benchmarks. Custom VSCCs must
-//!      only read keys declared in the transaction's rw-set — Fabcoin
-//!      complies (spent coins appear as read-and-deleted keys).
+//!      whole predecessor block. Custom VSCCs must only read keys
+//!      declared in the transaction's rw-set — Fabcoin complies (spent
+//!      coins appear as read-and-deleted keys).
 //! 3. The savepoint advances only inside the ordered ledger append, so a
 //!    crash with blocks still queued in the pipeline recovers exactly as
 //!    if those blocks had never been delivered.
@@ -84,7 +80,7 @@
 //! the versions/range-contents/tx-id set of the keys it touches — all
 //! proven unchanged.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -96,228 +92,13 @@ use parking_lot::{Condvar, Mutex};
 use fabric_chaincode::LSCC_NAMESPACE;
 use fabric_ledger::Ledger;
 use fabric_primitives::block::Block;
+use fabric_primitives::flow::{Pool, Scheduler};
 use fabric_primitives::ids::{TxId, TxValidationCode};
 use fabric_primitives::transaction::EnvelopeContent;
 
 use crate::committer::{Committer, ValidationTiming};
 use crate::view::ChannelView;
 use crate::PeerError;
-
-/// How the admitter stalls custom-VSCC state readers on in-flight writes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DependencyMode {
-    /// Conservative: a block whose custom VSCC reads state waits for
-    /// *every* in-flight block, regardless of key overlap.
-    BlockLevel,
-    /// Key-level conflict index: the block waits only while a key it
-    /// reads (or a key inside one of its range queries) is still
-    /// in-flight, and resumes as soon as those keys retire.
-    #[default]
-    KeyLevel,
-}
-
-/// How the shared pool's freed workers pick the next VSCC chunk across
-/// the attached channels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// Serve chunks in global arrival order. A channel with a deep
-    /// backlog monopolizes the pool and starves sparse siblings; kept
-    /// for comparison benchmarks (the pre-scheduler behaviour).
-    Fifo,
-    /// Weighted deficit-round-robin over channels. Per round, a channel
-    /// earns `quantum × weight` transactions worth of service and its
-    /// chunks are served while the deficit lasts. A channel waking from
-    /// idle re-enters at the *head* of the round with a full quantum, so
-    /// a sparse channel's chunk starts as soon as a worker frees — its
-    /// latency is bounded by one in-flight chunk plus its own work, not
-    /// by a sibling's backlog.
-    Drr {
-        /// Transactions a weight-1 channel may validate per round.
-        quantum: u32,
-    },
-}
-
-impl Default for SchedulerPolicy {
-    fn default() -> Self {
-        SchedulerPolicy::Drr { quantum: 32 }
-    }
-}
-
-/// One queued work item with its service cost (transactions) and global
-/// arrival sequence (for the FIFO policy).
-struct SchedEntry<T> {
-    cost: u64,
-    seq: u64,
-    item: T,
-}
-
-/// One channel's chunk queue plus its DRR bookkeeping.
-struct SchedQueue<T> {
-    tasks: VecDeque<SchedEntry<T>>,
-    weight: u32,
-    deficit: u64,
-}
-
-struct SchedState<T> {
-    queues: HashMap<u64, SchedQueue<T>>,
-    /// Slots with queued work, in round-robin order (head = being served).
-    active: VecDeque<u64>,
-    next_slot: u64,
-    next_seq: u64,
-    closed: bool,
-}
-
-/// The cross-channel task scheduler behind a [`PipelineManager`]: one
-/// bounded-state queue per registered channel, served to the pool workers
-/// under a [`SchedulerPolicy`]. Generic over the item type so the
-/// scheduling logic is unit-testable without building blocks.
-pub(crate) struct Scheduler<T> {
-    policy: SchedulerPolicy,
-    state: Mutex<SchedState<T>>,
-    cv: Condvar,
-}
-
-impl<T> Scheduler<T> {
-    pub(crate) fn new(policy: SchedulerPolicy) -> Self {
-        Scheduler {
-            policy,
-            state: Mutex::new(SchedState {
-                queues: HashMap::new(),
-                active: VecDeque::new(),
-                next_slot: 0,
-                next_seq: 0,
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Registers a channel with the given DRR weight, returning its slot.
-    pub(crate) fn register(&self, weight: u32) -> u64 {
-        let mut state = self.state.lock();
-        let slot = state.next_slot;
-        state.next_slot += 1;
-        state.queues.insert(
-            slot,
-            SchedQueue {
-                tasks: VecDeque::new(),
-                weight: weight.max(1),
-                deficit: 0,
-            },
-        );
-        slot
-    }
-
-    /// Removes a channel's queue, dropping any still-queued items. Only
-    /// legal once the channel's pipeline has stopped (graceful close
-    /// drains the queue first; abort abandons the items on purpose).
-    pub(crate) fn deregister(&self, slot: u64) {
-        let mut state = self.state.lock();
-        state.queues.remove(&slot);
-        state.active.retain(|s| *s != slot);
-    }
-
-    /// Queues one item for `slot`, returning the queue depth after the
-    /// push (a per-channel queue gauge), or `None` if the scheduler is
-    /// closed or the slot deregistered.
-    pub(crate) fn submit(&self, slot: u64, cost: u64, item: T) -> Option<usize> {
-        let mut state = self.state.lock();
-        if state.closed {
-            return None;
-        }
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        let queue = state.queues.get_mut(&slot)?;
-        let was_empty = queue.tasks.is_empty();
-        queue.tasks.push_back(SchedEntry { cost, seq, item });
-        let depth = queue.tasks.len();
-        if was_empty {
-            // Waking from idle: grant a full quantum and enter at the
-            // head of the round, so sparse traffic is served ahead of a
-            // sibling's standing backlog.
-            if let SchedulerPolicy::Drr { quantum } = self.policy {
-                queue.deficit = u64::from(quantum.max(1)) * u64::from(queue.weight);
-            }
-            state.active.push_front(slot);
-        }
-        self.cv.notify_one();
-        Some(depth)
-    }
-
-    /// Blocks until an item is schedulable (or the scheduler is closed
-    /// *and* drained, returning `None`). Workers call this in a loop.
-    pub(crate) fn next(&self) -> Option<T> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(item) = Self::dequeue(self.policy, &mut state) {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .cv
-                .wait(state)
-                .unwrap_or_else(|poison| poison.into_inner());
-        }
-    }
-
-    fn dequeue(policy: SchedulerPolicy, state: &mut SchedState<T>) -> Option<T> {
-        match policy {
-            SchedulerPolicy::Fifo => {
-                let slot = state
-                    .active
-                    .iter()
-                    .copied()
-                    .min_by_key(|slot| {
-                        state.queues[slot].tasks.front().map_or(u64::MAX, |e| e.seq)
-                    })?;
-                let queue = state.queues.get_mut(&slot).expect("active slot registered");
-                let entry = queue.tasks.pop_front().expect("active queue non-empty");
-                if queue.tasks.is_empty() {
-                    state.active.retain(|s| *s != slot);
-                }
-                Some(entry.item)
-            }
-            SchedulerPolicy::Drr { quantum } => {
-                state.active.front()?;
-                // Terminates: every full rotation adds at least `quantum`
-                // to each visited deficit, and chunk costs are finite.
-                loop {
-                    let slot = *state.active.front().expect("checked non-empty");
-                    let queue = state.queues.get_mut(&slot).expect("active slot registered");
-                    let cost = queue
-                        .tasks
-                        .front()
-                        .expect("active queue non-empty")
-                        .cost
-                        .max(1);
-                    if queue.deficit >= cost {
-                        queue.deficit -= cost;
-                        let entry = queue.tasks.pop_front().expect("checked front");
-                        if queue.tasks.is_empty() {
-                            // Anti-hoarding: an emptied queue forfeits its
-                            // leftover deficit.
-                            queue.deficit = 0;
-                            state.active.pop_front();
-                        }
-                        return Some(entry.item);
-                    }
-                    queue.deficit += u64::from(quantum.max(1)) * u64::from(queue.weight);
-                    let slot = state.active.pop_front().expect("checked non-empty");
-                    state.active.push_back(slot);
-                }
-            }
-        }
-    }
-
-    /// Stops accepting new items and wakes every worker; queued items are
-    /// still served until drained.
-    pub(crate) fn close(&self) {
-        self.state.lock().closed = true;
-        self.cv.notify_all();
-    }
-}
 
 /// Pipeline construction knobs.
 #[derive(Clone, Copy, Debug)]
@@ -336,12 +117,8 @@ pub struct PipelineOptions {
     /// the pool near a block's tail). Until the first cost sample lands,
     /// blocks are split evenly across the workers.
     pub vscc_chunk_target: Duration,
-    /// Stall rule for custom-VSCC state readers.
-    pub dependency_mode: DependencyMode,
-    /// Pre-run rw-checks for blocks parked in the reorder buffer.
-    pub speculative_rw_check: bool,
     /// This channel's DRR weight in a shared pool's scheduler: per round
-    /// it earns `quantum × weight` transactions of VSCC service relative
+    /// it earns `DRR_QUANTUM × weight` transactions of VSCC service relative
     /// to its siblings. Ignored by single-channel pipelines. Clamped to
     /// ≥ 1.
     pub scheduler_weight: u32,
@@ -364,8 +141,6 @@ impl Default for PipelineOptions {
             vscc_workers: 0,
             intake_capacity: 64,
             vscc_chunk_target: Duration::from_micros(500),
-            dependency_mode: DependencyMode::KeyLevel,
-            speculative_rw_check: true,
             scheduler_weight: 1,
             deliver_credits: 32,
             park_window: 32,
@@ -596,8 +371,6 @@ struct Shared {
     /// Conflict index of in-flight written keys (key-level stalls).
     conflicts: Mutex<ConflictState>,
     conflicts_cv: Condvar,
-    dependency_mode: DependencyMode,
-    speculative: bool,
 }
 
 impl Shared {
@@ -774,11 +547,6 @@ impl BlockProfile {
         profile
     }
 
-    /// Does this block's custom VSCC read committed state at all?
-    fn reads_state(&self) -> bool {
-        !self.custom_reads.is_empty() || !self.custom_ranges.is_empty()
-    }
-
     /// Would this block's custom-VSCC reads observe any in-flight key?
     fn conflicts_with(&self, inflight: &HashMap<(String, String), u32>) -> bool {
         if self.custom_reads.iter().any(|key| inflight.contains_key(key)) {
@@ -801,68 +569,37 @@ impl BlockProfile {
 /// pipeline attached through [`Committer::pipeline_in`].
 ///
 /// Freed workers pick their next chunk through the pool's cross-channel
-/// [`Scheduler`] (policy fixed at construction, weighted
-/// deficit-round-robin by default), so one channel's backlog cannot
-/// monopolize the pool. Close (or drop) the manager only after closing
-/// every attached [`PipelineHandle`]: closing first abandons the
+/// weighted deficit-round-robin [`Scheduler`], so one channel's backlog
+/// cannot monopolize the pool. Close (or drop) the manager only after
+/// closing every attached [`PipelineHandle`]: closing first abandons the
 /// channels' queued chunks mid-block.
 pub struct PipelineManager {
-    sched: Arc<Scheduler<VsccTask>>,
-    workers: Vec<JoinHandle<()>>,
+    pool: Pool<VsccTask>,
 }
 
 impl PipelineManager {
-    /// Spawns a pool of `vscc_workers` persistent workers (at least one)
-    /// under the default scheduling policy (DRR, equal weights unless the
-    /// channels' [`PipelineOptions::scheduler_weight`] say otherwise).
+    /// Spawns a pool of `vscc_workers` persistent workers (at least one);
+    /// channels share it with equal weights unless their
+    /// [`PipelineOptions::scheduler_weight`] say otherwise.
     pub fn new(vscc_workers: usize) -> Self {
-        Self::with_policy(vscc_workers, SchedulerPolicy::default())
-    }
-
-    /// Spawns a pool with an explicit cross-channel scheduling policy
-    /// ([`SchedulerPolicy::Fifo`] reproduces the pre-scheduler behaviour
-    /// for comparison benchmarks).
-    pub fn with_policy(vscc_workers: usize, policy: SchedulerPolicy) -> Self {
-        let width = vscc_workers.max(1);
-        let sched = Arc::new(Scheduler::new(policy));
-        let workers = (0..width)
-            .map(|i| {
-                let sched = sched.clone();
-                std::thread::Builder::new()
-                    .name(format!("vscc-worker-{i}"))
-                    .spawn(move || vscc_worker(&sched))
-                    .expect("spawn vscc worker")
-            })
-            .collect();
-        PipelineManager { sched, workers }
+        PipelineManager {
+            pool: Pool::new("vscc-worker", vscc_workers.max(1), validate_chunk, finish_chunk),
+        }
     }
 
     /// Pool width (the even-split chunk floor for attached channels).
     pub fn width(&self) -> usize {
-        self.workers.len()
+        self.pool.width()
     }
 
     pub(crate) fn scheduler(&self) -> Arc<Scheduler<VsccTask>> {
-        self.sched.clone()
+        self.pool.scheduler().clone()
     }
 
     /// Shuts the pool down: drains already-queued chunks, then joins the
-    /// workers.
+    /// workers (dropping the manager does the same).
     pub fn close(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.sched.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for PipelineManager {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.pool.close();
     }
 }
 
@@ -911,8 +648,6 @@ impl Committer {
             vscc_cost: CostEwma::default(),
             conflicts: Mutex::new(ConflictState::default()),
             conflicts_cv: Condvar::new(),
-            dependency_mode: opts.dependency_mode,
-            speculative: opts.speculative_rw_check,
         });
 
         let (intake_tx, intake_rx) = bounded::<Block>(opts.intake_capacity.max(1));
@@ -963,44 +698,59 @@ impl Committer {
     }
 }
 
-/// Pool worker: validate chunks from any admitted block of any channel,
-/// in the order the pool's cross-channel scheduler hands them out.
-fn vscc_worker(sched: &Scheduler<VsccTask>) {
-    while let Some(task) = sched.next() {
-        let job = &task.job;
-        let shared = &job.shared;
-        if !shared.is_stopped() && task.len > 0 {
-            let envelopes = &job.block.envelopes[task.start..task.start + task.len];
-            let mut local = Vec::with_capacity(task.len);
-            let started = Instant::now();
-            for envelope in envelopes {
-                local.push(shared.committer.validate_envelope(&shared.ledger, envelope));
-            }
-            shared.vscc_cost.observe(started.elapsed() / task.len as u32);
-            job.flags.lock()[task.start..task.start + task.len].copy_from_slice(&local);
+/// Pool job, first half: validate one chunk of any admitted block of
+/// any channel, in the order the pool's scheduler hands them out.
+fn validate_chunk(task: &VsccTask) {
+    let job = &task.job;
+    let shared = &job.shared;
+    if !shared.is_stopped() && task.len > 0 {
+        let envelopes = &job.block.envelopes[task.start..task.start + task.len];
+        let mut local = Vec::with_capacity(task.len);
+        let started = Instant::now();
+        for envelope in envelopes {
+            local.push(shared.committer.validate_envelope(&shared.ledger, envelope));
         }
-        // The last chunk to finish retires invalid txs' in-flight keys —
-        // their writes will never land, so key-stalled readers may go —
-        // and forwards the block to its channel's sequencer.
-        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if !shared.is_stopped() {
-                let freed: Vec<(String, String)> = {
-                    let flags = job.flags.lock();
-                    flags
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, flag)| **flag != TxValidationCode::Valid)
-                        .flat_map(|(i, _)| job.tx_writes[i].iter().cloned())
-                        .collect()
-                };
-                shared.release_keys(&freed);
-            }
-            let vscc = job.dispatched.elapsed();
-            let _ = job.done.send(CompletedVscc {
-                job: task.job.clone(),
-                vscc,
-            });
+        shared.vscc_cost.observe(started.elapsed() / task.len as u32);
+        job.flags.lock()[task.start..task.start + task.len].copy_from_slice(&local);
+    }
+}
+
+/// Pool job, second half: account for the finished chunk, whether it
+/// validated or panicked.
+fn finish_chunk(task: VsccTask, outcome: std::thread::Result<()>) {
+    let job = &task.job;
+    let shared = &job.shared;
+    if outcome.is_err() {
+        // The sequential committer would propagate a panicking (custom)
+        // VSCC to its caller. Here the caller waits on the watermark, so
+        // stop the channel with an error instead of leaving it waiting
+        // for a block that will never commit.
+        shared.fail(PeerError::BadBlock(format!(
+            "VSCC panicked validating block {}",
+            job.block.header.number
+        )));
+    }
+    // The last chunk to finish retires invalid txs' in-flight keys —
+    // their writes will never land, so key-stalled readers may go —
+    // and forwards the block to its channel's sequencer.
+    if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if !shared.is_stopped() {
+            let freed: Vec<(String, String)> = {
+                let flags = job.flags.lock();
+                flags
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, flag)| **flag != TxValidationCode::Valid)
+                    .flat_map(|(i, _)| job.tx_writes[i].iter().cloned())
+                    .collect()
+            };
+            shared.release_keys(&freed);
         }
+        let vscc = job.dispatched.elapsed();
+        let _ = job.done.send(CompletedVscc {
+            job: task.job.clone(),
+            vscc,
+        });
     }
 }
 
@@ -1032,9 +782,8 @@ fn admitter(
         let profile = BlockProfile::analyze(&block, &shared.committer);
 
         // Stall until no in-flight (dispatched, unretired) write can be
-        // observed by this block's VSCC reads. Key-level mode consults
-        // the conflict index and resumes as soon as the conflicting keys
-        // retire; block-level mode waits out every in-flight block.
+        // observed by this block's VSCC reads: consult the conflict index
+        // and resume as soon as the conflicting keys retire.
         {
             let mut stalled = false;
             let mut conflicts = shared.conflicts.lock();
@@ -1044,12 +793,7 @@ fn admitter(
                 }
                 let conflict = conflicts.barriers > 0
                     || (profile.barrier && conflicts.inflight_blocks > 0)
-                    || match shared.dependency_mode {
-                        DependencyMode::BlockLevel => {
-                            profile.reads_state() && conflicts.inflight_blocks > 0
-                        }
-                        DependencyMode::KeyLevel => profile.conflicts_with(&conflicts.keys),
-                    };
+                    || profile.conflicts_with(&conflicts.keys);
                 if !conflict {
                     break;
                 }
@@ -1209,7 +953,7 @@ fn sequencer(
             match commit_in_order(shared, &pending.completed, spec_flags) {
                 Ok(event) => {
                     next_commit += 1;
-                    if shared.speculative && !reorder.is_empty() {
+                    if !reorder.is_empty() {
                         recent.insert(
                             event.block_num,
                             recent_commit_of(&pending.completed.job.block, &event.validity),
@@ -1231,7 +975,7 @@ fn sequencer(
             // Every speculation that could have consulted these commits
             // is resolved; start a fresh window.
             recent.clear();
-        } else if shared.speculative {
+        } else {
             for pending in reorder.values_mut() {
                 if pending.spec.is_none() && !pending.completed.job.barrier {
                     pending.spec = speculate(shared, &pending.completed, next_commit);
@@ -1474,6 +1218,15 @@ impl PipelineHandle {
     /// final statistics (or the first error). A privately owned pool is
     /// shut down; a shared pool stays up for its other channels.
     pub fn close(mut self) -> Result<PipelineStats, PeerError> {
+        self.drain();
+        if let Some(err) = self.shared.error.lock().take() {
+            return Err(err);
+        }
+        Ok(self.shared.stats_snapshot())
+    }
+
+    /// The graceful stop shared by `close` and `Drop`.
+    fn drain(&mut self) {
         drop(self.intake.take());
         for thread in self.threads.drain(..) {
             let _ = thread.join();
@@ -1486,10 +1239,6 @@ impl PipelineHandle {
         if let Some(pool) = self.pool.take() {
             pool.close();
         }
-        if let Some(err) = self.shared.error.lock().take() {
-            return Err(err);
-        }
-        Ok(self.shared.stats_snapshot())
     }
 
     /// Hard stop: abandons queued and in-flight blocks without committing
@@ -1523,16 +1272,7 @@ impl PipelineHandle {
 
 impl Drop for PipelineHandle {
     fn drop(&mut self) {
-        drop(self.intake.take());
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
-        if let Some((sched, slot)) = self.sched.take() {
-            sched.deregister(slot);
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.close();
-        }
+        self.drain();
     }
 }
 
@@ -1610,94 +1350,6 @@ mod tests {
         // uniform 0..n ramp must land in the top quarter of the range.
         assert!(histogram.percentile(99.0) >= Duration::from_micros(3 * n / 4));
         assert!(histogram.percentile(99.0) <= Duration::from_micros(n - 1));
-    }
-
-    #[test]
-    fn drr_serves_waking_channel_ahead_of_standing_backlog() {
-        let sched: Scheduler<u32> = Scheduler::new(SchedulerPolicy::Drr { quantum: 4 });
-        let busy = sched.register(1);
-        for i in 0..100 {
-            sched.submit(busy, 1, i).unwrap();
-        }
-        assert_eq!(sched.next(), Some(0));
-        assert_eq!(sched.next(), Some(1));
-        // A channel waking from idle enters at the head of the round with
-        // a fresh quantum: its item is served next, not behind the other
-        // 98 queued items.
-        let sparse = sched.register(1);
-        sched.submit(sparse, 1, 1000).unwrap();
-        assert_eq!(sched.next(), Some(1000));
-        assert_eq!(sched.next(), Some(2), "backlog resumes after the visit");
-    }
-
-    #[test]
-    fn drr_shares_service_by_weight() {
-        let sched: Scheduler<u32> = Scheduler::new(SchedulerPolicy::Drr { quantum: 2 });
-        let light = sched.register(1);
-        let heavy = sched.register(3);
-        for i in 0..20 {
-            sched.submit(light, 1, i).unwrap();
-            sched.submit(heavy, 1, 100 + i).unwrap();
-        }
-        let mut heavy_served = 0;
-        for _ in 0..16 {
-            if sched.next().unwrap() >= 100 {
-                heavy_served += 1;
-            }
-        }
-        // quantum × weight per round: 6 heavy for every 2 light.
-        assert_eq!(heavy_served, 12);
-    }
-
-    #[test]
-    fn drr_deficit_covers_multi_tx_chunks() {
-        // A chunk costing more than one round's quantum must still be
-        // served (deficit accumulates across rounds, never starves).
-        let sched: Scheduler<u32> = Scheduler::new(SchedulerPolicy::Drr { quantum: 2 });
-        let a = sched.register(1);
-        let b = sched.register(1);
-        sched.submit(a, 7, 1).unwrap();
-        sched.submit(a, 1, 2).unwrap();
-        sched.submit(b, 1, 10).unwrap();
-        let served: Vec<u32> = (0..3).map(|_| sched.next().unwrap()).collect();
-        assert_eq!(served, vec![10, 1, 2]);
-    }
-
-    #[test]
-    fn fifo_policy_preserves_global_arrival_order() {
-        let sched: Scheduler<u32> = Scheduler::new(SchedulerPolicy::Fifo);
-        let a = sched.register(1);
-        let b = sched.register(5); // weights are ignored under FIFO
-        sched.submit(a, 1, 0).unwrap();
-        sched.submit(b, 9, 1).unwrap();
-        sched.submit(a, 1, 2).unwrap();
-        sched.submit(b, 1, 3).unwrap();
-        let served: Vec<u32> = (0..4).map(|_| sched.next().unwrap()).collect();
-        assert_eq!(served, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn scheduler_close_drains_queued_then_ends() {
-        let sched: Scheduler<u32> = Scheduler::new(SchedulerPolicy::default());
-        let slot = sched.register(1);
-        sched.submit(slot, 1, 7).unwrap();
-        sched.close();
-        assert_eq!(sched.submit(slot, 1, 8), None, "closed for new work");
-        assert_eq!(sched.next(), Some(7), "queued work still drains");
-        assert_eq!(sched.next(), None);
-    }
-
-    #[test]
-    fn scheduler_deregister_drops_queue_and_refuses_submits() {
-        let sched: Scheduler<u32> = Scheduler::new(SchedulerPolicy::default());
-        let gone = sched.register(1);
-        let live = sched.register(1);
-        assert_eq!(sched.submit(gone, 1, 1), Some(1), "depth gauge");
-        assert_eq!(sched.submit(gone, 1, 2), Some(2));
-        sched.deregister(gone);
-        assert_eq!(sched.submit(gone, 1, 3), None);
-        sched.submit(live, 1, 42).unwrap();
-        assert_eq!(sched.next(), Some(42), "dropped queue never surfaces");
     }
 
     #[test]
@@ -1967,8 +1619,9 @@ mod tests {
 
     /// Key-disjoint reader/writer blocks: the writer block puts key `a`
     /// while the reader block's custom VSCC declares a read of key `b`.
-    /// Key-level stalls let them overlap; block-level stalls may not.
-    fn run_disjoint_reader(mode: DependencyMode) -> PipelineStats {
+    /// Key-level stalls let them overlap.
+    #[test]
+    fn key_level_stalls_skip_disjoint_keys() {
         let fixture = fx::fixture();
         let builder = fx::make_peer(&fixture, &fixture.ca1, "builder.org1");
         let admin = fabric_msp::issue_identity(&fixture.ca1, "admin1", Role::Admin, b"a1");
@@ -2019,7 +1672,6 @@ mod tests {
         pipelined.register_vscc("kvcc", Arc::new(SleepVscc(Duration::from_millis(50))));
         let handle = pipelined.pipeline_with(PipelineOptions {
             vscc_workers: 2,
-            dependency_mode: mode,
             ..PipelineOptions::default()
         });
         // Retire the barrier (deploy) and seed blocks before the race so
@@ -2033,20 +1685,9 @@ mod tests {
         handle.wait_committed(5).unwrap();
         let stats = handle.close().unwrap();
         assert_eq!(pipelined.get_state("kvcc", "a").unwrap(), Some(b"w".to_vec()));
-        stats
-    }
-
-    #[test]
-    fn key_level_stalls_skip_disjoint_keys_block_level_does_not() {
-        let key_level = run_disjoint_reader(DependencyMode::KeyLevel);
         assert_eq!(
-            key_level.queues.dependency_stalls, 0,
-            "disjoint keys must not stall under key-level mode"
-        );
-        let block_level = run_disjoint_reader(DependencyMode::BlockLevel);
-        assert!(
-            block_level.queues.dependency_stalls >= 1,
-            "block-level mode stalls any state-reading block behind in-flight work"
+            stats.queues.dependency_stalls, 0,
+            "disjoint keys must not stall the reader behind the in-flight writer"
         );
     }
 
@@ -2076,7 +1717,7 @@ mod tests {
     }
 
     #[test]
-    fn speculative_rw_check_reused_for_parked_blocks() {
+    fn speculation_reused_for_parked_blocks() {
         let fixture = fx::fixture();
         let builder = fx::make_peer(&fixture, &fixture.ca1, "builder.org1");
         let admin = fabric_msp::issue_identity(&fixture.ca1, "admin1", Role::Admin, b"a1");

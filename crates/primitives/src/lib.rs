@@ -5,12 +5,16 @@
 //! configuration, and the deterministic binary wire codec they all share.
 //!
 //! These types mirror the message structures of the paper's transaction flow
-//! (Sec. 3.2–3.4) and configuration system (Sec. 4.6). Everything here is
+//! (Sec. 3.2–3.4) and configuration system (Sec. 4.6). Those modules are
 //! pure data: protocol behaviour lives in the `msp`, `ordering`, `peer`,
-//! and `gossip` crates.
+//! and `gossip` crates. The one exception is [`flow`], the std-only
+//! flow-control kit (DRR scheduler, worker pool, token bucket, dedup
+//! window) those crates all build their queues and ingress guards from —
+//! it lives here because every one of them already depends on this crate.
 
 pub mod block;
 pub mod config;
+pub mod flow;
 pub mod ids;
 pub mod rwset;
 pub mod transaction;

@@ -64,48 +64,62 @@ fn client(world: &PipelineWorld, name: &str) -> Client {
 #[test]
 fn panicking_chaincode_does_not_poison_pipeline() {
     let world = PipelineWorld::new();
-    let peer = faulty_peer(&world, "panic-peer", Duration::from_secs(2));
-    peer.install_chaincode(
-        "boom",
-        Arc::new(|_: &mut Stub<'_>| -> Result<Vec<u8>, String> {
-            panic!("hostile chaincode");
-        }),
-    );
-    let cl = client(&world, "panic-client");
-    let pipeline = peer.endorse_pipeline(EndorseOptions {
-        workers: POOL_WIDTH,
-        ..EndorseOptions::default()
-    });
-    // Alternate panicking and healthy proposals: every panic is contained,
-    // every healthy proposal still endorses.
-    for i in 0..20u8 {
-        let mut nonce = [0xB0u8; 32];
-        nonce[0] = i;
-        if i % 2 == 0 {
-            let sp = cl.create_proposal_with_nonce("boom", "go", vec![], nonce);
-            assert!(
-                matches!(pipeline.endorse(sp), Err(PeerError::Chaincode(_))),
-                "panic must abort only its own proposal"
-            );
-        } else {
-            let sp = cl.create_proposal_with_nonce(
-                "kv",
-                "put",
-                vec![vec![b'p', i], vec![i]],
-                nonce,
-            );
-            pipeline.endorse(sp).expect("healthy proposal endorses");
+    // Two containment layers, one outcome. The pooled runtime catches the
+    // panic itself. Inline execution (`exec_timeout: None`) has no
+    // runtime-level containment: the panic unwinds into the simulation
+    // worker, where the endorsement pool must contain it — with a single
+    // worker, each healthy proposal after a panic proves it survived.
+    // `(peer, simulation workers, runtime threads expected afterwards)`:
+    let cases = [
+        (faulty_peer(&world, "panic-peer", Duration::from_secs(2)), POOL_WIDTH, POOL_WIDTH),
+        (world.replica("inline-panic-peer", 1), 1, 0),
+    ];
+    for (peer, workers, runtime_threads) in cases {
+        peer.install_chaincode(
+            "boom",
+            Arc::new(|_: &mut Stub<'_>| -> Result<Vec<u8>, String> {
+                panic!("hostile chaincode");
+            }),
+        );
+        let cl = client(&world, "panic-client");
+        // The client cap makes a leaked in-flight slot visible: a panic
+        // that skipped the release would reject the next proposal.
+        let pipeline = peer.endorse_pipeline(EndorseOptions {
+            workers,
+            client_max_inflight: 1,
+            ..EndorseOptions::default()
+        });
+        // Alternate panicking and healthy proposals: every panic is
+        // contained, every healthy proposal still endorses.
+        for i in 0..20u8 {
+            let mut nonce = [0xB0u8; 32];
+            nonce[0] = i;
+            if i % 2 == 0 {
+                let sp = cl.create_proposal_with_nonce("boom", "go", vec![], nonce);
+                assert!(
+                    matches!(pipeline.endorse(sp), Err(PeerError::Chaincode(_))),
+                    "panic must abort only its own proposal"
+                );
+            } else {
+                let sp = cl.create_proposal_with_nonce(
+                    "kv",
+                    "put",
+                    vec![vec![b'p', i], vec![i]],
+                    nonce,
+                );
+                pipeline.endorse(sp).expect("healthy proposal endorses");
+            }
         }
+        let stats = pipeline.stats();
+        assert_eq!(stats.endorsed, 10);
+        assert_eq!(stats.failed, 10);
+        pipeline.close();
+        // Panics are contained in-place (catch_unwind), not survived by
+        // replacement: the execution pool is still exactly its configured
+        // width.
+        peer.chaincode_runtime().reap_workers();
+        assert_eq!(peer.chaincode_runtime().worker_threads(), runtime_threads);
     }
-    let stats = pipeline.stats();
-    assert_eq!(stats.endorsed, 10);
-    assert_eq!(stats.failed, 10);
-    pipeline.close();
-    // Panics are contained in-place (catch_unwind), not survived by
-    // replacement: the execution pool is still exactly its configured
-    // width.
-    peer.chaincode_runtime().reap_workers();
-    assert_eq!(peer.chaincode_runtime().worker_threads(), POOL_WIDTH);
 }
 
 #[test]

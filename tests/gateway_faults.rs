@@ -235,50 +235,74 @@ fn overflow_evicts_by_fee_then_age() {
 /// millisecond regardless of `RetryAfter` piles up rejections in its own
 /// bucket, while a client that waits exactly the hinted time is never
 /// rejected — and both make the same forward progress.
+///
+/// The bucket map is keyed by *unverified* creator bytes, so the same
+/// second is replayed beside a flood of envelopes that each claim a
+/// distinct forged creator: buckets that refilled to their burst carry no
+/// information and are pruned, so the map stays bounded — and neither
+/// client can tell, every verdict and `after_ms` hint is unchanged.
 #[test]
 fn retry_after_ignorer_limited_honorer_progresses() {
     let p = pool();
-    let mut gateway = Gateway::new(GatewayConfig {
-        client_rate_per_sec: 10,
-        client_burst: 2,
-        mempool_capacity: 4096,
-        ..GatewayConfig::default()
-    });
-    let mut hon_next = 0usize; // next honorer envelope
-    let mut ign_next = 0usize;
-    let mut hon_allowed_at = 0u64;
-    let mut hon_admitted = 0u64;
-    let mut hon_rejected = 0u64;
-    let mut ign_admitted = 0u64;
-    let mut ign_rejected = 0u64;
-    for now in 0..1000u64 {
-        // The ignorer hammers every millisecond.
-        match gateway.submit(p.ignorer[ign_next].clone(), 1, now) {
-            Admit::Admitted => {
-                ign_next += 1;
-                ign_admitted += 1;
-            }
-            Admit::RetryAfter { reason, .. } => {
-                assert_eq!(reason, ShedReason::RateLimited);
-                ign_rejected += 1;
-            }
-            Admit::Duplicate => unreachable!("fresh envelope"),
-        }
-        // The honorer submits only when the last hint allows it.
-        if now >= hon_allowed_at {
-            match gateway.submit(p.honorer[hon_next].clone(), 1, now) {
-                Admit::Admitted => {
-                    hon_next += 1;
-                    hon_admitted += 1;
+    let run = |forged_per_ms: u64| {
+        let mut gateway = Gateway::new(GatewayConfig {
+            client_rate_per_sec: 10,
+            client_burst: 2,
+            mempool_capacity: 1 << 15,
+            ..GatewayConfig::default()
+        });
+        let mut hon_next = 0usize; // next honorer envelope
+        let mut ign_next = 0usize;
+        let mut hon_allowed_at = 0u64;
+        let mut hon_hints = Vec::new();
+        let (mut hon_admitted, mut hon_rejected) = (0u64, 0u64);
+        let (mut ign_admitted, mut ign_rejected) = (0u64, 0u64);
+        let mut tracked_peak = 0;
+        for now in 0..1000u64 {
+            for i in 0..forged_per_ms {
+                let mut forged = p.generic[0].clone();
+                if let EnvelopeContent::Transaction(tx) = &mut forged.content {
+                    tx.creator.cert_bytes = (now * forged_per_ms + i).to_le_bytes().to_vec();
                 }
-                Admit::RetryAfter { after_ms, .. } => {
-                    hon_allowed_at = now + after_ms;
-                    hon_rejected += 1;
+                // Nothing is verified at admission: each forgery gets in
+                // and spends a token from a brand-new bucket.
+                assert_eq!(gateway.submit(forged, 1, now), Admit::Admitted);
+            }
+            // The ignorer hammers every millisecond.
+            match gateway.submit(p.ignorer[ign_next].clone(), 1, now) {
+                Admit::Admitted => {
+                    ign_next += 1;
+                    ign_admitted += 1;
+                }
+                Admit::RetryAfter { reason, .. } => {
+                    assert_eq!(reason, ShedReason::RateLimited);
+                    ign_rejected += 1;
                 }
                 Admit::Duplicate => unreachable!("fresh envelope"),
             }
+            // The honorer submits only when the last hint allows it.
+            if now >= hon_allowed_at {
+                match gateway.submit(p.honorer[hon_next].clone(), 1, now) {
+                    Admit::Admitted => {
+                        hon_next += 1;
+                        hon_admitted += 1;
+                    }
+                    Admit::RetryAfter { after_ms, .. } => {
+                        hon_allowed_at = now + after_ms;
+                        hon_hints.push((now, after_ms));
+                        hon_rejected += 1;
+                    }
+                    Admit::Duplicate => unreachable!("fresh envelope"),
+                }
+            }
+            tracked_peak = gateway.tracked_clients().max(tracked_peak);
         }
-    }
+        assert_eq!(gateway.stats().rate_limited, hon_rejected + ign_rejected);
+        let counts = [hon_admitted, hon_rejected, ign_admitted, ign_rejected];
+        (counts, hon_hints, tracked_peak)
+    };
+    let (counts, hon_hints, _) = run(0);
+    let [hon_admitted, hon_rejected, ign_admitted, ign_rejected] = counts;
     // Honoring the hint costs one probe per wait (the verdict IS the
     // hint) but the honorer is never worse off than the abuser: both
     // drain the same token stream.
@@ -292,7 +316,12 @@ fn retry_after_ignorer_limited_honorer_progresses() {
         ign_rejected > 800,
         "the ignorer burned {ign_rejected} rejected submissions"
     );
-    assert_eq!(gateway.stats().rate_limited, hon_rejected + ign_rejected);
+    // A forged bucket is full again 100 ms after its one admission, so at
+    // most ~1000 of the 10 000 are worth remembering at any time; the map
+    // overshoots that only up to its prune trigger.
+    let (flood_counts, flood_hints, tracked_peak) = run(10);
+    assert!(tracked_peak <= 4096, "bucket map grew to {tracked_peak} under the flood");
+    assert_eq!((flood_counts, flood_hints), (counts, hon_hints), "pruning is invisible");
 }
 
 /// The SDK backoff loop converges: a submission shed under zero-credit

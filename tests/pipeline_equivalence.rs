@@ -170,7 +170,6 @@ proptest! {
         let peers = [world.replica("chan-a.org1", 2), world.replica("chan-b.org1", 2)];
         let opts = PipelineOptions {
             intake_capacity: 4,
-            speculative_rw_check: true,
             ..PipelineOptions::default()
         };
         let handles = [
@@ -241,7 +240,6 @@ proptest! {
         for channel in 0..2 {
             mux.attach(chans[channel].clone(), &peers[channel], PipelineOptions {
                 intake_capacity: 4,
-                speculative_rw_check: true,
                 scheduler_weight: weights[channel],
                 deliver_credits: credits[channel],
                 park_window: 4,

@@ -353,3 +353,56 @@ fn torn_commit_replayed_from_savepoint_on_reopen() {
         reference.scan_state("kv", "", "").unwrap()
     );
 }
+
+/// A custom VSCC that panics on every transaction it is handed.
+struct PanickingVscc;
+
+impl Vscc for PanickingVscc {
+    fn validate(
+        &self,
+        _tx: &Transaction,
+        _msp: &MspRegistry,
+        _channel_orgs: &[String],
+        _ledger: &fabric::ledger::Ledger,
+    ) -> TxValidationCode {
+        panic!("hostile VSCC");
+    }
+}
+
+/// One panic policy for pooled work: a VSCC that panics on a pool worker
+/// fails its own channel with an error — `submit` / `wait_committed`
+/// return it instead of waiting forever on a block whose chunk count can
+/// never reach zero — and the worker survives to serve the other
+/// channels of the shared pool.
+#[test]
+fn panicking_vscc_fails_its_channel_and_spares_the_pool() {
+    let mut world = PipelineWorld::new();
+    for key in ["k1", "k2"] {
+        let envelope = world.endorse("put", vec![key.as_bytes().to_vec(), b"v".to_vec()]);
+        world.seal_block(vec![envelope]);
+    }
+    let final_height = world.blocks.len() as u64 + 1; // deploy (LSCC), k1, k2
+    // A single worker: if the panic killed it, nothing below would return.
+    let pool = PipelineManager::new(1);
+    let victim = world.replica("victim.org1", 1);
+    victim.register_vscc("kv", Arc::new(PanickingVscc));
+    let handle = victim.pipeline_shared(&pool, PipelineOptions::default());
+    // Whoever touches the stopped pipeline first is handed its error.
+    let refused = world.blocks.iter().find_map(|b| handle.submit(b.clone()).err());
+    let err = refused
+        .or_else(|| handle.wait_committed(final_height).err())
+        .expect("the channel stops with an error")
+        .to_string();
+    assert!(err.contains("VSCC panicked validating block 2"), "got: {err}");
+    let _ = handle.close();
+    assert_eq!(victim.height(), 2, "the deploy block commits, the poisoned one never does");
+
+    let sibling = world.replica("sibling.org1", 1);
+    let handle = sibling.pipeline_shared(&pool, PipelineOptions::default());
+    for block in &world.blocks {
+        handle.submit(block.clone()).expect("sibling accepts");
+    }
+    assert_eq!(handle.close().expect("sibling drains").blocks, 3);
+    pool.close();
+    assert_eq!(sibling.height(), final_height);
+}
