@@ -47,9 +47,11 @@
 #     asserts the 2x-overload bars (throughput within 10% of the
 #     ceiling, bounded p99, baseline degradation).
 # 14. The system benchmark (BENCHMARK.json, `benchmark/`) builds against
-#     the current API and completes its smoke run: all four workloads
+#     the current API with its lock file unchanged (`--locked`), passes
+#     its own unit tests, and completes its smoke run: all four workloads
 #     through the full client -> gateway -> endorse -> order -> gossip ->
-#     commit path, a few seconds each, output checks on.
+#     commit path, a few seconds each, output checks on. A crate change
+#     that breaks `benchmark/` or would rewrite its lock file fails here.
 #
 # Run from the repo root: ./ci.sh
 set -euo pipefail
@@ -177,6 +179,10 @@ fi
 
 echo "== gateway e2e bench: smoke run (FABRIC_BENCH_SMOKE=1) =="
 FABRIC_BENCH_SMOKE=1 cargo bench -q --bench gateway_e2e -p fabric-bench
+
+echo "== system benchmark: locked release build + unit tests =="
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== system benchmark: smoke run (benchmark/run.sh --smoke) =="
 bash benchmark/run.sh --smoke

@@ -1,7 +1,8 @@
 //! Per-channel state kept by every ordering-service node (paper Sec. 4.2):
 //! the current configuration (with its MSP registry and access policies),
 //! the deterministic block cutter, and the chain of cut blocks retained to
-//! answer `deliver` calls.
+//! answer `deliver` calls — one wire encoding per height, decoded on
+//! demand.
 //!
 //! The validation-relevant slice of the state — configuration, MSPs, and
 //! the three access policies — is factored into an immutable
@@ -15,6 +16,7 @@
 
 use std::sync::Arc;
 
+use fabric_crypto::Digest;
 use fabric_msp::{MspRegistry, SigningIdentity};
 use fabric_policy::{PolicyExpr, Signer};
 use fabric_primitives::block::{Block, BlockSignature};
@@ -174,9 +176,14 @@ pub struct ChannelState {
     pub access: Arc<ChannelAccess>,
     /// The block cutter.
     pub cutter: BlockCutter,
-    /// All blocks cut so far (the paper's OSNs persist recent blocks to
-    /// answer `deliver`; we retain all for simplicity).
-    pub blocks: Vec<Block>,
+    /// Every block cut so far, as its wire encoding (the form peers and
+    /// gossip consume): the OSN's block ledger behind `deliver` (paper
+    /// Sec. 4.2), kept in memory for the life of the node. This is the
+    /// one copy of each ordered transaction an OSN holds; the consensus
+    /// log compacts behind it.
+    blocks: Vec<Vec<u8>>,
+    /// Header hash of the last cut block.
+    last_hash: Digest,
     /// Ticks since the current pending batch started (drives TTC).
     pub pending_ticks: u64,
     /// Highest block number this node already sent a time-to-cut for.
@@ -200,6 +207,7 @@ impl ChannelState {
             signature: vec![],
         };
         let genesis = Block::new(0, [0u8; 32], vec![genesis_envelope]);
+        let last_hash = genesis.hash();
         let cutter = BlockCutter::new(config.orderer.batch, 1);
         let channel = config.channel.clone();
         let access = Arc::new(ChannelAccess::from_config(config)?);
@@ -207,7 +215,8 @@ impl ChannelState {
             channel,
             access,
             cutter,
-            blocks: vec![genesis],
+            blocks: vec![genesis.to_wire()],
+            last_hash,
             pending_ticks: 0,
             ttc_sent: 0,
             last_config: 0,
@@ -219,9 +228,9 @@ impl ChannelState {
         &self.access.config
     }
 
-    /// The hash of the last cut block.
-    pub fn last_hash(&self) -> fabric_crypto::Digest {
-        self.blocks.last().expect("genesis always present").hash()
+    /// The header hash of the last cut block.
+    pub fn last_hash(&self) -> Digest {
+        self.last_hash
     }
 
     /// Current chain height.
@@ -229,9 +238,10 @@ impl ChannelState {
         self.blocks.len() as u64
     }
 
-    /// Serves a `deliver(seq)` call.
-    pub fn deliver(&self, seq: u64) -> Option<&Block> {
-        self.blocks.get(seq as usize)
+    /// Serves a `deliver(seq)` call, decoding the retained encoding.
+    pub fn deliver(&self, seq: u64) -> Option<Block> {
+        let bytes = self.blocks.get(seq as usize)?;
+        Some(Block::from_wire(bytes).expect("an OSN decodes its own blocks"))
     }
 
     /// See [`ChannelAccess::check_broadcast`].
@@ -278,17 +288,18 @@ impl ChannelState {
     pub fn cut_block_with(
         &mut self,
         envelopes: Vec<Envelope>,
-        sign: impl FnOnce(&fabric_crypto::Digest) -> BlockSignature,
+        sign: impl FnOnce(&Digest) -> BlockSignature,
     ) -> Block {
         let number = self.height();
-        let mut block = Block::new(number, self.last_hash(), envelopes);
+        let mut block = Block::new(number, self.last_hash, envelopes);
         block.metadata.last_config = self.last_config;
         let header_hash = block.hash();
         block.metadata.signatures.push(sign(&header_hash));
         if block.is_config_block() {
             self.last_config = number;
         }
-        self.blocks.push(block.clone());
+        self.blocks.push(block.to_wire());
+        self.last_hash = header_hash;
         block
     }
 }

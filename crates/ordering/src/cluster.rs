@@ -27,7 +27,7 @@ use crate::OrderError;
 
 /// Decides the fate of one in-flight message: `(from, to, message)` →
 /// deliver (`true`) or drop (`false`).
-pub type FaultHook = Box<dyn FnMut(u64, u64, &OsnMessage) -> bool>;
+pub type FaultHook = Box<dyn FnMut(u64, u64, &OsnMessage) -> bool + Send>;
 
 /// Construction knobs for [`OrderingCluster::new_with`].
 pub struct ClusterOptions {
@@ -62,8 +62,6 @@ pub struct OrderingCluster {
     network: VecDeque<(u64, u64, OsnMessage)>,
     /// Round-robin entry point for broadcasts.
     next_entry: usize,
-    /// Blocks each node has cut, per channel, for determinism checks.
-    cut_log: Vec<Vec<(ChannelId, Block)>>,
     /// Crashed nodes: their timers stop and all their traffic is dropped.
     down: HashSet<u64>,
     /// Optional message-fate hook.
@@ -71,6 +69,13 @@ pub struct OrderingCluster {
     /// Keeps the shared verification pool alive.
     _verify_pool: Option<Arc<VerifyPool>>,
 }
+
+// A cluster can be handed to a thread of its own; this fails to compile
+// if any field stops being `Send`.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<OrderingCluster>();
+};
 
 impl OrderingCluster {
     /// Builds a cluster of `n` OSNs with the given consensus type, serving
@@ -138,7 +143,6 @@ impl OrderingCluster {
             nodes,
             network: VecDeque::new(),
             next_entry: 0,
-            cut_log: vec![Vec::new(); n],
             down: HashSet::new(),
             fault: None,
             _verify_pool: verify_pool,
@@ -182,11 +186,9 @@ impl OrderingCluster {
 
     fn absorb(&mut self, from: u64, outputs: Vec<OsnOutput>) {
         for output in outputs {
-            match output {
-                OsnOutput::Send { to, message } => self.network.push_back((from, to, message)),
-                OsnOutput::BlockCut { channel, block } => {
-                    self.cut_log[from as usize].push((channel, block));
-                }
+            // Cut blocks stay at their OSN, which serves them via `deliver`.
+            if let OsnOutput::Send { to, message } = output {
+                self.network.push_back((from, to, message));
             }
         }
     }

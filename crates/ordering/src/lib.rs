@@ -80,6 +80,36 @@ mod tests {
         n
     }
 
+    /// A config update envelope moving the channel to `max_message_count`,
+    /// signed by two admins (MAJORITY over Org1, Org2, OrdererMSP).
+    fn batch_count_update(net: &TestNet, max_message_count: u32) -> Envelope {
+        let mut new_config = net.genesis.clone();
+        new_config.sequence = 1;
+        new_config.orderer.batch.max_message_count = max_message_count;
+        let config_bytes = new_config.to_wire();
+        let admin1 = net.admin(0, "a1");
+        let admin2 = net.admin(1, "a2");
+        let update = fabric_primitives::config::ConfigUpdate {
+            config: new_config,
+            signatures: vec![
+                ConfigSignature {
+                    signer: admin1.serialized(),
+                    signature: admin1.sign(&config_bytes).to_bytes().to_vec(),
+                },
+                ConfigSignature {
+                    signer: admin2.serialized(),
+                    signature: admin2.sign(&config_bytes).to_bytes().to_vec(),
+                },
+            ],
+        };
+        let content = EnvelopeContent::Config(update);
+        let signature = admin1
+            .sign(&Envelope::signing_bytes(&content))
+            .to_bytes()
+            .to_vec();
+        Envelope { content, signature }
+    }
+
     fn solo_cluster(net: &TestNet) -> OrderingCluster {
         OrderingCluster::new(
             ConsensusType::Solo,
@@ -351,32 +381,7 @@ mod tests {
         let client = net.client(0, "c1");
 
         // New config: cut after 2 messages.
-        let mut new_config = net.genesis.clone();
-        new_config.sequence = 1;
-        new_config.orderer.batch.max_message_count = 2;
-        let config_bytes = new_config.to_wire();
-        // MAJORITY(admins) over 3 orgs (Org1, Org2, OrdererMSP) needs 2.
-        let admin1 = net.admin(0, "a1");
-        let admin2 = net.admin(1, "a2");
-        let update = fabric_primitives::config::ConfigUpdate {
-            config: new_config,
-            signatures: vec![
-                ConfigSignature {
-                    signer: admin1.serialized(),
-                    signature: admin1.sign(&config_bytes).to_bytes().to_vec(),
-                },
-                ConfigSignature {
-                    signer: admin2.serialized(),
-                    signature: admin2.sign(&config_bytes).to_bytes().to_vec(),
-                },
-            ],
-        };
-        let content = EnvelopeContent::Config(update);
-        let signature = admin1
-            .sign(&Envelope::signing_bytes(&content))
-            .to_bytes()
-            .to_vec();
-        cluster.broadcast(Envelope { content, signature }).unwrap();
+        cluster.broadcast(batch_count_update(&net, 2)).unwrap();
 
         // Config block was cut (block 1).
         assert_eq!(cluster.height(&net.channel), 2);
@@ -609,6 +614,110 @@ mod tests {
         // The three survivors filled one block, in submission order.
         let block = cluster.deliver(&net.channel, 1).expect("batch cut");
         assert_eq!(block.envelopes, vec![envs[0].clone(), envs[1].clone(), envs[3].clone()]);
+    }
+
+    #[test]
+    fn channel_state_delivers_its_cut_blocks_byte_for_byte() {
+        let net = TestNet::with_batch(
+            &["Org1", "Org2"],
+            ConsensusType::Solo,
+            1,
+            BatchConfig {
+                max_message_count: 2,
+                absolute_max_bytes: 1 << 20,
+                preferred_max_bytes: 1 << 20,
+                batch_timeout_ms: 10_000,
+            },
+        );
+        let mut node = OrderingNode::new(
+            0,
+            net.orderers(1).remove(0),
+            ConsensusBackend::Solo,
+            OsnConfig::default(),
+            vec![net.genesis.clone()],
+        )
+        .unwrap();
+        let client = net.client(0, "c1");
+        let tx = |i| make_envelope(&client, &net.channel, nonce(i), TxReadWriteSet::default());
+        // Block 1: two txs. Block 2: the pending third, flushed by the
+        // config. Block 3: the config. Block 4: one tx under the new cap.
+        let mut cut = Vec::new();
+        for envelope in [tx(1), tx(2), tx(3), batch_count_update(&net, 1), tx(4)] {
+            for output in node.broadcast(envelope).unwrap() {
+                if let OsnOutput::BlockCut { block, .. } = output {
+                    cut.push(block);
+                }
+            }
+        }
+        assert_eq!(cut.len(), 4);
+        assert!(cut[2].is_config_block());
+        let state = node.channel(&net.channel).unwrap();
+        assert_eq!(state.height(), 5);
+        for block in &cut {
+            let delivered = state.deliver(block.header.number).expect("retained");
+            assert_eq!(delivered.to_wire(), block.to_wire());
+        }
+        assert_eq!(cut[3].metadata.last_config, 3);
+        assert_eq!(state.last_hash(), cut[3].hash());
+        assert!(state.deliver(5).is_none());
+    }
+
+    #[test]
+    fn raft_logs_stay_bounded_while_ordering() {
+        // Entries a healthy Raft OSN may hold: those not yet applied or
+        // not yet under the leader's floor, a few heartbeats' worth.
+        const RETAINED_MAX: u64 = 4;
+        let net = TestNet::with_batch(
+            &["Org1"],
+            ConsensusType::Raft,
+            3,
+            BatchConfig {
+                max_message_count: 2,
+                absolute_max_bytes: 1 << 20,
+                preferred_max_bytes: 1 << 20,
+                batch_timeout_ms: 10_000,
+            },
+        );
+        let mut cluster = OrderingCluster::new(
+            ConsensusType::Raft,
+            net.orderers(3),
+            vec![net.genesis.clone()],
+        )
+        .unwrap();
+        let client = net.client(0, "c1");
+        let batches = 50;
+        for round in 0..batches {
+            let batch = (0..2)
+                .map(|i| {
+                    make_envelope(
+                        &client,
+                        &net.channel,
+                        nonce(2 * round + i),
+                        TxReadWriteSet::default(),
+                    )
+                })
+                .collect();
+            for verdict in cluster.broadcast_batch(batch) {
+                verdict.unwrap();
+            }
+            cluster.tick();
+            for node in cluster.nodes() {
+                let ConsensusBackend::Raft(raft) = node.backend_ref() else {
+                    unreachable!("Raft cluster");
+                };
+                assert!(
+                    raft.retained_len() <= RETAINED_MAX,
+                    "OSN {} retains {} log entries after batch {round}",
+                    node.id(),
+                    raft.retained_len()
+                );
+            }
+        }
+        for _ in 0..5 {
+            cluster.tick();
+        }
+        assert_eq!(cluster.height(&net.channel), 1 + batches);
+        cluster.assert_identical_chains(&net.channel);
     }
 
     #[test]

@@ -274,7 +274,7 @@ impl OrderingNode {
 
     /// Serves `deliver(seq)` (paper Sec. 3.3): returns block `seq` once cut.
     pub fn deliver(&self, channel: &ChannelId, seq: u64) -> Option<Block> {
-        self.channels.get(channel)?.deliver(seq).cloned()
+        self.channels.get(channel)?.deliver(seq)
     }
 
     /// Current height of a channel at this OSN.
@@ -488,11 +488,16 @@ impl OrderingNode {
     }
 
     /// Advances timers: consensus heartbeats/elections plus the per-channel
-    /// batch timeout (time-to-cut protocol).
+    /// batch timeout (time-to-cut protocol). A Raft backend also compacts
+    /// its log here, behind the leader's floor (see
+    /// [`fabric_raft::RaftNode::compact`]).
     pub fn tick(&mut self) -> Vec<OsnOutput> {
         let mut out = match &mut self.backend {
             ConsensusBackend::Solo => Vec::new(),
             ConsensusBackend::Raft(raft) => {
+                // Applied entries already live on as blocks (or in the
+                // cutter's pending batch): keep only what is in flight.
+                raft.compact(u64::MAX);
                 let outputs = raft.tick();
                 self.absorb_raft(outputs)
             }

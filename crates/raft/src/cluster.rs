@@ -409,11 +409,12 @@ mod tests {
         assert_eq!(cluster.nodes[idx].log_len(), 10, "total length unchanged");
         assert!(cluster.nodes[idx].entry(5).is_none(), "compacted entry gone");
 
-        // Followers compact independently, clamped to what they applied.
+        // Followers compact independently, clamped to the floor the leader
+        // advertised: every peer matched all 10 entries, so the floor is 10.
         for i in 0..3usize {
             if i != idx {
-                let applied = cluster.nodes[i].commit_index();
-                assert_eq!(cluster.nodes[i].compact(u64::MAX), applied);
+                assert_eq!(cluster.nodes[i].compaction_floor(), 10);
+                assert_eq!(cluster.nodes[i].compact(u64::MAX), 10);
             }
         }
 
@@ -470,6 +471,58 @@ mod tests {
         cluster.assert_agreement();
         let s_idx = (straggler - 1) as usize;
         assert_eq!(cluster.committed[s_idx].len(), 9);
+    }
+
+    /// Regression: a follower used to compact up to whatever it had
+    /// applied. Elected later, it could no longer repair a peer lagging
+    /// behind its compaction point: `next_index` clamped to the boundary
+    /// and the consistency check never passed, stranding the peer.
+    #[test]
+    fn follower_compaction_never_strands_a_peer_after_failover() {
+        fn isolate(node: NodeId) -> Box<dyn FnMut(&InFlight) -> Fate> {
+            Box::new(move |m| {
+                if m.from == node || m.to == node {
+                    Fate::Drop
+                } else {
+                    Fate::Deliver
+                }
+            })
+        }
+        let mut cluster = Cluster::new(3, 66);
+        let leader = cluster.elect_leader(200);
+        cluster.propose(b"seed".to_vec()).unwrap();
+        for _ in 0..5 {
+            cluster.tick();
+        }
+        let mut followers = (1..=3).filter(|&i| i != leader);
+        let straggler = followers.next().unwrap();
+        let survivor = followers.next().unwrap();
+        cluster.fault = isolate(straggler);
+        for i in 0..8u8 {
+            cluster.propose(vec![i]).unwrap();
+            cluster.tick();
+        }
+        for _ in 0..5 {
+            cluster.tick();
+        }
+        let s_idx = (survivor - 1) as usize;
+        assert_eq!(cluster.nodes[s_idx].commit_index(), 9, "survivor applied all");
+        let offset = cluster.nodes[s_idx].compact(u64::MAX);
+
+        // The leader goes silent; the straggler heals and must be repaired
+        // by the survivor, the only node that can now win an election.
+        cluster.fault = isolate(leader);
+        for _ in 0..400 {
+            cluster.tick();
+        }
+        cluster.assert_agreement();
+        let st_idx = (straggler - 1) as usize;
+        assert_eq!(
+            cluster.committed[st_idx].len(),
+            9,
+            "straggler stranded behind the survivor's compaction point {offset}"
+        );
+        assert!(offset <= 1, "survivor compacted past the floor: {offset}");
     }
 
     #[test]

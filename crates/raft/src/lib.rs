@@ -16,10 +16,12 @@
 //! implemented — the ordering service uses a static OSN cluster per
 //! channel and persists delivered blocks itself, so the Raft log is a
 //! transport, not the system of record. Log growth is bounded by
-//! *anchored compaction* ([`RaftNode::compact`]): the driver passes the
-//! latest peer state-checkpoint height and the node discards applied
-//! entries up to it, clamped so no follower ever needs a discarded entry
-//! (which is why no InstallSnapshot RPC is required).
+//! *floor-anchored compaction* ([`RaftNode::compact`]): the ordering
+//! service compacts every node each tick to the entries it has applied,
+//! but never past a floor the leader advertises in `AppendEntries` — an
+//! index committed and matched by every peer — so no node ever needs a
+//! discarded entry from any future leader (which is why no
+//! InstallSnapshot RPC is required).
 
 pub mod cluster;
 pub mod message;

@@ -45,6 +45,10 @@ pub enum Message {
         entries: Vec<LogEntry>,
         /// Leader's commit index.
         leader_commit: u64,
+        /// Leader's compaction floor: committed, and matched by every
+        /// peer, so no node ever needs an entry at or below it resent
+        /// (see [`crate::RaftNode::compact`]).
+        floor: u64,
     },
     /// Reply to `AppendEntries`.
     AppendEntriesResponse {

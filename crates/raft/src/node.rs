@@ -109,6 +109,8 @@ pub struct RaftNode {
     /// Term of the entry at `log_offset` (the compaction boundary), needed
     /// for consistency checks that reference it.
     snapshot_term: u64,
+    /// Highest compaction floor a leader has advertised to this node.
+    floor: u64,
 
     // Volatile state.
     role: Role,
@@ -148,6 +150,7 @@ impl RaftNode {
             log: Vec::new(),
             log_offset: 0,
             snapshot_term: 0,
+            floor: 0,
             role: Role::Follower,
             commit_index: 0,
             last_applied: 0,
@@ -219,32 +222,41 @@ impl RaftNode {
         self.log.get((index - self.log_offset) as usize - 1)
     }
 
-    /// Discards applied log entries up to `upto`, anchoring the compaction
-    /// point so the node never discards an entry it may still need:
+    /// The compaction floor: an index that is committed and that every
+    /// peer has matched, so no node — whoever leads later — will ever
+    /// need an entry at or below it resent. A leader derives it from
+    /// `commit_index` and the slowest peer's `match_index` and advertises
+    /// it in every `AppendEntries`; any node keeps the highest floor
+    /// advertised to it. A peer that stops acking (crashed, partitioned)
+    /// pins the floor where it stopped.
+    pub(crate) fn compaction_floor(&self) -> u64 {
+        if self.role != Role::Leader {
+            return self.floor;
+        }
+        let slowest = self
+            .peers
+            .iter()
+            .map(|p| *self.match_index.get(p).unwrap_or(&0))
+            .min()
+            .unwrap_or(u64::MAX);
+        self.floor.max(slowest.min(self.commit_index))
+    }
+
+    /// Discards log entries up to `min(upto, last_applied, floor)`, where
+    /// the floor is [`RaftNode::compaction_floor`]: the node drops only
+    /// what it has applied and what no peer can still need from it, on a
+    /// follower as much as on the leader. Every peer therefore stays
+    /// repairable from any future leader's log, with no InstallSnapshot
+    /// RPC; a freshly elected leader compacts nothing new until its
+    /// followers respond.
     ///
-    /// * never beyond `commit_index` / `last_applied`;
-    /// * on a leader, never beyond the slowest follower's `match_index`
-    ///   (so every follower can still be repaired from the log, without an
-    ///   InstallSnapshot RPC — a freshly elected leader therefore
-    ///   compacts nothing until followers respond).
-    ///
-    /// The ordering service calls this with the latest peer state
-    /// checkpoint height: blocks covered by a durable peer snapshot no
-    /// longer need the Raft log as their transport, and a consenter that
-    /// somehow lags below the anchor recovers via state transfer instead.
+    /// The ordering service calls this once per tick with `u64::MAX`:
+    /// applied entries already live on as blocks (or in the cutter's
+    /// pending batch), so the log keeps only entries in flight.
     ///
     /// Returns the new `log_offset`.
     pub fn compact(&mut self, upto: u64) -> u64 {
-        let mut limit = upto.min(self.commit_index).min(self.last_applied);
-        if self.role == Role::Leader {
-            let min_match = self
-                .peers
-                .iter()
-                .map(|p| *self.match_index.get(p).unwrap_or(&0))
-                .min()
-                .unwrap_or(limit);
-            limit = limit.min(min_match);
-        }
+        let limit = upto.min(self.last_applied).min(self.compaction_floor());
         if limit > self.log_offset {
             self.snapshot_term = self.term_at(limit);
             self.log.drain(..(limit - self.log_offset) as usize);
@@ -364,15 +376,20 @@ impl RaftNode {
                 prev_log_term,
                 entries,
                 leader_commit,
-            } => self.on_append_entries(
-                from,
-                term,
-                prev_log_index,
-                prev_log_term,
-                entries,
-                leader_commit,
-                &mut out,
-            ),
+                floor,
+            } => {
+                // A floor stays true once computed, whatever its term.
+                self.floor = self.floor.max(floor);
+                self.on_append_entries(
+                    from,
+                    term,
+                    prev_log_index,
+                    prev_log_term,
+                    entries,
+                    leader_commit,
+                    &mut out,
+                )
+            }
             Message::AppendEntriesResponse {
                 term,
                 success,
@@ -487,9 +504,8 @@ impl RaftNode {
     }
 
     fn send_append(&mut self, peer: NodeId, out: &mut Vec<Output>) {
-        // A follower below the compaction point cannot be repaired from
-        // the log; resume from the boundary (the driver is responsible
-        // for state-transferring such a follower — see `compact`).
+        // The compaction floor keeps every follower at or above the
+        // compaction point; clamping to the boundary is only a guard.
         let next = (*self.next_index.get(&peer).unwrap_or(&1)).max(self.log_offset + 1);
         let prev_log_index = next - 1;
         let prev_log_term = self.term_at(prev_log_index);
@@ -508,6 +524,7 @@ impl RaftNode {
                 prev_log_term,
                 entries,
                 leader_commit: self.commit_index,
+                floor: self.compaction_floor(),
             },
         });
     }
@@ -544,6 +561,7 @@ impl RaftNode {
                     prev_log_term: self.term_at(prev),
                     entries,
                     leader_commit: self.commit_index,
+                    floor: self.compaction_floor(),
                 },
             });
             self.inflight
@@ -569,6 +587,7 @@ impl RaftNode {
                 prev_log_term: self.term_at(prev),
                 entries: Vec::new(),
                 leader_commit: self.commit_index,
+                floor: self.compaction_floor(),
             },
         });
     }

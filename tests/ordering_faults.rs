@@ -1,7 +1,7 @@
 //! Ordering fault battery: the pipelined ordering service under crashes,
 //! partitions, forged submissions, and reconfiguration.
 //!
-//! Four scenarios, all on pipelined Raft clusters:
+//! Five scenarios, all on pipelined Raft clusters:
 //!
 //! 1. **Leader crash mid-pipeline** — the leader accepts proposals whose
 //!    replication traffic is lost, then fail-stops. Survivors elect a new
@@ -17,6 +17,11 @@
 //!    arriving while a partial batch is pending (and batched submissions
 //!    are in flight) flushes the batch, lands alone in its own block, and
 //!    applies on every OSN.
+//! 5. **Compaction behind a partition, then failover** — every OSN
+//!    compacts its Raft log each tick while a follower is partitioned;
+//!    the leader crashes and the partition heals. The remaining follower
+//!    must not have compacted what the healed one still needs: it wins
+//!    the election and repairs it to an identical chain.
 
 use fabric::ordering::testkit::{make_envelope, TestNet};
 use fabric::ordering::{ClusterOptions, OrderingCluster};
@@ -314,4 +319,50 @@ fn config_envelope_flushes_partial_batch_under_pipelining() {
         2
     );
     cluster.assert_identical_chains(&net.channel);
+}
+
+#[test]
+fn compacted_survivor_repairs_healed_follower_after_leader_crash() {
+    let net = TestNet::with_batch(&["Org1"], ConsensusType::Raft, OSNS, batch(2, 10_000));
+    let mut cluster = raft_cluster(&net, 0);
+    let client = net.client(0, "c1");
+    let leader = current_leader(&cluster);
+    let victim = (0..OSNS as u64).find(|&i| i != leader).unwrap();
+    let survivor = (0..OSNS as u64)
+        .find(|&i| i != leader && i != victim)
+        .unwrap();
+    cluster.set_fault(Box::new(move |from, to, _| from != victim && to != victim));
+
+    // Leader and survivor order six blocks; every tick compacts each
+    // OSN's Raft log as far as the leader's floor allows.
+    let envs: Vec<Envelope> = (0..12)
+        .map(|i| make_envelope(&client, &net.channel, nonce(i), TxReadWriteSet::default()))
+        .collect();
+    for chunk in envs.chunks(2) {
+        for verdict in cluster.broadcast_batch_via(leader as usize, chunk.to_vec()) {
+            verdict.unwrap();
+        }
+        cluster.tick();
+    }
+    for _ in 0..5 {
+        cluster.tick();
+    }
+    let height = |cluster: &OrderingCluster, osn: u64| {
+        cluster.nodes()[osn as usize].height(&net.channel).unwrap()
+    };
+    assert_eq!(height(&cluster, survivor), 7, "survivor holds six blocks");
+    assert_eq!(height(&cluster, victim), 1, "victim saw nothing past genesis");
+
+    // The leader crashes and the partition heals: only the survivor can
+    // win an election, and it must repair the victim from its own log.
+    cluster.crash(leader);
+    cluster.clear_fault();
+    for _ in 0..200 {
+        cluster.tick();
+    }
+    assert_eq!(current_leader(&cluster), survivor);
+    assert_eq!(height(&cluster, victim), height(&cluster, survivor));
+    assert_eq!(height(&cluster, victim), 7, "victim caught up");
+    cluster.assert_identical_chains(&net.channel);
+    assert_eq!(delivered(&cluster, &net, victim as usize), envs);
 }
