@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use fabric::crypto::{digest, SigningKey};
+use fabric::kvstore::merkle::{StateRoot, Transition};
 use fabric::kvstore::{KvStore, StoreConfig, WriteBatch};
 use fabric::policy::{PolicyExpr, Signer};
 use fabric::primitives::wire::Wire;
@@ -35,6 +36,16 @@ fn bench_merkle(c: &mut Criterion) {
     let leaves: Vec<Vec<u8>> = (0..670).map(|i: u32| i.to_le_bytes().to_vec()).collect();
     c.bench_function("merkle_root_670", |b| {
         b.iter(|| fabric::crypto::merkle::root(black_box(&leaves)))
+    });
+
+    // One block's state commit: 100 transactions writing 3 keys each plus
+    // a history row per write, the shape `Ptm::commit_block` hands the store.
+    let transitions: Vec<Transition> = (0..601u32)
+        .map(|i| (format!("key-{i}").into_bytes(), None, Some(vec![0u8; 64])))
+        .collect();
+    let mut tree = StateRoot::empty();
+    c.bench_function("state_root_apply_601", |b| {
+        b.iter(|| tree.apply(black_box(&transitions)))
     });
 }
 

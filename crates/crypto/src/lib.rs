@@ -10,7 +10,8 @@
 //! validation phase CPU profile (Fig. 7). To reproduce that cost profile
 //! without external dependencies this crate implements the full stack:
 //!
-//! * [`sha256`] — SHA-256 (FIPS 180-4), the workspace-wide hash.
+//! * [`sha256`] — SHA-256 (FIPS 180-4), the workspace-wide hash, on the
+//!   x86-64 SHA extensions where the processor has them.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104).
 //! * [`u256`] — fixed-width 256-bit integer arithmetic.
 //! * [`field`] — Montgomery modular arithmetic over 256-bit odd moduli.

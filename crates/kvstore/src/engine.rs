@@ -18,7 +18,7 @@ use fabric_crypto::Digest;
 
 use crate::backend::Backend;
 use crate::lsm::{LsmOptions, LsmStore};
-use crate::merkle::StateRoot;
+use crate::merkle::{StateRoot, Transition};
 use crate::stats::StorageSnapshot;
 use crate::store::{KvStore, StoreConfig, WriteBatch};
 use crate::StoreError;
@@ -127,9 +127,6 @@ pub fn open_state_store(
     })
 }
 
-/// One state transition within a batch: `(key, old value, new value)`.
-pub(crate) type Transition = (Vec<u8>, Option<Vec<u8>>, Option<Vec<u8>>);
-
 /// Computes per-key transitions `(key, old, new)` for a batch, reading
 /// pre-image values through `old_of` with a batch-local overlay so a key
 /// written twice in one batch chains correctly.
@@ -202,9 +199,7 @@ impl StateStore for BaselineStore {
         let mut merkle = self.merkle.lock();
         let transitions = batch_transitions(batch.ops(), |key| self.kv.get(key));
         let seq = self.kv.write(batch)?;
-        for (key, old, new) in &transitions {
-            merkle.apply(key, old.as_deref(), new.as_deref());
-        }
+        merkle.apply(&transitions);
         Ok(seq)
     }
 
@@ -358,9 +353,7 @@ impl StateStore for MemStore {
         }
         state.seq = seq;
         drop(state);
-        for (key, old, new) in &transitions {
-            merkle.apply(key, old.as_deref(), new.as_deref());
-        }
+        merkle.apply(&transitions);
         Ok(seq)
     }
 

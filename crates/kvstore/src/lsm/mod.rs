@@ -1173,12 +1173,7 @@ impl StateStore for LsmStore {
                 st.active.insert(k.clone(), seq, v.clone());
             }
         }
-        {
-            let mut merkle = inner.merkle.lock();
-            for (k, old, new) in &transitions {
-                merkle.apply(k, old.as_deref(), new.as_deref());
-            }
-        }
+        inner.merkle.lock().apply(&transitions);
         inner.seq.store(seq, Ordering::Release);
 
         for &s in per_shard.keys() {

@@ -8,8 +8,9 @@
 //! folds them to a single root.
 //!
 //! A committed batch therefore updates the root in O(delta · log BUCKETS):
-//! per written key, subtract the hash of the old entry (if any), add the
-//! hash of the new one, and rehash the leaf's path. The result is
+//! per written key, subtract the hash of the old entry (if any) and add
+//! the hash of the new one; then rehash every node on the touched leaves'
+//! paths, each once per batch however many keys share it. The result is
 //! byte-identical to recomputing the tree from a full state dump —
 //! `tests` and the storage equivalence battery hold the two equal — which
 //! is what lets `statesync`'s checkpointer stamp snapshots with a state
@@ -21,7 +22,7 @@
 //! is rebuilt from a state scan, so a torn or stale file can never yield
 //! a wrong root.
 
-use fabric_crypto::sha256::Sha256;
+use fabric_crypto::sha256::{digest2, Sha256};
 use fabric_crypto::Digest;
 
 use crate::backend::Backend;
@@ -35,6 +36,10 @@ pub const BUCKETS: usize = 4096;
 /// On-disk name of the persisted accumulator array.
 pub const MERKLE_FILE: &str = "merkle.buckets";
 const MERKLE_TMP: &str = "merkle.tmp";
+
+/// One key's transition within a committed batch: `(key, old value, new
+/// value)`, `None` = absent.
+pub type Transition = (Vec<u8>, Option<Vec<u8>>, Option<Vec<u8>>);
 
 /// Maps a key to its bucket (FNV-1a, folded into the bucket mask).
 pub fn bucket_of(key: &[u8]) -> usize {
@@ -56,6 +61,11 @@ fn entry_hash(key: &[u8], value: &[u8]) -> Digest {
     h.finalize()
 }
 
+/// Hash of one bucket's leaf: `H(bucket index || accumulator)`.
+fn leaf_hash(bucket: usize, acc: &[u8; 32]) -> Digest {
+    digest2(&(bucket as u32).to_le_bytes(), acc)
+}
+
 fn acc_add(acc: &mut [u8; 32], h: &Digest) {
     let mut carry = 0u16;
     for i in 0..32 {
@@ -74,12 +84,14 @@ fn acc_sub(acc: &mut [u8; 32], h: &Digest) {
     }
 }
 
-/// The bucketed hash tree: accumulators plus every interior level.
+/// The bucketed hash tree: accumulators plus every node above them.
 pub struct StateRoot {
     /// Per-bucket entry-hash sums.
     acc: Vec<[u8; 32]>,
-    /// `levels[0]` = leaf hashes, …, `levels.last()` = `[root]`.
-    levels: Vec<Vec<Digest>>,
+    /// The tree in heap order: `nodes[1]` is the root, the children of
+    /// `nodes[i]` are `nodes[2i]` and `nodes[2i + 1]`, and the leaf of
+    /// bucket `b` is `nodes[BUCKETS + b]` (`nodes[0]` is unused).
+    nodes: Vec<Digest>,
 }
 
 impl Default for StateRoot {
@@ -91,12 +103,7 @@ impl Default for StateRoot {
 impl StateRoot {
     /// The tree of an empty state.
     pub fn empty() -> Self {
-        let mut tree = StateRoot {
-            acc: vec![[0u8; 32]; BUCKETS],
-            levels: Vec::new(),
-        };
-        tree.rebuild_levels();
-        tree
+        Self::from_acc(vec![[0u8; 32]; BUCKETS])
     }
 
     /// Builds the tree from a full dump of live `(key, value)` pairs.
@@ -105,76 +112,63 @@ impl StateRoot {
         for (key, value) in entries {
             acc_add(&mut acc[bucket_of(key)], &entry_hash(key, value));
         }
-        let mut tree = StateRoot {
-            acc,
-            levels: Vec::new(),
-        };
-        tree.rebuild_levels();
-        tree
+        Self::from_acc(acc)
     }
 
-    fn leaf_hash(index: usize, acc: &[u8; 32]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(&(index as u32).to_le_bytes());
-        h.update(acc);
-        h.finalize()
-    }
-
-    fn rebuild_levels(&mut self) {
-        let mut level: Vec<Digest> = self
-            .acc
-            .iter()
-            .enumerate()
-            .map(|(i, a)| Self::leaf_hash(i, a))
-            .collect();
-        self.levels.clear();
-        loop {
-            let done = level.len() == 1;
-            self.levels.push(level);
-            if done {
-                break;
-            }
-            let prev = self.levels.last().expect("pushed");
-            level = prev
-                .chunks(2)
-                .map(|pair| fabric_crypto::sha256::digest2(&pair[0], &pair[1]))
-                .collect();
+    /// Hashes every node over the bucket accumulators `acc`.
+    fn from_acc(acc: Vec<[u8; 32]>) -> Self {
+        let mut nodes = vec![[0u8; 32]; 2 * BUCKETS];
+        for (bucket, a) in acc.iter().enumerate() {
+            nodes[BUCKETS + bucket] = leaf_hash(bucket, a);
         }
+        for i in (1..BUCKETS).rev() {
+            nodes[i] = digest2(&nodes[2 * i], &nodes[2 * i + 1]);
+        }
+        StateRoot { acc, nodes }
     }
 
-    /// Applies one key transition `old -> new` (`None` = absent).
+    /// Applies one committed batch's key transitions, then rehashes each
+    /// touched node once: a node on the path of many written keys is
+    /// hashed once per batch, not once per key.
     ///
-    /// The caller supplies the pre-image value: the store's write path
-    /// already resolves it for MVCC, so the update stays O(1) per key.
-    pub fn apply(&mut self, key: &[u8], old: Option<&[u8]>, new: Option<&[u8]>) {
-        if old == new {
-            return;
+    /// The caller supplies the pre-image values: the store's write path
+    /// already resolves them for MVCC, so the update stays O(1) per key.
+    pub fn apply(&mut self, transitions: &[Transition]) {
+        let mut dirty = Vec::with_capacity(transitions.len());
+        for (key, old, new) in transitions {
+            if old == new {
+                continue;
+            }
+            let bucket = bucket_of(key);
+            if let Some(v) = old {
+                acc_sub(&mut self.acc[bucket], &entry_hash(key, v));
+            }
+            if let Some(v) = new {
+                acc_add(&mut self.acc[bucket], &entry_hash(key, v));
+            }
+            dirty.push(BUCKETS + bucket);
         }
-        let bucket = bucket_of(key);
-        if let Some(v) = old {
-            acc_sub(&mut self.acc[bucket], &entry_hash(key, v));
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &i in &dirty {
+            self.nodes[i] = leaf_hash(i - BUCKETS, &self.acc[i - BUCKETS]);
         }
-        if let Some(v) = new {
-            acc_add(&mut self.acc[bucket], &entry_hash(key, v));
-        }
-        self.refresh_path(bucket);
-    }
-
-    /// Rehashes one leaf and its ancestors up to the root.
-    fn refresh_path(&mut self, bucket: usize) {
-        self.levels[0][bucket] = Self::leaf_hash(bucket, &self.acc[bucket]);
-        let mut index = bucket;
-        for depth in 1..self.levels.len() {
-            index /= 2;
-            let left = self.levels[depth - 1][2 * index];
-            let right = self.levels[depth - 1][2 * index + 1];
-            self.levels[depth][index] = fabric_crypto::sha256::digest2(&left, &right);
+        // All dirty nodes sit at one depth, so halving keeps them sorted
+        // and `dedup` merges siblings into their shared parent.
+        while dirty.first().is_some_and(|&i| i > 1) {
+            for i in &mut dirty {
+                *i /= 2;
+            }
+            dirty.dedup();
+            for &i in &dirty {
+                self.nodes[i] = digest2(&self.nodes[2 * i], &self.nodes[2 * i + 1]);
+            }
         }
     }
 
     /// The current state root.
     pub fn root(&self) -> Digest {
-        self.levels.last().expect("levels never empty")[0]
+        self.nodes[1]
     }
 
     /// Serializes `seq` plus the accumulator array into one payload.
@@ -196,12 +190,7 @@ impl StateRoot {
         for (i, a) in acc.iter_mut().enumerate() {
             a.copy_from_slice(&payload[8 + i * 32..8 + (i + 1) * 32]);
         }
-        let mut tree = StateRoot {
-            acc,
-            levels: Vec::new(),
-        };
-        tree.rebuild_levels();
-        Ok((seq, tree))
+        Ok((seq, StateRoot::from_acc(acc)))
     }
 
     /// Durably writes the accumulators, stamped with the store seq they
@@ -251,6 +240,14 @@ mod tests {
     use super::*;
     use crate::backend::MemBackend;
 
+    fn step(key: &[u8], old: Option<&[u8]>, new: Option<&[u8]>) -> Transition {
+        (
+            key.to_vec(),
+            old.map(<[u8]>::to_vec),
+            new.map(<[u8]>::to_vec),
+        )
+    }
+
     #[test]
     fn incremental_matches_full_recompute() {
         let mut tree = StateRoot::empty();
@@ -264,6 +261,7 @@ mod tests {
             (b"d".to_vec(), Some(b"5".to_vec())),
             (b"a".to_vec(), None),
         ];
+        let mut history = Vec::new();
         for (key, value) in ops {
             let old = state.get(&key).cloned();
             match &value {
@@ -274,12 +272,34 @@ mod tests {
                     state.remove(&key);
                 }
             }
-            tree.apply(&key, old.as_deref(), value.as_deref());
+            let transition = (key, old, value);
+            tree.apply(std::slice::from_ref(&transition));
+            history.push(transition);
             let dump: Vec<(Vec<u8>, Vec<u8>)> =
                 state.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
             assert_eq!(tree.root(), root_of_entries(&dump));
         }
         assert_ne!(tree.root(), empty_root());
+        // The same history as one batch: keys written twice chain their
+        // pre-images, and shared path nodes are rehashed once.
+        let mut batched = StateRoot::empty();
+        batched.apply(&history);
+        assert_eq!(batched.root(), tree.root());
+    }
+
+    #[test]
+    fn large_batch_matches_full_recompute() {
+        // Enough keys that many share leaves and every upper node is dirty.
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..3000u32)
+            .map(|i| (format!("key-{i}").into_bytes(), i.to_le_bytes().to_vec()))
+            .collect();
+        let mut tree = StateRoot::empty();
+        let batch: Vec<Transition> = entries
+            .iter()
+            .map(|(k, v)| step(k, None, Some(v)))
+            .collect();
+        tree.apply(&batch);
+        assert_eq!(tree.root(), root_of_entries(&entries));
     }
 
     #[test]
@@ -311,9 +331,9 @@ mod tests {
     fn add_then_remove_restores_root() {
         let mut tree = StateRoot::from_entries([(b"k".as_slice(), b"v".as_slice())]);
         let before = tree.root();
-        tree.apply(b"tmp", None, Some(b"x"));
+        tree.apply(&[step(b"tmp", None, Some(b"x"))]);
         assert_ne!(tree.root(), before);
-        tree.apply(b"tmp", Some(b"x"), None);
+        tree.apply(&[step(b"tmp", Some(b"x"), None)]);
         assert_eq!(tree.root(), before);
     }
 
@@ -321,7 +341,7 @@ mod tests {
     fn noop_transition_keeps_root() {
         let mut tree = StateRoot::from_entries([(b"k".as_slice(), b"v".as_slice())]);
         let before = tree.root();
-        tree.apply(b"k", Some(b"v"), Some(b"v"));
+        tree.apply(&[step(b"k", Some(b"v"), Some(b"v"))]);
         assert_eq!(tree.root(), before);
     }
 
@@ -329,7 +349,7 @@ mod tests {
     fn persist_and_load_round_trip() {
         let backend = MemBackend::new();
         let mut tree = StateRoot::empty();
-        tree.apply(b"k", None, Some(b"v"));
+        tree.apply(&[step(b"k", None, Some(b"v"))]);
         tree.persist(&backend, 7).unwrap();
         let loaded = StateRoot::load_if_current(&backend, 7).unwrap().unwrap();
         assert_eq!(loaded.root(), tree.root());
