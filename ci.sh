@@ -24,7 +24,7 @@
 #     envelopes per case and release timing is what keeps them honest.
 #  9. The ordering, raft, and pbft crates pass clippy with -D warnings
 #     (these carry the pipelined replication windows, batched
-#     pre-prepares, and the verify pool's scatter/gather).
+#     pre-prepares, and the one inline-checked intake path).
 # 10. The gossip churn battery (1000 peers under --release, 120 in
 #     debug) re-runs under --release: crash/restart waves with
 #     incarnations, late joins, a partition window, leaves with member
@@ -52,6 +52,10 @@
 #     through the full client -> gateway -> endorse -> order -> gossip ->
 #     commit path, a few seconds each, output checks on. A crate change
 #     that breaks `benchmark/` or would rewrite its lock file fails here.
+# 15. Every member crate's own tests pass: tier-1 `cargo test` runs only
+#     the root `fabric` package, so without this gate the crypto NIST /
+#     RFC 6979 vectors, the SHA-extension cross-check, and the raft and
+#     ordering unit tests would run in no gate at all.
 #
 # Run from the repo root: ./ci.sh
 set -euo pipefail
@@ -186,5 +190,8 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== system benchmark: smoke run (benchmark/run.sh --smoke) =="
 bash benchmark/run.sh --smoke
+
+echo "== member crates: unit + integration tests (--workspace --exclude fabric) =="
+cargo test -q --workspace --exclude fabric
 
 echo "== ci.sh: all gates passed =="

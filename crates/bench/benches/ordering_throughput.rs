@@ -93,8 +93,6 @@ struct RunResult {
     tps: f64,
     sim_secs: f64,
     blocks: u64,
-    spec_hits: u64,
-    spec_misses: u64,
     wire_mb: f64,
 }
 
@@ -259,13 +257,10 @@ fn run(
 
     let leader = leader.expect("a leader was elected");
     let sim_secs = (t_done - t_start) as f64 / 1e9;
-    let (spec_hits, spec_misses) = nodes[leader].spec_stats();
     RunResult {
         tps: total as f64 / sim_secs,
         sim_secs,
         blocks: driver.blocks[leader],
-        spec_hits,
-        spec_misses,
         wire_mb: driver.wire_bytes as f64 / (1024.0 * 1024.0),
     }
 }
@@ -309,7 +304,6 @@ fn main() {
         "tps",
         "sim s",
         "blocks",
-        "spec hit",
         "wire MB",
     ]);
     let mut json_points = Vec::new();
@@ -319,11 +313,6 @@ fn main() {
                       mode: &str,
                       k: usize,
                       r: &RunResult| {
-        let spec = if r.spec_hits + r.spec_misses > 0 {
-            format!("{}/{}", r.spec_hits, r.spec_hits + r.spec_misses)
-        } else {
-            "-".into()
-        };
         table.row(vec![
             consensus.into(),
             format!("{n}"),
@@ -332,14 +321,13 @@ fn main() {
             format!("{:.0}", r.tps),
             format!("{:.2}", r.sim_secs),
             format!("{}", r.blocks),
-            spec,
             format!("{:.2}", r.wire_mb),
         ]);
         json_points.push(format!(
             "{{\"consensus\":\"{consensus}\",\"osns\":{n},\"mode\":\"{mode}\",\
              \"submit_batch\":{k},\"tps\":{:.1},\"sim_seconds\":{:.3},\"blocks\":{},\
-             \"spec_hits\":{},\"spec_misses\":{},\"wire_mb\":{:.2}}}",
-            r.tps, r.sim_secs, r.blocks, r.spec_hits, r.spec_misses, r.wire_mb
+             \"wire_mb\":{:.2}}}",
+            r.tps, r.sim_secs, r.blocks, r.wire_mb
         ));
     };
 
@@ -428,8 +416,7 @@ fn main() {
     table.print();
     println!("\nexpected: lockstep stalls one cross-DC round trip per consensus slot, so");
     println!("its tps tracks submit-batch size times slots-per-RTT; pipelined replication");
-    println!("keeps the in-flight window full and is bandwidth-bound instead. The spec");
-    println!("column shows leader-side speculative block signatures (hits/total).");
+    println!("keeps the in-flight window full and is bandwidth-bound instead.");
 
     if let Ok(path) = std::env::var("FABRIC_BENCH_JSON") {
         let json = format!(

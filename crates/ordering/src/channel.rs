@@ -5,16 +5,11 @@
 //! demand.
 //!
 //! The validation-relevant slice of the state — configuration, MSPs, and
-//! the three access policies — is factored into an immutable
-//! [`ChannelAccess`] snapshot behind an `Arc`, so the pre-ordering
-//! signature-verification pool (see `verify`) can check envelopes on
-//! worker threads without holding up the consensus path. A config update
-//! swaps in a fresh snapshot; in-flight verifications against the old
-//! snapshot mirror real Fabric, where broadcast validation races
-//! reconfiguration and the delivered config transaction is re-validated
-//! in ordered position anyway.
-
-use std::sync::Arc;
+//! the three access policies — is the [`ChannelAccess`] snapshot that
+//! `broadcast` checks envelopes against. A config update swaps in a fresh
+//! snapshot; a config transaction is re-validated in ordered position
+//! anyway, since another reconfiguration may have been ordered ahead of
+//! it.
 
 use fabric_crypto::Digest;
 use fabric_msp::{MspRegistry, SigningIdentity};
@@ -30,8 +25,7 @@ use crate::OrderError;
 
 /// An immutable snapshot of everything needed to validate envelopes and
 /// deliver requests against one channel: the configuration plus the MSP
-/// registry and parsed policies derived from it. Shared (`Arc`) with the
-/// verification worker pool.
+/// registry and parsed policies derived from it.
 pub struct ChannelAccess {
     /// The configuration this snapshot was built from.
     pub config: ChannelConfig,
@@ -171,9 +165,8 @@ impl ChannelAccess {
 pub struct ChannelState {
     /// The channel id.
     pub channel: ChannelId,
-    /// The current validation snapshot (config + MSPs + policies),
-    /// shareable with verification worker threads.
-    pub access: Arc<ChannelAccess>,
+    /// The current validation snapshot (config + MSPs + policies).
+    pub access: ChannelAccess,
     /// The block cutter.
     pub cutter: BlockCutter,
     /// Every block cut so far, as its wire encoding (the form peers and
@@ -210,7 +203,7 @@ impl ChannelState {
         let last_hash = genesis.hash();
         let cutter = BlockCutter::new(config.orderer.batch, 1);
         let channel = config.channel.clone();
-        let access = Arc::new(ChannelAccess::from_config(config)?);
+        let access = ChannelAccess::from_config(config)?;
         Ok(ChannelState {
             channel,
             access,
@@ -268,33 +261,21 @@ impl ChannelState {
     /// swaps in a fresh access snapshot and updates batch parameters.
     pub fn apply_config(&mut self, config: ChannelConfig) -> Result<(), OrderError> {
         let batch = config.orderer.batch;
-        self.access = Arc::new(ChannelAccess::from_config(config)?);
+        self.access = ChannelAccess::from_config(config)?;
         self.cutter.set_config(batch);
         Ok(())
     }
 
     /// Builds, signs, and appends the next block from `envelopes`.
     pub fn cut_block(&mut self, envelopes: Vec<Envelope>, signer: &SigningIdentity) -> Block {
-        self.cut_block_with(envelopes, |header_hash| BlockSignature {
-            signer: signer.serialized(),
-            signature: signer.sign(header_hash).to_bytes().to_vec(),
-        })
-    }
-
-    /// Builds the next block from `envelopes` and signs its header hash via
-    /// `sign` — the hook the speculative-signing cache uses to supply a
-    /// pre-computed signature (the header hash covers only number, previous
-    /// hash, and data hash, so it is known before consensus finishes).
-    pub fn cut_block_with(
-        &mut self,
-        envelopes: Vec<Envelope>,
-        sign: impl FnOnce(&Digest) -> BlockSignature,
-    ) -> Block {
         let number = self.height();
         let mut block = Block::new(number, self.last_hash, envelopes);
         block.metadata.last_config = self.last_config;
         let header_hash = block.hash();
-        block.metadata.signatures.push(sign(&header_hash));
+        block.metadata.signatures.push(BlockSignature {
+            signer: signer.serialized(),
+            signature: signer.sign(&header_hash).to_bytes().to_vec(),
+        });
         if block.is_config_block() {
             self.last_config = number;
         }

@@ -13,7 +13,6 @@
 //! that heal, and message loss.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
 
 use fabric_msp::SigningIdentity;
 use fabric_primitives::block::Block;
@@ -22,7 +21,6 @@ use fabric_primitives::transaction::Envelope;
 use fabric_primitives::ChannelId;
 
 use crate::node::{ConsensusBackend, OrderingNode, OsnConfig, OsnMessage, OsnOutput};
-use crate::verify::VerifyPool;
 use crate::OrderError;
 
 /// Decides the fate of one in-flight message: `(from, to, message)` →
@@ -39,8 +37,6 @@ pub struct ClusterOptions {
     pub pbft: fabric_pbft::PbftConfig,
     /// OSN driver timing.
     pub osn: OsnConfig,
-    /// Verification pool worker count; `0` keeps verification inline.
-    pub verify_workers: usize,
 }
 
 impl ClusterOptions {
@@ -51,7 +47,6 @@ impl ClusterOptions {
             raft: fabric_raft::RaftConfig::default(),
             pbft: fabric_pbft::PbftConfig::default(),
             osn: OsnConfig::default(),
-            verify_workers: 0,
         }
     }
 }
@@ -66,8 +61,6 @@ pub struct OrderingCluster {
     down: HashSet<u64>,
     /// Optional message-fate hook.
     fault: Option<FaultHook>,
-    /// Keeps the shared verification pool alive.
-    _verify_pool: Option<Arc<VerifyPool>>,
 }
 
 // A cluster can be handed to a thread of its own; this fails to compile
@@ -98,11 +91,6 @@ impl OrderingCluster {
     ) -> Result<Self, OrderError> {
         let n = identities.len();
         assert!(n >= 1);
-        let verify_pool = if options.verify_workers > 0 {
-            Some(Arc::new(VerifyPool::new(options.verify_workers)))
-        } else {
-            None
-        };
         let mut nodes = Vec::with_capacity(n);
         for (i, identity) in identities.into_iter().enumerate() {
             let backend = match options.consensus {
@@ -127,17 +115,13 @@ impl OrderingCluster {
                     options.pbft,
                 )),
             };
-            let mut node = OrderingNode::new(
+            nodes.push(OrderingNode::new(
                 i as u64,
                 identity,
                 backend,
                 options.osn,
                 genesis_configs.clone(),
-            )?;
-            if let Some(pool) = &verify_pool {
-                node.set_verify_pool(pool.clone());
-            }
-            nodes.push(node);
+            )?);
         }
         let mut cluster = OrderingCluster {
             nodes,
@@ -145,7 +129,6 @@ impl OrderingCluster {
             next_entry: 0,
             down: HashSet::new(),
             fault: None,
-            _verify_pool: verify_pool,
         };
         if options.consensus == ConsensusType::Raft {
             // Elect a leader before accepting traffic.
@@ -231,17 +214,16 @@ impl OrderingCluster {
         self.broadcast_via(entry, envelope)
     }
 
-    /// Broadcasts an envelope via a specific OSN.
+    /// Broadcasts an envelope via a specific OSN: a
+    /// [`OrderingCluster::broadcast_batch_via`] of one.
     pub fn broadcast_via(&mut self, osn: usize, envelope: Envelope) -> Result<(), OrderError> {
-        let outputs = self.nodes[osn].broadcast(envelope)?;
-        self.absorb(osn as u64, outputs);
-        self.drain();
-        Ok(())
+        let mut verdicts = self.broadcast_batch_via(osn, vec![envelope]);
+        verdicts.pop().expect("one verdict per envelope")
     }
 
     /// Broadcasts a batch of envelopes via the next live OSN in one
-    /// intake round (pre-ordering verification + one consensus slot);
-    /// returns one verdict per envelope, in order.
+    /// intake round (access checks + one consensus slot); returns one
+    /// verdict per envelope, in order.
     pub fn broadcast_batch(
         &mut self,
         envelopes: Vec<Envelope>,

@@ -18,14 +18,12 @@ pub mod cutter;
 pub mod item;
 pub mod node;
 pub mod testkit;
-pub mod verify;
 
 pub use channel::{ChannelAccess, ChannelState};
 pub use cluster::{ClusterOptions, OrderingCluster};
 pub use cutter::BlockCutter;
 pub use item::OrderedItem;
 pub use node::{ConsensusBackend, OrderingNode, OsnConfig, OsnMessage, OsnOutput};
-pub use verify::VerifyPool;
 
 use fabric_primitives::ChannelId;
 
@@ -589,11 +587,7 @@ mod tests {
                 batch_timeout_ms: 10_000,
             },
         );
-        let mut options = ClusterOptions::new(ConsensusType::Solo);
-        options.verify_workers = 2;
-        let mut cluster =
-            OrderingCluster::new_with(options, net.orderers(1), vec![net.genesis.clone()])
-                .unwrap();
+        let mut cluster = solo_cluster(&net);
         let client = net.client(0, "c1");
         let envs: Vec<_> = (0..4)
             .map(|i| make_envelope(&client, &net.channel, nonce(i), TxReadWriteSet::default()))
@@ -718,49 +712,5 @@ mod tests {
         }
         assert_eq!(cluster.height(&net.channel), 1 + batches);
         cluster.assert_identical_chains(&net.channel);
-    }
-
-    #[test]
-    fn speculative_signing_hits_on_raft_leader() {
-        let net = TestNet::with_batch(
-            &["Org1"],
-            ConsensusType::Raft,
-            3,
-            BatchConfig {
-                max_message_count: 2,
-                absolute_max_bytes: 1 << 20,
-                preferred_max_bytes: 1 << 20,
-                batch_timeout_ms: 10_000,
-            },
-        );
-        let mut cluster = OrderingCluster::new(
-            ConsensusType::Raft,
-            net.orderers(3),
-            vec![net.genesis.clone()],
-        )
-        .unwrap();
-        let client = net.client(0, "c1");
-        for i in 0..8 {
-            cluster
-                .broadcast(make_envelope(
-                    &client,
-                    &net.channel,
-                    nonce(i),
-                    TxReadWriteSet::default(),
-                ))
-                .unwrap();
-            cluster.tick();
-        }
-        for _ in 0..20 {
-            cluster.tick();
-        }
-        cluster.assert_identical_chains(&net.channel);
-        assert!(cluster.height(&net.channel) >= 5, "4 blocks cut");
-        let (hits, _) = cluster
-            .nodes()
-            .iter()
-            .map(|n| n.spec_stats())
-            .fold((0, 0), |(h, m), (nh, nm)| (h + nh, m + nm));
-        assert!(hits >= 3, "leader pre-signed most blocks, got {hits} hits");
     }
 }

@@ -12,44 +12,29 @@
 //! [`ConsensusBackend::Pbft`] (BFT, the BFT-SMaRt substitute). All three
 //! order the same [`OrderedItem`] stream; switching is a config change.
 //!
-//! # The pipelined intake path
+//! # The intake path
 //!
-//! Three mechanisms overlap the stages that a naive OSN would serialize:
-//!
-//! * **Pre-ordering verification** — [`OrderingNode::broadcast_batch`]
-//!   checks submitter signatures on a [`crate::verify::VerifyPool`]
-//!   worker pool (when one is attached), so ECDSA verification of batch
-//!   *n+1* runs while consensus replicates batch *n*.
-//! * **Batched consensus slots** — the surviving envelopes of a batch
-//!   ride one [`OrderedItem::Batch`] through a single consensus slot,
-//!   amortizing Raft/PBFT per-message overhead. Delivery unpacks the
-//!   batch into consecutive leaf items, so the ordered stream (and hence
-//!   every cut block) is byte-identical to submitting the envelopes one
-//!   at a time.
-//! * **Speculative block signing** — the Raft leader / PBFT primary knows
-//!   the future ordered stream it proposes, so it pre-computes block
-//!   header hashes and their ECDSA signatures while replication is still
-//!   in flight. Header hashes cover only (number, previous hash, data
-//!   hash) — never signatures — and our ECDSA is RFC 6979 deterministic,
-//!   so a cache hit yields byte-for-byte the signature that would have
-//!   been produced at cut time; a miss (reordering by TTC interleaving,
-//!   view change, config block) just falls back to signing on the spot.
+//! There is one: [`OrderingNode::broadcast_batch`] checks each envelope
+//! inline against its channel's access policies and submits the
+//! survivors, in submission order, as **one** consensus slot (an
+//! [`OrderedItem::Batch`] when there are several), amortizing Raft/PBFT
+//! per-message overhead.
+//! Delivery unpacks the batch into consecutive leaf items, so the ordered
+//! stream (and hence every cut block) is byte-identical to submitting the
+//! envelopes one at a time; [`OrderingNode::broadcast`] is the batch of
+//! one. Each block is signed when it is cut.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
-use fabric_crypto::Digest;
 use fabric_msp::SigningIdentity;
-use fabric_primitives::block::{Block, BlockSignature};
+use fabric_primitives::block::Block;
 use fabric_primitives::config::ChannelConfig;
 use fabric_primitives::transaction::{Envelope, EnvelopeContent};
 use fabric_primitives::wire::Wire;
 use fabric_primitives::ChannelId;
 
 use crate::channel::ChannelState;
-use crate::cutter::BlockCutter;
 use crate::item::OrderedItem;
-use crate::verify::VerifyPool;
 use crate::OrderError;
 
 /// Messages exchanged between OSNs.
@@ -108,102 +93,6 @@ impl Default for OsnConfig {
     }
 }
 
-/// A leader-side shadow of one channel's cutting state, used to predict
-/// the header hashes of blocks that consensus has not yet delivered.
-struct SpecShadow {
-    /// The number the next predicted block will carry.
-    number: u64,
-    /// Hash of the previous (predicted) block header.
-    last_hash: Digest,
-    /// A clone of the channel's cutter, advanced speculatively.
-    cutter: BlockCutter,
-}
-
-/// The speculative block-signing cache (leader/primary only).
-///
-/// Predictions are *hints*: a cut consults the cache by the real header
-/// hash, so a stale shadow can never corrupt a block — it only costs the
-/// miss. Any miss clears that channel's shadow; the next leader-side
-/// submission re-seeds it from the channel's real state.
-#[derive(Default)]
-struct SpecSigner {
-    shadows: HashMap<ChannelId, SpecShadow>,
-    /// Header hash → this node's signature over it.
-    cache: HashMap<Digest, Vec<u8>>,
-    hits: u64,
-    misses: u64,
-}
-
-/// Bound on cached speculative signatures (stale entries from TTC races
-/// or view changes are evicted wholesale rather than tracked precisely).
-const SPEC_CACHE_MAX: usize = 256;
-
-impl SpecSigner {
-    /// Speculatively runs `envelope` through `channel`'s shadow cutter and
-    /// pre-signs any blocks it would cut.
-    fn speculate(
-        &mut self,
-        identity: &SigningIdentity,
-        channel_id: &ChannelId,
-        channel: &ChannelState,
-        envelope: &Envelope,
-    ) {
-        if self.cache.len() >= SPEC_CACHE_MAX {
-            self.cache.clear();
-        }
-        let shadow = self
-            .shadows
-            .entry(channel_id.clone())
-            .or_insert_with(|| SpecShadow {
-                number: channel.height(),
-                last_hash: channel.last_hash(),
-                cutter: channel.cutter.clone(),
-            });
-        for batch in shadow.cutter.ordered(envelope.clone()) {
-            let block = Block::new(shadow.number, shadow.last_hash, batch);
-            let header_hash = block.hash();
-            self.cache.insert(
-                header_hash,
-                identity.sign(&header_hash).to_bytes().to_vec(),
-            );
-            shadow.number += 1;
-            shadow.last_hash = header_hash;
-        }
-    }
-
-    /// Produces this node's signature over `header_hash`, consuming a
-    /// cached speculative signature when the prediction was right.
-    fn signed(
-        &mut self,
-        identity: &SigningIdentity,
-        channel_id: &ChannelId,
-        header_hash: &Digest,
-    ) -> BlockSignature {
-        let signature = match self.cache.remove(header_hash) {
-            Some(sig) => {
-                self.hits += 1;
-                sig
-            }
-            None => {
-                self.misses += 1;
-                // Prediction diverged (TTC cut, config block, lost
-                // leadership): drop the shadow so it re-seeds.
-                self.shadows.remove(channel_id);
-                identity.sign(header_hash).to_bytes().to_vec()
-            }
-        };
-        BlockSignature {
-            signer: identity.serialized(),
-            signature,
-        }
-    }
-
-    /// Forgets a channel's shadow (config change, leadership loss).
-    fn invalidate(&mut self, channel_id: &ChannelId) {
-        self.shadows.remove(channel_id);
-    }
-}
-
 /// One ordering-service node.
 pub struct OrderingNode {
     id: u64,
@@ -213,10 +102,6 @@ pub struct OrderingNode {
     channels: HashMap<ChannelId, ChannelState>,
     /// Items waiting for a known consensus leader.
     parked: VecDeque<Vec<u8>>,
-    /// Optional pre-ordering verification worker pool (shared).
-    verify_pool: Option<Arc<VerifyPool>>,
-    /// Leader-side speculative signing cache.
-    spec: SpecSigner,
 }
 
 impl OrderingNode {
@@ -241,8 +126,6 @@ impl OrderingNode {
             backend,
             channels,
             parked: VecDeque::new(),
-            verify_pool: None,
-            spec: SpecSigner::default(),
         })
     }
 
@@ -251,15 +134,11 @@ impl OrderingNode {
         self.id
     }
 
-    /// Attaches a shared verification pool; `broadcast_batch` offloads
-    /// signature checks onto it. Without a pool, verification is inline.
-    pub fn set_verify_pool(&mut self, pool: Arc<VerifyPool>) {
-        self.verify_pool = Some(pool);
-    }
-
-    /// `(hits, misses)` of the speculative block-signing cache.
+    /// Always `(0, 0)`: blocks are signed when cut, nothing speculatively.
+    /// Kept only because the system benchmark still reports
+    /// `ordering.spec_hit_ratio` from it; it goes when that metric does.
     pub fn spec_stats(&self) -> (u64, u64) {
-        (self.spec.hits, self.spec.misses)
+        (0, 0)
     }
 
     /// Read access to the consensus backend.
@@ -282,26 +161,16 @@ impl OrderingNode {
         self.channels.get(channel).map(|c| c.height())
     }
 
-    /// Handles a client `broadcast(tx)` call: validate, then inject into
-    /// the atomic broadcast.
+    /// Handles a client `broadcast(tx)` call: a
+    /// [`OrderingNode::broadcast_batch`] of one.
     pub fn broadcast(&mut self, envelope: Envelope) -> Result<Vec<OsnOutput>, OrderError> {
-        let channel = self
-            .channels
-            .get(envelope.channel())
-            .ok_or_else(|| OrderError::UnknownChannel(envelope.channel().clone()))?;
-        channel.check_broadcast(&envelope)?;
-        let item = OrderedItem::Tx {
-            channel: envelope.channel().clone(),
-            envelope,
-        };
-        let mut out = self.submit(item.to_wire())?;
-        self.drain_immediate_ttc(&mut out);
-        Ok(out)
+        let (mut verdicts, out) = self.broadcast_batch(vec![envelope]);
+        verdicts.pop().expect("one verdict per envelope").map(|()| out)
     }
 
-    /// Handles a batched `broadcast`: verifies every envelope (on the
-    /// attached [`VerifyPool`] when present), then submits the survivors —
-    /// in submission order — as **one** consensus slot.
+    /// Handles a batched `broadcast`: checks every envelope against its
+    /// channel's access policies, then submits the survivors — in
+    /// submission order — as **one** consensus slot.
     ///
     /// Returns one verdict per input envelope (same order) plus the
     /// outputs of the submission. Invalid envelopes are rejected here and
@@ -311,153 +180,50 @@ impl OrderingNode {
         &mut self,
         envelopes: Vec<Envelope>,
     ) -> (Vec<Result<(), OrderError>>, Vec<OsnOutput>) {
-        let n = envelopes.len();
-        let mut verdicts: Vec<Option<Result<(), OrderError>>> = (0..n).map(|_| None).collect();
-        // Pair each envelope with its channel's access snapshot; unknown
-        // channels are rejected immediately.
-        let mut jobs: Vec<(usize, Arc<crate::channel::ChannelAccess>, Envelope)> = Vec::new();
-        for (slot, envelope) in envelopes.into_iter().enumerate() {
-            match self.channels.get(envelope.channel()) {
-                Some(channel) => jobs.push((slot, channel.access.clone(), envelope)),
-                None => {
-                    verdicts[slot] =
-                        Some(Err(OrderError::UnknownChannel(envelope.channel().clone())))
-                }
-            }
-        }
-        // Verify — on the pool when attached, inline otherwise.
-        let mut survivors: Vec<(usize, Envelope)> = Vec::new();
-        match &self.verify_pool {
-            Some(pool) => {
-                let slots: Vec<usize> = jobs.iter().map(|(s, _, _)| *s).collect();
-                let batch: Vec<_> = jobs
-                    .into_iter()
-                    .map(|(_, access, envelope)| (access, envelope))
-                    .collect();
-                for (slot, (envelope, verdict)) in
-                    slots.into_iter().zip(pool.verify_batch(batch))
-                {
-                    match verdict {
-                        Ok(()) => survivors.push((slot, envelope)),
-                        Err(e) => verdicts[slot] = Some(Err(e)),
-                    }
-                }
-            }
-            None => {
-                for (slot, access, envelope) in jobs {
-                    match access.check_broadcast(&envelope) {
-                        Ok(()) => survivors.push((slot, envelope)),
-                        Err(e) => verdicts[slot] = Some(Err(e)),
-                    }
-                }
-            }
-        }
-        survivors.sort_by_key(|(slot, _)| *slot);
-        // Submit survivors as one consensus slot.
-        let mut out = Vec::new();
-        if !survivors.is_empty() {
-            let items: Vec<OrderedItem> = survivors
-                .iter()
-                .map(|(_, envelope)| OrderedItem::Tx {
-                    channel: envelope.channel().clone(),
-                    envelope: envelope.clone(),
-                })
-                .collect();
-            let wire = if items.len() == 1 {
-                items.into_iter().next().expect("one item").to_wire()
-            } else {
-                OrderedItem::Batch { items }.to_wire()
-            };
-            match self.submit(wire) {
-                Ok(mut o) => {
-                    out.append(&mut o);
-                    for (slot, _) in &survivors {
-                        verdicts[*slot] = Some(Ok(()));
-                    }
-                }
-                Err(e) => {
-                    // Submission failed wholesale; the first survivor
-                    // carries the error, the rest report denied intake.
-                    let mut first = Some(e);
-                    for (slot, _) in &survivors {
-                        verdicts[*slot] = Some(match first.take() {
-                            Some(e) => Err(e),
-                            None => Err(OrderError::AccessDenied),
-                        });
-                    }
-                }
-            }
-        }
+        let mut items = Vec::new();
+        let verdicts = envelopes
+            .into_iter()
+            .map(|envelope| {
+                let channel = envelope.channel().clone();
+                self.channels
+                    .get(&channel)
+                    .ok_or_else(|| OrderError::UnknownChannel(channel.clone()))?
+                    .check_broadcast(&envelope)?;
+                items.push(OrderedItem::Tx { channel, envelope });
+                Ok(())
+            })
+            .collect();
+        let mut out = match items.len() {
+            0 => Vec::new(),
+            1 => self.submit(items.pop().expect("one item").to_wire()),
+            _ => self.submit(OrderedItem::Batch { items }.to_wire()),
+        };
         self.drain_immediate_ttc(&mut out);
-        (
-            verdicts
-                .into_iter()
-                .map(|v| v.expect("every slot decided"))
-                .collect(),
-            out,
-        )
+        (verdicts, out)
     }
 
     /// Injects an encoded item into the consensus backend.
-    fn submit(&mut self, bytes: Vec<u8>) -> Result<Vec<OsnOutput>, OrderError> {
+    fn submit(&mut self, bytes: Vec<u8>) -> Vec<OsnOutput> {
         match &mut self.backend {
-            ConsensusBackend::Solo => {
-                // Single trusted node: the submission order is the total
-                // order.
-                Ok(self.process_delivered(bytes))
-            }
+            // Single trusted node: the submission order is the total order.
+            ConsensusBackend::Solo => self.process_delivered(bytes),
             ConsensusBackend::Raft(raft) => match raft.propose(bytes.clone()) {
-                Ok((_, outputs)) => {
-                    self.speculate_bytes(&bytes);
-                    Ok(self.absorb_raft(outputs))
-                }
+                Ok((_, outputs)) => self.absorb_raft(outputs),
                 Err(fabric_raft::ProposeError::NotLeader(Some(leader))) => {
-                    Ok(vec![OsnOutput::Send {
+                    vec![OsnOutput::Send {
                         to: leader - 1, // raft ids are 1-based OSN index + 1
                         message: OsnMessage::Forward(bytes),
-                    }])
+                    }]
                 }
                 Err(fabric_raft::ProposeError::NotLeader(None)) => {
                     // No leader yet: park until one emerges.
                     self.parked.push_back(bytes);
-                    Ok(Vec::new())
+                    Vec::new()
                 }
             },
             ConsensusBackend::Pbft(pbft) => {
-                let primary = pbft.is_primary();
-                let outputs = pbft.on_request(bytes.clone());
-                if primary {
-                    self.speculate_bytes(&bytes);
-                }
-                Ok(self.absorb_pbft(outputs))
-            }
-        }
-    }
-
-    /// Leader-side speculation: pre-sign the block headers this item will
-    /// produce once committed. Only plain transactions advance the shadow;
-    /// TTCs and configs invalidate it (their cuts depend on delivery-time
-    /// interleaving this node cannot predict).
-    fn speculate_bytes(&mut self, bytes: &[u8]) {
-        let Ok(item) = OrderedItem::from_wire(bytes) else {
-            return;
-        };
-        let leaves: Vec<OrderedItem> = match item {
-            OrderedItem::Batch { items } => items,
-            leaf => vec![leaf],
-        };
-        for leaf in leaves {
-            match leaf {
-                OrderedItem::Tx { channel, envelope } if !envelope.is_config() => {
-                    if let Some(state) = self.channels.get(&channel) {
-                        self.spec
-                            .speculate(&self.identity, &channel, state, &envelope);
-                    }
-                }
-                OrderedItem::Tx { channel, .. } | OrderedItem::TimeToCut { channel, .. } => {
-                    self.spec.invalidate(&channel);
-                }
-                OrderedItem::Batch { .. } => {} // never nested
+                let outputs = pbft.on_request(bytes);
+                self.absorb_pbft(outputs)
             }
         }
     }
@@ -481,7 +247,7 @@ impl OrderingNode {
                     Vec::new()
                 }
             }
-            OsnMessage::Forward(bytes) => self.submit(bytes).unwrap_or_default(),
+            OsnMessage::Forward(bytes) => self.submit(bytes),
         };
         self.drain_immediate_ttc(&mut out);
         out
@@ -510,9 +276,7 @@ impl OrderingNode {
         if !self.parked.is_empty() {
             let parked: Vec<Vec<u8>> = self.parked.drain(..).collect();
             for bytes in parked {
-                if let Ok(mut o) = self.submit(bytes) {
-                    out.append(&mut o);
-                }
+                out.extend(self.submit(bytes));
             }
         }
         // Batch timers: if a partial batch has waited past the timeout and
@@ -548,9 +312,7 @@ impl OrderingNode {
             }
         }
         for item in ttc_items {
-            if let Ok(mut o) = self.submit(item) {
-                out.append(&mut o);
-            }
+            out.extend(self.submit(item));
         }
         self.drain_immediate_ttc(&mut out);
         out
@@ -589,9 +351,7 @@ impl OrderingNode {
                 return;
             }
             for item in ttc_items {
-                if let Ok(mut o) = self.submit(item) {
-                    out.append(&mut o);
-                }
+                out.extend(self.submit(item));
             }
         }
     }
@@ -607,12 +367,7 @@ impl OrderingNode {
                 fabric_raft::Output::Committed { data, .. } => {
                     out.extend(self.process_delivered(data));
                 }
-                fabric_raft::Output::BecameLeader => {}
-                fabric_raft::Output::SteppedDown => {
-                    // Our speculated stream may never commit.
-                    self.spec.shadows.clear();
-                    self.spec.cache.clear();
-                }
+                fabric_raft::Output::BecameLeader | fabric_raft::Output::SteppedDown => {}
             }
         }
         out
@@ -664,7 +419,6 @@ impl OrderingNode {
         let Some(channel) = self.channels.get_mut(&channel_id) else {
             return Vec::new();
         };
-        let spec = &mut self.spec;
         let identity = &self.identity;
         match item {
             OrderedItem::Tx { envelope, .. } => {
@@ -680,29 +434,25 @@ impl OrderingNode {
                     }
                     // Config blocks stand alone: flush the pending batch.
                     if let Some(batch) = channel.cutter.flush() {
-                        let block = channel
-                            .cut_block_with(batch, |h| spec.signed(identity, &channel_id, h));
+                        let block = channel.cut_block(batch, identity);
                         out.push(OsnOutput::BlockCut {
                             channel: channel_id.clone(),
                             block,
                         });
                     }
-                    let block = channel
-                        .cut_block_with(vec![envelope], |h| spec.signed(identity, &channel_id, h));
+                    let block = channel.cut_block(vec![envelope], identity);
                     channel.cutter.note_external_block();
                     channel
                         .apply_config(update.config)
                         .expect("config validated above");
                     channel.pending_ticks = 0;
-                    spec.invalidate(&channel_id);
                     out.push(OsnOutput::BlockCut {
                         channel: channel_id,
                         block,
                     });
                 } else {
                     for batch in channel.cutter.ordered(envelope) {
-                        let block = channel
-                            .cut_block_with(batch, |h| spec.signed(identity, &channel_id, h));
+                        let block = channel.cut_block(batch, identity);
                         out.push(OsnOutput::BlockCut {
                             channel: channel_id.clone(),
                             block,
@@ -715,8 +465,7 @@ impl OrderingNode {
             }
             OrderedItem::TimeToCut { block, .. } => {
                 if let Some(batch) = channel.cutter.time_to_cut(block) {
-                    let cut =
-                        channel.cut_block_with(batch, |h| spec.signed(identity, &channel_id, h));
+                    let cut = channel.cut_block(batch, identity);
                     channel.pending_ticks = 0;
                     out.push(OsnOutput::BlockCut {
                         channel: channel_id,

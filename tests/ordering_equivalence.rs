@@ -10,14 +10,17 @@
 //!    chain, block for block, byte for byte (headers, envelopes, *and*
 //!    orderer signatures — RFC 6979 determinism end to end).
 //! 2. **Intake-batching equivalence** — submitting `k` envelopes through
-//!    one `broadcast_batch` consensus slot yields the same chain as `k`
-//!    individual `broadcast` calls, whenever no sub-tick timer can fire
-//!    mid-batch (batch timeouts of at least one driver tick).
+//!    one `broadcast_batch` consensus slot yields the same verdicts and
+//!    the same chain as `k` individual `broadcast` calls, whenever no
+//!    sub-tick timer can fire mid-batch (batch timeouts of at least one
+//!    driver tick).
 //!
 //! Workloads randomize the block-cutting knobs (message-count cap, batch
 //! timeout — including sub-tick timeouts in property 1), the Raft
 //! in-flight window, submission batch sizes, and the interleaving of
-//! submissions with driver ticks.
+//! submissions with driver ticks. About one envelope in seven carries a
+//! forged signature: intake must reject exactly those, whichever entry
+//! point they arrive through.
 
 use std::sync::OnceLock;
 
@@ -63,6 +66,11 @@ struct Pool {
     envelopes: Vec<Envelope>,
 }
 
+/// Which pool envelopes carry a flipped signature byte.
+fn is_forged(index: usize) -> bool {
+    index % 7 == 5
+}
+
 fn envelope_pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -73,7 +81,12 @@ fn envelope_pool() -> &'static Pool {
             .map(|i| {
                 let mut nonce = [0u8; 32];
                 nonce[..8].copy_from_slice(&i.to_le_bytes());
-                make_envelope(&client, &net.channel, nonce, TxReadWriteSet::default())
+                let mut envelope =
+                    make_envelope(&client, &net.channel, nonce, TxReadWriteSet::default());
+                if is_forged(i as usize) {
+                    envelope.signature[9] ^= 0x01;
+                }
+                envelope
             })
             .collect();
         Pool {
@@ -101,31 +114,34 @@ fn raft_cluster(
 /// Runs `ops` against `cluster`, always drawing envelopes from the shared
 /// pool in the same order. `split_batches` submits `Op::Batch` groups as
 /// individual `broadcast` calls instead (the unbatched oracle).
-fn run_schedule(cluster: &mut OrderingCluster, ops: &[Op], split_batches: bool) {
+///
+/// Returns the intake verdict of each drawn envelope, in pool order
+/// (`Err` carries the rejection's message), after asserting that exactly
+/// the forged ones were rejected.
+fn run_schedule(
+    cluster: &mut OrderingCluster,
+    ops: &[Op],
+    split_batches: bool,
+) -> Vec<Result<(), String>> {
     let pool = &envelope_pool().envelopes;
-    let mut next = 0usize;
-    let mut take = |n: usize| {
-        let envs: Vec<Envelope> = pool.iter().skip(next).take(n).cloned().collect();
-        next += envs.len();
-        envs
-    };
+    let mut verdicts = Vec::new();
     for op in ops {
+        // The envelopes drawn so far are exactly those with a verdict.
+        let drawn = verdicts.len();
         match op {
             Op::Batch(n) => {
-                let envs = take(*n);
+                let envs: Vec<Envelope> = pool.iter().skip(drawn).take(*n).cloned().collect();
                 if split_batches {
                     for env in envs {
-                        cluster.broadcast(env).expect("accepted");
+                        verdicts.push(cluster.broadcast(env));
                     }
                 } else if !envs.is_empty() {
-                    for verdict in cluster.broadcast_batch(envs) {
-                        verdict.expect("accepted");
-                    }
+                    verdicts.extend(cluster.broadcast_batch(envs));
                 }
             }
             Op::Single => {
-                if let Some(env) = take(1).pop() {
-                    cluster.broadcast(env).expect("accepted");
+                if let Some(env) = pool.get(drawn) {
+                    verdicts.push(cluster.broadcast(env.clone()));
                 }
             }
             Op::Tick(n) => {
@@ -139,6 +155,14 @@ fn run_schedule(cluster: &mut OrderingCluster, ops: &[Op], split_batches: bool) 
     for _ in 0..30 {
         cluster.tick();
     }
+    let verdicts: Vec<Result<(), String>> = verdicts
+        .into_iter()
+        .map(|verdict| verdict.map_err(|e| e.to_string()))
+        .collect();
+    for (i, verdict) in verdicts.iter().enumerate() {
+        assert_eq!(verdict.is_err(), is_forged(i), "envelope {i}: {verdict:?}");
+    }
+    verdicts
 }
 
 /// The full byte stream of OSN 0's chain (headers, envelopes, metadata —
@@ -202,8 +226,9 @@ proptest! {
 
         let mut batched = raft_cluster(batch, ReplicationMode::Pipelined, 8);
         let mut unbatched = raft_cluster(batch, ReplicationMode::Pipelined, 8);
-        run_schedule(&mut batched, &ops, false);
-        run_schedule(&mut unbatched, &ops, true);
+        let batched_verdicts = run_schedule(&mut batched, &ops, false);
+        let unbatched_verdicts = run_schedule(&mut unbatched, &ops, true);
+        prop_assert_eq!(batched_verdicts, unbatched_verdicts, "same verdict per envelope");
 
         let a = chain_bytes(&batched);
         let b = chain_bytes(&unbatched);

@@ -11,8 +11,8 @@
 //!    pipelined windows; after the partition heals, probe-triggered
 //!    go-back-N retransmission catches it up to an identical chain.
 //! 3. **Forged signatures interleaved with valid traffic** — invalid
-//!    envelopes are rejected at intake (on the verification pool), never
-//!    reach consensus, and never perturb the ordering of the survivors.
+//!    envelopes are rejected at intake, never reach consensus, and never
+//!    perturb the ordering of the survivors.
 //! 4. **Config envelope flushing a partial batch** — a reconfiguration
 //!    arriving while a partial batch is pending (and batched submissions
 //!    are in flight) flushes the batch, lands alone in its own block, and
@@ -24,7 +24,7 @@
 //!    the election and repairs it to an identical chain.
 
 use fabric::ordering::testkit::{make_envelope, TestNet};
-use fabric::ordering::{ClusterOptions, OrderingCluster};
+use fabric::ordering::OrderingCluster;
 use fabric::primitives::config::{BatchConfig, ConfigSignature, ConsensusType};
 use fabric::primitives::rwset::TxReadWriteSet;
 use fabric::primitives::transaction::{Envelope, EnvelopeContent};
@@ -47,11 +47,13 @@ fn batch(max_count: u32, timeout_ms: u64) -> BatchConfig {
     }
 }
 
-fn raft_cluster(net: &TestNet, verify_workers: usize) -> OrderingCluster {
-    let mut options = ClusterOptions::new(ConsensusType::Raft);
-    options.verify_workers = verify_workers;
-    OrderingCluster::new_with(options, net.orderers(OSNS), vec![net.genesis.clone()])
-        .expect("bootstrap")
+fn raft_cluster(net: &TestNet) -> OrderingCluster {
+    OrderingCluster::new(
+        ConsensusType::Raft,
+        net.orderers(OSNS),
+        vec![net.genesis.clone()],
+    )
+    .expect("bootstrap")
 }
 
 fn current_leader(cluster: &OrderingCluster) -> u64 {
@@ -81,7 +83,7 @@ fn delivered(cluster: &OrderingCluster, net: &TestNet, osn: usize) -> Vec<Envelo
 #[test]
 fn leader_crash_mid_pipeline_loses_nothing_committed() {
     let net = TestNet::with_batch(&["Org1"], ConsensusType::Raft, OSNS, batch(2, 10_000));
-    let mut cluster = raft_cluster(&net, 0);
+    let mut cluster = raft_cluster(&net);
     let client = net.client(0, "c1");
     let envs: Vec<Envelope> = (0..8)
         .map(|i| make_envelope(&client, &net.channel, nonce(i), TxReadWriteSet::default()))
@@ -155,7 +157,7 @@ fn leader_crash_mid_pipeline_loses_nothing_committed() {
 #[test]
 fn partitioned_follower_heals_via_gap_retransmit() {
     let net = TestNet::with_batch(&["Org1"], ConsensusType::Raft, OSNS, batch(2, 10_000));
-    let mut cluster = raft_cluster(&net, 0);
+    let mut cluster = raft_cluster(&net);
     let client = net.client(0, "c1");
     let leader = current_leader(&cluster);
     // Partition a follower entirely.
@@ -200,9 +202,9 @@ fn partitioned_follower_heals_via_gap_retransmit() {
 #[test]
 fn forged_envelopes_never_reach_consensus_or_reorder_survivors() {
     let net = TestNet::with_batch(&["Org1"], ConsensusType::Raft, OSNS, batch(3, 10_000));
-    // Verification on a 2-worker pool: the forged envelopes must be
-    // rejected by the parallel pre-ordering check, not by delivery.
-    let mut cluster = raft_cluster(&net, 2);
+    // The forged envelopes must be rejected by the intake check, not by
+    // delivery.
+    let mut cluster = raft_cluster(&net);
     let client = net.client(0, "c1");
     let valid: Vec<Envelope> = (0..6)
         .map(|i| make_envelope(&client, &net.channel, nonce(i), TxReadWriteSet::default()))
@@ -248,7 +250,7 @@ fn config_envelope_flushes_partial_batch_under_pipelining() {
         OSNS,
         batch(100, 10_000),
     );
-    let mut cluster = raft_cluster(&net, 0);
+    let mut cluster = raft_cluster(&net);
     let client = net.client(0, "c1");
     let envs: Vec<Envelope> = (0..3)
         .map(|i| make_envelope(&client, &net.channel, nonce(i), TxReadWriteSet::default()))
@@ -324,7 +326,7 @@ fn config_envelope_flushes_partial_batch_under_pipelining() {
 #[test]
 fn compacted_survivor_repairs_healed_follower_after_leader_crash() {
     let net = TestNet::with_batch(&["Org1"], ConsensusType::Raft, OSNS, batch(2, 10_000));
-    let mut cluster = raft_cluster(&net, 0);
+    let mut cluster = raft_cluster(&net);
     let client = net.client(0, "c1");
     let leader = current_leader(&cluster);
     let victim = (0..OSNS as u64).find(|&i| i != leader).unwrap();
