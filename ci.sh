@@ -8,12 +8,13 @@
 #  3. The peer crate (committer + multi-channel pipeline) passes clippy
 #     with -D warnings and its unit tests pass on their own.
 #  4. The kvstore, statesync and chaincode crates pass clippy with
-#     -D warnings (kvstore carries the storage engines, chaincode the
-#     pooled execution runtime).
+#     -D warnings (kvstore carries the two storage engines, baseline and
+#     in-memory; chaincode the pooled execution runtime).
 #  5. The endorsement battery (equivalence proptests + fault injection)
 #     re-runs on its own so a tier-1 wobble can't mask it.
-#  6. The storage battery (kill-at-every-offset crash recovery +
-#     three-engine equivalence proptest) re-runs on its own.
+#  6. The storage battery (kill-at-every-offset crash recovery of the
+#     baseline WAL and Merkle bucket file + two-engine equivalence
+#     proptest, baseline vs in-memory) re-runs on its own.
 #  7. The multi-channel test battery (cross-channel fairness, deliver
 #     credits, gap parking) re-runs under --release: the starvation
 #     regression measures real latencies, and release timing is what the
@@ -34,13 +35,14 @@
 #     carry the two-lane scheduler, rate-limit/reputation state machine,
 #     and the churn orchestration this gate guards).
 # 12. The snapshot catch-up, multi-channel overlap, endorsement overlap,
-#     storage scale, ordering throughput, and gossip scale benches
-#     complete a smoke sweep (~30 s) — catches bit-rot in the snapshot
-#     wire path, the shared-pool pipeline manager, the starved-channel
-#     DRR scenario, the endorse-pipeline submit/sign path, and the simnet
-#     ordering driver (which also asserts pipelined beats lockstep) that
-#     unit tests alone might miss; the gossip smoke also asserts
-#     priority-lane p99 beats flat under bulk statesync load.
+#     storage scale (baseline vs in-memory), ordering throughput, and
+#     gossip scale benches complete a smoke sweep (~30 s) — catches
+#     bit-rot in the snapshot wire path, the shared-pool pipeline
+#     manager, the starved-channel DRR scenario, the endorse-pipeline
+#     submit/sign path, and the simnet ordering driver (which also
+#     asserts pipelined beats lockstep) that unit tests alone might
+#     miss; the gossip smoke also asserts priority-lane p99 beats flat
+#     under bulk statesync load.
 # 13. The gateway battery (equivalence proptest, fault injection, closed-
 #     loop e2e conservation) re-runs under --release, the gateway crate
 #     passes clippy with -D warnings, and the gateway e2e bench smoke

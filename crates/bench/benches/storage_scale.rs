@@ -1,5 +1,4 @@
-//! Storage-engine scale bench: baseline vs memory vs sharded LSM at 1M+
-//! keys.
+//! Storage-engine scale bench: baseline vs memory at 1M+ keys.
 //!
 //! Loads `FABRIC_BENCH_KEYS` keys (default 1,000,000) into each engine on
 //! a RAM-disk backend, then measures, per engine:
@@ -8,9 +7,8 @@
 //!   * concurrent point-read throughput under a zipfian (theta 0.99,
 //!     YCSB-style) and a uniform key distribution,
 //!   * a read-heavy mixed phase (95% get / 5% put, zipfian) interleaved
-//!     with periodic checkpoints — the stop-the-world story: the baseline
-//!     rewrites the entire state per checkpoint while the LSM flushes
-//!     only the dirty delta,
+//!     with periodic checkpoints, each of which rewrites the baseline's
+//!     entire state,
 //!   * a write-heavy phase (50% get / 50% put, zipfian).
 //!
 //! `FABRIC_BENCH_SMOKE=1` shrinks everything to a few-second sanity run.
@@ -160,21 +158,14 @@ fn run_engine(
         store.write(batch).expect("load write");
         i = end;
     }
-    store.flush().expect("drain");
     let load_tps = keys as f64 / start.elapsed().as_secs_f64();
 
     let start = Instant::now();
     store.checkpoint().expect("post-load checkpoint");
     let load_checkpoint_ms = start.elapsed().as_secs_f64() * 1000.0;
 
-    // Fold the freshly loaded segments into steady-state read layout
-    // (one segment per shard for the LSM; a no-op for the others) before
-    // any timed read phase — the read benchmarks measure serving, not
-    // the tail of bulk ingest.
-    store.compact().expect("post-load compaction");
-
-    // Untimed warmup: populate block caches and fault the hot paths in
-    // before any timed read phase (every engine gets the same treatment).
+    // Untimed warmup: fault the hot paths in before any timed read phase
+    // (every engine gets the same treatment).
     run_phase(&store, threads, read_ops / 5, 0, Some(zipf), keys, 7);
     run_phase(&store, threads, read_ops / 5, 0, None, keys, 9);
 
@@ -247,7 +238,6 @@ fn main() {
     let engines: Vec<(&'static str, EngineKind)> = vec![
         ("baseline", EngineKind::Baseline),
         ("memory", EngineKind::Memory),
-        ("lsm", EngineKind::parse("lsm").unwrap()),
     ];
 
     let mut reports = Vec::new();
@@ -268,18 +258,6 @@ fn main() {
         );
         reports.push(r);
     }
-
-    let base = reports
-        .iter()
-        .find(|r| r.name == "baseline")
-        .expect("baseline ran");
-    let lsm = reports.iter().find(|r| r.name == "lsm").expect("lsm ran");
-    println!(
-        "\nlsm vs baseline: read zipf {:+.1}% | mixed 95/5 {:+.1}% | checkpoint {:.1}x faster",
-        (lsm.read_zipf / base.read_zipf - 1.0) * 100.0,
-        (lsm.mixed_zipf / base.mixed_zipf - 1.0) * 100.0,
-        base.mixed_checkpoint_ms / lsm.mixed_checkpoint_ms.max(0.001),
-    );
 
     if let Ok(path) = std::env::var("FABRIC_BENCH_JSON") {
         let rows: Vec<String> = reports

@@ -8,8 +8,7 @@
 //! Files expose two read paths: the historical `read_at(&mut self)` used
 //! by single-owner appenders, and [`BackendFile::read_at_shared`], a
 //! positioned read through `&self` (`pread` on the filesystem backend) so
-//! concurrent readers — block-cache misses, parallel VSCC state reads,
-//! block fetches — never serialize on one file lock.
+//! concurrent block fetches never serialize on one file lock.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -23,7 +22,7 @@ use crate::StoreError;
 
 /// A named, append-oriented byte file within a backend.
 ///
-/// `Sync` is required so segment readers can share one handle across
+/// `Sync` is required so block-store readers can share one handle across
 /// threads through the `&self` positioned-read path.
 pub trait BackendFile: Send + Sync {
     /// Appends bytes at the end, returning the offset they were written at.
@@ -59,8 +58,6 @@ pub trait Backend: Send + Sync {
     fn remove(&self, name: &str) -> Result<(), StoreError>;
     /// Atomically replaces `dst` with `src` (rename semantics).
     fn rename(&self, src: &str, dst: &str) -> Result<(), StoreError>;
-    /// Names of all existing files (orphan cleanup, test inspection).
-    fn list(&self) -> Result<Vec<String>, StoreError>;
 }
 
 /// File-system backend rooted at a directory.
@@ -162,20 +159,6 @@ impl Backend for FsBackend {
     fn rename(&self, src: &str, dst: &str) -> Result<(), StoreError> {
         fs::rename(self.path(src), self.path(dst)).map_err(StoreError::io)
     }
-
-    fn list(&self) -> Result<Vec<String>, StoreError> {
-        let mut names = Vec::new();
-        for entry in fs::read_dir(&self.dir).map_err(StoreError::io)? {
-            let entry = entry.map_err(StoreError::io)?;
-            if entry.file_type().map_err(StoreError::io)?.is_file() {
-                if let Ok(name) = entry.file_name().into_string() {
-                    names.push(name);
-                }
-            }
-        }
-        names.sort();
-        Ok(names)
-    }
 }
 
 /// One shared in-memory file: bytes behind a read-write lock, so shared
@@ -270,12 +253,6 @@ impl Backend for MemBackend {
         files.insert(dst.to_string(), data);
         Ok(())
     }
-
-    fn list(&self) -> Result<Vec<String>, StoreError> {
-        let mut names: Vec<String> = self.files.read().keys().cloned().collect();
-        names.sort();
-        Ok(names)
-    }
 }
 
 #[cfg(test)]
@@ -300,13 +277,12 @@ mod tests {
         assert_eq!(f.len().unwrap(), 5);
         f.sync().unwrap();
         assert!(backend.exists("test.bin").unwrap());
-        assert_eq!(backend.list().unwrap(), vec!["test.bin".to_string()]);
         backend.rename("test.bin", "renamed.bin").unwrap();
         assert!(!backend.exists("test.bin").unwrap());
         assert!(backend.exists("renamed.bin").unwrap());
         backend.remove("renamed.bin").unwrap();
         backend.remove("renamed.bin").unwrap(); // idempotent
-        assert!(backend.list().unwrap().is_empty());
+        assert!(!backend.exists("renamed.bin").unwrap());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The pluggable storage-engine boundary: [`StateStore`] / [`StateSnapshot`]
-//! traits, the engine selector [`EngineKind`], and the two simple backends
-//! (the single-memtable baseline wrapping [`KvStore`], and a pure
-//! in-memory store). The sharded LSM engine lives in [`crate::lsm`].
+//! traits, the engine selector [`EngineKind`], and the two engines (the
+//! single-memtable baseline wrapping [`KvStore`], and a pure in-memory
+//! store).
 //!
-//! Every engine maintains the incremental Merkle state root from
+//! Both engines maintain the incremental Merkle state root from
 //! [`crate::merkle`], so `state_root()` is O(1) regardless of backend and
 //! byte-identical across engines holding the same state — the equivalence
 //! battery depends on that.
@@ -17,9 +17,7 @@ use parking_lot::{Mutex, RwLock};
 use fabric_crypto::Digest;
 
 use crate::backend::Backend;
-use crate::lsm::{LsmOptions, LsmStore};
 use crate::merkle::{StateRoot, Transition};
-use crate::stats::StorageSnapshot;
 use crate::store::{KvStore, StoreConfig, WriteBatch};
 use crate::StoreError;
 
@@ -56,10 +54,6 @@ pub trait StateStore: Send + Sync {
     fn checkpoint(&self) -> Result<(), StoreError>;
     /// Reclaims versions no live snapshot can observe.
     fn compact(&self) -> Result<(), StoreError>;
-    /// Waits for background work (flush/compaction) to drain.
-    fn flush(&self) -> Result<(), StoreError>;
-    /// Point-in-time storage counters.
-    fn stats(&self) -> StorageSnapshot;
     /// Number of live (non-tombstone) keys.
     fn len(&self) -> usize;
     /// Returns `true` if no live keys exist.
@@ -88,6 +82,21 @@ impl dyn StateStore {
     }
 }
 
+/// Storage-engine counters, all zero: neither engine caches, flushes in
+/// the background or stalls writers. Kept so the system benchmark's
+/// `kvstore.*` metrics still read it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StorageSnapshot {
+    /// Block-cache hits.
+    pub cache_hits: u64,
+    /// Block-cache misses.
+    pub cache_misses: u64,
+    /// Memtable flushes completed.
+    pub flushes: u64,
+    /// Total time writers spent stalled, in microseconds.
+    pub stall_us: u64,
+}
+
 /// Which storage engine backs a store.
 #[derive(Clone, Debug, Default)]
 pub enum EngineKind {
@@ -97,21 +106,6 @@ pub enum EngineKind {
     /// Pure in-memory store: no WAL, no checkpoint files — the paper's
     /// RAM-disk variant (Experiment 3) taken to its logical end.
     Memory,
-    /// Sharded LSM: striped WALs, sorted segments, background compaction.
-    Lsm(LsmOptions),
-}
-
-impl EngineKind {
-    /// Parses an engine name as used by bench/CLI knobs
-    /// (`baseline`, `memory`, `lsm`).
-    pub fn parse(name: &str) -> Option<EngineKind> {
-        match name {
-            "baseline" => Some(EngineKind::Baseline),
-            "memory" => Some(EngineKind::Memory),
-            "lsm" => Some(EngineKind::Lsm(LsmOptions::default())),
-            _ => None,
-        }
-    }
 }
 
 /// Opens the configured engine over `backend`, recovering durable state.
@@ -123,7 +117,6 @@ pub fn open_state_store(
     Ok(match engine {
         EngineKind::Baseline => Arc::new(BaselineStore::open(backend, sync_writes)?),
         EngineKind::Memory => Arc::new(MemStore::new()),
-        EngineKind::Lsm(options) => Arc::new(LsmStore::open(backend, sync_writes, options)?),
     })
 }
 
@@ -151,8 +144,7 @@ pub(crate) fn batch_transitions(
 // Baseline engine: the original KvStore plus an incremental Merkle root.
 // ---------------------------------------------------------------------------
 
-/// [`KvStore`] behind the [`StateStore`] trait. Kept as the equivalence
-/// oracle for the sharded LSM engine.
+/// [`KvStore`] behind the [`StateStore`] trait: the default engine.
 pub struct BaselineStore {
     kv: KvStore,
     backend: Arc<dyn Backend>,
@@ -237,14 +229,6 @@ impl StateStore for BaselineStore {
         Ok(())
     }
 
-    fn flush(&self) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn stats(&self) -> StorageSnapshot {
-        StorageSnapshot::default()
-    }
-
     fn len(&self) -> usize {
         self.kv.len()
     }
@@ -281,7 +265,7 @@ struct MemInner {
 }
 
 /// Versioned in-memory store: same MVCC semantics as the baseline with no
-/// durability. Checkpoint and flush are no-ops.
+/// durability. Checkpoint is a no-op.
 pub struct MemStore {
     inner: Arc<MemInner>,
 }
@@ -416,14 +400,6 @@ impl StateStore for MemStore {
         Ok(())
     }
 
-    fn flush(&self) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn stats(&self) -> StorageSnapshot {
-        StorageSnapshot::default()
-    }
-
     fn len(&self) -> usize {
         let state = self.inner.state.read();
         state
@@ -473,7 +449,6 @@ mod tests {
         vec![
             Arc::new(BaselineStore::open(Arc::new(MemBackend::new()), false).unwrap()),
             Arc::new(MemStore::new()),
-            Arc::new(LsmStore::open(Arc::new(MemBackend::new()), false, &LsmOptions::small()).unwrap()),
         ]
     }
 
@@ -501,7 +476,6 @@ mod tests {
             store.put("x", "1").unwrap();
             store.put("y", "2").unwrap();
             store.delete("x").unwrap();
-            store.flush().unwrap();
             let dump = store.scan(b"", b"");
             assert_eq!(store.state_root(), root_of_entries(&dump), "{}", store.name());
             roots.push(store.state_root());
@@ -521,14 +495,6 @@ mod tests {
         assert_eq!(t[1].1.as_deref(), Some(b"1".as_slice()));
         assert_eq!(t[2].1.as_deref(), Some(b"2".as_slice()));
         assert_eq!(t[2].2, None);
-    }
-
-    #[test]
-    fn parse_engine_names() {
-        assert!(matches!(EngineKind::parse("baseline"), Some(EngineKind::Baseline)));
-        assert!(matches!(EngineKind::parse("memory"), Some(EngineKind::Memory)));
-        assert!(matches!(EngineKind::parse("lsm"), Some(EngineKind::Lsm(_))));
-        assert!(EngineKind::parse("bogus").is_none());
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! implementations (the latter doubles as the paper's RAM-disk variant in
 //! Experiment 3).
 //!
+//! Two engines implement [`StateStore`], selected by [`EngineKind`]: the
+//! durable baseline above (the default) and a pure in-memory store. Both
+//! keep the incremental Merkle state root of [`merkle`].
+//!
 //! ## Crash safety
 //!
 //! Every committed batch is framed with a CRC-32; recovery replays intact
@@ -22,17 +26,14 @@
 pub mod backend;
 mod engine;
 pub mod log;
-mod lsm;
 pub mod merkle;
-mod stats;
 mod store;
 
 pub use backend::{Backend, BackendFile, FsBackend, MemBackend};
 pub use engine::{
     open_state_store, BaselineStore, EngineKind, MemStore, StateSnapshot, StateStore,
+    StorageSnapshot,
 };
-pub use lsm::{LsmOptions, LsmStore};
-pub use stats::{StorageSnapshot, StorageStats};
 pub use store::{KvStore, Snapshot, StoreConfig, WriteBatch};
 
 /// Errors produced by the store.

@@ -16,9 +16,9 @@ use crate::StoreError;
 
 /// Slicing-by-8 lookup tables for IEEE CRC-32 (polynomial 0xEDB88320),
 /// generated at compile time. `TABLES[0]` is the classic byte table; the
-/// higher tables fold 8 input bytes per iteration, which matters because
-/// every 4 KiB segment block is checksummed on each cache miss — the
-/// bitwise form costs ~8 shifts per byte and dominated the read path.
+/// higher tables fold 8 input bytes per iteration, because every WAL
+/// append and checkpoint record is checksummed and the bitwise form costs
+/// ~8 shifts per byte.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;

@@ -81,11 +81,6 @@ impl WriteBatch {
         &self.ops
     }
 
-    /// Consumes the batch into its operation list.
-    pub(crate) fn into_ops(self) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-        self.ops
-    }
-
     fn serialize(&self, seq: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.ops.len() * 16);
         out.extend_from_slice(&seq.to_le_bytes());

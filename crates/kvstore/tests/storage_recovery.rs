@@ -1,18 +1,14 @@
 //! Kill-at-every-offset crash batteries for every on-disk structure the
-//! storage engines write.
+//! baseline storage engine writes.
 //!
-//! Model: a crash may lose any **suffix** of an append-only log that was
-//! being appended (LSM WAL stripes, the baseline WAL), and may leave torn
-//! or stale **acceleration** files (segment `.idx` sidecars, the Merkle
-//! bucket file) or orphaned `*.tmp` files in any state. Files that are
-//! synced *before* the manifest record committing them (segment data
-//! files, renamed checkpoints, manifests past their final record) are
-//! durable by construction, so arbitrary damage to them is outside the
-//! crash model — for those the battery asserts recovery *liveness* (open
-//! succeeds, reads and writes still work), not state equivalence.
+//! Model: a crash may lose any **suffix** of the write-ahead log, and may
+//! leave the Merkle bucket file (pure acceleration) torn or stale in any
+//! state. A checkpoint is synced and renamed before the WAL is truncated,
+//! so it is durable by construction and its damage is outside the crash
+//! model.
 //!
-//! Every battery drives the store through a scripted multi-shard workload
-//! with an oracle of the state after each committed batch, photographs the
+//! Every battery drives the store through a scripted workload with an
+//! oracle of the state after each committed batch, photographs the
 //! "disk" with `MemBackend::deep_clone`, damages one file at every byte
 //! offset, reopens, and checks that recovery lands **exactly** on a
 //! committed prefix of the history (never a torn half-batch), that the
@@ -23,14 +19,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric_kvstore::merkle::root_of_entries;
-use fabric_kvstore::{
-    open_state_store, Backend, EngineKind, LsmOptions, MemBackend, StateStore, WriteBatch,
-};
+use fabric_kvstore::{open_state_store, Backend, EngineKind, MemBackend, StateStore, WriteBatch};
 
 type Batch = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 type OracleStates = Vec<BTreeMap<Vec<u8>, Vec<u8>>>;
 
-/// Deterministic multi-shard workload: returns the batches plus the
+/// Deterministic workload: returns the batches plus the
 /// oracle state after each prefix (`states[k]` = state once batches
 /// `1..=k` committed).
 fn scripted_workload(batches: usize) -> (Vec<Batch>, OracleStates) {
@@ -86,18 +80,6 @@ fn apply(store: &dyn StateStore, ops: &Batch) {
     store.write(batch).expect("workload write");
 }
 
-fn lsm_small() -> EngineKind {
-    EngineKind::Lsm(LsmOptions::small())
-}
-
-/// Inline LSM with a memtable large enough that nothing flushes: the
-/// whole history lives in the WAL stripes.
-fn lsm_wal_only() -> EngineKind {
-    let mut o = LsmOptions::small();
-    o.memtable_bytes = 1 << 20;
-    EngineKind::Lsm(o)
-}
-
 /// Every truncation point for a file of `total` bytes. Small files are
 /// cut at literally every offset; for large ones (the Merkle bucket file
 /// is ~128 KiB) every offset in the head and tail plus a dense stride
@@ -126,16 +108,14 @@ fn reopen_truncated(
     engine: &EngineKind,
     name: &str,
     len: u64,
-) -> (Arc<dyn StateStore>, MemBackend) {
+) -> Arc<dyn StateStore> {
     let damaged = disk.deep_clone();
     damaged
         .open(name)
         .expect("damaged file opens")
         .truncate(len)
         .expect("truncate");
-    let store = open_state_store(Arc::new(damaged.clone()), true, engine)
-        .expect("recovery must succeed on a torn tail");
-    (store, damaged)
+    open_state_store(Arc::new(damaged), true, engine).expect("recovery must succeed on a torn tail")
 }
 
 /// Asserts the recovered store sits exactly on a committed prefix of the
@@ -175,83 +155,9 @@ fn assert_still_writable(store: &dyn StateStore) {
 }
 
 #[test]
-fn lsm_wal_stripes_torn_at_every_offset() {
-    let disk = MemBackend::new();
-    let engine = lsm_wal_only();
-    let store = open_state_store(Arc::new(disk.clone()), true, &engine).unwrap();
-    let (batches, states) = scripted_workload(18);
-    for ops in &batches {
-        apply(store.as_ref(), ops);
-    }
-    drop(store);
-
-    let wal_names: Vec<String> = disk
-        .list()
-        .unwrap()
-        .into_iter()
-        .filter(|n| n.starts_with("lsm-wal-"))
-        .collect();
-    assert!(wal_names.len() >= 2, "workload must span several stripes");
-
-    let mut shortest = u64::MAX;
-    for name in &wal_names {
-        let total = disk.open(name).unwrap().len().unwrap();
-        for len in cut_points(total) {
-            let (store, _) = reopen_truncated(&disk, &engine, name, len);
-            let seq = assert_committed_prefix(store.as_ref(), &states);
-            shortest = shortest.min(seq);
-            if len == total {
-                assert_eq!(seq as usize, batches.len(), "undamaged clone loses nothing");
-            }
-            assert_still_writable(store.as_ref());
-        }
-    }
-    // Cutting a whole stripe to zero must actually cost some batches —
-    // proof the battery is exercising the atomic commit-cut logic.
-    assert!(shortest < batches.len() as u64);
-}
-
-#[test]
-fn lsm_segment_index_torn_at_every_offset() {
-    let disk = MemBackend::new();
-    let engine = lsm_small();
-    let store = open_state_store(Arc::new(disk.clone()), true, &engine).unwrap();
-    let (batches, states) = scripted_workload(24);
-    for ops in &batches {
-        apply(store.as_ref(), ops);
-    }
-    store.checkpoint().unwrap(); // rotate + flush: everything in segments
-    drop(store);
-
-    let idx_names: Vec<String> = disk
-        .list()
-        .unwrap()
-        .into_iter()
-        .filter(|n| n.ends_with(".idx"))
-        .collect();
-    assert!(!idx_names.is_empty(), "checkpoint must have produced segments");
-
-    for name in &idx_names {
-        let total = disk.open(name).unwrap().len().unwrap();
-        for len in cut_points(total) {
-            // The sidecar is pure acceleration: any damage must recover
-            // the FULL final state by rebuilding from the data file.
-            let (store, damaged) = reopen_truncated(&disk, &engine, name, len);
-            let seq = assert_committed_prefix(store.as_ref(), &states);
-            assert_eq!(seq as usize, batches.len(), "index damage lost data");
-            // Recovery healed the sidecar in place (checked before the
-            // write probe so later flushes cannot retire this segment).
-            let healed = damaged.open(name).unwrap().len().unwrap();
-            assert!(healed > 0, "sidecar not rebuilt after truncation to {len}");
-            assert_still_writable(store.as_ref());
-        }
-    }
-}
-
-#[test]
 fn merkle_bucket_file_torn_at_every_offset() {
     let disk = MemBackend::new();
-    let engine = lsm_small();
+    let engine = EngineKind::Baseline;
     let store = open_state_store(Arc::new(disk.clone()), true, &engine).unwrap();
     let (batches, states) = scripted_workload(12);
     for ops in &batches {
@@ -265,77 +171,10 @@ fn merkle_bucket_file_torn_at_every_offset() {
     for len in cut_points(total) {
         // Damaged or stale accumulator → silent full rebuild; the root
         // must still match a from-scratch recomputation.
-        let (store, _) = reopen_truncated(&disk, &engine, "merkle.buckets", len);
+        let store = reopen_truncated(&disk, &engine, "merkle.buckets", len);
         let seq = assert_committed_prefix(store.as_ref(), &states);
         assert_eq!(seq as usize, batches.len());
         assert_still_writable(store.as_ref());
-    }
-}
-
-#[test]
-fn lsm_orphan_tmp_files_are_deleted_on_open() {
-    let disk = MemBackend::new();
-    let engine = lsm_small();
-    let store = open_state_store(Arc::new(disk.clone()), true, &engine).unwrap();
-    let (batches, states) = scripted_workload(10);
-    for ops in &batches {
-        apply(store.as_ref(), ops);
-    }
-    store.checkpoint().unwrap();
-    drop(store);
-
-    // A crash mid-flush/compaction leaves tmp files and segment files the
-    // manifest never committed; both are orphans recovery must delete.
-    for orphan in [
-        "lsm-seg-0-99.dat.tmp",
-        "lsm-seg-1-99.idx.tmp",
-        "lsm-seg-2-77.dat", // plausible id, never committed to a manifest
-        "lsm-seg-2-77.idx",
-    ] {
-        disk.open(orphan).unwrap().append(b"torn garbage").unwrap();
-    }
-    let store = open_state_store(Arc::new(disk.clone()), true, &engine).unwrap();
-    let seq = assert_committed_prefix(store.as_ref(), &states);
-    assert_eq!(seq as usize, batches.len());
-    let survivors = disk.list().unwrap();
-    assert!(
-        !survivors
-            .iter()
-            .any(|n| n.ends_with(".tmp") || n.contains("-99") || n.contains("-77")),
-        "orphans survived recovery: {survivors:?}"
-    );
-}
-
-#[test]
-fn lsm_segment_data_damage_keeps_recovery_alive() {
-    // Segment data files are synced before their manifest record, so a
-    // torn segment is outside the crash model — but recovery must still
-    // come up and serve what it can rather than wedge the peer.
-    let disk = MemBackend::new();
-    let engine = lsm_small();
-    let store = open_state_store(Arc::new(disk.clone()), true, &engine).unwrap();
-    let (batches, _) = scripted_workload(24);
-    for ops in &batches {
-        apply(store.as_ref(), ops);
-    }
-    store.checkpoint().unwrap();
-    drop(store);
-
-    let dat_names: Vec<String> = disk
-        .list()
-        .unwrap()
-        .into_iter()
-        .filter(|n| n.ends_with(".dat") && n.starts_with("lsm-seg-"))
-        .collect();
-    assert!(!dat_names.is_empty());
-    for name in &dat_names {
-        let total = disk.open(name).unwrap().len().unwrap();
-        // Every-offset liveness: open, scan, and write must all succeed.
-        for len in cut_points(total) {
-            let (store, _) = reopen_truncated(&disk, &engine, name, len);
-            let _ = store.scan(b"", b"");
-            assert_still_writable(store.as_ref());
-        }
     }
 }
 
@@ -358,7 +197,7 @@ fn baseline_wal_torn_at_every_offset_after_chunked_checkpoint() {
     let total = disk.open("wal.log").unwrap().len().unwrap();
     assert!(total > 0, "post-checkpoint batches must sit in the WAL");
     for len in cut_points(total) {
-        let (store, _) = reopen_truncated(&disk, &engine, "wal.log", len);
+        let store = reopen_truncated(&disk, &engine, "wal.log", len);
         let seq = assert_committed_prefix(store.as_ref(), &states);
         // The checkpoint floor holds regardless of how much WAL is lost.
         assert!(
@@ -367,39 +206,4 @@ fn baseline_wal_torn_at_every_offset_after_chunked_checkpoint() {
         );
         assert_still_writable(store.as_ref());
     }
-}
-
-#[test]
-fn lsm_flushed_data_survives_total_wal_loss() {
-    let disk = MemBackend::new();
-    let engine = lsm_small();
-    let store = open_state_store(Arc::new(disk.clone()), true, &engine).unwrap();
-    let (batches, states) = scripted_workload(24);
-    let mid = 20;
-    for ops in &batches[..mid] {
-        apply(store.as_ref(), ops);
-    }
-    store.checkpoint().unwrap(); // batches 1..=20 now live in segments
-    store.compact().unwrap();
-    for ops in &batches[mid..] {
-        apply(store.as_ref(), ops);
-    }
-    drop(store);
-
-    // Wipe every WAL stripe outright: at most the unflushed suffix may be
-    // lost; the manifests and segments must reconstruct everything up to
-    // the flush floor.
-    let damaged = disk.deep_clone();
-    for name in damaged.list().unwrap() {
-        if name.starts_with("lsm-wal-") {
-            damaged.open(&name).unwrap().truncate(0).unwrap();
-        }
-    }
-    let store = open_state_store(Arc::new(damaged), true, &engine).unwrap();
-    let seq = assert_committed_prefix(store.as_ref(), &states);
-    assert!(
-        seq as usize >= mid,
-        "flushed batches lost: recovered seq {seq} < {mid}"
-    );
-    assert_still_writable(store.as_ref());
 }

@@ -33,9 +33,8 @@ impl Ledger {
     }
 
     /// Opens (or creates) a ledger on `backend` with an explicit storage
-    /// engine (baseline single-memtable store, pure in-memory, or the
-    /// sharded LSM), replaying any blocks whose state changes were lost in
-    /// a crash.
+    /// engine (baseline single-memtable store or pure in-memory),
+    /// replaying any blocks whose state changes were lost in a crash.
     pub fn open_with(
         backend: Arc<dyn Backend>,
         sync_writes: bool,
@@ -266,9 +265,10 @@ impl Ledger {
         Ok(self.ptm.store().checkpoint()?)
     }
 
-    /// Point-in-time storage-engine counters (cache, flush, compaction).
+    /// Storage-engine counters: always zero, since neither engine keeps
+    /// any (see [`fabric_kvstore::StorageSnapshot`]).
     pub fn storage_stats(&self) -> fabric_kvstore::StorageSnapshot {
-        self.ptm.store().stats()
+        fabric_kvstore::StorageSnapshot::default()
     }
 
     /// Direct access to the PTM (used by the peer's committer).

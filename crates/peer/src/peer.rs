@@ -37,8 +37,8 @@ pub struct PeerConfig {
     pub runtime: RuntimeConfig,
     /// Whether ledger writes are fsync'd (SSD vs RAM-disk experiments).
     pub sync_writes: bool,
-    /// State-database engine (baseline memtable, pure in-memory, or the
-    /// sharded LSM).
+    /// State-database engine: the durable baseline memtable (default) or
+    /// the pure in-memory store.
     pub engine: fabric_kvstore::EngineKind,
 }
 

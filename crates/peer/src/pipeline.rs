@@ -313,9 +313,6 @@ pub struct PipelineStats {
     pub queues: QueueGauges,
     /// EWMA of per-transaction VSCC cost, as the chunk sizer last saw it.
     pub vscc_cost_ewma: Duration,
-    /// Storage-engine counters (cache hit rate, flushes, compactions) at
-    /// snapshot time, from the ledger's state store.
-    pub storage: fabric_kvstore::StorageSnapshot,
 }
 
 /// Floor for the per-tx VSCC cost EWMA. Sub-microsecond VSCCs (trivial
@@ -450,12 +447,10 @@ impl Shared {
         self.conflicts_cv.notify_all();
     }
 
-    /// Clones the stats, stamping the live EWMA and the ledger's
-    /// storage-engine counters into the snapshot.
+    /// Clones the stats, stamping the live EWMA into the snapshot.
     fn stats_snapshot(&self) -> PipelineStats {
         let mut stats = self.stats.lock().clone();
         stats.vscc_cost_ewma = Duration::from_nanos(self.vscc_cost.nanos());
-        stats.storage = self.ledger.storage_stats();
         stats
     }
 }
