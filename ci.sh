@@ -5,8 +5,10 @@
 #  2. The primitives crate passes clippy with -D warnings and its unit
 #     tests pass on their own: its `flow` module carries the threads and
 #     locks (DRR scheduler, worker pool) every pooled stage runs on.
-#  3. The peer crate (committer + multi-channel pipeline) passes clippy
-#     with -D warnings and its unit tests pass on their own.
+#  3. The peer crate (committer + multi-channel pipeline: one VSCC pool
+#     task per transaction, one rw-check per block at its turn) passes
+#     clippy with -D warnings and its unit tests pass on their own,
+#     including the parked-block test that pins the rw-check's timing.
 #  4. The kvstore, statesync and chaincode crates pass clippy with
 #     -D warnings (kvstore carries the two storage engines, baseline and
 #     in-memory; chaincode the pooled execution runtime).
@@ -15,10 +17,13 @@
 #  6. The storage battery (kill-at-every-offset crash recovery of the
 #     baseline WAL and Merkle bucket file + two-engine equivalence
 #     proptest, baseline vs in-memory) re-runs on its own.
-#  7. The multi-channel test battery (cross-channel fairness, deliver
-#     credits, gap parking) re-runs under --release: the starvation
-#     regression measures real latencies, and release timing is what the
-#     acceptance bound is calibrated against.
+#  7. The commit-pipeline battery re-runs under --release: multi-channel
+#     (cross-channel fairness, deliver credits, gap parking), pipeline
+#     equivalence (proptests: pipelined masks, state and chain bytes
+#     equal the sequential committer's) and pipeline recovery (crash /
+#     abort mid-pipeline, savepoint restart). The starvation regression
+#     measures real latencies, and release timing is what its bound is
+#     calibrated against.
 #  8. The ordering battery (equivalence proptests, fault injection,
 #     safety properties incl. the PBFT view-change partial-batch case)
 #     re-runs under --release: the proptests sign/verify hundreds of
@@ -38,7 +43,8 @@
 #     storage scale (baseline vs in-memory), ordering throughput, and
 #     gossip scale benches complete a smoke sweep (~30 s) — catches
 #     bit-rot in the snapshot wire path, the shared-pool pipeline
-#     manager, the starved-channel DRR scenario, the endorse-pipeline
+#     manager (zero dependency stalls on key-disjoint spends), the
+#     starved-channel DRR scenario, the endorse-pipeline
 #     submit/sign path, and the simnet ordering driver (which also
 #     asserts pipelined beats lockstep) that unit tests alone might
 #     miss; the gossip smoke also asserts priority-lane p99 beats flat
@@ -123,8 +129,8 @@ cargo test -q --test endorsement_equivalence --test endorsement_faults
 echo "== storage battery: crash recovery + engine equivalence =="
 cargo test -q -p fabric-kvstore --test storage_recovery --test storage_equivalence
 
-echo "== multi-channel test battery under --release =="
-cargo test -q --release --test multi_channel
+echo "== commit-pipeline battery under --release: multi-channel + equivalence + recovery =="
+cargo test -q --release --test multi_channel --test pipeline_equivalence --test pipeline_recovery
 
 echo "== ordering battery under --release: equivalence + faults + properties =="
 cargo test -q --release --test ordering_equivalence --test ordering_faults --test ordering_properties

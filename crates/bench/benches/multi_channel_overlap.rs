@@ -20,13 +20,14 @@
 //!    (Sec. 4.2, Fabcoin): zero dependency stalls.
 //!
 //! 3. **Starved channel under DRR task scheduling.** Channel A dumps a
-//!    deep backlog of cheap VSCC chunks into the shared pool while
+//!    deep backlog of cheap VSCC tasks into the shared pool while
 //!    channel B trickles sparse single-transaction blocks. Under a global
 //!    FIFO task queue B's probes would wait behind A's entire standing
 //!    queue (p99 grows with backlog depth — the PR 4 comparison row, now
 //!    historical); under the DRR scheduler a freshly woken channel is
-//!    served within about one chunk, so B's p99 must stay within 2x of
-//!    its solo run — measured with A's backlog verified to be queued.
+//!    served within about one transaction's VSCC, so B's p99 must stay
+//!    within 2x of its solo run — measured with A's backlog verified to
+//!    be queued.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -508,23 +509,18 @@ fn main() {
         assert_eq!(stats.blocks, fine_measured.len() as u64);
         drop(peer);
         let _ = std::fs::remove_dir_all(&dir);
-        (tps, stats.queues.dependency_stalls, stats.queues.spec_hits)
+        (tps, stats.queues.dependency_stalls)
     };
-    let mut best = (0.0f64, 0usize, 0usize);
+    let mut best = (0.0f64, 0usize);
     for _ in 0..reps {
         let run = run_key_level();
         if run.0 > best.0 {
             best = run;
         }
     }
-    let (tps, stalls, spec_hits) = best;
-    let mut mode_table = Table::new(&["dependency mode", "tps", "dep stalls", "spec hits"]);
-    mode_table.row(vec![
-        "key-level".into(),
-        format!("{tps:.0}"),
-        format!("{stalls}"),
-        format!("{spec_hits}"),
-    ]);
+    let (tps, stalls) = best;
+    let mut mode_table = Table::new(&["dependency mode", "tps", "dep stalls"]);
+    mode_table.row(vec!["key-level".into(), format!("{tps:.0}"), format!("{stalls}")]);
     println!(
         "\n-- dependency stalls on {fine_blocks} blocks x {fine_per_block} \
          key-disjoint spends --"
@@ -532,9 +528,9 @@ fn main() {
     mode_table.print();
     assert_eq!(stalls, 0, "disjoint coins must never stall the admitter");
     // Scenario 3: starved channel — sparse single-tx probes on channel B
-    // beside a deep backlog of cheap chunks on channel A, under the
+    // beside a deep backlog of cheap transactions on channel A, under the
     // shared pool's DRR task scheduling. The probe's VSCC cost is kept
-    // well above the backlog chunk cost so its latency is dominated by
+    // well above the backlog's per-tx cost so its latency is dominated by
     // pool service order (what the scheduler controls) rather than OS
     // thread-scheduling noise from the backlog's sequencer on small
     // hosts.
@@ -561,7 +557,7 @@ fn main() {
                 });
                 // Let the backlog pile up in A's queues before probing,
                 // and check it did (blocks in the intake plus blocks'
-                // worth of chunks in A's scheduler queue) — otherwise
+                // worth of tasks in A's scheduler queue) — otherwise
                 // the probes measure an idle pool.
                 std::thread::sleep(Duration::from_millis(30));
                 let queues = handle_a.stats().queues;

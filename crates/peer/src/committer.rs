@@ -85,11 +85,6 @@ impl Committer {
         self.custom_vsccs.write().insert(chaincode.into(), vscc);
     }
 
-    /// Changes the VSCC worker-pool width.
-    pub fn set_vscc_parallelism(&mut self, n: usize) {
-        self.vscc_parallelism = n.max(1);
-    }
-
     /// The configured VSCC worker-pool width.
     pub fn vscc_parallelism(&self) -> usize {
         self.vscc_parallelism
@@ -99,11 +94,6 @@ impl Committer {
     /// may read committed state, which the pipeline must order around.
     pub(crate) fn has_custom_vscc(&self, chaincode: &str) -> bool {
         self.custom_vsccs.read().contains_key(chaincode)
-    }
-
-    /// The shared channel view (the pipeline updates it on config commits).
-    pub(crate) fn view(&self) -> &Arc<RwLock<ChannelView>> {
-        &self.view
     }
 
     /// Verifies the block's integrity before validation: payload
@@ -117,6 +107,22 @@ impl Committer {
             view.msp
                 .validate_and_verify(&sig.signer, &block.hash(), &sig.signature)
                 .map_err(PeerError::Identity)?;
+        }
+        Ok(())
+    }
+
+    /// Applies a committed block to the channel view: a valid config
+    /// block replaces it. Both commit paths (sequential and pipelined)
+    /// call this right after the ledger append.
+    pub(crate) fn apply_config(
+        &self,
+        block: &Block,
+        flags: &[TxValidationCode],
+    ) -> Result<(), PeerError> {
+        if block.is_config_block() && flags.first() == Some(&TxValidationCode::Valid) {
+            if let EnvelopeContent::Config(update) = &block.envelopes[0].content {
+                *self.view.write() = ChannelView::new(update.config.clone())?;
+            }
         }
         Ok(())
     }

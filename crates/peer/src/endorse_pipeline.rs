@@ -34,7 +34,7 @@
 //!   `ChaincodeError::Aborted`; the worker carries on.
 //! * **Batching signer** — successful simulations are endorsed by
 //!   [`fabric_chaincode::batch_escc`], which drains whatever has
-//!   accumulated (up to [`EndorseOptions::sign_batch_max`]) and signs the
+//!   accumulated (up to `SIGN_BATCH_MAX` = 32 payloads) and signs the
 //!   batch with one amortized modular inversion. ECDSA nonces are RFC 6979
 //!   deterministic, so the batch signature over a payload is byte-for-byte
 //!   the signature [`crate::Endorser::process_proposal`] would have
@@ -64,6 +64,9 @@ use fabric_primitives::transaction::{
 use crate::endorser::Endorser;
 use crate::PeerError;
 
+/// Largest payload batch the signer stage signs in one drain.
+const SIGN_BATCH_MAX: usize = 32;
+
 /// Endorsement-pipeline construction knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct EndorseOptions {
@@ -73,8 +76,6 @@ pub struct EndorseOptions {
     /// [`EndorsePipeline::submit`] rejects with
     /// [`EndorseReject::Saturated`].
     pub intake_capacity: usize,
-    /// Largest payload batch the signer stage signs in one drain.
-    pub sign_batch_max: usize,
     /// Per-client in-flight cap (keyed by creator certificate); `0`
     /// disables the cap.
     pub client_max_inflight: usize,
@@ -85,7 +86,6 @@ impl Default for EndorseOptions {
         EndorseOptions {
             workers: 0,
             intake_capacity: 1024,
-            sign_batch_max: 32,
             client_max_inflight: 0,
         }
     }
@@ -264,7 +264,6 @@ impl EndorsePipeline {
         };
         let signer = {
             let shared = shared.clone();
-            let batch_max = opts.sign_batch_max.max(1);
             std::thread::Builder::new()
                 .name("endorse-sign".into())
                 .spawn(move || {
@@ -272,10 +271,10 @@ impl EndorsePipeline {
                         // Adaptive batching: take whatever has accumulated
                         // while the previous drain was signing. Under light
                         // load batches are small (low latency); under heavy
-                        // load they grow toward `batch_max` (amortized
+                        // load they grow toward `SIGN_BATCH_MAX` (amortized
                         // signing).
                         let mut batch = vec![first];
-                        while batch.len() < batch_max {
+                        while batch.len() < SIGN_BATCH_MAX {
                             match sign_rx.try_recv() {
                                 Ok(job) => batch.push(job),
                                 Err(_) => break,

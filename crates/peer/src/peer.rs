@@ -250,12 +250,7 @@ impl Peer {
         }
         self.committer.verify_block(block)?;
         let (flags, timing) = self.committer.validate_and_commit(&self.ledger, block)?;
-        // Apply a committed valid config block to the channel view.
-        if block.is_config_block() && flags.first() == Some(&TxValidationCode::Valid) {
-            if let EnvelopeContent::Config(update) = &block.envelopes[0].content {
-                *self.view.write() = ChannelView::new(update.config.clone())?;
-            }
-        }
+        self.committer.apply_config(block, &flags)?;
         Ok((flags, timing))
     }
 
@@ -363,10 +358,5 @@ impl Peer {
     /// fault-injection tests and benches).
     pub fn chaincode_runtime(&self) -> &Arc<ChaincodeRuntime> {
         &self.runtime
-    }
-
-    /// Changes the VSCC parallelism (Fig. 7 experiments).
-    pub fn set_vscc_parallelism(&mut self, n: usize) {
-        self.committer.set_vscc_parallelism(n);
     }
 }

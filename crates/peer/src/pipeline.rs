@@ -13,29 +13,28 @@
 //! ```text
 //!  channel A ──▶ admitter A ──┐  tasks   ┌───────────────┐   ┌─▶ sequencer A ─▶ events
 //!                              ├────────▶│ shared VSCC    │───┤
-//!  channel B ──▶ admitter B ──┘ (chunks) │ worker pool    │   └─▶ sequencer B ─▶ events
+//!  channel B ──▶ admitter B ──┘ (per tx) │ worker pool    │   └─▶ sequencer B ─▶ events
 //!                                        └───────────────┘
 //! ```
 //!
 //! * Each channel's **admitter** accepts delivered blocks in strict
 //!   order, verifies block integrity, and decides when block *n+1*'s VSCC
 //!   may start while block *n* is still in rw-check/append (see the
-//!   ordering invariants below). It splits each admitted block into chunk
-//!   tasks for the pool.
+//!   ordering invariants below). It dispatches one pool task per
+//!   transaction of each admitted block.
 //! * The **VSCC worker pool** ([`PipelineManager`]) is persistent and
-//!   global: workers pull chunks from *any* admitted block of *any*
+//!   global: workers pull transactions from *any* admitted block of *any*
 //!   attached channel, so a slow or barrier-stalled channel never idles
-//!   the cores serving the others. Which channel's chunk a freed worker
-//!   picks is decided by the pool's weighted deficit-round-robin
-//!   [`Scheduler`]: each channel keeps its own chunk queue and earns
+//!   the cores serving the others. Which channel's transaction a freed
+//!   worker picks is decided by the pool's weighted deficit-round-robin
+//!   [`Scheduler`]: each channel keeps its own task queue and earns
 //!   `DRR_QUANTUM × weight` transactions of service per round, so a
 //!   channel behind a sibling's 256-block backlog is served within one
 //!   round instead of behind the whole backlog.
 //! * Each channel's **sequencer** restores strict block order with a
-//!   reorder buffer and runs the stages that must stay sequential: MVCC
-//!   rw-check, metadata flags, ledger append (savepoint), and config view
-//!   updates. While a block waits for its turn it may be **speculatively
-//!   rw-checked** (see below).
+//!   reorder buffer and runs the stages that must stay sequential, once
+//!   per block at its turn: MVCC rw-check, metadata flags, ledger append
+//!   (savepoint), and config view updates.
 //!
 //! # Ordering invariants
 //!
@@ -43,9 +42,8 @@
 //! byte-identical to the sequential path because, per channel:
 //!
 //! 1. Blocks commit strictly in block-number order (reorder buffer), and
-//!    the rw-check for block *n* runs — or is speculatively pre-run and
-//!    then proven unaffected — against exactly the state the sequential
-//!    path would see.
+//!    the rw-check for block *n* runs at its turn, after block *n − 1*'s
+//!    append — against exactly the state the sequential path would see.
 //! 2. VSCC for block *n* may overlap earlier blocks only when its reads
 //!    cannot observe their effects:
 //!    * **Config blocks** and blocks writing the LSCC namespace are full
@@ -65,23 +63,9 @@
 //! 3. The savepoint advances only inside the ordered ledger append, so a
 //!    crash with blocks still queued in the pipeline recovers exactly as
 //!    if those blocks had never been delivered.
-//!
-//! # Speculative rw-checks
-//!
-//! A block parked in the reorder buffer (its VSCC done, an earlier block
-//! still committing) would normally run its MVCC rw-check only at its
-//! turn, on the sequencer's critical path. Instead the sequencer pre-runs
-//! the rw-check while the block waits, recording the read/range/tx-id
-//! footprint the speculation depended on. At the block's turn the
-//! speculation is reused **only if** no intervening commit wrote a key in
-//! that footprint (or committed a colliding tx-id); otherwise the
-//! rw-check reruns from scratch. Reused speculations are exact: the
-//! rw-check is a deterministic function of the block, its VSCC flags, and
-//! the versions/range-contents/tx-id set of the keys it touches — all
-//! proven unchanged.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -93,11 +77,10 @@ use fabric_chaincode::LSCC_NAMESPACE;
 use fabric_ledger::Ledger;
 use fabric_primitives::block::Block;
 use fabric_primitives::flow::{Pool, Scheduler};
-use fabric_primitives::ids::{TxId, TxValidationCode};
+use fabric_primitives::ids::TxValidationCode;
 use fabric_primitives::transaction::EnvelopeContent;
 
 use crate::committer::{Committer, ValidationTiming};
-use crate::view::ChannelView;
 use crate::PeerError;
 
 /// Pipeline construction knobs.
@@ -110,13 +93,6 @@ pub struct PipelineOptions {
     /// Bounded capacity of the intake queue — backpressure for the
     /// deliver/gossip side when validation falls behind.
     pub intake_capacity: usize,
-    /// Target wall-clock cost of one VSCC chunk task. The admitter sizes
-    /// chunks so `chunk_len × EWMA(per-tx VSCC cost) ≈ target`: cheap
-    /// transactions get large chunks (amortising queue overhead), while
-    /// expensive endorsement policies get small chunks (load-balancing
-    /// the pool near a block's tail). Until the first cost sample lands,
-    /// blocks are split evenly across the workers.
-    pub vscc_chunk_target: Duration,
     /// This channel's DRR weight in a shared pool's scheduler: per round
     /// it earns `DRR_QUANTUM × weight` transactions of VSCC service relative
     /// to its siblings. Ignored by single-channel pipelines. Clamped to
@@ -140,7 +116,6 @@ impl Default for PipelineOptions {
         PipelineOptions {
             vscc_workers: 0,
             intake_capacity: 64,
-            vscc_chunk_target: Duration::from_micros(500),
             scheduler_weight: 1,
             deliver_credits: 32,
             park_window: 32,
@@ -277,20 +252,19 @@ pub struct StageSummary {
 pub struct QueueGauges {
     /// Intake queue (delivered blocks waiting for admission).
     pub intake_peak: usize,
-    /// This channel's chunk queue in the pool's cross-channel scheduler
-    /// (deepest it ever got right after a dispatch).
+    /// This channel's task queue (one task per transaction) in the pool's
+    /// cross-channel scheduler (deepest it ever got right after a
+    /// dispatch).
     pub vscc_tasks_peak: usize,
     /// Sequencer reorder buffer (VSCC-done blocks awaiting their turn).
     pub reorder_peak: usize,
     /// Blocks the admitter stalled on a read/write or barrier dependency.
     pub dependency_stalls: usize,
-    /// Smallest adaptive VSCC chunk dispatched (0 = no block dispatched).
-    pub chunk_min: usize,
-    /// Largest adaptive VSCC chunk dispatched.
-    pub chunk_max: usize,
-    /// Speculative rw-checks reused at commit time.
+    /// Always 0: the sequencer runs each rw-check once, at the block's
+    /// turn, and never speculates. Kept only because the system
+    /// benchmark still reports `peer.spec_rw_hit_ratio` from it.
     pub spec_hits: usize,
-    /// Speculative rw-checks invalidated by an intervening commit.
+    /// Always 0, like [`QueueGauges::spec_hits`].
     pub spec_misses: usize,
 }
 
@@ -311,34 +285,6 @@ pub struct PipelineStats {
     pub total: StageHistogram,
     /// Peak queue depths.
     pub queues: QueueGauges,
-    /// EWMA of per-transaction VSCC cost, as the chunk sizer last saw it.
-    pub vscc_cost_ewma: Duration,
-}
-
-/// Floor for the per-tx VSCC cost EWMA. Sub-microsecond VSCCs (trivial
-/// policies, warm caches) would otherwise round the α = 1/8 increment
-/// `sample / 8` to zero and pin the EWMA near one nanosecond, collapsing
-/// every chunk to the even-split floor regardless of the chunk target.
-const MIN_VSCC_COST_NS: u64 = 50;
-
-/// EWMA (α = 1/8) of per-transaction VSCC cost in nanoseconds, clamped
-/// to [`MIN_VSCC_COST_NS`]. `0` means no sample yet. Updated by the pool
-/// workers, read by the admitters' chunk sizers; racy read-modify-write
-/// is fine for a smoothed statistic.
-#[derive(Default)]
-struct CostEwma(AtomicU64);
-
-impl CostEwma {
-    fn observe(&self, per_tx: Duration) {
-        let sample = (per_tx.as_nanos() as u64).max(MIN_VSCC_COST_NS);
-        let old = self.0.load(Ordering::Relaxed);
-        let new = if old == 0 { sample } else { old - old / 8 + sample / 8 };
-        self.0.store(new.max(MIN_VSCC_COST_NS), Ordering::Relaxed);
-    }
-
-    fn nanos(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 /// The channel's in-flight write footprint, as the admitter's stall rules
@@ -364,7 +310,6 @@ struct Shared {
     stopped: AtomicBool,
     error: Mutex<Option<PeerError>>,
     stats: Mutex<PipelineStats>,
-    vscc_cost: CostEwma,
     /// Conflict index of in-flight written keys (key-level stalls).
     conflicts: Mutex<ConflictState>,
     conflicts_cv: Condvar,
@@ -446,18 +391,11 @@ impl Shared {
         }
         self.conflicts_cv.notify_all();
     }
-
-    /// Clones the stats, stamping the live EWMA into the snapshot.
-    fn stats_snapshot(&self) -> PipelineStats {
-        let mut stats = self.stats.lock().clone();
-        stats.vscc_cost_ewma = Duration::from_nanos(self.vscc_cost.nanos());
-        stats
-    }
 }
 
-/// Per-block VSCC work unit shared by the pool's chunk tasks. Carries its
-/// channel context (`shared`, `done`) so pool workers can serve any
-/// attached channel.
+/// Per-block VSCC work unit shared by the pool's transaction tasks.
+/// Carries its channel context (`shared`, `done`) so pool workers can
+/// serve any attached channel.
 struct VsccJob {
     shared: Arc<Shared>,
     done: Sender<CompletedVscc>,
@@ -469,16 +407,16 @@ struct VsccJob {
     tx_writes: Vec<Vec<(String, String)>>,
     /// Whether this block was registered as a barrier.
     barrier: bool,
-    /// Chunk tasks not yet finished; the last finisher forwards the job.
+    /// Transaction tasks not yet finished; the last finisher forwards the
+    /// job.
     remaining: AtomicUsize,
     dispatched: Instant,
 }
 
-/// One chunk of a block's envelopes for a pool worker.
+/// One envelope of a block, for a pool worker.
 pub(crate) struct VsccTask {
     job: Arc<VsccJob>,
-    start: usize,
-    len: usize,
+    index: usize,
 }
 
 /// A block whose VSCC stage finished (possibly out of order).
@@ -563,11 +501,11 @@ impl BlockProfile {
 /// The global persistent VSCC worker pool, shared by every channel
 /// pipeline attached through [`Committer::pipeline_in`].
 ///
-/// Freed workers pick their next chunk through the pool's cross-channel
-/// weighted deficit-round-robin [`Scheduler`], so one channel's backlog
-/// cannot monopolize the pool. Close (or drop) the manager only after
+/// Freed workers pick their next transaction through the pool's
+/// cross-channel weighted deficit-round-robin [`Scheduler`], so one
+/// channel's backlog cannot monopolize the pool. Close (or drop) the manager only after
 /// closing every attached [`PipelineHandle`]: closing first abandons the
-/// channels' queued chunks mid-block.
+/// channels' queued transactions mid-block.
 pub struct PipelineManager {
     pool: Pool<VsccTask>,
 }
@@ -578,20 +516,15 @@ impl PipelineManager {
     /// [`PipelineOptions::scheduler_weight`] say otherwise.
     pub fn new(vscc_workers: usize) -> Self {
         PipelineManager {
-            pool: Pool::new("vscc-worker", vscc_workers.max(1), validate_chunk, finish_chunk),
+            pool: Pool::new("vscc-worker", vscc_workers.max(1), validate_tx, finish_tx),
         }
-    }
-
-    /// Pool width (the even-split chunk floor for attached channels).
-    pub fn width(&self) -> usize {
-        self.pool.width()
     }
 
     pub(crate) fn scheduler(&self) -> Arc<Scheduler<VsccTask>> {
         self.pool.scheduler().clone()
     }
 
-    /// Shuts the pool down: drains already-queued chunks, then joins the
+    /// Shuts the pool down: drains already-queued tasks, then joins the
     /// workers (dropping the manager does the same).
     pub fn close(mut self) {
         self.pool.close();
@@ -619,7 +552,7 @@ impl Committer {
     }
 
     /// Starts a channel pipeline attached to a shared worker pool: only
-    /// the admitter and sequencer threads are spawned here, VSCC chunks
+    /// the admitter and sequencer threads are spawned here, VSCC tasks
     /// go to `pool`. Many channels may attach to one pool; a barrier- or
     /// dependency-stalled channel never idles the pool for the others.
     ///
@@ -630,7 +563,6 @@ impl Committer {
         ledger: Arc<Ledger>,
         opts: PipelineOptions,
     ) -> PipelineHandle {
-        let workers = pool.width();
         let start_height = ledger.height();
         let shared = Arc::new(Shared {
             committer: self.clone(),
@@ -640,7 +572,6 @@ impl Committer {
             stopped: AtomicBool::new(false),
             error: Mutex::new(None),
             stats: Mutex::new(PipelineStats::default()),
-            vscc_cost: CostEwma::default(),
             conflicts: Mutex::new(ConflictState::default()),
             conflicts_cv: Condvar::new(),
         });
@@ -659,15 +590,7 @@ impl Committer {
                 std::thread::Builder::new()
                     .name("commit-admitter".into())
                     .spawn(move || {
-                        admitter(
-                            &shared,
-                            &intake_rx,
-                            (&sched, slot),
-                            &done_tx,
-                            workers,
-                            opts.vscc_chunk_target,
-                            start_height,
-                        )
+                        admitter(&shared, &intake_rx, (&sched, slot), &done_tx, start_height)
                     })
                     .expect("spawn admitter"),
             );
@@ -693,26 +616,21 @@ impl Committer {
     }
 }
 
-/// Pool job, first half: validate one chunk of any admitted block of
-/// any channel, in the order the pool's scheduler hands them out.
-fn validate_chunk(task: &VsccTask) {
+/// Pool job, first half: validate one transaction of any admitted block
+/// of any channel, in the order the pool's scheduler hands them out.
+fn validate_tx(task: &VsccTask) {
     let job = &task.job;
     let shared = &job.shared;
-    if !shared.is_stopped() && task.len > 0 {
-        let envelopes = &job.block.envelopes[task.start..task.start + task.len];
-        let mut local = Vec::with_capacity(task.len);
-        let started = Instant::now();
-        for envelope in envelopes {
-            local.push(shared.committer.validate_envelope(&shared.ledger, envelope));
-        }
-        shared.vscc_cost.observe(started.elapsed() / task.len as u32);
-        job.flags.lock()[task.start..task.start + task.len].copy_from_slice(&local);
+    if !shared.is_stopped() {
+        let envelope = &job.block.envelopes[task.index];
+        let flag = shared.committer.validate_envelope(&shared.ledger, envelope);
+        job.flags.lock()[task.index] = flag;
     }
 }
 
-/// Pool job, second half: account for the finished chunk, whether it
-/// validated or panicked.
-fn finish_chunk(task: VsccTask, outcome: std::thread::Result<()>) {
+/// Pool job, second half: account for the finished transaction, whether
+/// it validated or panicked.
+fn finish_tx(task: VsccTask, outcome: std::thread::Result<()>) {
     let job = &task.job;
     let shared = &job.shared;
     if outcome.is_err() {
@@ -725,7 +643,7 @@ fn finish_chunk(task: VsccTask, outcome: std::thread::Result<()>) {
             job.block.header.number
         )));
     }
-    // The last chunk to finish retires invalid txs' in-flight keys —
+    // The last task to finish retires invalid txs' in-flight keys —
     // their writes will never land, so key-stalled readers may go —
     // and forwards the block to its channel's sequencer.
     if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -749,7 +667,7 @@ fn finish_chunk(task: VsccTask, outcome: std::thread::Result<()>) {
     }
 }
 
-/// Admission thread: order check, dependency stalls, chunk dispatch.
+/// Admission thread: order check, dependency stalls, per-tx dispatch.
 /// `(sched, slot)` is the channel's registered queue in the shared
 /// pool's cross-channel scheduler.
 fn admitter(
@@ -757,8 +675,6 @@ fn admitter(
     intake: &Receiver<Block>,
     (sched, slot): (&Scheduler<VsccTask>, u64),
     done: &Sender<CompletedVscc>,
-    workers: usize,
-    chunk_target: Duration,
     mut next_expected: u64,
 ) {
     'accept: while let Ok(block) = intake.recv() {
@@ -811,20 +727,6 @@ fn admitter(
         }
 
         let n = block.envelopes.len();
-        // Adaptive chunk size: aim for `chunk_target` of work per task,
-        // never coarser than an even split across the pool (the cold-start
-        // behaviour before any cost sample exists).
-        let chunk = if n == 0 {
-            1
-        } else {
-            let even = n.div_ceil(workers.min(n));
-            // checked_div: a zero EWMA means no cost sample yet.
-            match (chunk_target.as_nanos() as u64).checked_div(shared.vscc_cost.nanos()) {
-                None => even,
-                Some(per_chunk) => (per_chunk.max(1) as usize).min(even),
-            }
-        };
-        let n_tasks = if n == 0 { 1 } else { n.div_ceil(chunk) };
         shared.register_block(profile.barrier, &profile.tx_writes);
         let job = Arc::new(VsccJob {
             shared: shared.clone(),
@@ -833,7 +735,7 @@ fn admitter(
             flags: Mutex::new(vec![TxValidationCode::NotValidated; n]),
             tx_writes: profile.tx_writes,
             barrier: profile.barrier,
-            remaining: AtomicUsize::new(n_tasks),
+            remaining: AtomicUsize::new(n),
             dispatched: Instant::now(),
         });
         let mut queue_depth = 0;
@@ -848,14 +750,12 @@ fn admitter(
                 break 'accept;
             }
         } else {
-            for start in (0..n).step_by(chunk) {
-                let len = chunk.min(n - start);
+            for index in 0..n {
                 let task = VsccTask {
                     job: job.clone(),
-                    start,
-                    len,
+                    index,
                 };
-                match sched.submit(slot, len as u64, task) {
+                match sched.submit(slot, 1, task) {
                     Some(depth) => queue_depth = queue_depth.max(depth),
                     None => break 'accept,
                 }
@@ -865,95 +765,34 @@ fn admitter(
         let mut stats = shared.stats.lock();
         stats.queues.intake_peak = stats.queues.intake_peak.max(intake.len());
         stats.queues.vscc_tasks_peak = stats.queues.vscc_tasks_peak.max(queue_depth);
-        if n > 0 {
-            stats.queues.chunk_min = if stats.queues.chunk_min == 0 {
-                chunk
-            } else {
-                stats.queues.chunk_min.min(chunk)
-            };
-            stats.queues.chunk_max = stats.queues.chunk_max.max(chunk);
-        }
     }
     // Dropping this channel's done sender lets the sequencer drain what
     // was dispatched once the pool works through the channel's queued
-    // chunks; the pool itself stays up for the other channels. The
+    // tasks; the pool itself stays up for the other channels. The
     // scheduler slot is deregistered by the handle after the drain.
 }
 
-/// A speculative rw-check computed while the block waited in the reorder
-/// buffer, with the footprint it depended on.
-struct Speculation {
-    flags: Vec<TxValidationCode>,
-    /// `next_commit` when the speculation ran: commits of blocks
-    /// `>= height` happened after it and must be checked for overlap.
-    height: u64,
-    reads: HashSet<(String, String)>,
-    ranges: Vec<(String, String, String)>,
-    tx_ids: HashSet<TxId>,
-}
-
-/// What an already-committed block may invalidate speculations with.
-struct RecentCommit {
-    /// Keys written by finally-valid transactions.
-    writes: HashSet<(String, String)>,
-    /// Every tx-id the block carried (conservative: validity-independent).
-    tx_ids: HashSet<TxId>,
-}
-
-/// A VSCC-complete block parked in the reorder buffer.
-struct Pending {
-    completed: CompletedVscc,
-    spec: Option<Speculation>,
-}
-
 /// Sequencer: restore block order, run rw-check + ledger append, emit.
-/// Blocks parked in the reorder buffer are speculatively rw-checked.
 fn sequencer(
     shared: &Shared,
     done: &Receiver<CompletedVscc>,
     events: &Sender<CommitEvent>,
     mut next_commit: u64,
 ) {
-    let mut reorder: BTreeMap<u64, Pending> = BTreeMap::new();
-    // Footprint of blocks committed while later blocks sat in the
-    // reorder buffer — what decides whether their speculations survive.
-    let mut recent: BTreeMap<u64, RecentCommit> = BTreeMap::new();
+    let mut reorder: BTreeMap<u64, CompletedVscc> = BTreeMap::new();
     while let Ok(completed) = done.recv() {
         if shared.is_stopped() {
             return;
         }
-        reorder.insert(
-            completed.job.block.header.number,
-            Pending {
-                completed,
-                spec: None,
-            },
-        );
+        reorder.insert(completed.job.block.header.number, completed);
         {
             let mut stats = shared.stats.lock();
             stats.queues.reorder_peak = stats.queues.reorder_peak.max(reorder.len());
         }
-        while let Some(pending) = reorder.remove(&next_commit) {
-            let spec_flags = match pending.spec {
-                Some(spec) if speculation_intact(&spec, &recent) => {
-                    shared.stats.lock().queues.spec_hits += 1;
-                    Some(spec.flags)
-                }
-                Some(_) => {
-                    shared.stats.lock().queues.spec_misses += 1;
-                    None
-                }
-                None => None,
-            };
-            match commit_in_order(shared, &pending.completed, spec_flags) {
+        while let Some(completed) = reorder.remove(&next_commit) {
+            match commit_in_order(shared, &completed) {
                 Ok(event) => {
                     next_commit += 1;
-                    if !reorder.is_empty() {
-                        recent.insert(
-                            event.block_num,
-                            recent_commit_of(&pending.completed.job.block, &event.validity),
-                        );
-                    }
                     // Queue the event before advancing the watermark, so a
                     // thread woken by `wait_committed` always finds the
                     // events of every committed block already buffered.
@@ -966,106 +805,13 @@ fn sequencer(
                 }
             }
         }
-        if reorder.is_empty() {
-            // Every speculation that could have consulted these commits
-            // is resolved; start a fresh window.
-            recent.clear();
-        } else {
-            for pending in reorder.values_mut() {
-                if pending.spec.is_none() && !pending.completed.job.barrier {
-                    pending.spec = speculate(shared, &pending.completed, next_commit);
-                }
-            }
-        }
     }
 }
 
-/// Pre-runs the rw-check for a parked block against the current ledger,
-/// recording the footprint the result depends on.
-fn speculate(shared: &Shared, completed: &CompletedVscc, height: u64) -> Option<Speculation> {
-    let block = &completed.job.block;
-    let mut flags = completed.job.flags.lock().clone();
-    // The footprint only needs VSCC-valid transactions: the rw-check
-    // skips the rest, so their reads cannot influence the outcome.
-    let mut reads = HashSet::new();
-    let mut ranges = Vec::new();
-    let mut tx_ids = HashSet::new();
-    for (envelope, flag) in block.envelopes.iter().zip(&flags) {
-        if *flag != TxValidationCode::Valid {
-            continue;
-        }
-        let EnvelopeContent::Transaction(tx) = &envelope.content else {
-            continue;
-        };
-        tx_ids.insert(tx.tx_id());
-        for ns in &tx.response_payload.rwset.ns_rwsets {
-            for read in &ns.reads {
-                reads.insert((ns.namespace.clone(), read.key.clone()));
-            }
-            for query in &ns.range_queries {
-                ranges.push((
-                    ns.namespace.clone(),
-                    query.start_key.clone(),
-                    query.end_key.clone(),
-                ));
-            }
-        }
-    }
-    shared.ledger.mvcc_validate(block, &mut flags).ok()?;
-    Some(Speculation {
-        flags,
-        height,
-        reads,
-        ranges,
-        tx_ids,
-    })
-}
-
-/// Did any commit since the speculation ran invalidate its footprint?
-fn speculation_intact(spec: &Speculation, recent: &BTreeMap<u64, RecentCommit>) -> bool {
-    recent.range(spec.height..).all(|(_, commit)| {
-        spec.tx_ids.is_disjoint(&commit.tx_ids)
-            && spec.reads.is_disjoint(&commit.writes)
-            && (spec.ranges.is_empty()
-                || !commit.writes.iter().any(|(ns, key)| {
-                    spec.ranges.iter().any(|(qns, start, end)| {
-                        qns == ns
-                            && key.as_str() >= start.as_str()
-                            && (end.is_empty() || key.as_str() < end.as_str())
-                    })
-                }))
-    })
-}
-
-/// The footprint a committed block exposes to later speculations.
-fn recent_commit_of(block: &Block, validity: &[TxValidationCode]) -> RecentCommit {
-    let mut writes = HashSet::new();
-    let mut tx_ids = HashSet::new();
-    for (envelope, flag) in block.envelopes.iter().zip(validity) {
-        let EnvelopeContent::Transaction(tx) = &envelope.content else {
-            continue;
-        };
-        tx_ids.insert(tx.tx_id());
-        if *flag != TxValidationCode::Valid {
-            continue;
-        }
-        for ns in &tx.response_payload.rwset.ns_rwsets {
-            for write in &ns.writes {
-                writes.insert((ns.namespace.clone(), write.key.clone()));
-            }
-        }
-    }
-    RecentCommit { writes, tx_ids }
-}
-
-/// The strictly sequential tail of validation for one block. With
-/// `spec_flags` the rw-check was pre-run and proven unaffected, so the
-/// stored flags are reused wholesale.
-fn commit_in_order(
-    shared: &Shared,
-    completed: &CompletedVscc,
-    spec_flags: Option<Vec<TxValidationCode>>,
-) -> Result<CommitEvent, PeerError> {
+/// The strictly sequential tail of validation for one block: the rw-check
+/// runs here, at the block's turn, against the state every earlier block
+/// left behind.
+fn commit_in_order(shared: &Shared, completed: &CompletedVscc) -> Result<CommitEvent, PeerError> {
     let block = &completed.job.block;
     let vscc_flags = std::mem::take(&mut *completed.job.flags.lock());
     let mut timing = ValidationTiming {
@@ -1074,17 +820,11 @@ fn commit_in_order(
     };
 
     let start = Instant::now();
-    let flags = match spec_flags {
-        Some(flags) => flags,
-        None => {
-            let mut flags = vscc_flags.clone();
-            shared
-                .ledger
-                .mvcc_validate(block, &mut flags)
-                .map_err(PeerError::Ledger)?;
-            flags
-        }
-    };
+    let mut flags = vscc_flags.clone();
+    shared
+        .ledger
+        .mvcc_validate(block, &mut flags)
+        .map_err(PeerError::Ledger)?;
     timing.rw_check = start.elapsed();
 
     let start = Instant::now();
@@ -1093,13 +833,7 @@ fn commit_in_order(
     shared.ledger.commit(&committed).map_err(PeerError::Ledger)?;
     timing.ledger = start.elapsed();
 
-    // Apply a committed valid config block to the channel view (the same
-    // rule `Peer::commit_block` applies on the sequential path).
-    if committed.is_config_block() && flags.first() == Some(&TxValidationCode::Valid) {
-        if let EnvelopeContent::Config(update) = &committed.envelopes[0].content {
-            *shared.committer.view().write() = ChannelView::new(update.config.clone())?;
-        }
-    }
+    shared.committer.apply_config(&committed, &flags)?;
 
     // Retire this block from the conflict index: VSCC-valid txs' keys
     // now (the append landed; the pool already retired the invalid
@@ -1143,7 +877,7 @@ pub struct PipelineHandle {
     events: Receiver<CommitEvent>,
     threads: Vec<JoinHandle<()>>,
     /// This channel's slot in the pool's cross-channel scheduler, held so
-    /// close/abort can deregister it (dropping any queued chunks).
+    /// close/abort can deregister it (dropping any queued tasks).
     sched: Option<(Arc<Scheduler<VsccTask>>, u64)>,
     /// The privately owned pool, when built via [`Committer::pipeline`];
     /// `None` for channels attached to a shared [`PipelineManager`].
@@ -1206,7 +940,7 @@ impl PipelineHandle {
 
     /// Snapshot of the running statistics.
     pub fn stats(&self) -> PipelineStats {
-        self.shared.stats_snapshot()
+        self.shared.stats.lock().clone()
     }
 
     /// Closes the intake, drains every submitted block, and returns the
@@ -1217,7 +951,7 @@ impl PipelineHandle {
         if let Some(err) = self.shared.error.lock().take() {
             return Err(err);
         }
-        Ok(self.shared.stats_snapshot())
+        Ok(self.shared.stats.lock().clone())
     }
 
     /// The graceful stop shared by `close` and `Drop`.
@@ -1226,7 +960,7 @@ impl PipelineHandle {
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
-        // The sequencer only exits once every dispatched chunk completed,
+        // The sequencer only exits once every dispatched task completed,
         // so the channel's scheduler queue is empty here.
         if let Some((sched, slot)) = self.sched.take() {
             sched.deregister(slot);
@@ -1242,7 +976,7 @@ impl PipelineHandle {
     pub fn abort(mut self) {
         self.shared.halt();
         drop(self.intake.take());
-        // Deregister before joining: dropping the channel's queued chunks
+        // Deregister before joining: dropping the channel's queued tasks
         // releases their done senders, so the sequencer's recv unblocks
         // even if no worker ever picks them up.
         if let Some((sched, slot)) = self.sched.take() {
@@ -1345,32 +1079,6 @@ mod tests {
         // uniform 0..n ramp must land in the top quarter of the range.
         assert!(histogram.percentile(99.0) >= Duration::from_micros(3 * n / 4));
         assert!(histogram.percentile(99.0) <= Duration::from_micros(n - 1));
-    }
-
-    #[test]
-    fn vscc_cost_ewma_clamped_for_near_zero_cost() {
-        let ewma = CostEwma::default();
-        assert_eq!(ewma.nanos(), 0, "no sample yet");
-        // Sub-microsecond (even zero-duration) samples must not pin the
-        // EWMA near zero — `sample / 8` would round to nothing and the
-        // chunk sizer would explode `target / ewma`.
-        ewma.observe(Duration::ZERO);
-        assert_eq!(ewma.nanos(), MIN_VSCC_COST_NS);
-        for _ in 0..64 {
-            ewma.observe(Duration::from_nanos(1));
-        }
-        assert_eq!(ewma.nanos(), MIN_VSCC_COST_NS, "clamped at the floor");
-        // Real cost still pulls the EWMA up...
-        for _ in 0..64 {
-            ewma.observe(Duration::from_micros(8));
-        }
-        assert!(ewma.nanos() > Duration::from_micros(4).as_nanos() as u64);
-        // ...and decaying back down re-converges to the floor's fixed
-        // point (integer α = 1/8 settles within one step of the floor).
-        for _ in 0..256 {
-            ewma.observe(Duration::ZERO);
-        }
-        assert!((MIN_VSCC_COST_NS..MIN_VSCC_COST_NS + 8).contains(&ewma.nanos()));
     }
 
     #[test]
@@ -1595,8 +1303,8 @@ mod tests {
         );
     }
 
-    /// Custom VSCC with a fixed per-transaction cost, so the chunk
-    /// sizer's input is deterministic regardless of machine speed.
+    /// Custom VSCC with a fixed per-transaction cost, independent of
+    /// machine speed.
     struct SleepVscc(Duration);
 
     impl Vscc for SleepVscc {
@@ -1686,126 +1394,97 @@ mod tests {
         );
     }
 
-    /// Custom VSCC that sleeps only for transactions writing `slow`,
-    /// parking the following blocks in the reorder buffer.
-    struct SlowKeyVscc;
-
-    impl Vscc for SlowKeyVscc {
-        fn validate(
-            &self,
-            tx: &Transaction,
-            _msp: &MspRegistry,
-            _channel_orgs: &[String],
-            _ledger: &fabric_ledger::Ledger,
-        ) -> TxValidationCode {
-            let writes_slow = tx
-                .response_payload
-                .rwset
-                .ns_rwsets
-                .iter()
-                .any(|ns| ns.writes.iter().any(|w| w.key == "slow"));
-            if writes_slow {
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            TxValidationCode::Valid
-        }
-    }
-
+    /// Blocks parked in the reorder buffer behind a slow block commit
+    /// exactly as [`Peer::commit_block`] would. The slow block's first tx
+    /// runs a 100 ms custom VSCC (`slowcc`); its second rewrites kvcc key
+    /// `hot`. The two kvcc blocks after it (default VSCC, so the admitter
+    /// never stalls them) finish VSCC first and park. The last of them
+    /// carries a read of `hot` endorsed before the slow block: only an
+    /// rw-check run at the block's turn sees that read as stale.
     #[test]
-    fn speculation_reused_for_parked_blocks() {
+    fn parked_blocks_match_sequential() {
         let fixture = fx::fixture();
         let builder = fx::make_peer(&fixture, &fixture.ca1, "builder.org1");
+        builder.install_chaincode("slowcc", Arc::new(fx::kv_chaincode));
         let admin = fabric_msp::issue_identity(&fixture.ca1, "admin1", Role::Admin, b"a1");
         let client = fabric_msp::issue_identity(&fixture.ca1, "client1", Role::Client, b"c1");
-
-        let deploy = fx::deploy_kvcc(&fixture, &[&builder], "Org1MSP", &admin);
-        let mut blocks = vec![fx::next_block(&builder, vec![deploy])];
-        builder.commit_block(&blocks[0]).unwrap();
-        for (i, key) in ["slow", "fast3", "fast4"].into_iter().enumerate() {
+        let endorse = |chaincode: &str, function: &str, args: &[&str], nonce: u8| {
+            let args = args.iter().map(|arg| arg.as_bytes().to_vec()).collect();
             let sp = fx::signed_proposal(
                 &client,
                 &fixture.channel,
-                "kvcc",
-                "put",
-                vec![key.as_bytes().to_vec(), b"v".to_vec()],
-                [i as u8 ^ 0x71; 32],
+                chaincode,
+                function,
+                args,
+                [nonce; 32],
             );
             let response = builder.process_proposal(&sp).unwrap();
-            let block = fx::next_block(&builder, vec![fx::assemble(&client, &sp, &[response])]);
+            fx::assemble(&client, &sp, &[response])
+        };
+        let append = |blocks: &mut Vec<Block>, envelopes: Vec<Envelope>| {
+            let block = fx::next_block(&builder, envelopes);
             builder.commit_block(&block).unwrap();
             blocks.push(block);
-        }
+        };
 
+        let mut blocks = Vec::new();
+        append(&mut blocks, vec![fx::deploy_kvcc(&fixture, &[&builder], "Org1MSP", &admin)]);
+        append(&mut blocks, vec![endorse("kvcc", "put", &["hot", "v0"], 0x71)]);
+        let stale_read = endorse("kvcc", "get", &["hot"], 0x72);
+        append(
+            &mut blocks,
+            vec![
+                endorse("slowcc", "put", &["slow", "v"], 0x73),
+                endorse("kvcc", "put", &["hot", "v1"], 0x74),
+            ],
+        );
+        append(&mut blocks, vec![endorse("kvcc", "put", &["fast4", "v"], 0x75)]);
+        append(&mut blocks, vec![endorse("kvcc", "put", &["fast5", "v"], 0x76), stale_read]);
+
+        let slow_vscc = || Arc::new(SleepVscc(Duration::from_millis(100)));
         let pipelined = fx::make_peer(&fixture, &fixture.ca1, "pipe.org1");
-        pipelined.register_vscc("kvcc", Arc::new(SlowKeyVscc));
+        pipelined.register_vscc("slowcc", slow_vscc());
         let handle = pipelined.pipeline_with(PipelineOptions {
             vscc_workers: 2,
             ..PipelineOptions::default()
         });
+        let events = handle.events();
         for block in &blocks {
             handle.submit(block.clone()).unwrap();
         }
         handle.wait_committed(blocks.len() as u64 + 1).unwrap();
         let stats = handle.close().unwrap();
-        // Blocks 3 and 4 finish VSCC ~100 ms before block 2 and park in
-        // the reorder buffer, where their rw-checks run speculatively;
-        // block 2's key-disjoint writes must not invalidate them.
         assert!(
-            stats.queues.spec_hits >= 1,
-            "parked blocks must reuse their speculative rw-checks, got {:?}",
+            stats.queues.reorder_peak >= 2,
+            "blocks 4 and 5 must park behind the slow block, got {:?}",
             stats.queues
         );
-        assert_eq!(stats.queues.spec_misses, 0);
+
         let sequential = fx::make_peer(&fixture, &fixture.ca1, "seq.org1");
-        for block in &blocks {
-            sequential.commit_block(block).unwrap();
+        sequential.register_vscc("slowcc", slow_vscc());
+        let expected: Vec<Vec<TxValidationCode>> = blocks
+            .iter()
+            .map(|block| sequential.commit_block(block).unwrap().0)
+            .collect();
+        let got: Vec<Vec<TxValidationCode>> =
+            std::iter::from_fn(|| events.try_recv().ok().map(|e| e.validity)).collect();
+        assert_eq!(got, expected);
+        assert_eq!(
+            got.last().unwrap(),
+            &vec![TxValidationCode::Valid, TxValidationCode::MvccReadConflict],
+            "the parked read of `hot` must see the slow block's write"
+        );
+        for number in 0..sequential.height() {
+            assert_eq!(
+                pipelined.get_block(number).unwrap().unwrap().metadata.validation,
+                sequential.get_block(number).unwrap().unwrap().metadata.validation
+            );
         }
         assert_eq!(pipelined.ledger().last_hash(), sequential.ledger().last_hash());
         assert_eq!(
             pipelined.scan_state("kvcc", "", "").unwrap(),
             sequential.scan_state("kvcc", "", "").unwrap()
         );
-    }
-
-    #[test]
-    fn chunk_size_adapts_to_vscc_cost() {
-        let fixture = fx::fixture();
-        let builder = fx::make_peer(&fixture, &fixture.ca1, "builder.org1");
-        let admin = fabric_msp::issue_identity(&fixture.ca1, "admin1", Role::Admin, b"a1");
-        let client = fabric_msp::issue_identity(&fixture.ca1, "client1", Role::Client, b"c1");
-        let blocks = build_put_chain(&fixture, &builder, &admin, &client, 3, 8);
-        let per_tx = Duration::from_millis(2);
-
-        // Expensive transactions against a small chunk target: once the
-        // EWMA has seen the 2 ms cost, every chunk shrinks to one tx.
-        let peer = fx::make_peer(&fixture, &fixture.ca1, "pipe-fine.org1");
-        peer.register_vscc("kvcc", Arc::new(SleepVscc(per_tx)));
-        let handle = peer.pipeline_with(PipelineOptions {
-            vscc_workers: 2,
-            vscc_chunk_target: Duration::from_micros(500),
-            ..PipelineOptions::default()
-        });
-        for block in &blocks {
-            handle.submit(block.clone()).unwrap();
-        }
-        let stats = handle.close().unwrap();
-        assert_eq!(stats.queues.chunk_min, 1, "2ms txs vs 0.5ms target");
-        assert!(stats.vscc_cost_ewma >= Duration::from_millis(1));
-
-        // Same load with a huge target: chunks stay capped at the even
-        // split across the pool (coarsest allowed), never coarser.
-        let peer = fx::make_peer(&fixture, &fixture.ca1, "pipe-coarse.org1");
-        peer.register_vscc("kvcc", Arc::new(SleepVscc(per_tx)));
-        let handle = peer.pipeline_with(PipelineOptions {
-            vscc_workers: 2,
-            vscc_chunk_target: Duration::from_secs(5),
-            ..PipelineOptions::default()
-        });
-        for block in &blocks {
-            handle.submit(block.clone()).unwrap();
-        }
-        let stats = handle.close().unwrap();
-        assert_eq!(stats.queues.chunk_max, 4, "8 txs over 2 workers");
     }
 
     #[test]

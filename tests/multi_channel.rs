@@ -673,7 +673,7 @@ fn probe_latencies(handle: &fabric::peer::PipelineHandle, probes: &[Block]) -> V
 /// sparse single blocks. Under the DRR scheduler, B's worst-case
 /// submit-to-commit latency must stay within a fixed multiple of its
 /// solo-run latency — a freshly woken channel is served within about one
-/// in-flight chunk, regardless of how deep A's queue is.
+/// in-flight transaction, regardless of how deep A's queue is.
 ///
 /// Why this test exists: with the global FIFO task queue the pool had
 /// before PR 4, B's first probe waited behind every chunk A had already
@@ -727,7 +727,7 @@ fn drr_bounds_sparse_channel_latency_behind_sibling_backlog() {
             });
             // Let the backlog pile up in A's queues first, and check it
             // did: blocks waiting in the intake plus blocks' worth of
-            // chunks waiting in A's scheduler queue.
+            // tasks waiting in A's scheduler queue.
             std::thread::sleep(Duration::from_millis(50));
             let queues = handle_a.stats().queues;
             let queued = queues.intake_peak + queues.vscc_tasks_peak / BACKLOG_TXS as usize;

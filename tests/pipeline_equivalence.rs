@@ -152,9 +152,9 @@ proptest! {
 
     /// Multi-channel equivalence: two channels (independent replica
     /// ledgers) share one global VSCC worker pool, their submissions
-    /// raced under a proptest-chosen cross-channel interleaving with
-    /// speculative rw-checks enabled. Each channel's masks and state
-    /// must stay byte-identical to the sequential path.
+    /// raced under a proptest-chosen cross-channel interleaving. Each
+    /// channel's masks and state must stay byte-identical to the
+    /// sequential path.
     #[test]
     fn multi_channel_shared_pool_equivalent_to_sequential(
         ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 6..24),

@@ -371,7 +371,7 @@ impl Vscc for PanickingVscc {
 
 /// One panic policy for pooled work: a VSCC that panics on a pool worker
 /// fails its own channel with an error — `submit` / `wait_committed`
-/// return it instead of waiting forever on a block whose chunk count can
+/// return it instead of waiting forever on a block whose task count can
 /// never reach zero — and the worker survives to serve the other
 /// channels of the shared pool.
 #[test]
