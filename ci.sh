@@ -11,7 +11,9 @@
 #     including the parked-block test that pins the rw-check's timing.
 #  4. The kvstore, statesync and chaincode crates pass clippy with
 #     -D warnings (kvstore carries the two storage engines, baseline and
-#     in-memory; chaincode the pooled execution runtime).
+#     in-memory; chaincode the deadline-guarded execution runtime), and
+#     the chaincode crate's unit tests (thread reuse, overrun parking,
+#     shutdown) pass on their own.
 #  5. The endorsement battery (equivalence proptests + fault injection)
 #     re-runs on its own so a tier-1 wobble can't mask it.
 #  6. The storage battery (kill-at-every-offset crash recovery of the
@@ -115,13 +117,14 @@ else
     echo "clippy not installed; skipping lint gate"
 fi
 
-echo "== fabric-chaincode: clippy gate (-D warnings) =="
+echo "== fabric-chaincode: clippy gate (-D warnings) + unit tests =="
 if cargo clippy --version >/dev/null 2>&1; then
     find crates/chaincode/src -name '*.rs' -exec touch {} +
     cargo clippy -p fabric-chaincode --all-targets -- -D warnings
 else
     echo "clippy not installed; skipping lint gate"
 fi
+cargo test -q -p fabric-chaincode
 
 echo "== endorsement battery: equivalence + fault injection =="
 cargo test -q --test endorsement_equivalence --test endorsement_faults

@@ -51,7 +51,7 @@ fn make_peer(net: &TestNet, genesis: &Block, name: &str) -> Peer {
         Arc::new(MemBackend::new()),
         PeerConfig {
             vscc_parallelism: 2,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
             engine: Default::default(),
         },
@@ -141,7 +141,7 @@ fn snapshot_catchup(
         Arc::new(MemBackend::new()),
         PeerConfig {
             vscc_parallelism: 2,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
             engine: Default::default(),
         },

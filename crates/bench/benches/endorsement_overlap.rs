@@ -80,10 +80,7 @@ fn main() {
         Arc::new(MemBackend::new()),
         PeerConfig {
             vscc_parallelism: 1,
-            runtime: fabric::chaincode::RuntimeConfig {
-                exec_timeout: None,
-                ..Default::default()
-            },
+            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
             engine: Default::default(),
         },

@@ -134,9 +134,59 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_chaincode(c: &mut Criterion) {
+    use fabric::chaincode::{ChaincodeRegistry, ChaincodeRuntime, Invocation, RuntimeConfig, Stub};
+    use fabric::ledger::Ledger;
+    use fabric::primitives::ids::{ChannelId, SerializedIdentity, TxId};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    // A trivial KV put, so what is timed is the runtime's dispatch cost.
+    let runtime = |exec_timeout| {
+        let registry = Arc::new(ChaincodeRegistry::new());
+        registry.install(
+            "kv",
+            Arc::new(|stub: &mut Stub<'_>| {
+                stub.put_state("k", b"v".to_vec());
+                Ok(vec![])
+            }),
+        );
+        ChaincodeRuntime::new(registry, RuntimeConfig { exec_timeout })
+    };
+    let inline = runtime(None);
+    let guarded = runtime(Some(Duration::from_secs(2)));
+    let ledger = Ledger::in_memory();
+    let invocation = Invocation {
+        function: "put".into(),
+        args: vec![],
+        creator: SerializedIdentity::new("Org1MSP", vec![1]),
+        creator_msp: "Org1MSP".into(),
+        creator_role: "client".into(),
+        tx_id: TxId::derive(b"c", &[1; 32]),
+        channel: ChannelId::new("ch"),
+    };
+    let call = |rt: &ChaincodeRuntime| rt.execute(&ledger, "kv", invocation.clone()).unwrap();
+
+    let mut group = c.benchmark_group("chaincode");
+    group.bench_function("inline_call", |b| b.iter(|| call(&inline)));
+    group.bench_function("guarded_call", |b| b.iter(|| call(&guarded)));
+    // Four concurrent callers, 250 guarded calls each: the time per
+    // iteration covers 1000 calls.
+    group.bench_function("guarded_call_4x250", |b| {
+        b.iter(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| (0..250).for_each(|_| drop(call(&guarded))));
+                }
+            })
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_crypto, bench_merkle, bench_kvstore, bench_policy, bench_wire
+    targets = bench_crypto, bench_merkle, bench_kvstore, bench_policy, bench_wire, bench_chaincode
 }
 criterion_main!(benches);

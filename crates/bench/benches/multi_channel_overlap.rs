@@ -104,7 +104,7 @@ fn make_fabcoin_peer_on(
         backend,
         PeerConfig {
             vscc_parallelism,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes,
             engine: Default::default(),
         },

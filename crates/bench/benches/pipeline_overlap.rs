@@ -46,7 +46,7 @@ fn make_peer(
         Arc::new(MemBackend::new()),
         PeerConfig {
             vscc_parallelism,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
             engine: Default::default(),
         },

@@ -143,7 +143,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
         backend,
         PeerConfig {
             vscc_parallelism: cfg.vscc_parallelism,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: matches!(cfg.storage, Storage::Fs(_)),
             ..Default::default()
         },

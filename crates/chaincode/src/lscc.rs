@@ -120,7 +120,7 @@ mod tests {
         let registry = Arc::new(ChaincodeRegistry::new());
         registry.install(LSCC_NAMESPACE, Arc::new(Lscc));
         (
-            ChaincodeRuntime::new(registry, RuntimeConfig { exec_timeout: None, ..Default::default() }),
+            ChaincodeRuntime::new(registry, RuntimeConfig { exec_timeout: None }),
             Ledger::in_memory(),
         )
     }

@@ -3,35 +3,35 @@
 //!
 //! In Fabric every user chaincode runs in its own Docker container and
 //! talks to the peer over gRPC; the peer can kill a container that runs
-//! too long. Here each chaincode is a Rust object invoked on persistent
-//! worker threads; the architectural property preserved is the *interface*
-//! — all state access flows through the stub, and the endorser can
-//! unilaterally abandon an execution that exceeds its local deadline
-//! without endangering consistency (non-determinism and runaway loops
-//! only ever cost the transaction's own liveness).
+//! too long. Here each chaincode is a Rust object; the architectural
+//! property preserved is the *interface* — all state access flows through
+//! the stub, and the endorser can unilaterally abandon an execution that
+//! exceeds its local deadline without endangering consistency
+//! (non-determinism and runaway loops only ever cost the transaction's
+//! own liveness).
 //!
-//! Two execution modes ([`ExecutionMode`]):
+//! An invocation runs one of two ways, set by
+//! [`RuntimeConfig::exec_timeout`]:
 //!
-//! * **Serialized** — one dedicated worker per chaincode name, the moral
-//!   equivalent of Fabric's one-container-per-chaincode deployment:
-//!   invocations of the same chaincode run one at a time.
-//! * **Pooled** — a shared pool of workers; invocations of the *same*
-//!   chaincode simulate concurrently, each against its own state
-//!   snapshot. This is what the endorsement pipeline runs on: simulation
-//!   is side-effect-free, so same-chaincode proposals parallelize freely.
+//! * **Inline** (`None`) — on the caller's thread, with no watchdog.
+//! * **Guarded** (`Some(deadline)`) — on an execution thread borrowed from
+//!   the runtime's idle stack (spawned when none is parked). The caller
+//!   waits on a per-call result channel until the deadline, then returns
+//!   [`ChaincodeError::Timeout`] and walks away; the thread finishes the
+//!   abandoned invocation, drops its late result, and parks again. Calls
+//!   never queue behind one another, so a wedged chaincode delays nothing
+//!   but its own transaction, and invocations of the same chaincode run
+//!   concurrently, each against its own state snapshot.
 //!
-//! Deadline handling never leaks capacity: a worker stuck past the
-//! deadline is *replaced* (the pool spawns a substitute sharing the same
-//! job queue) and the overrun worker retires itself as soon as its
-//! invocation returns; retired threads are reaped on subsequent calls.
-//! A panicking chaincode is contained with `catch_unwind` and costs
-//! nothing but its own transaction.
+//! The runtime keeps as many threads as its peak number of concurrent
+//! guarded calls, and dropping it ends every parked thread. A panicking
+//! chaincode is contained with `catch_unwind`: it costs its own
+//! transaction, not the thread.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use crossbeam::channel;
@@ -74,31 +74,6 @@ impl ChaincodeRegistry {
     pub fn get(&self, name: &str) -> Option<Arc<dyn Chaincode>> {
         self.chaincodes.read().get(name).cloned()
     }
-
-    /// Lists installed chaincode names.
-    pub fn installed(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.chaincodes.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-}
-
-/// How deadline-guarded invocations are mapped onto worker threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// One dedicated worker per chaincode name: invocations of the same
-    /// chaincode are serialized, as with one Docker container per
-    /// chaincode. The pre-pipeline behaviour; kept as the default and as
-    /// the baseline the equivalence tests compare against.
-    #[default]
-    Serialized,
-    /// A shared pool of execution workers: invocations of the same
-    /// chaincode run concurrently, each simulating against its own state
-    /// snapshot. `workers == 0` falls back to the host's parallelism.
-    Pooled {
-        /// Pool width.
-        workers: usize,
-    },
 }
 
 /// Execution policy for the runtime.
@@ -107,225 +82,40 @@ pub struct RuntimeConfig {
     /// Wall-clock budget per invocation. `None` runs inline on the caller
     /// thread without a watchdog (fastest; used by benchmarks where
     /// chaincodes are trusted — and by the endorsement pipeline, whose own
-    /// workers then parallelize execution).
+    /// workers then parallelize execution). `Some` runs each invocation on
+    /// a borrowed execution thread and gives up on it at the deadline.
     pub exec_timeout: Option<Duration>,
-    /// Worker topology for deadline-guarded execution. Ignored when
-    /// `exec_timeout` is `None` (inline execution needs no workers).
-    pub mode: ExecutionMode,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig {
-            exec_timeout: Some(Duration::from_secs(2)),
-            mode: ExecutionMode::Serialized,
-        }
+        RuntimeConfig { exec_timeout: Some(Duration::from_secs(2)) }
     }
 }
 
-/// One queued invocation: the closure to run plus the phase cell through
-/// which the submitting caller and the executing worker coordinate a
-/// deadline overrun.
-struct Job {
-    run: Box<dyn FnOnce() -> Result<ExecutionResult, ChaincodeError> + Send>,
-    result_tx: channel::Sender<Result<ExecutionResult, ChaincodeError>>,
-    state: Arc<JobPhase>,
+type Outcome = Result<ExecutionResult, ChaincodeError>;
+
+/// One guarded invocation handed to an execution thread.
+struct Call {
+    run: Box<dyn FnOnce() -> Outcome + Send>,
+    /// Per-call, so a late result can never reach another call's caller.
+    reply: channel::Sender<Outcome>,
+    /// The executing thread's only inbox sender, parked again after `run`.
+    home: channel::Sender<Call>,
 }
 
-/// The caller/worker overrun handshake: a four-state machine driven by
-/// compare-and-swap, so every transition has exactly one winner.
-///
-/// ```text
-///   PENDING ──worker──► RUNNING ──worker──► DONE
-///      │                   │
-///    caller              caller
-///      ▼                   ▼
-///  ABANDONED           ABANDONED  (caller spawns a replacement;
-///  (job skipped)                   worker retires on its failed
-///                                  RUNNING→DONE swap)
-/// ```
-///
-/// A replacement is spawned **iff** the caller wins the RUNNING→ABANDONED
-/// race, which is **iff** the worker loses its RUNNING→DONE swap and
-/// retires — replacements and retirements are always one-to-one, so the
-/// pool can neither leak threads nor sink below its target width.
-struct JobPhase(AtomicU8);
-
-const PHASE_PENDING: u8 = 0;
-const PHASE_RUNNING: u8 = 1;
-const PHASE_DONE: u8 = 2;
-const PHASE_ABANDONED: u8 = 3;
-
-impl JobPhase {
-    fn new() -> Arc<Self> {
-        Arc::new(JobPhase(AtomicU8::new(PHASE_PENDING)))
-    }
-
-    /// CAS `from` → `to`; true if this call won the transition.
-    fn advance(&self, from: u8, to: u8) -> bool {
-        self.0
-            .compare_exchange(from, to, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-}
-
-/// The worker-shared half of a pool: everything but the job sender, so
-/// that dropping the runtime (which owns the only persistent senders)
-/// disconnects the queue and lets the workers exit.
-///
-/// Finished threads (retired overrun workers) park in `threads` until
-/// [`PoolCore::reap`] joins them.
-struct PoolCore {
-    jobs_rx: channel::Receiver<Job>,
-    target: usize,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    label: String,
-}
-
-/// A fixed-width pool of execution workers sharing one job queue.
-#[derive(Clone)]
-struct WorkerPool {
-    jobs_tx: channel::Sender<Job>,
-    core: Arc<PoolCore>,
-}
-
-impl PoolCore {
-    fn spawn_worker(self: &Arc<Self>) {
-        let core = self.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("chaincode-{}", self.label))
-            .spawn(move || core.worker_loop())
-            .expect("spawn chaincode worker");
-        self.threads.lock().push(handle);
-    }
-
-    fn worker_loop(self: Arc<Self>) {
-        loop {
-            // Senders dropped (runtime gone): exit.
-            let Ok(job) = self.jobs_rx.recv() else {
-                return;
-            };
-            if !job.state.advance(PHASE_PENDING, PHASE_RUNNING) {
-                // The caller abandoned the job while it was still queued;
-                // it must not run at all (a late simulation could
-                // otherwise observe state the caller never intended).
-                continue;
-            }
-            let run = job.run;
-            let result = catch_unwind(AssertUnwindSafe(run))
-                .unwrap_or_else(|_| Err(ChaincodeError::Aborted("chaincode panicked".into())));
-            // The result channel is per-job (receiver unique to the
-            // caller), so a late result can never leak into another
-            // proposal's response: if the caller gave up, the send fails
-            // inertly. Send *before* the DONE swap so that a caller seeing
-            // DONE can always collect the result.
-            let _ = job.result_tx.send(result);
-            if !job.state.advance(PHASE_RUNNING, PHASE_DONE) {
-                // The caller abandoned us mid-run and spawned a
-                // replacement that now holds our slot: retire. `reap`
-                // joins this thread later.
-                return;
-            }
-        }
-    }
-
-    /// Joins retired worker threads, returning how many were reaped.
-    fn reap(&self) -> usize {
-        let mut threads = self.threads.lock();
-        let before = threads.len();
-        let mut keep = Vec::with_capacity(before);
-        for handle in threads.drain(..) {
-            if handle.is_finished() {
-                let _ = handle.join();
-            } else {
-                keep.push(handle);
-            }
-        }
-        let reaped = before - keep.len();
-        *threads = keep;
-        reaped
-    }
-
-    /// Worker threads not yet terminated (live workers plus any overrun
-    /// stragglers still running an abandoned invocation).
-    fn thread_count(&self) -> usize {
-        self.threads
-            .lock()
-            .iter()
-            .filter(|h| !h.is_finished())
-            .count()
-    }
-}
-
-impl WorkerPool {
-    fn new(label: String, target: usize) -> Self {
-        let (jobs_tx, jobs_rx) = channel::unbounded();
-        let core = Arc::new(PoolCore {
-            jobs_rx,
-            target: target.max(1),
-            threads: Mutex::new(Vec::new()),
-            label,
-        });
-        for _ in 0..core.target {
-            core.spawn_worker();
-        }
-        WorkerPool { jobs_tx, core }
-    }
-
-    /// Runs one invocation under a deadline, replacing the executing
-    /// worker's slot if it overruns.
-    fn execute(
-        &self,
-        run: Box<dyn FnOnce() -> Result<ExecutionResult, ChaincodeError> + Send>,
-        timeout: Duration,
-    ) -> Result<ExecutionResult, ChaincodeError> {
-        let (result_tx, result_rx) = channel::bounded(1);
-        let state = JobPhase::new();
-        self.jobs_tx
-            .send(Job {
-                run,
-                result_tx,
-                state: state.clone(),
-            })
-            .map_err(|_| ChaincodeError::Aborted("runtime shut down".into()))?;
-        match result_rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(channel::RecvTimeoutError::Timeout) => {
-                if state.advance(PHASE_PENDING, PHASE_ABANDONED) {
-                    // Still queued: no worker ever picks it up.
-                    return Err(ChaincodeError::Timeout);
-                }
-                if state.advance(PHASE_RUNNING, PHASE_ABANDONED) {
-                    // A worker is wedged in this invocation: hand its slot
-                    // to a fresh thread so pool capacity recovers now, not
-                    // when (if ever) the invocation returns. The wedged
-                    // worker retires on return (it loses its DONE swap),
-                    // so the pool settles back to its target width.
-                    self.core.spawn_worker();
-                    return Err(ChaincodeError::Timeout);
-                }
-                // The worker finished in the window between our deadline
-                // and the swap above (phase is DONE, result already sent):
-                // take the result rather than discarding completed work.
-                result_rx
-                    .try_recv()
-                    .unwrap_or(Err(ChaincodeError::Timeout))
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => {
-                Err(ChaincodeError::Aborted("chaincode worker lost".into()))
-            }
-        }
-    }
-}
+/// Parked execution threads, one inbox sender each.
+type IdleStack = Mutex<Vec<channel::Sender<Call>>>;
 
 /// The chaincode execution runtime.
 pub struct ChaincodeRuntime {
     registry: Arc<ChaincodeRegistry>,
     config: RuntimeConfig,
-    /// `Pooled` mode: the shared pool (lazily built on first use).
-    shared_pool: Mutex<Option<WorkerPool>>,
-    /// `Serialized` mode: one single-worker pool per chaincode name.
-    per_chaincode: RwLock<HashMap<String, WorkerPool>>,
+    /// The only strong reference: dropping the runtime drops every parked
+    /// thread's sender, which ends the thread.
+    idle: Arc<IdleStack>,
+    /// Execution threads spawned. None exits while the runtime lives.
+    threads: AtomicUsize,
 }
 
 impl ChaincodeRuntime {
@@ -334,19 +124,14 @@ impl ChaincodeRuntime {
         ChaincodeRuntime {
             registry,
             config,
-            shared_pool: Mutex::new(None),
-            per_chaincode: RwLock::new(HashMap::new()),
+            idle: Arc::new(Mutex::new(Vec::new())),
+            threads: AtomicUsize::new(0),
         }
     }
 
     /// The registry (for installs).
     pub fn registry(&self) -> &Arc<ChaincodeRegistry> {
         &self.registry
-    }
-
-    /// The configured execution policy.
-    pub fn config(&self) -> RuntimeConfig {
-        self.config
     }
 
     /// Simulates `invocation` against a fresh snapshot of `ledger`.
@@ -370,72 +155,66 @@ impl ChaincodeRuntime {
             Some(timeout) => {
                 let registry = self.registry.clone();
                 let ns = chaincode.to_string();
-                let pool = self.pool_for(chaincode);
-                let result = pool.execute(
+                self.run_guarded(
                     Box::new(move || run_invocation(code, &ns, simulator, invocation, &registry)),
                     timeout,
-                );
-                pool.core.reap();
-                result
+                )
             }
         }
     }
 
-    /// Joins every retired (overrun-and-finished) worker thread across all
-    /// pools, returning how many were reaped.
-    pub fn reap_workers(&self) -> usize {
-        let mut reaped = 0;
-        if let Some(pool) = self.shared_pool.lock().as_ref() {
-            reaped += pool.core.reap();
-        }
-        for pool in self.per_chaincode.read().values() {
-            reaped += pool.core.reap();
-        }
-        reaped
+    /// Execution threads alive: running a call, parked, or finishing a
+    /// call whose caller already timed out.
+    pub fn execution_threads(&self) -> usize {
+        self.threads.load(Ordering::Relaxed)
     }
 
-    /// Total worker threads currently alive across all pools: the live
-    /// width plus any overrun stragglers that have not yet returned. The
-    /// thread-leak regression test watches this.
-    pub fn worker_threads(&self) -> usize {
-        let mut count = 0;
-        if let Some(pool) = self.shared_pool.lock().as_ref() {
-            count += pool.core.thread_count();
+    /// Runs `run` on a parked (or fresh) execution thread and waits for it
+    /// until `timeout`.
+    fn run_guarded(&self, run: Box<dyn FnOnce() -> Outcome + Send>, timeout: Duration) -> Outcome {
+        let home = self.idle.lock().pop().unwrap_or_else(|| self.spawn_thread());
+        let (reply, result) = channel::bounded(1);
+        // A failed send drops `reply`, which reads as `Disconnected` below.
+        let _ = home.clone().send(Call { run, reply, home });
+        match result.recv_timeout(timeout) {
+            Ok(outcome) => outcome,
+            // The thread runs on; it parks once the invocation returns.
+            Err(channel::RecvTimeoutError::Timeout) => Err(ChaincodeError::Timeout),
+            Err(channel::RecvTimeoutError::Disconnected) => {
+                Err(ChaincodeError::Aborted("chaincode thread lost".into()))
+            }
         }
-        for pool in self.per_chaincode.read().values() {
-            count += pool.core.thread_count();
-        }
-        count
     }
 
-    fn pool_for(&self, chaincode: &str) -> WorkerPool {
-        match self.config.mode {
-            ExecutionMode::Pooled { workers } => {
-                let mut guard = self.shared_pool.lock();
-                guard
-                    .get_or_insert_with(|| {
-                        let width = if workers == 0 {
-                            std::thread::available_parallelism()
-                                .map(|n| n.get())
-                                .unwrap_or(4)
-                        } else {
-                            workers
-                        };
-                        WorkerPool::new("pool".into(), width)
-                    })
-                    .clone()
-            }
-            ExecutionMode::Serialized => {
-                if let Some(pool) = self.per_chaincode.read().get(chaincode) {
-                    return pool.clone();
-                }
-                let mut pools = self.per_chaincode.write();
-                pools
-                    .entry(chaincode.to_string())
-                    .or_insert_with(|| WorkerPool::new(chaincode.to_string(), 1))
-                    .clone()
-            }
+    fn spawn_thread(&self) -> channel::Sender<Call> {
+        let (home, calls) = channel::bounded(1);
+        let idle = Arc::downgrade(&self.idle);
+        // Detached: a thread wedged in a runaway chaincode can never be
+        // joined, and `catch_unwind` leaves it no panic to hide.
+        std::thread::Builder::new()
+            .name("chaincode-exec".into())
+            .spawn(move || serve(&idle, &calls))
+            .expect("spawn chaincode execution thread");
+        self.threads.fetch_add(1, Ordering::Relaxed);
+        home
+    }
+}
+
+/// An execution thread: runs each call it receives, parks, replies.
+/// Returns once its sender is gone, which happens only after the runtime
+/// is dropped.
+fn serve(idle: &Weak<IdleStack>, calls: &channel::Receiver<Call>) {
+    while let Ok(Call { run, reply, home }) = calls.recv() {
+        let outcome = catch_unwind(AssertUnwindSafe(run))
+            .unwrap_or_else(|_| Err(ChaincodeError::Aborted("chaincode panicked".into())));
+        // Park *before* replying, so a caller holding a result always
+        // finds this thread idle. If the runtime is gone, `home` drops
+        // here instead and the next `recv` ends the loop.
+        if let Some(idle) = idle.upgrade() {
+            idle.lock().push(home);
         }
+        // Fails inertly when the caller timed out and dropped its end.
+        let _ = reply.send(outcome);
     }
 }
 
@@ -469,7 +248,8 @@ fn run_invocation(
 mod tests {
     use super::*;
     use fabric_primitives::ids::{ChannelId, SerializedIdentity, TxId};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
 
     fn invocation(function: &str, args: Vec<Vec<u8>>) -> Invocation {
         Invocation {
@@ -487,19 +267,26 @@ mod tests {
         name: &str,
         cc: Arc<dyn Chaincode>,
         timeout: Option<Duration>,
-    ) -> (ChaincodeRuntime, Ledger) {
+    ) -> (Arc<ChaincodeRuntime>, Arc<Ledger>) {
         let registry = Arc::new(ChaincodeRegistry::new());
         registry.install(name, cc);
-        (
-            ChaincodeRuntime::new(
-                registry,
-                RuntimeConfig {
-                    exec_timeout: timeout,
-                    ..RuntimeConfig::default()
-                },
-            ),
-            Ledger::in_memory(),
-        )
+        let runtime = ChaincodeRuntime::new(registry, RuntimeConfig { exec_timeout: timeout });
+        (Arc::new(runtime), Arc::new(Ledger::in_memory()))
+    }
+
+    /// Starts `n` concurrent calls of `chaincode`'s "go" function.
+    fn spawn_calls(
+        runtime: &Arc<ChaincodeRuntime>,
+        ledger: &Arc<Ledger>,
+        chaincode: &'static str,
+        n: usize,
+    ) -> Vec<std::thread::JoinHandle<Outcome>> {
+        (0..n)
+            .map(|_| {
+                let (rt, lg) = (runtime.clone(), ledger.clone());
+                std::thread::spawn(move || rt.execute(&lg, chaincode, invocation("go", vec![])))
+            })
+            .collect()
     }
 
     #[test]
@@ -535,9 +322,7 @@ mod tests {
 
     #[test]
     fn missing_chaincode_rejected() {
-        let registry = Arc::new(ChaincodeRegistry::new());
-        let runtime = ChaincodeRuntime::new(registry, RuntimeConfig { exec_timeout: None, ..RuntimeConfig::default() });
-        let ledger = Ledger::in_memory();
+        let (runtime, ledger) = runtime_with("demo", Arc::new(|_: &mut Stub<'_>| Ok(vec![])), None);
         assert!(matches!(
             runtime.execute(&ledger, "ghost", invocation("go", vec![])),
             Err(ChaincodeError::NotInstalled(_))
@@ -561,18 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn panicking_chaincode_aborted() {
-        let cc = Arc::new(|_: &mut Stub<'_>| -> Result<Vec<u8>, String> {
-            panic!("chaincode bug");
-        });
-        let (runtime, ledger) = runtime_with("buggy", cc, Some(Duration::from_secs(1)));
-        assert!(matches!(
-            runtime.execute(&ledger, "buggy", invocation("go", vec![])),
-            Err(ChaincodeError::Aborted(_))
-        ));
-    }
-
-    #[test]
     fn cross_chaincode_invocation() {
         let callee = Arc::new(|stub: &mut Stub<'_>| {
             stub.put_state("callee-key", b"from-callee".to_vec());
@@ -583,11 +356,8 @@ mod tests {
             let result = stub.invoke_chaincode("callee", "run", vec![])?;
             Ok(result)
         });
-        let registry = Arc::new(ChaincodeRegistry::new());
-        registry.install("caller", caller);
-        registry.install("callee", callee);
-        let runtime = ChaincodeRuntime::new(registry, RuntimeConfig { exec_timeout: None, ..RuntimeConfig::default() });
-        let ledger = Ledger::in_memory();
+        let (runtime, ledger) = runtime_with("caller", caller, None);
+        runtime.registry().install("callee", callee);
         let result = runtime
             .execute(&ledger, "caller", invocation("go", vec![]))
             .unwrap();
@@ -608,10 +378,7 @@ mod tests {
         let recursive = Arc::new(|stub: &mut Stub<'_>| {
             stub.invoke_chaincode("recursive", "go", vec![])
         });
-        let registry = Arc::new(ChaincodeRegistry::new());
-        registry.install("recursive", recursive);
-        let runtime = ChaincodeRuntime::new(registry, RuntimeConfig { exec_timeout: None, ..RuntimeConfig::default() });
-        let ledger = Ledger::in_memory();
+        let (runtime, ledger) = runtime_with("recursive", recursive, None);
         let result = runtime
             .execute(&ledger, "recursive", invocation("go", vec![]))
             .unwrap();
@@ -619,65 +386,32 @@ mod tests {
         assert!(result.response.message.contains("depth"));
     }
 
-    fn pooled_runtime(
-        name: &str,
-        cc: Arc<dyn Chaincode>,
-        workers: usize,
-        timeout: Duration,
-    ) -> (ChaincodeRuntime, Ledger) {
-        let registry = Arc::new(ChaincodeRegistry::new());
-        registry.install(name, cc);
-        (
-            ChaincodeRuntime::new(
-                registry,
-                RuntimeConfig {
-                    exec_timeout: Some(timeout),
-                    mode: ExecutionMode::Pooled { workers },
-                },
-            ),
-            Ledger::in_memory(),
-        )
-    }
-
     #[test]
-    fn pooled_mode_runs_same_chaincode_concurrently() {
+    fn guarded_calls_of_one_chaincode_run_concurrently() {
         // Four invocations of ONE chaincode that all block on a shared
-        // barrier: they can only finish if the pool runs them in parallel.
-        // Serialized mode would deadlock past the per-invocation timeout.
-        let barrier = Arc::new(std::sync::Barrier::new(4));
-        let b = barrier.clone();
+        // barrier: they can only finish if the runtime runs them in
+        // parallel. Queued behind one another they would time out.
+        let barrier = Arc::new(Barrier::new(4));
         let cc = Arc::new(move |_: &mut Stub<'_>| -> Result<Vec<u8>, String> {
-            b.wait();
+            barrier.wait();
             Ok(b"joined".to_vec())
         });
-        let (runtime, ledger) = pooled_runtime("rendezvous", cc, 4, Duration::from_secs(5));
-        let runtime = Arc::new(runtime);
-        let ledger = Arc::new(ledger);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let rt = runtime.clone();
-                let lg = ledger.clone();
-                std::thread::spawn(move || {
-                    rt.execute(&lg, "rendezvous", invocation("go", vec![]))
-                })
-            })
-            .collect();
-        for handle in handles {
-            let result = handle.join().unwrap().unwrap();
-            assert_eq!(result.response.payload, b"joined");
+        let (runtime, ledger) = runtime_with("rendezvous", cc, RuntimeConfig::default().exec_timeout);
+        for caller in spawn_calls(&runtime, &ledger, "rendezvous", 4) {
+            assert_eq!(caller.join().unwrap().unwrap().response.payload, b"joined");
         }
     }
 
     #[test]
-    fn panicking_chaincode_does_not_poison_pool() {
-        // After a panic the same worker must keep serving invocations.
+    fn panicking_chaincode_does_not_poison_its_thread() {
+        // After a panic the same thread must keep serving invocations.
         let cc = Arc::new(|stub: &mut Stub<'_>| -> Result<Vec<u8>, String> {
             if stub.function() == "boom" {
                 panic!("chaincode bug");
             }
             Ok(b"fine".to_vec())
         });
-        let (runtime, ledger) = pooled_runtime("flaky", cc, 2, Duration::from_secs(2));
+        let (runtime, ledger) = runtime_with("flaky", cc, Some(Duration::from_secs(2)));
         for _ in 0..8 {
             assert!(matches!(
                 runtime.execute(&ledger, "flaky", invocation("boom", vec![])),
@@ -688,141 +422,134 @@ mod tests {
             .execute(&ledger, "flaky", invocation("ok", vec![]))
             .unwrap();
         assert_eq!(ok.response.payload, b"fine");
-        // Panics are contained, not survived by replacement: the pool
-        // should still be exactly its configured width.
-        runtime.reap_workers();
-        assert_eq!(runtime.worker_threads(), 2);
+        // Panics are contained in place, not survived by a fresh thread.
+        assert_eq!(runtime.execution_threads(), 1);
     }
 
     #[test]
-    fn timed_out_worker_is_replaced_and_pool_recovers() {
-        let cc = Arc::new(|stub: &mut Stub<'_>| -> Result<Vec<u8>, String> {
-            if stub.function() == "stall" {
-                std::thread::sleep(Duration::from_millis(300));
+    fn overrun_thread_parks_once_its_call_returns() {
+        let pair = Barrier::new(2);
+        let cc = Arc::new(move |stub: &mut Stub<'_>| -> Result<Vec<u8>, String> {
+            match stub.function() {
+                "stall" => std::thread::sleep(Duration::from_millis(300)),
+                "go" => {
+                    pair.wait();
+                }
+                _ => {}
             }
             Ok(b"ok".to_vec())
         });
-        let (runtime, ledger) = pooled_runtime("sleepy", cc, 2, Duration::from_millis(50));
+        let (runtime, ledger) = runtime_with("sleepy", cc, Some(Duration::from_millis(50)));
         assert!(matches!(
             runtime.execute(&ledger, "sleepy", invocation("stall", vec![])),
             Err(ChaincodeError::Timeout)
         ));
-        // The replacement worker serves immediately even while the overrun
-        // worker is still sleeping.
+        // A second thread serves immediately while the first still sleeps.
         let ok = runtime
             .execute(&ledger, "sleepy", invocation("quick", vec![]))
             .unwrap();
         assert_eq!(ok.response.payload, b"ok");
-        // Once the straggler returns, reaping brings the thread count back
-        // to the configured width.
+        // Once the straggler returns it parks beside the second thread: two
+        // calls that must overlap find both idle and spawn nothing.
         std::thread::sleep(Duration::from_millis(400));
-        runtime.reap_workers();
-        assert_eq!(runtime.worker_threads(), 2);
+        for caller in spawn_calls(&runtime, &ledger, "sleepy", 2) {
+            caller.join().unwrap().unwrap();
+        }
+        assert_eq!(runtime.execution_threads(), 2);
+    }
+
+    #[test]
+    fn sequential_guarded_calls_reuse_one_thread() {
+        // A thread parks before it replies, so the next call always finds
+        // it idle: a thread per call would show here as 500.
+        let cc = Arc::new(|_: &mut Stub<'_>| Ok(vec![]));
+        let (runtime, ledger) = runtime_with("noop", cc, Some(Duration::from_secs(2)));
+        for _ in 0..500 {
+            runtime.execute(&ledger, "noop", invocation("go", vec![])).unwrap();
+        }
+        assert_eq!(runtime.execution_threads(), 1);
+    }
+
+    #[test]
+    fn threads_follow_peak_concurrency_not_call_count() {
+        const WEDGED: usize = 6;
+        // The "go" calls wait at a gate until all of them and the test
+        // thread have arrived; other calls pass straight through.
+        let gate = Arc::new(Barrier::new(WEDGED + 1));
+        let cc_gate = gate.clone();
+        let cc = Arc::new(move |stub: &mut Stub<'_>| -> Result<Vec<u8>, String> {
+            if stub.function() == "go" {
+                cc_gate.wait();
+            }
+            Ok(vec![])
+        });
+        let (runtime, ledger) = runtime_with("gated", cc, Some(Duration::from_secs(10)));
+        let callers = spawn_calls(&runtime, &ledger, "gated", WEDGED);
+        gate.wait();
+        assert_eq!(runtime.execution_threads(), WEDGED);
+        for caller in callers {
+            caller.join().unwrap().unwrap();
+        }
+        for _ in 0..200 {
+            runtime.execute(&ledger, "gated", invocation("pass", vec![])).unwrap();
+        }
+        assert_eq!(runtime.execution_threads(), WEDGED);
     }
 
     #[test]
     fn consecutive_timeouts_do_not_accumulate_threads() {
-        // Regression for the pre-pool runtime, which spawned a fresh thread
-        // per invocation and *leaked* it on timeout: a client hammering a
-        // slow chaincode grew the process's thread count without bound.
-        // 1000 consecutive timeouts must keep the live thread count at the
-        // pool width plus the handful of stragglers still inside their
-        // (short) overrun sleeps.
-        let cc = Arc::new(|_: &mut Stub<'_>| -> Result<Vec<u8>, String> {
-            std::thread::sleep(Duration::from_millis(4));
+        // Regression for a runtime that spawned a fresh thread per
+        // invocation and leaked it on timeout: a client hammering a slow
+        // chaincode grew the process's thread count without bound.
+        const DEADLINE_MS: u64 = 1;
+        const SLEEP_MS: u64 = 4;
+        // Each call passes its start time; the chaincode records the longest
+        // any call has held its thread (SLEEP_MS plus however late a loaded
+        // host wakes it), in microseconds.
+        let epoch = std::time::Instant::now();
+        let held_us = Arc::new(AtomicU64::new(0));
+        let cc_held = held_us.clone();
+        let cc = Arc::new(move |stub: &mut Stub<'_>| -> Result<Vec<u8>, String> {
+            std::thread::sleep(Duration::from_millis(SLEEP_MS));
+            let start = u64::from_le_bytes(stub.args()[0][..].try_into().unwrap());
+            cc_held.fetch_max(epoch.elapsed().as_micros() as u64 - start, Ordering::SeqCst);
             Ok(vec![])
         });
-        let (runtime, ledger) = pooled_runtime("laggard", cc, 2, Duration::from_millis(1));
+        let (runtime, ledger) =
+            runtime_with("laggard", cc, Some(Duration::from_millis(DEADLINE_MS)));
         let mut timeouts = 0;
         for _ in 0..1000 {
+            let start = (epoch.elapsed().as_micros() as u64).to_le_bytes().to_vec();
             if matches!(
-                runtime.execute(&ledger, "laggard", invocation("go", vec![])),
+                runtime.execute(&ledger, "laggard", invocation("go", vec![start])),
                 Err(ChaincodeError::Timeout)
             ) {
                 timeouts += 1;
             }
         }
         assert!(timeouts >= 900, "expected mostly timeouts, got {timeouts}");
-        // Give the last stragglers their 4ms to finish, then reap.
-        std::thread::sleep(Duration::from_millis(50));
-        runtime.reap_workers();
-        let alive = runtime.worker_threads();
+        // Calls start at least DEADLINE_MS apart, so one borrowing a thread
+        // finds at most ceil(held / DEADLINE_MS) + 1 earlier calls holding
+        // theirs (the 1 covers parking after the chaincode returns), and
+        // needs one more. A leak would instead grow with the 1000 calls.
+        let held_us = held_us.load(Ordering::SeqCst);
+        let bound = (held_us.div_ceil(DEADLINE_MS * 1000) + 2) as usize;
+        let alive = runtime.execution_threads();
         assert!(
-            alive <= 4,
-            "thread leak: {alive} workers alive after 1000 timeouts"
-        );
-    }
-
-    fn ok_result() -> Result<ExecutionResult, ChaincodeError> {
-        Ok(ExecutionResult {
-            response: ChaincodeResponse::ok(vec![]),
-            rwset: TxReadWriteSet::default(),
-        })
-    }
-
-    #[test]
-    fn abandoned_queued_job_never_runs() {
-        // A job still queued when its caller times out must be skipped, not
-        // executed late. One worker, wedged by a patient long invocation
-        // (its caller's deadline is far off, so no replacement is spawned);
-        // a second invocation with a short deadline times out while queued;
-        // its closure must never run.
-        let pool = WorkerPool::new("q".into(), 1);
-        let wedge_pool = pool.clone();
-        let wedger = std::thread::spawn(move || {
-            wedge_pool.execute(
-                Box::new(|| {
-                    std::thread::sleep(Duration::from_millis(150));
-                    ok_result()
-                }),
-                Duration::from_secs(5),
-            )
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        let ran = Arc::new(AtomicBool::new(false));
-        let ran_probe = ran.clone();
-        let result = pool.execute(
-            Box::new(move || {
-                ran_probe.store(true, Ordering::SeqCst);
-                ok_result()
-            }),
-            Duration::from_millis(40),
-        );
-        assert!(matches!(result, Err(ChaincodeError::Timeout)));
-        wedger.join().unwrap().unwrap();
-        // Give the (single, now free) worker time to drain the queue: it
-        // must skip the abandoned job, not run it.
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(
-            !ran.load(Ordering::SeqCst),
-            "abandoned queued invocation must not execute"
+            alive <= bound,
+            "thread leak: {alive} threads alive after 1000 timeouts (held {held_us} us)"
         );
     }
 
     #[test]
-    fn serialized_mode_still_isolates_chaincodes() {
-        // Distinct chaincodes get distinct workers even in Serialized mode:
-        // a wedged chaincode does not delay another one.
+    fn wedged_chaincode_does_not_delay_another() {
         let cc_slow = Arc::new(|_: &mut Stub<'_>| -> Result<Vec<u8>, String> {
             std::thread::sleep(Duration::from_millis(200));
             Ok(vec![])
         });
-        let cc_fast =
-            Arc::new(|_: &mut Stub<'_>| -> Result<Vec<u8>, String> { Ok(b"fast".to_vec()) });
-        let registry = Arc::new(ChaincodeRegistry::new());
-        registry.install("slow", cc_slow);
-        registry.install("fast", cc_fast);
-        let runtime = Arc::new(ChaincodeRuntime::new(
-            registry,
-            RuntimeConfig {
-                exec_timeout: Some(Duration::from_secs(2)),
-                mode: ExecutionMode::Serialized,
-            },
-        ));
-        let ledger = Arc::new(Ledger::in_memory());
-        let rt = runtime.clone();
-        let lg = ledger.clone();
-        let slow = std::thread::spawn(move || rt.execute(&lg, "slow", invocation("go", vec![])));
+        let (runtime, ledger) = runtime_with("slow", cc_slow, RuntimeConfig::default().exec_timeout);
+        runtime.registry().install("fast", Arc::new(|_: &mut Stub<'_>| Ok(b"fast".to_vec())));
+        let slow = spawn_calls(&runtime, &ledger, "slow", 1).pop().unwrap();
         std::thread::sleep(Duration::from_millis(20));
         let started = std::time::Instant::now();
         let result = runtime
@@ -834,6 +561,35 @@ mod tests {
             "fast chaincode was serialized behind the slow one"
         );
         slow.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn dropping_the_runtime_ends_parked_threads() {
+        // Each execution thread keeps a clone of `alive` in a thread-local,
+        // released only when the thread exits.
+        thread_local!(static ALIVE: std::cell::OnceCell<Arc<()>> = const { std::cell::OnceCell::new() });
+        let alive = Arc::new(());
+        let cc_alive = alive.clone();
+        let barrier = Barrier::new(3);
+        let cc = Arc::new(move |_: &mut Stub<'_>| -> Result<Vec<u8>, String> {
+            ALIVE.with(|a| {
+                a.get_or_init(|| cc_alive.clone());
+            });
+            barrier.wait();
+            Ok(vec![])
+        });
+        let (runtime, ledger) = runtime_with("probe", cc, Some(Duration::from_secs(5)));
+        for caller in spawn_calls(&runtime, &ledger, "probe", 3) {
+            caller.join().unwrap().unwrap();
+        }
+        // `alive`, the chaincode's clone, and one per parked thread.
+        assert_eq!(Arc::strong_count(&alive), 5);
+        drop(runtime);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while Arc::strong_count(&alive) > 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(Arc::strong_count(&alive), 1, "parked threads outlived the runtime");
     }
 
     #[test]

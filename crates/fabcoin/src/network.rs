@@ -111,7 +111,7 @@ impl FabcoinNetwork {
                 Arc::new(fabric_kvstore::MemBackend::new()),
                 PeerConfig {
                     vscc_parallelism: config.vscc_parallelism,
-                    runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+                    runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                     sync_writes: false,
                     ..Default::default()
                 },

@@ -246,10 +246,7 @@ impl GatewayWorkload {
             &genesis,
             Arc::new(fabric_kvstore::MemBackend::new()),
             PeerConfig {
-                runtime: fabric_chaincode::RuntimeConfig {
-                    exec_timeout: None,
-                    ..Default::default()
-                },
+                runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                 sync_writes: false,
                 ..Default::default()
             },

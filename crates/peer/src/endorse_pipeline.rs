@@ -26,12 +26,11 @@
 //!   [`Scheduler`] that arbitrates the validation pipeline's channels: a
 //!   burst against one chaincode cannot starve proposals for another.
 //! * **Simulation workers** — each runs [`Endorser::simulate`]
-//!   (authenticate + execute against a fresh snapshot). With the runtime
-//!   in [`fabric_chaincode::ExecutionMode::Pooled`] (or with inline
-//!   execution, `exec_timeout: None`), same-chaincode proposals simulate
-//!   concurrently. A simulation that panics (inline execution has no
-//!   runtime-level containment) fails its own ticket with
-//!   `ChaincodeError::Aborted`; the worker carries on.
+//!   (authenticate + execute against a fresh snapshot); same-chaincode
+//!   proposals simulate concurrently. A simulation that panics (inline
+//!   execution, `exec_timeout: None`, has no runtime-level containment)
+//!   fails its own ticket with `ChaincodeError::Aborted`; the worker
+//!   carries on.
 //! * **Batching signer** — successful simulations are endorsed by
 //!   [`fabric_chaincode::batch_escc`], which drains whatever has
 //!   accumulated (up to `SIGN_BATCH_MAX` = 32 payloads) and signs the

@@ -134,7 +134,7 @@ pub(crate) mod tests {
             Arc::new(MemBackend::new()),
             PeerConfig {
                 vscc_parallelism: 2,
-                runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+                runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                 sync_writes: false,
                 ..Default::default()
             },
@@ -466,7 +466,7 @@ pub(crate) mod tests {
                 backend.clone(),
                 PeerConfig {
                     vscc_parallelism: 1,
-                    runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+                    runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                     sync_writes: false,
                     ..Default::default()
                 },
@@ -553,7 +553,7 @@ pub(crate) mod tests {
             Arc::new(MemBackend::new()),
             PeerConfig {
                 vscc_parallelism: 1,
-                runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+                runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                 sync_writes: false,
                 ..Default::default()
             },
@@ -623,7 +623,7 @@ pub(crate) mod tests {
                 Arc::new(MemBackend::new()),
                 PeerConfig {
                     vscc_parallelism: 1,
-                    runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+                    runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                     sync_writes: false,
                     ..Default::default()
                 },

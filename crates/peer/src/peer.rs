@@ -224,12 +224,6 @@ impl Peer {
     /// responses it produces are byte-identical to
     /// [`Peer::process_proposal`]'s (deterministic signatures), just
     /// faster under load.
-    ///
-    /// For same-chaincode proposals to simulate concurrently the peer's
-    /// runtime must be pooled ([`fabric_chaincode::ExecutionMode::Pooled`])
-    /// or inline (`exec_timeout: None`); under the default serialized
-    /// mode the pipeline still parallelizes authentication, cross-chaincode
-    /// execution, and signing.
     pub fn endorse_pipeline(&self, opts: EndorseOptions) -> EndorsePipeline {
         EndorsePipeline::start(self.endorser.clone(), self.ledger.clone(), opts)
     }
@@ -354,8 +348,8 @@ impl Peer {
         &self.ledger
     }
 
-    /// The chaincode runtime (worker-pool observability for the
-    /// fault-injection tests and benches).
+    /// The chaincode runtime (execution-thread observability for the
+    /// fault-injection tests).
     pub fn chaincode_runtime(&self) -> &Arc<ChaincodeRuntime> {
         &self.runtime
     }

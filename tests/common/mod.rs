@@ -219,7 +219,7 @@ pub fn make_peer(
         backend,
         PeerConfig {
             vscc_parallelism,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
             ..Default::default()
         },

@@ -76,7 +76,7 @@ impl World {
                     Arc::new(MemBackend::new()),
                     PeerConfig {
                         vscc_parallelism: 2,
-                        runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+                        runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
                         sync_writes: false,
                         ..Default::default()
                     },

@@ -6,12 +6,12 @@
 
 mod common;
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use common::PipelineWorld;
-use fabric::chaincode::{ExecutionMode, RuntimeConfig, Stub};
+use fabric::chaincode::{RuntimeConfig, Stub};
 use fabric::client::Client;
 use fabric::kvstore::MemBackend;
 use fabric::msp::Role;
@@ -19,10 +19,11 @@ use fabric::peer::{EndorseOptions, Peer, PeerConfig, PeerError};
 use fabric::primitives::block::Block;
 use fabric::primitives::transaction::Envelope;
 
-const POOL_WIDTH: usize = 2;
+/// Simulation workers of every endorsement pipeline in this battery.
+const WORKERS: usize = 2;
 
-/// A peer joined to the world's channel with a deadline-guarded, pooled
-/// runtime (the configuration under attack in this battery).
+/// A peer joined to the world's channel with a deadline-guarded runtime
+/// (the configuration under attack in this battery).
 fn faulty_peer(world: &PipelineWorld, name: &str, timeout: Duration) -> Peer {
     let identity = fabric::msp::issue_identity(
         &world.net.org_cas[0],
@@ -36,12 +37,7 @@ fn faulty_peer(world: &PipelineWorld, name: &str, timeout: Duration) -> Peer {
         Arc::new(MemBackend::new()),
         PeerConfig {
             vscc_parallelism: 1,
-            runtime: RuntimeConfig {
-                exec_timeout: Some(timeout),
-                mode: ExecutionMode::Pooled {
-                    workers: POOL_WIDTH,
-                },
-            },
+            runtime: RuntimeConfig { exec_timeout: Some(timeout) },
             sync_writes: false,
             ..Default::default()
         },
@@ -64,14 +60,14 @@ fn client(world: &PipelineWorld, name: &str) -> Client {
 #[test]
 fn panicking_chaincode_does_not_poison_pipeline() {
     let world = PipelineWorld::new();
-    // Two containment layers, one outcome. The pooled runtime catches the
+    // Two containment layers, one outcome. The guarded runtime catches the
     // panic itself. Inline execution (`exec_timeout: None`) has no
     // runtime-level containment: the panic unwinds into the simulation
     // worker, where the endorsement pool must contain it — with a single
     // worker, each healthy proposal after a panic proves it survived.
     // `(peer, simulation workers, runtime threads expected afterwards)`:
     let cases = [
-        (faulty_peer(&world, "panic-peer", Duration::from_secs(2)), POOL_WIDTH, POOL_WIDTH),
+        (faulty_peer(&world, "panic-peer", Duration::from_secs(2)), WORKERS, 1),
         (world.replica("inline-panic-peer", 1), 1, 0),
     ];
     for (peer, workers, runtime_threads) in cases {
@@ -114,11 +110,9 @@ fn panicking_chaincode_does_not_poison_pipeline() {
         assert_eq!(stats.endorsed, 10);
         assert_eq!(stats.failed, 10);
         pipeline.close();
-        // Panics are contained in-place (catch_unwind), not survived by
-        // replacement: the execution pool is still exactly its configured
-        // width.
-        peer.chaincode_runtime().reap_workers();
-        assert_eq!(peer.chaincode_runtime().worker_threads(), runtime_threads);
+        // Panics are contained in place (catch_unwind), not survived by
+        // a fresh thread: one-at-a-time proposals keep reusing one thread.
+        assert_eq!(peer.chaincode_runtime().execution_threads(), runtime_threads);
     }
 }
 
@@ -135,12 +129,13 @@ fn timed_out_chaincode_recovers_worker_capacity() {
     );
     let cl = client(&world, "stall-client");
     let pipeline = peer.endorse_pipeline(EndorseOptions {
-        workers: POOL_WIDTH,
+        workers: WORKERS,
         ..EndorseOptions::default()
     });
-    // Wedge the pool repeatedly; each overrun worker is replaced, so the
-    // healthy proposal that follows is served promptly.
-    for round in 0..5u8 {
+    // Wedge the runtime repeatedly; the healthy proposal that follows each
+    // stall borrows another thread and is served promptly.
+    const ROUNDS: u8 = 5;
+    for round in 0..ROUNDS {
         let mut nonce = [0xC0u8; 32];
         nonce[0] = round;
         let sp = cl.create_proposal_with_nonce("stall", "go", vec![], nonce);
@@ -155,14 +150,13 @@ fn timed_out_chaincode_recovers_worker_capacity() {
             vec![vec![b'q', round], vec![round]],
             nonce,
         );
-        pipeline.endorse(sp).expect("pool capacity recovered");
+        pipeline.endorse(sp).expect("execution capacity recovered");
     }
     pipeline.close();
-    // Once the stragglers' sleeps elapse they retire; reaping restores the
-    // exact configured width — no leaked threads, no shrunken pool.
-    std::thread::sleep(Duration::from_millis(250));
-    peer.chaincode_runtime().reap_workers();
-    assert_eq!(peer.chaincode_runtime().worker_threads(), POOL_WIDTH);
+    // Each round leaves at most one straggler, and its healthy proposal
+    // borrows at most one more thread.
+    let threads = peer.chaincode_runtime().execution_threads();
+    assert!(threads <= ROUNDS as usize + 1, "{threads} threads after {ROUNDS} stalls");
 }
 
 #[test]
@@ -170,37 +164,52 @@ fn repeated_timeouts_do_not_leak_threads() {
     // Pipeline-level slice of the satellite regression (the 1000-iteration
     // version lives in the runtime's unit tests): a burst of timeouts
     // through the full endorsement path leaves the thread count bounded.
+    const DEADLINE_MS: u64 = 5;
+    const SLEEP_MS: u64 = 12;
     let world = PipelineWorld::new();
-    let peer = faulty_peer(&world, "leak-peer", Duration::from_millis(5));
+    let peer = faulty_peer(&world, "leak-peer", Duration::from_millis(DEADLINE_MS));
+    // Each proposal passes its start time; the chaincode records the longest
+    // any simulation has held its thread (SLEEP_MS plus however late a
+    // loaded host wakes it), in microseconds.
+    let epoch = std::time::Instant::now();
+    let held_us = Arc::new(AtomicU64::new(0));
+    let cc_held = held_us.clone();
     peer.install_chaincode(
         "laggard",
-        Arc::new(|_: &mut Stub<'_>| -> Result<Vec<u8>, String> {
-            std::thread::sleep(Duration::from_millis(12));
+        Arc::new(move |stub: &mut Stub<'_>| -> Result<Vec<u8>, String> {
+            std::thread::sleep(Duration::from_millis(SLEEP_MS));
+            let start = u64::from_le_bytes(stub.args()[0][..].try_into().unwrap());
+            cc_held.fetch_max(epoch.elapsed().as_micros() as u64 - start, Ordering::SeqCst);
             Ok(vec![])
         }),
     );
     let cl = client(&world, "leak-client");
     let pipeline = peer.endorse_pipeline(EndorseOptions {
-        workers: POOL_WIDTH,
+        workers: WORKERS,
         ..EndorseOptions::default()
     });
     let mut timeouts = 0;
     for i in 0..200u32 {
         let mut nonce = [0xD0u8; 32];
         nonce[..4].copy_from_slice(&i.to_le_bytes());
-        let sp = cl.create_proposal_with_nonce("laggard", "go", vec![], nonce);
+        let start = (epoch.elapsed().as_micros() as u64).to_le_bytes().to_vec();
+        let sp = cl.create_proposal_with_nonce("laggard", "go", vec![start], nonce);
         if pipeline.endorse(sp).is_err() {
             timeouts += 1;
         }
     }
     assert!(timeouts >= 150, "expected mostly timeouts, got {timeouts}");
     pipeline.close();
-    std::thread::sleep(Duration::from_millis(100));
-    peer.chaincode_runtime().reap_workers();
-    let alive = peer.chaincode_runtime().worker_threads();
+    // Proposals start at least DEADLINE_MS apart, so a simulation borrowing
+    // a thread finds at most ceil(held / DEADLINE_MS) + 1 earlier ones
+    // holding theirs (the 1 covers parking after the chaincode returns),
+    // and needs one more. A leak would instead grow with the 200 proposals.
+    let held_us = held_us.load(Ordering::SeqCst);
+    let bound = (held_us.div_ceil(DEADLINE_MS * 1000) + 2) as usize;
+    let alive = peer.chaincode_runtime().execution_threads();
     assert!(
-        alive <= POOL_WIDTH * 2,
-        "thread leak: {alive} execution workers alive after 200 timeouts"
+        alive <= bound,
+        "thread leak: {alive} execution threads alive after 200 timeouts (held {held_us} us)"
     );
 }
 
@@ -209,7 +218,7 @@ fn late_result_cannot_cross_into_another_response() {
     // A timed-out invocation's (eventual) result must never surface as
     // some other proposal's response. "sometimes" stalls past the deadline
     // and returns a poison payload; quick kv puts run interleaved on the
-    // same pool. Every delivered response must carry its own proposal's
+    // same runtime. Every delivered response must carry its own proposal's
     // tx_id and never the poison bytes.
     let world = PipelineWorld::new();
     let peer = faulty_peer(&world, "iso-peer", Duration::from_millis(30));
@@ -227,7 +236,7 @@ fn late_result_cannot_cross_into_another_response() {
     );
     let cl = client(&world, "iso-client");
     let pipeline = peer.endorse_pipeline(EndorseOptions {
-        workers: POOL_WIDTH,
+        workers: WORKERS,
         ..EndorseOptions::default()
     });
     for i in 0..30u8 {

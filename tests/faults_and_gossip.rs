@@ -36,10 +36,7 @@ fn dos_chaincode_cannot_stall_the_peer() {
         Arc::new(MemBackend::new()),
         PeerConfig {
             vscc_parallelism: 1,
-            runtime: RuntimeConfig {
-                exec_timeout: Some(Duration::from_millis(150)),
-                ..Default::default()
-            },
+            runtime: RuntimeConfig { exec_timeout: Some(Duration::from_millis(150)) },
             sync_writes: false,
             ..Default::default()
         },

@@ -263,7 +263,7 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
         Arc::new(MemBackend::new()),
         PeerConfig {
             vscc_parallelism: 2,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None, ..Default::default() },
+            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
             ..Default::default()
         },
