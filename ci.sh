@@ -13,7 +13,7 @@
 #     -D warnings (kvstore carries the two storage engines, baseline and
 #     in-memory; chaincode the deadline-guarded execution runtime), and
 #     the chaincode crate's unit tests (thread reuse, overrun parking,
-#     shutdown) pass on their own.
+#     shutdown) pass on their own; gate 15 skips that crate.
 #  5. The endorsement battery (equivalence proptests + fault injection)
 #     re-runs on its own so a tier-1 wobble can't mask it.
 #  6. The storage battery (kill-at-every-offset crash recovery of the
@@ -65,7 +65,8 @@
 # 15. Every member crate's own tests pass: tier-1 `cargo test` runs only
 #     the root `fabric` package, so without this gate the crypto NIST /
 #     RFC 6979 vectors, the SHA-extension cross-check, and the raft and
-#     ordering unit tests would run in no gate at all.
+#     ordering unit tests would run in no gate at all. fabric-chaincode
+#     is excluded because gate 4 already runs its tests.
 #
 # Run from the repo root: ./ci.sh
 set -euo pipefail
@@ -202,7 +203,7 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== system benchmark: smoke run (benchmark/run.sh --smoke) =="
 bash benchmark/run.sh --smoke
 
-echo "== member crates: unit + integration tests (--workspace --exclude fabric) =="
-cargo test -q --workspace --exclude fabric
+echo "== member crates: unit + integration tests (--workspace --exclude fabric, fabric-chaincode) =="
+cargo test -q --workspace --exclude fabric --exclude fabric-chaincode
 
 echo "== ci.sh: all gates passed =="

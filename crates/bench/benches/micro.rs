@@ -142,17 +142,13 @@ fn bench_chaincode(c: &mut Criterion) {
     use std::time::Duration;
 
     // A trivial KV put, so what is timed is the runtime's dispatch cost.
-    let runtime = |exec_timeout| {
-        let registry = Arc::new(ChaincodeRegistry::new());
-        registry.install(
-            "kv",
-            Arc::new(|stub: &mut Stub<'_>| {
-                stub.put_state("k", b"v".to_vec());
-                Ok(vec![])
-            }),
-        );
-        ChaincodeRuntime::new(registry, RuntimeConfig { exec_timeout })
+    let registry = Arc::new(ChaincodeRegistry::new());
+    let put = |stub: &mut Stub<'_>| -> Result<Vec<u8>, String> {
+        stub.put_state("k", b"v".to_vec());
+        Ok(vec![])
     };
+    registry.install("kv", Arc::new(put));
+    let runtime = |exec_timeout| ChaincodeRuntime::new(registry.clone(), RuntimeConfig { exec_timeout });
     let inline = runtime(None);
     let guarded = runtime(Some(Duration::from_secs(2)));
     let ledger = Ledger::in_memory();

@@ -153,12 +153,9 @@ impl ChaincodeRuntime {
         match self.config.exec_timeout {
             None => run_invocation(code, chaincode, simulator, invocation, &self.registry),
             Some(timeout) => {
-                let registry = self.registry.clone();
-                let ns = chaincode.to_string();
-                self.run_guarded(
-                    Box::new(move || run_invocation(code, &ns, simulator, invocation, &registry)),
-                    timeout,
-                )
+                let (registry, ns) = (self.registry.clone(), chaincode.to_string());
+                let run = move || run_invocation(code, &ns, simulator, invocation, &registry);
+                self.run_guarded(Box::new(run), timeout)
             }
         }
     }
@@ -172,7 +169,9 @@ impl ChaincodeRuntime {
     /// Runs `run` on a parked (or fresh) execution thread and waits for it
     /// until `timeout`.
     fn run_guarded(&self, run: Box<dyn FnOnce() -> Outcome + Send>, timeout: Duration) -> Outcome {
-        let home = self.idle.lock().pop().unwrap_or_else(|| self.spawn_thread());
+        // Unlock first: a thread parking before its reply must not wait out a spawn.
+        let parked = self.idle.lock().pop();
+        let home = parked.unwrap_or_else(|| self.spawn_thread());
         let (reply, result) = channel::bounded(1);
         // A failed send drops `reply`, which reads as `Disconnected` below.
         let _ = home.clone().send(Call { run, reply, home });
@@ -346,6 +345,18 @@ mod tests {
     }
 
     #[test]
+    fn panicking_chaincode_aborted() {
+        let cc = Arc::new(|_: &mut Stub<'_>| -> Result<Vec<u8>, String> {
+            panic!("chaincode bug");
+        });
+        let (runtime, ledger) = runtime_with("buggy", cc, Some(Duration::from_secs(1)));
+        assert!(matches!(
+            runtime.execute(&ledger, "buggy", invocation("go", vec![])),
+            Err(ChaincodeError::Aborted(_))
+        ));
+    }
+
+    #[test]
     fn cross_chaincode_invocation() {
         let callee = Arc::new(|stub: &mut Stub<'_>| {
             stub.put_state("callee-key", b"from-callee".to_vec());
@@ -418,9 +429,7 @@ mod tests {
                 Err(ChaincodeError::Aborted(_))
             ));
         }
-        let ok = runtime
-            .execute(&ledger, "flaky", invocation("ok", vec![]))
-            .unwrap();
+        let ok = runtime.execute(&ledger, "flaky", invocation("ok", vec![])).unwrap();
         assert_eq!(ok.response.payload, b"fine");
         // Panics are contained in place, not survived by a fresh thread.
         assert_eq!(runtime.execution_threads(), 1);
@@ -445,9 +454,7 @@ mod tests {
             Err(ChaincodeError::Timeout)
         ));
         // A second thread serves immediately while the first still sleeps.
-        let ok = runtime
-            .execute(&ledger, "sleepy", invocation("quick", vec![]))
-            .unwrap();
+        let ok = runtime.execute(&ledger, "sleepy", invocation("quick", vec![])).unwrap();
         assert_eq!(ok.response.payload, b"ok");
         // Once the straggler returns it parks beside the second thread: two
         // calls that must overlap find both idle and spawn nothing.
@@ -552,9 +559,7 @@ mod tests {
         let slow = spawn_calls(&runtime, &ledger, "slow", 1).pop().unwrap();
         std::thread::sleep(Duration::from_millis(20));
         let started = std::time::Instant::now();
-        let result = runtime
-            .execute(&ledger, "fast", invocation("go", vec![]))
-            .unwrap();
+        let result = runtime.execute(&ledger, "fast", invocation("go", vec![])).unwrap();
         assert_eq!(result.response.payload, b"fast");
         assert!(
             started.elapsed() < Duration::from_millis(150),

@@ -168,9 +168,8 @@ fn repeated_timeouts_do_not_leak_threads() {
     const SLEEP_MS: u64 = 12;
     let world = PipelineWorld::new();
     let peer = faulty_peer(&world, "leak-peer", Duration::from_millis(DEADLINE_MS));
-    // Each proposal passes its start time; the chaincode records the longest
-    // any simulation has held its thread (SLEEP_MS plus however late a
-    // loaded host wakes it), in microseconds.
+    // Each proposal passes its start time; the chaincode records the
+    // longest any simulation held its thread, in microseconds.
     let epoch = std::time::Instant::now();
     let held_us = Arc::new(AtomicU64::new(0));
     let cc_held = held_us.clone();
@@ -200,10 +199,8 @@ fn repeated_timeouts_do_not_leak_threads() {
     }
     assert!(timeouts >= 150, "expected mostly timeouts, got {timeouts}");
     pipeline.close();
-    // Proposals start at least DEADLINE_MS apart, so a simulation borrowing
-    // a thread finds at most ceil(held / DEADLINE_MS) + 1 earlier ones
-    // holding theirs (the 1 covers parking after the chaincode returns),
-    // and needs one more. A leak would instead grow with the 200 proposals.
+    // The runtime's `consecutive_timeouts_do_not_accumulate_threads` bound;
+    // a leak would instead grow with the 200 proposals.
     let held_us = held_us.load(Ordering::SeqCst);
     let bound = (held_us.div_ceil(DEADLINE_MS * 1000) + 2) as usize;
     let alive = peer.chaincode_runtime().execution_threads();
