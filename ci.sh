@@ -9,16 +9,16 @@
 #     task per transaction, one rw-check per block at its turn) passes
 #     clippy with -D warnings and its unit tests pass on their own,
 #     including the parked-block test that pins the rw-check's timing.
-#  4. The kvstore, statesync and chaincode crates pass clippy with
-#     -D warnings (kvstore carries the two storage engines, baseline and
-#     in-memory; chaincode the deadline-guarded execution runtime), and
-#     the chaincode crate's unit tests (thread reuse, overrun parking,
-#     shutdown) pass on their own; gate 15 skips that crate.
+#  4. The kvstore, ledger, statesync and chaincode crates pass clippy
+#     with -D warnings (kvstore carries the state store; ledger the PTM
+#     over it; chaincode the deadline-guarded execution runtime), and
+#     the chaincode crate's unit tests (thread reuse, straggler
+#     retirement, shutdown) pass on their own; gate 15 skips that crate.
 #  5. The endorsement battery (equivalence proptests + fault injection)
 #     re-runs on its own so a tier-1 wobble can't mask it.
 #  6. The storage battery (kill-at-every-offset crash recovery of the
-#     baseline WAL and Merkle bucket file + two-engine equivalence
-#     proptest, baseline vs in-memory) re-runs on its own.
+#     state store's WAL and Merkle bucket file + a proptest of the store
+#     against a BTreeMap oracle and a reopen) re-runs on its own.
 #  7. The commit-pipeline battery re-runs under --release: multi-channel
 #     (cross-channel fairness, deliver credits, gap parking), pipeline
 #     equivalence (proptests: pipelined masks, state and chain bytes
@@ -42,7 +42,7 @@
 #     carry the two-lane scheduler, rate-limit/reputation state machine,
 #     and the churn orchestration this gate guards).
 # 12. The snapshot catch-up, multi-channel overlap, endorsement overlap,
-#     storage scale (baseline vs in-memory), ordering throughput, and
+#     state-store scale, ordering throughput, and
 #     gossip scale benches complete a smoke sweep (~30 s) — catches
 #     bit-rot in the snapshot wire path, the shared-pool pipeline
 #     manager (zero dependency stalls on key-disjoint spends), the
@@ -100,14 +100,14 @@ else
 fi
 cargo test -q -p fabric-peer
 
-echo "== fabric-kvstore: clippy gate (-D warnings) =="
+echo "== fabric-kvstore / fabric-ledger: clippy gate (-D warnings) =="
 if cargo clippy --version >/dev/null 2>&1; then
-    find crates/kvstore/src -name '*.rs' -exec touch {} +
-    cargo clippy -p fabric-kvstore --all-targets -- -D warnings
+    find crates/kvstore/src crates/ledger/src -name '*.rs' -exec touch {} +
+    cargo clippy -p fabric-kvstore -p fabric-ledger --all-targets -- -D warnings
 else
     echo "clippy not installed; falling back to rustc warning gate"
-    find crates/kvstore/src -name '*.rs' -exec touch {} +
-    RUSTFLAGS="-Dwarnings" cargo build -p fabric-kvstore
+    find crates/kvstore/src crates/ledger/src -name '*.rs' -exec touch {} +
+    RUSTFLAGS="-Dwarnings" cargo build -p fabric-kvstore -p fabric-ledger
 fi
 
 echo "== fabric-statesync: clippy gate (-D warnings) =="
@@ -130,7 +130,7 @@ cargo test -q -p fabric-chaincode
 echo "== endorsement battery: equivalence + fault injection =="
 cargo test -q --test endorsement_equivalence --test endorsement_faults
 
-echo "== storage battery: crash recovery + engine equivalence =="
+echo "== storage battery: crash recovery + oracle equivalence =="
 cargo test -q -p fabric-kvstore --test storage_recovery --test storage_equivalence
 
 echo "== commit-pipeline battery under --release: multi-channel + equivalence + recovery =="

@@ -78,7 +78,6 @@ fn main() {
                         vscc_parallelism: 1,
                         runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
                         sync_writes: false,
-                        engine: Default::default(),
                     },
                 )
                 .expect("join");

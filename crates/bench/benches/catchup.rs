@@ -53,7 +53,6 @@ fn make_peer(net: &TestNet, genesis: &Block, name: &str) -> Peer {
             vscc_parallelism: 2,
             runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
-            engine: Default::default(),
         },
     )
     .expect("peer joins");
@@ -143,7 +142,6 @@ fn snapshot_catchup(
             vscc_parallelism: 2,
             runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
-            engine: Default::default(),
         },
     )
     .expect("snapshot install");

@@ -82,7 +82,6 @@ fn main() {
             vscc_parallelism: 1,
             runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
-            engine: Default::default(),
         },
     )
     .expect("peer joins");

@@ -106,7 +106,6 @@ fn make_fabcoin_peer_on(
             vscc_parallelism,
             runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes,
-            engine: Default::default(),
         },
     )
     .expect("peer joins");

@@ -48,7 +48,6 @@ fn make_peer(
             vscc_parallelism,
             runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
-            engine: Default::default(),
         },
     )
     .expect("peer joins");

@@ -1,13 +1,13 @@
-//! Storage-engine scale bench: baseline vs memory at 1M+ keys.
+//! State-store scale bench at 1M+ keys.
 //!
-//! Loads `FABRIC_BENCH_KEYS` keys (default 1,000,000) into each engine on
-//! a RAM-disk backend, then measures, per engine:
+//! Loads `FABRIC_BENCH_KEYS` keys (default 1,000,000) into the state store
+//! on a RAM-disk backend, then measures:
 //!
 //!   * bulk-load throughput and the post-load checkpoint latency,
 //!   * concurrent point-read throughput under a zipfian (theta 0.99,
 //!     YCSB-style) and a uniform key distribution,
 //!   * a read-heavy mixed phase (95% get / 5% put, zipfian) interleaved
-//!     with periodic checkpoints, each of which rewrites the baseline's
+//!     with periodic checkpoints, each of which rewrites the store's
 //!     entire state,
 //!   * a write-heavy phase (50% get / 50% put, zipfian).
 //!
@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use fabric::kvstore::{open_state_store, EngineKind, MemBackend, StateStore, WriteBatch};
+use fabric::kvstore::{MemBackend, StateStore, WriteBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,7 +85,7 @@ impl PhaseResult {
 /// Runs `threads` workers against `store`, each performing `ops_each`
 /// operations with `write_pct` percent single-key puts (rest are gets).
 fn run_phase(
-    store: &Arc<dyn StateStore>,
+    store: &StateStore,
     threads: usize,
     ops_each: u64,
     write_pct: u64,
@@ -96,7 +96,6 @@ fn run_phase(
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let store = Arc::clone(store);
             let zipf = zipf.map(Arc::clone);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9e37));
@@ -122,8 +121,7 @@ fn run_phase(
     }
 }
 
-struct EngineReport {
-    name: &'static str,
+struct Report {
     load_tps: f64,
     load_checkpoint_ms: f64,
     read_zipf: f64,
@@ -133,18 +131,15 @@ struct EngineReport {
     write_heavy: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_engine(
-    name: &'static str,
-    engine: EngineKind,
+fn run(
     keys: u64,
     read_ops: u64,
     mixed_ops: u64,
     write_ops: u64,
     threads: usize,
     zipf: &Arc<Zipfian>,
-) -> EngineReport {
-    let store = open_state_store(Arc::new(MemBackend::new()), false, &engine).expect("open");
+) -> Report {
+    let store = StateStore::open(Arc::new(MemBackend::new()), false).expect("open");
 
     // Bulk load in batches of 1024.
     let start = Instant::now();
@@ -164,8 +159,7 @@ fn run_engine(
     store.checkpoint().expect("post-load checkpoint");
     let load_checkpoint_ms = start.elapsed().as_secs_f64() * 1000.0;
 
-    // Untimed warmup: fault the hot paths in before any timed read phase
-    // (every engine gets the same treatment).
+    // Untimed warmup: fault the hot paths in before any timed read phase.
     run_phase(&store, threads, read_ops / 5, 0, Some(zipf), keys, 7);
     run_phase(&store, threads, read_ops / 5, 0, None, keys, 9);
 
@@ -173,9 +167,9 @@ fn run_engine(
     let read_uniform = run_phase(&store, threads, read_ops, 0, None, keys, 13);
 
     // Read-heavy mixed phase in 4 rounds with a checkpoint between each:
-    // wall clock includes the checkpoints, so stop-the-world engines pay
-    // for their full-state rewrites right where the paper's VSCC-style
-    // read-hot workload hurts most.
+    // wall clock includes the checkpoints, so the store pays for its
+    // full-state rewrites right where the paper's VSCC-style read-hot
+    // workload hurts most.
     let mut ck_ms = 0.0;
     let rounds = 4u64;
     let start = Instant::now();
@@ -200,8 +194,7 @@ fn run_engine(
 
     let write_heavy = run_phase(&store, threads, write_ops, 50, Some(zipf), keys, 29);
 
-    EngineReport {
-        name,
+    Report {
         load_tps,
         load_checkpoint_ms,
         read_zipf: read_zipf.ops_per_sec(),
@@ -231,23 +224,25 @@ fn main() {
     let mixed_ops: u64 = if smoke { 4_000 } else { 100_000 };
     let write_ops: u64 = if smoke { 2_000 } else { 50_000 };
 
-    println!("== storage engines at scale: {keys} keys, {threads} reader threads ==");
+    println!("== state store at scale: {keys} keys, {threads} reader threads ==");
     println!("   zipfian theta 0.99 (YCSB); values 96 B; RAM-disk backend\n");
 
     let zipf = Arc::new(Zipfian::new(keys));
-    let engines: Vec<(&'static str, EngineKind)> = vec![
-        ("baseline", EngineKind::Baseline),
-        ("memory", EngineKind::Memory),
-    ];
+    let r = run(keys, read_ops, mixed_ops, write_ops, threads, &zipf);
+    println!(
+        "load {:>9.0} tps | ck {:>7.1} ms | read zipf {:>9.0} op/s | uniform {:>9.0} op/s | mixed 95/5 {:>9.0} op/s (cks {:>7.1} ms) | write 50/50 {:>9.0} op/s",
+        r.load_tps,
+        r.load_checkpoint_ms,
+        r.read_zipf,
+        r.read_uniform,
+        r.mixed_zipf,
+        r.mixed_checkpoint_ms,
+        r.write_heavy,
+    );
 
-    let mut reports = Vec::new();
-    for (name, engine) in engines {
-        let r = run_engine(
-            name, engine, keys, read_ops, mixed_ops, write_ops, threads, &zipf,
-        );
-        println!(
-            "{:>8}: load {:>9.0} tps | ck {:>7.1} ms | read zipf {:>9.0} op/s | uniform {:>9.0} op/s | mixed 95/5 {:>9.0} op/s (cks {:>7.1} ms) | write 50/50 {:>9.0} op/s",
-            r.name,
+    if let Ok(path) = std::env::var("FABRIC_BENCH_JSON") {
+        let row = format!(
+            r#"{{"engine":"state_store","load_tps":{:.0},"load_checkpoint_ms":{:.1},"read_zipf_ops":{:.0},"read_uniform_ops":{:.0},"mixed_95_5_ops":{:.0},"mixed_checkpoint_ms":{:.1},"write_50_50_ops":{:.0}}}"#,
             r.load_tps,
             r.load_checkpoint_ms,
             r.read_zipf,
@@ -256,31 +251,8 @@ fn main() {
             r.mixed_checkpoint_ms,
             r.write_heavy,
         );
-        reports.push(r);
-    }
-
-    if let Ok(path) = std::env::var("FABRIC_BENCH_JSON") {
-        let rows: Vec<String> = reports
-            .iter()
-            .map(|r| {
-                format!(
-                    r#"{{"engine":"{}","load_tps":{:.0},"load_checkpoint_ms":{:.1},"read_zipf_ops":{:.0},"read_uniform_ops":{:.0},"mixed_95_5_ops":{:.0},"mixed_checkpoint_ms":{:.1},"write_50_50_ops":{:.0}}}"#,
-                    r.name,
-                    r.load_tps,
-                    r.load_checkpoint_ms,
-                    r.read_zipf,
-                    r.read_uniform,
-                    r.mixed_zipf,
-                    r.mixed_checkpoint_ms,
-                    r.write_heavy,
-                )
-            })
-            .collect();
         let json = format!(
-            r#"{{"bench":"storage_scale","keys":{},"value_bytes":96,"threads":{},"zipf_theta":0.99,"engines":[{}]}}"#,
-            keys,
-            threads,
-            rows.join(",")
+            r#"{{"bench":"storage_scale","keys":{keys},"value_bytes":96,"threads":{threads},"zipf_theta":0.99,"engines":[{row}]}}"#
         );
         std::fs::write(&path, json).expect("write bench JSON");
         println!("wrote {path}");

@@ -145,7 +145,6 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
             vscc_parallelism: cfg.vscc_parallelism,
             runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: matches!(cfg.storage, Storage::Fs(_)),
-            ..Default::default()
         },
     )
     .expect("peer joins");

@@ -18,19 +18,22 @@
 //!   the runtime's idle stack (spawned when none is parked). The caller
 //!   waits on a per-call result channel until the deadline, then returns
 //!   [`ChaincodeError::Timeout`] and walks away; the thread finishes the
-//!   abandoned invocation, drops its late result, and parks again. Calls
+//!   abandoned invocation, drops its late result, and parks again — or
+//!   retires, if another thread is already parked. Calls
 //!   never queue behind one another, so a wedged chaincode delays nothing
 //!   but its own transaction, and invocations of the same chaincode run
 //!   concurrently, each against its own state snapshot.
 //!
 //! The runtime keeps as many threads as its peak number of concurrent
-//! guarded calls, and dropping it ends every parked thread. A panicking
+//! guarded calls whose callers waited for them: a burst of overrunning
+//! calls falls back to one thread once the stragglers return. Dropping
+//! the runtime ends every parked thread. A panicking
 //! chaincode is contained with `catch_unwind`: it costs its own
 //! transaction, not the thread.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -100,12 +103,20 @@ struct Call {
     run: Box<dyn FnOnce() -> Outcome + Send>,
     /// Per-call, so a late result can never reach another call's caller.
     reply: channel::Sender<Outcome>,
+    /// Set by the caller when it stops waiting at the deadline. It
+    /// publishes no other data, so `Relaxed` suffices.
+    abandoned: Arc<AtomicBool>,
     /// The executing thread's only inbox sender, parked again after `run`.
     home: channel::Sender<Call>,
 }
 
-/// Parked execution threads, one inbox sender each.
-type IdleStack = Mutex<Vec<channel::Sender<Call>>>;
+/// The execution threads' shared state; the threads hold it weakly.
+struct Threads {
+    /// Parked threads, one inbox sender each.
+    idle: Mutex<Vec<channel::Sender<Call>>>,
+    /// Threads spawned, minus stragglers retired.
+    alive: AtomicUsize,
+}
 
 /// The chaincode execution runtime.
 pub struct ChaincodeRuntime {
@@ -113,9 +124,7 @@ pub struct ChaincodeRuntime {
     config: RuntimeConfig,
     /// The only strong reference: dropping the runtime drops every parked
     /// thread's sender, which ends the thread.
-    idle: Arc<IdleStack>,
-    /// Execution threads spawned. None exits while the runtime lives.
-    threads: AtomicUsize,
+    threads: Arc<Threads>,
 }
 
 impl ChaincodeRuntime {
@@ -124,8 +133,10 @@ impl ChaincodeRuntime {
         ChaincodeRuntime {
             registry,
             config,
-            idle: Arc::new(Mutex::new(Vec::new())),
-            threads: AtomicUsize::new(0),
+            threads: Arc::new(Threads {
+                idle: Mutex::new(Vec::new()),
+                alive: AtomicUsize::new(0),
+            }),
         }
     }
 
@@ -161,24 +172,30 @@ impl ChaincodeRuntime {
     }
 
     /// Execution threads alive: running a call, parked, or finishing a
-    /// call whose caller already timed out.
+    /// call whose caller already timed out. Such a straggler retires when
+    /// it returns if another thread is parked, and the count goes down.
     pub fn execution_threads(&self) -> usize {
-        self.threads.load(Ordering::Relaxed)
+        self.threads.alive.load(Ordering::Relaxed)
     }
 
     /// Runs `run` on a parked (or fresh) execution thread and waits for it
     /// until `timeout`.
     fn run_guarded(&self, run: Box<dyn FnOnce() -> Outcome + Send>, timeout: Duration) -> Outcome {
         // Unlock first: a thread parking before its reply must not wait out a spawn.
-        let parked = self.idle.lock().pop();
+        let parked = self.threads.idle.lock().pop();
         let home = parked.unwrap_or_else(|| self.spawn_thread());
         let (reply, result) = channel::bounded(1);
+        let abandoned = Arc::new(AtomicBool::new(false));
         // A failed send drops `reply`, which reads as `Disconnected` below.
-        let _ = home.clone().send(Call { run, reply, home });
+        let _ = home.clone().send(Call { run, reply, abandoned: abandoned.clone(), home });
         match result.recv_timeout(timeout) {
             Ok(outcome) => outcome,
-            // The thread runs on; it parks once the invocation returns.
-            Err(channel::RecvTimeoutError::Timeout) => Err(ChaincodeError::Timeout),
+            // The thread runs on; it parks or retires once the invocation
+            // returns.
+            Err(channel::RecvTimeoutError::Timeout) => {
+                abandoned.store(true, Ordering::Relaxed);
+                Err(ChaincodeError::Timeout)
+            }
             Err(channel::RecvTimeoutError::Disconnected) => {
                 Err(ChaincodeError::Aborted("chaincode thread lost".into()))
             }
@@ -187,30 +204,37 @@ impl ChaincodeRuntime {
 
     fn spawn_thread(&self) -> channel::Sender<Call> {
         let (home, calls) = channel::bounded(1);
-        let idle = Arc::downgrade(&self.idle);
+        let threads = Arc::downgrade(&self.threads);
         // Detached: a thread wedged in a runaway chaincode can never be
         // joined, and `catch_unwind` leaves it no panic to hide.
         std::thread::Builder::new()
             .name("chaincode-exec".into())
-            .spawn(move || serve(&idle, &calls))
+            .spawn(move || serve(&threads, &calls))
             .expect("spawn chaincode execution thread");
-        self.threads.fetch_add(1, Ordering::Relaxed);
+        self.threads.alive.fetch_add(1, Ordering::Relaxed);
         home
     }
 }
 
 /// An execution thread: runs each call it receives, parks, replies.
-/// Returns once its sender is gone, which happens only after the runtime
-/// is dropped.
-fn serve(idle: &Weak<IdleStack>, calls: &channel::Receiver<Call>) {
-    while let Ok(Call { run, reply, home }) = calls.recv() {
+/// Returns when a call it ran was abandoned and another thread is
+/// parked, or once its sender is gone after the runtime is dropped.
+fn serve(threads: &Weak<Threads>, calls: &channel::Receiver<Call>) {
+    while let Ok(Call { run, reply, abandoned, home }) = calls.recv() {
         let outcome = catch_unwind(AssertUnwindSafe(run))
             .unwrap_or_else(|_| Err(ChaincodeError::Aborted("chaincode panicked".into())));
         // Park *before* replying, so a caller holding a result always
         // finds this thread idle. If the runtime is gone, `home` drops
         // here instead and the next `recv` ends the loop.
-        if let Some(idle) = idle.upgrade() {
-            idle.lock().push(home);
+        if let Some(threads) = threads.upgrade() {
+            let mut idle = threads.idle.lock();
+            if abandoned.load(Ordering::Relaxed) && !idle.is_empty() {
+                // Nobody waits for this result and a sibling already
+                // covers the next call: retire instead of parking.
+                threads.alive.fetch_sub(1, Ordering::Relaxed);
+                return;
+            }
+            idle.push(home);
         }
         // Fails inertly when the caller timed out and dropped its end.
         let _ = reply.send(outcome);
@@ -435,34 +459,75 @@ mod tests {
         assert_eq!(runtime.execution_threads(), 1);
     }
 
+    /// Polls until the runtime has `want` execution threads or 5 s pass,
+    /// returning the last count seen.
+    fn settle_threads(runtime: &ChaincodeRuntime, want: usize) -> usize {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while runtime.execution_threads() != want && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        runtime.execution_threads()
+    }
+
     #[test]
-    fn overrun_thread_parks_once_its_call_returns() {
-        let pair = Barrier::new(2);
-        let cc = Arc::new(move |stub: &mut Stub<'_>| -> Result<Vec<u8>, String> {
-            match stub.function() {
-                "stall" => std::thread::sleep(Duration::from_millis(300)),
-                "go" => {
-                    pair.wait();
-                }
-                _ => {}
+    fn overrun_thread_retires_once_its_call_returns_beside_a_parked_one() {
+        let cc = Arc::new(|stub: &mut Stub<'_>| -> Result<Vec<u8>, String> {
+            if stub.function() == "stall" {
+                std::thread::sleep(Duration::from_millis(300));
             }
             Ok(b"ok".to_vec())
         });
         let (runtime, ledger) = runtime_with("sleepy", cc, Some(Duration::from_millis(50)));
-        assert!(matches!(
-            runtime.execute(&ledger, "sleepy", invocation("stall", vec![])),
-            Err(ChaincodeError::Timeout)
-        ));
-        // A second thread serves immediately while the first still sleeps.
-        let ok = runtime.execute(&ledger, "sleepy", invocation("quick", vec![])).unwrap();
-        assert_eq!(ok.response.payload, b"ok");
-        // Once the straggler returns it parks beside the second thread: two
-        // calls that must overlap find both idle and spawn nothing.
-        std::thread::sleep(Duration::from_millis(400));
-        for caller in spawn_calls(&runtime, &ledger, "sleepy", 2) {
-            caller.join().unwrap().unwrap();
-        }
+        let stall = || {
+            assert!(matches!(
+                runtime.execute(&ledger, "sleepy", invocation("stall", vec![])),
+                Err(ChaincodeError::Timeout)
+            ));
+        };
+        let quick = || {
+            let ok = runtime.execute(&ledger, "sleepy", invocation("quick", vec![])).unwrap();
+            assert_eq!(ok.response.payload, b"ok");
+        };
+        // Alone, the straggler parks once its call returns and serves the
+        // next call.
+        stall();
+        std::thread::sleep(Duration::from_millis(600));
+        quick();
+        assert_eq!(runtime.execution_threads(), 1);
+        // A second thread serves immediately while the straggler sleeps.
+        stall();
+        quick();
         assert_eq!(runtime.execution_threads(), 2);
+        // The second thread is parked, so the straggler retires on return.
+        assert_eq!(settle_threads(&runtime, 1), 1, "straggler parked beside an idle thread");
+        quick();
+        assert_eq!(runtime.execution_threads(), 1);
+    }
+
+    #[test]
+    fn burst_of_overruns_falls_back_to_one_thread() {
+        const BURST: usize = 6;
+        // Every "stall" call holds its thread until all BURST have
+        // arrived, so the burst needs BURST threads, then overruns.
+        let gate = Barrier::new(BURST);
+        let cc = Arc::new(move |stub: &mut Stub<'_>| -> Result<Vec<u8>, String> {
+            if stub.function() == "go" {
+                gate.wait();
+                std::thread::sleep(Duration::from_millis(400));
+            }
+            Ok(vec![])
+        });
+        let (runtime, ledger) = runtime_with("bursty", cc, Some(Duration::from_millis(20)));
+        for caller in spawn_calls(&runtime, &ledger, "bursty", BURST) {
+            assert!(matches!(caller.join().unwrap(), Err(ChaincodeError::Timeout)));
+        }
+        assert_eq!(runtime.execution_threads(), BURST);
+        // The first straggler to return parks; every later one retires.
+        assert_eq!(settle_threads(&runtime, 1), 1, "stragglers kept their threads");
+        for _ in 0..50 {
+            runtime.execute(&ledger, "bursty", invocation("pass", vec![])).unwrap();
+        }
+        assert_eq!(runtime.execution_threads(), 1);
     }
 
     #[test]
@@ -490,6 +555,7 @@ mod tests {
             }
             Ok(vec![])
         });
+        // No caller times out, so every thread parks rather than retires.
         let (runtime, ledger) = runtime_with("gated", cc, Some(Duration::from_secs(10)));
         let callers = spawn_calls(&runtime, &ledger, "gated", WEDGED);
         gate.wait();

@@ -113,7 +113,6 @@ impl FabcoinNetwork {
                     vscc_parallelism: config.vscc_parallelism,
                     runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                     sync_writes: false,
-                    ..Default::default()
                 },
             )
             .expect("peer joins channel");

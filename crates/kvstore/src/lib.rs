@@ -12,9 +12,9 @@
 //! implementations (the latter doubles as the paper's RAM-disk variant in
 //! Experiment 3).
 //!
-//! Two engines implement [`StateStore`], selected by [`EngineKind`]: the
-//! durable baseline above (the default) and a pure in-memory store. Both
-//! keep the incremental Merkle state root of [`merkle`].
+//! [`StateStore`] is the one store a peer's world state lives in: the
+//! durable store above plus the incremental Merkle state root of
+//! [`merkle`]. Running it over [`MemBackend`] is the in-memory variant.
 //!
 //! ## Crash safety
 //!
@@ -30,10 +30,7 @@ pub mod merkle;
 mod store;
 
 pub use backend::{Backend, BackendFile, FsBackend, MemBackend};
-pub use engine::{
-    open_state_store, BaselineStore, EngineKind, MemStore, StateSnapshot, StateStore,
-    StorageSnapshot,
-};
+pub use engine::{StateStore, StorageSnapshot};
 pub use store::{KvStore, Snapshot, StoreConfig, WriteBatch};
 
 /// Errors produced by the store.

@@ -29,7 +29,7 @@ use crate::backend::Backend;
 use crate::log;
 use crate::StoreError;
 
-/// Number of leaf buckets. Must be a power of two; fixed so every engine
+/// Number of leaf buckets. Must be a power of two; fixed so every peer
 /// produces the same root for the same state.
 pub const BUCKETS: usize = 4096;
 

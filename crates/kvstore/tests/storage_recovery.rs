@@ -1,5 +1,5 @@
 //! Kill-at-every-offset crash batteries for every on-disk structure the
-//! baseline storage engine writes.
+//! state store writes.
 //!
 //! Model: a crash may lose any **suffix** of the write-ahead log, and may
 //! leave the Merkle bucket file (pure acceleration) torn or stale in any
@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fabric_kvstore::merkle::root_of_entries;
-use fabric_kvstore::{open_state_store, Backend, EngineKind, MemBackend, StateStore, WriteBatch};
+use fabric_kvstore::{Backend, MemBackend, StateStore, WriteBatch};
 
 type Batch = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 type OracleStates = Vec<BTreeMap<Vec<u8>, Vec<u8>>>;
@@ -65,7 +65,7 @@ fn scripted_workload(batches: usize) -> (Vec<Batch>, OracleStates) {
     (all, states)
 }
 
-fn apply(store: &dyn StateStore, ops: &Batch) {
+fn apply(store: &StateStore, ops: &Batch) {
     let mut batch = WriteBatch::new();
     for (k, v) in ops {
         match v {
@@ -103,25 +103,20 @@ fn cut_points(total: u64) -> Vec<u64> {
 
 /// Truncates `name` in a deep clone of `disk` to `len` bytes and reopens
 /// the store on the damaged clone.
-fn reopen_truncated(
-    disk: &MemBackend,
-    engine: &EngineKind,
-    name: &str,
-    len: u64,
-) -> Arc<dyn StateStore> {
+fn reopen_truncated(disk: &MemBackend, name: &str, len: u64) -> StateStore {
     let damaged = disk.deep_clone();
     damaged
         .open(name)
         .expect("damaged file opens")
         .truncate(len)
         .expect("truncate");
-    open_state_store(Arc::new(damaged), true, engine).expect("recovery must succeed on a torn tail")
+    StateStore::open(Arc::new(damaged), true).expect("recovery must succeed on a torn tail")
 }
 
 /// Asserts the recovered store sits exactly on a committed prefix of the
 /// scripted history: its state equals the oracle at its own last_seq, and
 /// its incremental root matches a full recomputation.
-fn assert_committed_prefix(store: &dyn StateStore, states: &OracleStates) -> u64 {
+fn assert_committed_prefix(store: &StateStore, states: &OracleStates) -> u64 {
     let seq = store.last_seq();
     assert!(
         (seq as usize) < states.len(),
@@ -145,7 +140,7 @@ fn assert_committed_prefix(store: &dyn StateStore, states: &OracleStates) -> u64
 }
 
 /// The store must stay writable after any recovery.
-fn assert_still_writable(store: &dyn StateStore) {
+fn assert_still_writable(store: &StateStore) {
     let seq = store.last_seq();
     let mut batch = WriteBatch::new();
     batch.put(b"post-crash".to_vec(), b"alive".to_vec());
@@ -157,11 +152,10 @@ fn assert_still_writable(store: &dyn StateStore) {
 #[test]
 fn merkle_bucket_file_torn_at_every_offset() {
     let disk = MemBackend::new();
-    let engine = EngineKind::Baseline;
-    let store = open_state_store(Arc::new(disk.clone()), true, &engine).unwrap();
+    let store = StateStore::open(Arc::new(disk.clone()), true).unwrap();
     let (batches, states) = scripted_workload(12);
     for ops in &batches {
-        apply(store.as_ref(), ops);
+        apply(&store, ops);
     }
     store.checkpoint().unwrap(); // persists merkle.buckets at last_seq
     drop(store);
@@ -171,39 +165,38 @@ fn merkle_bucket_file_torn_at_every_offset() {
     for len in cut_points(total) {
         // Damaged or stale accumulator → silent full rebuild; the root
         // must still match a from-scratch recomputation.
-        let store = reopen_truncated(&disk, &engine, "merkle.buckets", len);
-        let seq = assert_committed_prefix(store.as_ref(), &states);
+        let store = reopen_truncated(&disk, "merkle.buckets", len);
+        let seq = assert_committed_prefix(&store, &states);
         assert_eq!(seq as usize, batches.len());
-        assert_still_writable(store.as_ref());
+        assert_still_writable(&store);
     }
 }
 
 #[test]
-fn baseline_wal_torn_at_every_offset_after_chunked_checkpoint() {
+fn wal_torn_at_every_offset_after_chunked_checkpoint() {
     let disk = MemBackend::new();
-    let engine = EngineKind::Baseline;
-    let store = open_state_store(Arc::new(disk.clone()), true, &engine).unwrap();
+    let store = StateStore::open(Arc::new(disk.clone()), true).unwrap();
     let (batches, states) = scripted_workload(16);
     let mid = 8;
     for ops in &batches[..mid] {
-        apply(store.as_ref(), ops);
+        apply(&store, ops);
     }
     store.checkpoint().unwrap(); // multi-record chunked checkpoint
     for ops in &batches[mid..] {
-        apply(store.as_ref(), ops);
+        apply(&store, ops);
     }
     drop(store);
 
     let total = disk.open("wal.log").unwrap().len().unwrap();
     assert!(total > 0, "post-checkpoint batches must sit in the WAL");
     for len in cut_points(total) {
-        let store = reopen_truncated(&disk, &engine, "wal.log", len);
-        let seq = assert_committed_prefix(store.as_ref(), &states);
+        let store = reopen_truncated(&disk, "wal.log", len);
+        let seq = assert_committed_prefix(&store, &states);
         // The checkpoint floor holds regardless of how much WAL is lost.
         assert!(
             seq as usize >= mid,
             "checkpointed batches lost: recovered seq {seq} < {mid}"
         );
-        assert_still_writable(store.as_ref());
+        assert_still_writable(&store);
     }
 }

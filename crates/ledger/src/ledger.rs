@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use fabric_kvstore::backend::Backend;
-use fabric_kvstore::{open_state_store, EngineKind, MemBackend, WriteBatch};
+use fabric_kvstore::{MemBackend, StateStore, WriteBatch};
 use fabric_primitives::block::Block;
 use fabric_primitives::ids::{TxId, TxValidationCode};
 
@@ -25,26 +25,14 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Opens (or creates) a ledger on `backend` with the default
-    /// (baseline) storage engine, replaying any blocks whose state changes
-    /// were lost in a crash.
+    /// Opens (or creates) a ledger on `backend`, replaying any blocks
+    /// whose state changes were lost in a crash.
     pub fn open(backend: Arc<dyn Backend>, sync_writes: bool) -> Result<Self, LedgerError> {
-        Self::open_with(backend, sync_writes, &EngineKind::Baseline)
-    }
-
-    /// Opens (or creates) a ledger on `backend` with an explicit storage
-    /// engine (baseline single-memtable store or pure in-memory),
-    /// replaying any blocks whose state changes were lost in a crash.
-    pub fn open_with(
-        backend: Arc<dyn Backend>,
-        sync_writes: bool,
-        engine: &EngineKind,
-    ) -> Result<Self, LedgerError> {
         let blocks = BlockStore::open(backend.clone(), sync_writes)?;
-        let store = open_state_store(backend, sync_writes, engine)?;
+        let store = StateStore::open(backend, sync_writes)?;
         let ledger = Ledger {
             blocks,
-            ptm: Ptm::new(store),
+            ptm: Ptm::new(Arc::new(store)),
         };
         ledger.recover()?;
         Ok(ledger)
@@ -253,20 +241,20 @@ impl Ledger {
     }
 
     /// The incremental Merkle root over the whole state database — O(1),
-    /// maintained by the storage engine on every commit. Two ledgers with
-    /// byte-identical state report the same root regardless of engine.
+    /// maintained by the state store on every commit. Two ledgers with
+    /// byte-identical state report the same root regardless of backend.
     pub fn state_root(&self) -> fabric_crypto::Digest {
         self.ptm.store().state_root()
     }
 
-    /// Durably checkpoints the state database (snapshot-consistent; the
-    /// engines no longer block commits for the duration).
+    /// Durably checkpoints the state database (snapshot-consistent; it
+    /// does not block commits for the duration).
     pub fn checkpoint_state(&self) -> Result<(), LedgerError> {
         Ok(self.ptm.store().checkpoint()?)
     }
 
-    /// Storage-engine counters: always zero, since neither engine keeps
-    /// any (see [`fabric_kvstore::StorageSnapshot`]).
+    /// Storage-engine counters: always zero, since the state store keeps
+    /// none (see [`fabric_kvstore::StorageSnapshot`]).
     pub fn storage_stats(&self) -> fabric_kvstore::StorageSnapshot {
         fabric_kvstore::StorageSnapshot::default()
     }

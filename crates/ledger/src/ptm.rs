@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use fabric_kvstore::{StateSnapshot, StateStore, WriteBatch};
+use fabric_kvstore::{Snapshot, StateStore, WriteBatch};
 use fabric_primitives::block::Block;
 use fabric_primitives::ids::{TxId, TxValidationCode, Version};
 use fabric_primitives::rwset::{KeyRead, KeyWrite, NsReadWriteSet, RangeQueryInfo, TxReadWriteSet};
@@ -86,15 +86,15 @@ fn decode_value(raw: &[u8]) -> Result<(Version, Vec<u8>), LedgerError> {
     Ok((Version::new(block_num, tx_num), raw[12..].to_vec()))
 }
 
-/// The peer transaction manager over a pluggable [`StateStore`] engine.
+/// The peer transaction manager over the [`StateStore`].
 #[derive(Clone)]
 pub struct Ptm {
-    store: Arc<dyn StateStore>,
+    store: Arc<StateStore>,
 }
 
 impl Ptm {
-    /// Wraps a state-store engine as the versioned state database.
-    pub fn new(store: Arc<dyn StateStore>) -> Self {
+    /// Wraps a state store as the versioned state database.
+    pub fn new(store: Arc<StateStore>) -> Self {
         Ptm { store }
     }
 
@@ -349,7 +349,7 @@ impl Ptm {
     }
 
     /// Access to the underlying store (checkpointing, stats).
-    pub fn store(&self) -> &Arc<dyn StateStore> {
+    pub fn store(&self) -> &Arc<StateStore> {
         &self.store
     }
 }
@@ -362,7 +362,7 @@ impl Ptm {
 /// transaction that writes a key and reads it back within the same
 /// simulation observes the pre-transaction value.
 pub struct TxSimulator {
-    snap: Box<dyn StateSnapshot>,
+    snap: Snapshot,
     namespaces: BTreeMap<String, NsBuilder>,
 }
 

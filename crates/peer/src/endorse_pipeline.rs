@@ -22,7 +22,7 @@
 //!   ([`EndorseOptions::client_max_inflight`]) keeps one chatty client
 //!   from monopolizing the intake.
 //! * **Scheduling** — proposals queue per *chaincode* and the simulation
-//!   workers drain them under the same weighted deficit-round-robin
+//!   workers drain them under the same round-robin
 //!   [`Scheduler`] that arbitrates the validation pipeline's channels: a
 //!   burst against one chaincode cannot starve proposals for another.
 //! * **Simulation workers** — each runs [`Endorser::simulate`]
@@ -164,7 +164,7 @@ struct SignJob {
 
 /// State shared by the submit path, the workers, and the signer.
 struct Shared {
-    /// Chaincode name → scheduler slot (lazily registered, weight 1).
+    /// Chaincode name → scheduler slot (lazily registered).
     slots: Mutex<HashMap<String, u64>>,
     /// Proposals admitted and not yet delivered (intake gauge).
     pending: AtomicUsize,
@@ -350,7 +350,7 @@ impl EndorsePipeline {
             match slots.get(&signed.proposal.payload.chaincode.name) {
                 Some(slot) => *slot,
                 None => {
-                    let slot = self.pool.scheduler().register(1);
+                    let slot = self.pool.scheduler().register();
                     slots.insert(signed.proposal.payload.chaincode.name.clone(), slot);
                     slot
                 }
@@ -362,7 +362,7 @@ impl EndorsePipeline {
             ticket_tx,
             client_key,
         };
-        match self.pool.scheduler().submit(slot, 1, task) {
+        match self.pool.scheduler().submit(slot, task) {
             Some(_) => Ok(EndorseTicket { rx: ticket_rx }),
             None => {
                 // `close`/`drop` need exclusive access to the pipeline, so

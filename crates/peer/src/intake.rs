@@ -119,8 +119,8 @@ pub struct DeliverMux {
 
 impl DeliverMux {
     /// Creates a mux whose channels share a pool of `vscc_workers`
-    /// persistent workers under the pool's cross-channel scheduler
-    /// (weighted DRR).
+    /// persistent workers under the pool's cross-channel round-robin
+    /// scheduler.
     pub fn new(vscc_workers: usize) -> Self {
         DeliverMux {
             pool: PipelineManager::new(vscc_workers),

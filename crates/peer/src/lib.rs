@@ -136,7 +136,6 @@ pub(crate) mod tests {
                 vscc_parallelism: 2,
                 runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                 sync_writes: false,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -468,7 +467,6 @@ pub(crate) mod tests {
                     vscc_parallelism: 1,
                     runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                     sync_writes: false,
-                    ..Default::default()
                 },
             )
             .unwrap();
@@ -555,7 +553,6 @@ pub(crate) mod tests {
                 vscc_parallelism: 1,
                 runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                 sync_writes: false,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -625,7 +622,6 @@ pub(crate) mod tests {
                     vscc_parallelism: 1,
                     runtime: fabric_chaincode::RuntimeConfig { exec_timeout: None },
                     sync_writes: false,
-                    ..Default::default()
                 },
             )
             .unwrap();

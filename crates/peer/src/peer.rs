@@ -36,10 +36,10 @@ pub struct PeerConfig {
     /// Chaincode execution policy.
     pub runtime: RuntimeConfig,
     /// Whether ledger writes are fsync'd (SSD vs RAM-disk experiments).
+    /// The state store and block store share the backend passed to
+    /// [`Peer::join`]: a [`fabric_kvstore::MemBackend`] keeps the whole
+    /// ledger in RAM.
     pub sync_writes: bool,
-    /// State-database engine: the durable baseline memtable (default) or
-    /// the pure in-memory store.
-    pub engine: fabric_kvstore::EngineKind,
 }
 
 impl Default for PeerConfig {
@@ -50,7 +50,6 @@ impl Default for PeerConfig {
                 .unwrap_or(4),
             runtime: RuntimeConfig::default(),
             sync_writes: false,
-            engine: fabric_kvstore::EngineKind::default(),
         }
     }
 }
@@ -75,35 +74,7 @@ impl Peer {
         backend: Arc<dyn Backend>,
         config: PeerConfig,
     ) -> Result<Self, PeerError> {
-        if !genesis.is_config_block() || genesis.header.number != 0 {
-            return Err(PeerError::BadBlock("not a genesis config block".into()));
-        }
-        let channel_config = match &genesis.envelopes[0].content {
-            EnvelopeContent::Config(update) => update.config.clone(),
-            EnvelopeContent::Transaction(_) => {
-                return Err(PeerError::BadBlock("genesis holds no config".into()))
-            }
-        };
-        let channel = channel_config.channel.clone();
-        let view = Arc::new(RwLock::new(ChannelView::new(channel_config)?));
-
-        let registry = Arc::new(ChaincodeRegistry::new());
-        registry.install(LSCC_NAMESPACE, Arc::new(Lscc));
-        let runtime = Arc::new(ChaincodeRuntime::new(registry, config.runtime));
-
-        let ledger = Arc::new(
-            Ledger::open_with(backend, config.sync_writes, &config.engine)
-                .map_err(PeerError::Ledger)?,
-        );
-        let peer = Peer {
-            endorser: Arc::new(Endorser::new(identity.clone(), runtime.clone(), view.clone())),
-            committer: Committer::new(view.clone(), config.vscc_parallelism),
-            identity,
-            channel,
-            ledger,
-            view,
-            runtime,
-        };
+        let peer = Self::open(identity, genesis, backend, config, |_, _| Ok(()))?;
         // Commit the genesis block if this is a fresh ledger (recovery may
         // already have it).
         if peer.ledger.height() == 0 {
@@ -132,6 +103,37 @@ impl Peer {
         backend: Arc<dyn Backend>,
         config: PeerConfig,
     ) -> Result<Self, PeerError> {
+        let peer = Self::open(identity, genesis, backend, config, |channel, view| {
+            manifest.verify(channel, &view.msp).map_err(PeerError::Snapshot)
+        })?;
+        if peer.ledger.height() == 0 {
+            let m = &manifest.manifest;
+            peer.ledger
+                .install_snapshot(m.height, m.block_hash, m.last_config, entries)
+                .map_err(PeerError::Ledger)?;
+            // The store's incremental Merkle root must land exactly on the
+            // root the manifest signer committed to — a byte-level check of
+            // the installed state without rehashing the entry stream.
+            if peer.ledger.state_root() != m.state_root {
+                return Err(PeerError::Snapshot(fabric_statesync::SyncError::Corrupt(
+                    "installed state root does not match the signed manifest".into(),
+                )));
+            }
+        }
+        Ok(peer)
+    }
+
+    /// The steps both constructors share: read the channel config out of
+    /// the genesis block, build the channel view and chaincode runtime, and
+    /// open the ledger. `admit` sees the fresh view before the ledger is
+    /// opened and may refuse the join.
+    fn open(
+        identity: SigningIdentity,
+        genesis: &Block,
+        backend: Arc<dyn Backend>,
+        config: PeerConfig,
+        admit: impl FnOnce(&ChannelId, &ChannelView) -> Result<(), PeerError>,
+    ) -> Result<Self, PeerError> {
         if !genesis.is_config_block() || genesis.header.number != 0 {
             return Err(PeerError::BadBlock("not a genesis config block".into()));
         }
@@ -142,32 +144,16 @@ impl Peer {
             }
         };
         let channel = channel_config.channel.clone();
-        let view = Arc::new(RwLock::new(ChannelView::new(channel_config)?));
-        manifest
-            .verify(&channel, &view.read().msp)
-            .map_err(PeerError::Snapshot)?;
+        let view = ChannelView::new(channel_config)?;
+        admit(&channel, &view)?;
+        let view = Arc::new(RwLock::new(view));
 
         let registry = Arc::new(ChaincodeRegistry::new());
         registry.install(LSCC_NAMESPACE, Arc::new(Lscc));
         let runtime = Arc::new(ChaincodeRuntime::new(registry, config.runtime));
-        let ledger = Arc::new(
-            Ledger::open_with(backend, config.sync_writes, &config.engine)
-                .map_err(PeerError::Ledger)?,
-        );
-        if ledger.height() == 0 {
-            let m = &manifest.manifest;
-            ledger
-                .install_snapshot(m.height, m.block_hash, m.last_config, entries)
-                .map_err(PeerError::Ledger)?;
-            // The engine's incremental Merkle root must land exactly on the
-            // root the manifest signer committed to — a byte-level check of
-            // the installed state without rehashing the entry stream.
-            if ledger.state_root() != m.state_root {
-                return Err(PeerError::Snapshot(fabric_statesync::SyncError::Corrupt(
-                    "installed state root does not match the signed manifest".into(),
-                )));
-            }
-        }
+
+        let ledger =
+            Arc::new(Ledger::open(backend, config.sync_writes).map_err(PeerError::Ledger)?);
         Ok(Peer {
             endorser: Arc::new(Endorser::new(identity.clone(), runtime.clone(), view.clone())),
             committer: Committer::new(view.clone(), config.vscc_parallelism),
@@ -266,9 +252,8 @@ impl Peer {
     /// Starts a pipelined committer attached to a shared VSCC worker
     /// pool, so several channels' pipelines can run on one peer without
     /// a stalled channel idling the validation cores. The pool serves
-    /// channels by weighted deficit round-robin
-    /// (`opts.scheduler_weight`), so a sparse channel is never starved
-    /// behind a sibling's backlog.
+    /// channels round robin, so a sparse channel is never starved behind
+    /// a sibling's backlog.
     pub fn pipeline_shared(
         &self,
         pool: &crate::pipeline::PipelineManager,

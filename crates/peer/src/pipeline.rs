@@ -26,11 +26,11 @@
 //!   global: workers pull transactions from *any* admitted block of *any*
 //!   attached channel, so a slow or barrier-stalled channel never idles
 //!   the cores serving the others. Which channel's transaction a freed
-//!   worker picks is decided by the pool's weighted deficit-round-robin
-//!   [`Scheduler`]: each channel keeps its own task queue and earns
-//!   `DRR_QUANTUM × weight` transactions of service per round, so a
-//!   channel behind a sibling's 256-block backlog is served within one
-//!   round instead of behind the whole backlog.
+//!   worker picks is decided by the pool's round-robin [`Scheduler`]:
+//!   each channel keeps its own task queue and is served up to
+//!   `DRR_QUANTUM` transactions per turn, so a channel behind a sibling's
+//!   256-block backlog is served within one round instead of behind the
+//!   whole backlog.
 //! * Each channel's **sequencer** restores strict block order with a
 //!   reorder buffer and runs the stages that must stay sequential, once
 //!   per block at its turn: MVCC rw-check, metadata flags, ledger append
@@ -93,11 +93,6 @@ pub struct PipelineOptions {
     /// Bounded capacity of the intake queue — backpressure for the
     /// deliver/gossip side when validation falls behind.
     pub intake_capacity: usize,
-    /// This channel's DRR weight in a shared pool's scheduler: per round
-    /// it earns `DRR_QUANTUM × weight` transactions of VSCC service relative
-    /// to its siblings. Ignored by single-channel pipelines. Clamped to
-    /// ≥ 1.
-    pub scheduler_weight: u32,
     /// Deliver credit window ([`crate::DeliverMux`]): how many blocks may
     /// be in flight (submitted but not committed) before the mux parks
     /// further deliveries and reports zero credits to gossip. Clamped to
@@ -116,7 +111,6 @@ impl Default for PipelineOptions {
         PipelineOptions {
             vscc_workers: 0,
             intake_capacity: 64,
-            scheduler_weight: 1,
             deliver_credits: 32,
             park_window: 32,
         }
@@ -502,7 +496,7 @@ impl BlockProfile {
 /// pipeline attached through [`Committer::pipeline_in`].
 ///
 /// Freed workers pick their next transaction through the pool's
-/// cross-channel weighted deficit-round-robin [`Scheduler`], so one
+/// cross-channel round-robin [`Scheduler`], so one
 /// channel's backlog cannot monopolize the pool. Close (or drop) the manager only after
 /// closing every attached [`PipelineHandle`]: closing first abandons the
 /// channels' queued transactions mid-block.
@@ -512,8 +506,7 @@ pub struct PipelineManager {
 
 impl PipelineManager {
     /// Spawns a pool of `vscc_workers` persistent workers (at least one);
-    /// channels share it with equal weights unless their
-    /// [`PipelineOptions::scheduler_weight`] say otherwise.
+    /// channels share it in equal turns.
     pub fn new(vscc_workers: usize) -> Self {
         PipelineManager {
             pool: Pool::new("vscc-worker", vscc_workers.max(1), validate_tx, finish_tx),
@@ -578,7 +571,7 @@ impl Committer {
 
         let (intake_tx, intake_rx) = bounded::<Block>(opts.intake_capacity.max(1));
         let sched = pool.scheduler();
-        let slot = sched.register(opts.scheduler_weight);
+        let slot = sched.register();
         let (done_tx, done_rx) = unbounded::<CompletedVscc>();
         let (event_tx, event_rx) = unbounded::<CommitEvent>();
 
@@ -755,7 +748,7 @@ fn admitter(
                     job: job.clone(),
                     index,
                 };
-                match sched.submit(slot, 1, task) {
+                match sched.submit(slot, task) {
                     Some(depth) => queue_depth = queue_depth.max(depth),
                     None => break 'accept,
                 }

@@ -1,9 +1,9 @@
 //! Flow control shared by every stage: the four small, orthogonal pieces
 //! each ingress and each worker pool in the workspace is built from.
 //!
-//! * [`Scheduler`] — per-queue weighted deficit-round-robin over work
-//!   items (the validation pipeline's channels, the endorsement
-//!   pipeline's chaincodes).
+//! * [`Scheduler`] — per-queue round robin over work items (the
+//!   validation pipeline's channels, the endorsement pipeline's
+//!   chaincodes).
 //! * [`Pool`] — named threads draining a [`Scheduler`], with the one
 //!   panic policy for pooled work.
 //! * [`TokenBucket`] — integer, lazily refilled rate limiter (gossip
@@ -22,15 +22,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// Service (in cost units — transactions, for both current users) a
-/// weight-1 queue earns per deficit-round-robin round.
+/// Items (transactions, for both current users) a queue is served per
+/// round-robin turn.
 pub const DRR_QUANTUM: u64 = 32;
 
-/// One queue's items with their service costs, plus its DRR bookkeeping.
+/// One queue's items, plus how many more it may serve this turn.
 struct SchedQueue<T> {
-    tasks: VecDeque<(u64, T)>,
-    weight: u64,
-    deficit: u64,
+    tasks: VecDeque<T>,
+    turn_left: u64,
 }
 
 struct SchedState<T> {
@@ -42,12 +41,11 @@ struct SchedState<T> {
 }
 
 /// A blocking multi-queue work scheduler: one queue per registered slot,
-/// served under weighted deficit-round-robin. Per round a queue earns
-/// [`DRR_QUANTUM`]` × weight` cost units of service and its items are
-/// served while the deficit lasts. A queue waking from idle re-enters at
-/// the *head* of the round with a full quantum, so sparse traffic starts
-/// as soon as a worker frees — its latency is bounded by one in-flight
-/// item plus its own work, not by a sibling's backlog.
+/// served round robin, up to [`DRR_QUANTUM`] items per turn. A queue
+/// waking from idle re-enters at the *head* of the round with a full
+/// turn, so sparse traffic starts as soon as a worker frees — its latency
+/// is bounded by one in-flight item plus its own work, not by a sibling's
+/// backlog.
 pub struct Scheduler<T> {
     state: Mutex<SchedState<T>>,
     cv: Condvar,
@@ -76,9 +74,8 @@ impl<T> Scheduler<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers a queue with the given DRR weight (clamped to ≥ 1),
-    /// returning its slot.
-    pub fn register(&self, weight: u32) -> u64 {
+    /// Registers an empty queue, returning its slot.
+    pub fn register(&self) -> u64 {
         let mut state = self.lock();
         let slot = state.next_slot;
         state.next_slot += 1;
@@ -86,8 +83,7 @@ impl<T> Scheduler<T> {
             slot,
             SchedQueue {
                 tasks: VecDeque::new(),
-                weight: u64::from(weight.max(1)),
-                deficit: 0,
+                turn_left: 0,
             },
         );
         slot
@@ -105,20 +101,20 @@ impl<T> Scheduler<T> {
     /// Queues one item for `slot`, returning the queue depth after the
     /// push (a per-queue gauge), or `None` if the scheduler is closed or
     /// the slot deregistered.
-    pub fn submit(&self, slot: u64, cost: u64, item: T) -> Option<usize> {
+    pub fn submit(&self, slot: u64, item: T) -> Option<usize> {
         let mut state = self.lock();
         if state.closed {
             return None;
         }
         let queue = state.queues.get_mut(&slot)?;
         let was_empty = queue.tasks.is_empty();
-        queue.tasks.push_back((cost.max(1), item));
+        queue.tasks.push_back(item);
         let depth = queue.tasks.len();
         if was_empty {
-            // Waking from idle: grant a full quantum and enter at the
-            // head of the round, so sparse traffic is served ahead of a
+            // Waking from idle: grant a full turn and enter at the head
+            // of the round, so sparse traffic is served ahead of a
             // sibling's standing backlog.
-            queue.deficit = DRR_QUANTUM * queue.weight;
+            queue.turn_left = DRR_QUANTUM;
             state.active.push_front(slot);
         }
         self.cv.notify_one();
@@ -141,24 +137,20 @@ impl<T> Scheduler<T> {
     }
 
     fn dequeue(state: &mut SchedState<T>) -> Option<T> {
-        // Terminates: every full rotation adds at least the quantum to
-        // each visited deficit, and item costs are finite.
+        // Terminates: a queue rotated to the back gets a full turn, so
+        // the next front queue can always serve.
         loop {
             let slot = *state.active.front()?;
             let queue = state.queues.get_mut(&slot).expect("active slot registered");
-            let cost = queue.tasks.front().expect("active queue non-empty").0;
-            if queue.deficit >= cost {
-                queue.deficit -= cost;
-                let (_, item) = queue.tasks.pop_front().expect("checked front");
+            if queue.turn_left > 0 {
+                queue.turn_left -= 1;
+                let item = queue.tasks.pop_front().expect("active queue non-empty");
                 if queue.tasks.is_empty() {
-                    // Anti-hoarding: an emptied queue forfeits its
-                    // leftover deficit.
-                    queue.deficit = 0;
                     state.active.pop_front();
                 }
                 return Some(item);
             }
-            queue.deficit += DRR_QUANTUM * queue.weight;
+            queue.turn_left = DRR_QUANTUM;
             state.active.rotate_left(1);
         }
     }
@@ -375,69 +367,48 @@ impl<K: Hash + Eq + Clone> DedupWindow<K> {
 mod tests {
     use super::*;
 
-    /// Cost of an item worth `1/per_quantum` of a weight-1 round.
-    const fn cost(per_quantum: u64) -> u64 {
-        DRR_QUANTUM / per_quantum
-    }
-
     #[test]
     fn drr_serves_waking_channel_ahead_of_standing_backlog() {
         let sched: Scheduler<u32> = Scheduler::default();
-        let busy = sched.register(1);
+        let busy = sched.register();
         for i in 0..100 {
-            sched.submit(busy, cost(4), i).unwrap();
+            sched.submit(busy, i).unwrap();
         }
         assert_eq!(sched.next(), Some(0));
         assert_eq!(sched.next(), Some(1));
         // A channel waking from idle enters at the head of the round with
-        // a fresh quantum: its item is served next, not behind the other
-        // 98 queued items.
-        let sparse = sched.register(1);
-        sched.submit(sparse, cost(4), 1000).unwrap();
+        // a fresh turn: its item is served next, not behind the other 98
+        // queued items.
+        let sparse = sched.register();
+        sched.submit(sparse, 1000).unwrap();
         assert_eq!(sched.next(), Some(1000));
         assert_eq!(sched.next(), Some(2), "backlog resumes after the visit");
     }
 
     #[test]
-    fn drr_shares_service_by_weight() {
-        let sched: Scheduler<u32> = Scheduler::default();
-        let light = sched.register(1);
-        let heavy = sched.register(3);
-        for i in 0..20 {
-            sched.submit(light, cost(2), i).unwrap();
-            sched.submit(heavy, cost(2), 100 + i).unwrap();
+    fn drr_alternates_busy_queues_in_turns_of_a_quantum() {
+        let sched: Scheduler<u64> = Scheduler::default();
+        let a = sched.register();
+        let b = sched.register();
+        for i in 0..2 * DRR_QUANTUM {
+            sched.submit(a, i).unwrap();
+            sched.submit(b, 1000 + i).unwrap();
         }
-        let mut heavy_served = 0;
-        for _ in 0..16 {
-            if sched.next().unwrap() >= 100 {
-                heavy_served += 1;
-            }
-        }
-        // quantum × weight per round: 6 heavy for every 2 light.
-        assert_eq!(heavy_served, 12);
-    }
-
-    #[test]
-    fn drr_deficit_covers_multi_tx_chunks() {
-        // A chunk costing more than one round's quantum must still be
-        // served (deficit accumulates across rounds, never starves).
-        let sched: Scheduler<u32> = Scheduler::default();
-        let a = sched.register(1);
-        let b = sched.register(1);
-        sched.submit(a, 7 * cost(2), 1).unwrap();
-        sched.submit(a, cost(2), 2).unwrap();
-        sched.submit(b, cost(2), 10).unwrap();
-        let served: Vec<u32> = (0..3).map(|_| sched.next().unwrap()).collect();
-        assert_eq!(served, vec![10, 1, 2]);
+        let served: Vec<u64> = (0..4 * DRR_QUANTUM).map(|_| sched.next().unwrap()).collect();
+        // `b` woke last, so it entered at the head of the round.
+        let q = DRR_QUANTUM;
+        let expected: Vec<u64> =
+            (1000..1000 + q).chain(0..q).chain(1000 + q..1000 + 2 * q).chain(q..2 * q).collect();
+        assert_eq!(served, expected);
     }
 
     #[test]
     fn scheduler_close_drains_queued_then_ends() {
         let sched: Scheduler<u32> = Scheduler::default();
-        let slot = sched.register(1);
-        sched.submit(slot, 1, 7).unwrap();
+        let slot = sched.register();
+        sched.submit(slot, 7).unwrap();
         sched.close();
-        assert_eq!(sched.submit(slot, 1, 8), None, "closed for new work");
+        assert_eq!(sched.submit(slot, 8), None, "closed for new work");
         assert_eq!(sched.next(), Some(7), "queued work still drains");
         assert_eq!(sched.next(), None);
     }
@@ -445,13 +416,13 @@ mod tests {
     #[test]
     fn scheduler_deregister_drops_queue_and_refuses_submits() {
         let sched: Scheduler<u32> = Scheduler::default();
-        let gone = sched.register(1);
-        let live = sched.register(1);
-        assert_eq!(sched.submit(gone, 1, 1), Some(1), "depth gauge");
-        assert_eq!(sched.submit(gone, 1, 2), Some(2));
+        let gone = sched.register();
+        let live = sched.register();
+        assert_eq!(sched.submit(gone, 1), Some(1), "depth gauge");
+        assert_eq!(sched.submit(gone, 2), Some(2));
         sched.deregister(gone);
-        assert_eq!(sched.submit(gone, 1, 3), None);
-        sched.submit(live, 1, 42).unwrap();
+        assert_eq!(sched.submit(gone, 3), None);
+        sched.submit(live, 42).unwrap();
         assert_eq!(sched.next(), Some(42), "dropped queue never surfaces");
     }
 
@@ -471,9 +442,9 @@ mod tests {
             move |i, outcome| sink.lock().unwrap().push((i, outcome.ok())),
         );
         assert_eq!(pool.width(), 3);
-        let slots = [pool.scheduler().register(1), pool.scheduler().register(2)];
+        let slots = [pool.scheduler().register(), pool.scheduler().register()];
         for i in 0..200 {
-            pool.scheduler().submit(slots[i % 2], 1, i).unwrap();
+            pool.scheduler().submit(slots[i % 2], i).unwrap();
         }
         // Close with work still queued: it drains first, then joins.
         pool.close();
@@ -484,7 +455,7 @@ mod tests {
             .collect();
         assert_eq!(seen, expected);
         assert_eq!(
-            pool.scheduler().submit(slots[0], 1, 0),
+            pool.scheduler().submit(slots[0], 0),
             None,
             "closed for new work"
         );

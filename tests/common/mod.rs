@@ -221,7 +221,6 @@ pub fn make_peer(
             vscc_parallelism,
             runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
-            ..Default::default()
         },
     )
     .expect("peer joins channel");

@@ -78,7 +78,6 @@ impl World {
                         vscc_parallelism: 2,
                         runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
                         sync_writes: false,
-                        ..Default::default()
                     },
                 )
                 .expect("peer joins");

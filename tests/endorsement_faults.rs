@@ -39,7 +39,6 @@ fn faulty_peer(world: &PipelineWorld, name: &str, timeout: Duration) -> Peer {
             vscc_parallelism: 1,
             runtime: RuntimeConfig { exec_timeout: Some(timeout) },
             sync_writes: false,
-            ..Default::default()
         },
     )
     .expect("peer joins");

@@ -38,7 +38,6 @@ fn dos_chaincode_cannot_stall_the_peer() {
             vscc_parallelism: 1,
             runtime: RuntimeConfig { exec_timeout: Some(Duration::from_millis(150)) },
             sync_writes: false,
-            ..Default::default()
         },
     )
     .unwrap();

@@ -215,8 +215,8 @@ proptest! {
     }
 
     /// Scheduling must never change results: the same two-channel race,
-    /// but routed through a `DeliverMux` with proptest-chosen DRR weights
-    /// and credit windows. Tiny windows (1..=3) against a small parking
+    /// but routed through a `DeliverMux` with proptest-chosen credit
+    /// windows. Tiny windows (1..=3) against a small parking
     /// buffer force genuine credit-exhaustion stalls and `Saturated`
     /// refusals mid-stream; whatever the scheduler and backpressure do,
     /// each channel's masks and final state must stay byte-identical to
@@ -225,7 +225,6 @@ proptest! {
     fn mux_equivalent_under_random_weights_and_credits(
         ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 6..24),
         interleave in prop::collection::vec(any::<u8>(), 64),
-        weights in prop::array::uniform2(1u32..=4),
         credits in prop::array::uniform2(1usize..=3),
     ) {
         let mut world = PipelineWorld::new();
@@ -240,7 +239,6 @@ proptest! {
         for channel in 0..2 {
             mux.attach(chans[channel].clone(), &peers[channel], PipelineOptions {
                 intake_capacity: 4,
-                scheduler_weight: weights[channel],
                 deliver_credits: credits[channel],
                 park_window: 4,
                 ..PipelineOptions::default()

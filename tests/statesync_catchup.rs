@@ -265,7 +265,6 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
             vscc_parallelism: 2,
             runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
             sync_writes: false,
-            ..Default::default()
         },
     )
     .unwrap();
