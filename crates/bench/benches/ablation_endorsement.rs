@@ -10,22 +10,12 @@
 
 use std::sync::Arc;
 
-use fabric::chaincode::{ChaincodeDefinition, Stub, LSCC_NAMESPACE};
-use fabric::client::Client;
-use fabric::kvstore::MemBackend;
 use fabric::msp::Role;
-use fabric::ordering::testkit::TestNet;
-use fabric::ordering::OrderingCluster;
-use fabric::peer::{Peer, PeerConfig};
-use fabric::primitives::config::{BatchConfig, ConsensusType};
+use fabric::net::{kv_chaincode, Net, NetSpec};
+use fabric::peer::Peer;
+use fabric::primitives::config::BatchConfig;
 use fabric::primitives::wire::Wire;
 use fabric_bench::stats::Table;
-
-fn kv_put(stub: &mut Stub<'_>) -> Result<Vec<u8>, String> {
-    let key = stub.arg_string(0)?;
-    stub.put_state(&key, stub.args()[1].clone());
-    Ok(vec![])
-}
 
 fn main() {
     let n_tx: usize = std::env::var("FABRIC_BENCH_TXS")
@@ -44,48 +34,19 @@ fn main() {
     for orgs in 1..=4usize {
         let org_names: Vec<String> = (1..=orgs).map(|i| format!("Org{i}")).collect();
         let org_refs: Vec<&str> = org_names.iter().map(|s| s.as_str()).collect();
-        let net = TestNet::with_batch(
-            &org_refs,
-            ConsensusType::Solo,
-            1,
-            BatchConfig {
-                max_message_count: 100,
-                absolute_max_bytes: 16 << 20,
-                preferred_max_bytes: 8 << 20,
-                batch_timeout_ms: 300,
-            },
+        let mut net = Net::new(
+            NetSpec {
+                batch: BatchConfig {
+                    max_message_count: 100,
+                    absolute_max_bytes: 16 << 20,
+                    preferred_max_bytes: 8 << 20,
+                    batch_timeout_ms: 300,
+                },
+                ..NetSpec::new(&org_refs)
+            }
+            .peer_per_org(1)
+            .chaincode("kv", Arc::new(kv_chaincode)),
         );
-        let mut ordering = OrderingCluster::new(
-            ConsensusType::Solo,
-            net.orderers(1),
-            vec![net.genesis.clone()],
-        )
-        .expect("ordering");
-        let genesis = ordering.deliver(&net.channel, 0).expect("genesis");
-        let peers: Vec<Peer> = (0..orgs)
-            .map(|i| {
-                let identity = fabric::msp::issue_identity(
-                    &net.org_cas[i],
-                    &format!("p{i}"),
-                    Role::Peer,
-                    format!("ab-p{i}").as_bytes(),
-                );
-                let peer = Peer::join(
-                    identity,
-                    &genesis,
-                    Arc::new(MemBackend::new()),
-                    PeerConfig {
-                        vscc_parallelism: 1,
-                        runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
-                        sync_writes: false,
-                    },
-                )
-                .expect("join");
-                peer.install_chaincode("kv", Arc::new(kv_put));
-                peer
-            })
-            .collect();
-        let endorsers: Vec<&Peer> = peers.iter().collect();
         let policy = format!(
             "AND({})",
             org_names
@@ -94,34 +55,11 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        let admin = Client::new(
-            fabric::msp::issue_identity(&net.org_cas[0], "a", Role::Admin, b"ab-admin"),
-            net.channel.clone(),
-        );
-        let def = ChaincodeDefinition {
-            name: "kv".into(),
-            version: "1".into(),
-            endorsement_policy: policy,
-        };
-        let proposal = admin.create_proposal(LSCC_NAMESPACE, "deploy", vec![def.to_wire()]);
-        let responses = admin.collect_endorsements(&proposal, &endorsers).unwrap();
-        ordering
-            .broadcast(admin.assemble_transaction(&proposal, &responses))
-            .unwrap();
-        for _ in 0..5 {
-            ordering.tick();
-        }
-        while let Some(block) = ordering.deliver(&net.channel, peers[0].height()) {
-            for p in &peers {
-                p.commit_block(&block).unwrap();
-            }
-        }
+        net.deploy("kv", "1", &policy);
 
         // Endorse + submit n_tx puts.
-        let client = Client::new(
-            fabric::msp::issue_identity(&net.org_cas[0], "c", Role::Client, b"ab-client"),
-            net.channel.clone(),
-        );
+        let client = net.client(0, "c", Role::Client);
+        let endorsers: Vec<&Peer> = net.peers.iter().collect();
         let mut endorse_total = std::time::Duration::ZERO;
         let mut tx_bytes = 0usize;
         let mut envelopes = Vec::with_capacity(n_tx);
@@ -140,17 +78,18 @@ fn main() {
         }
         // Commit (validation at peer 0) under the clock.
         let start = std::time::Instant::now();
+        let peer = &net.peers[0];
         for env in envelopes {
-            ordering.broadcast(env).unwrap();
-            while let Some(block) = ordering.deliver(&net.channel, peers[0].height()) {
-                peers[0].commit_block(&block).unwrap();
+            net.ordering.broadcast(env).unwrap();
+            while let Some(block) = net.ordering.deliver(&net.channel, peer.height()) {
+                peer.commit_block(&block).unwrap();
             }
         }
         for _ in 0..5 {
-            ordering.tick();
+            net.ordering.tick();
         }
-        while let Some(block) = ordering.deliver(&net.channel, peers[0].height()) {
-            peers[0].commit_block(&block).unwrap();
+        while let Some(block) = net.ordering.deliver(&net.channel, peer.height()) {
+            peer.commit_block(&block).unwrap();
         }
         let elapsed = start.elapsed();
         table.row(vec![

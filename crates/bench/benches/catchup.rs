@@ -13,16 +13,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fabric::chaincode::{ChaincodeDefinition, Stub, LSCC_NAMESPACE};
-use fabric::client::Client;
-use fabric::kvstore::MemBackend;
 use fabric::msp::Role;
-use fabric::ordering::testkit::TestNet;
-use fabric::ordering::OrderingCluster;
-use fabric::peer::{Peer, PeerConfig};
+use fabric::net::{kv_chaincode, Net, NetSpec, PeerSpec};
+use fabric::peer::Peer;
 use fabric::primitives::block::Block;
-use fabric::primitives::config::ConsensusType;
-use fabric::primitives::wire::Wire;
 use fabric::statesync::{build_snapshot, decode_entries, Snapshot, SnapshotConfig};
 use fabric_bench::stats::Table;
 
@@ -31,58 +25,18 @@ const VALUE_BYTES: usize = 100;
 /// Blocks above the checkpoint the joiner still replays.
 const TAIL_BLOCKS: usize = 2;
 
-fn kv_chaincode(stub: &mut Stub<'_>) -> Result<Vec<u8>, String> {
-    match stub.function() {
-        "put" => {
-            let key = stub.arg_string(0)?;
-            stub.put_state(&key, stub.args()[1].clone());
-            Ok(vec![])
-        }
-        other => Err(format!("unknown {other}")),
-    }
+/// A KV peer of the bench's one org.
+fn kv_peer(name: &str) -> PeerSpec {
+    PeerSpec::new(0, name, 2)
 }
 
-fn make_peer(net: &TestNet, genesis: &Block, name: &str) -> Peer {
-    let identity =
-        fabric::msp::issue_identity(&net.org_cas[0], name, Role::Peer, name.as_bytes());
-    let peer = Peer::join(
-        identity,
-        genesis,
-        Arc::new(MemBackend::new()),
-        PeerConfig {
-            vscc_parallelism: 2,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
-            sync_writes: false,
-        },
-    )
-    .expect("peer joins");
-    peer.install_chaincode("kv", Arc::new(kv_chaincode));
-    peer
-}
-
-/// Builds deploy + `n_blocks` put blocks (disjoint keys) on a builder
-/// peer, returning the blocks in delivery order.
-fn build_chain(net: &TestNet, genesis: &Block, n_blocks: usize) -> Vec<Block> {
-    let builder = make_peer(net, genesis, "builder.org1");
-    let admin = fabric::msp::issue_identity(&net.org_cas[0], "admin", Role::Admin, b"cb-a");
-    let admin_client = Client::new(admin, net.channel.clone());
-    let client = Client::new(
-        fabric::msp::issue_identity(&net.org_cas[0], "client", Role::Client, b"cb-c"),
-        net.channel.clone(),
-    );
-
-    let def = ChaincodeDefinition {
-        name: "kv".into(),
-        version: "1.0".into(),
-        endorsement_policy: "Org1MSP".into(),
-    };
-    let proposal = admin_client.create_proposal(LSCC_NAMESPACE, "deploy", vec![def.to_wire()]);
-    let responses = admin_client
-        .collect_endorsements(&proposal, &[&builder])
-        .expect("deploy endorses");
-    let deploy = admin_client.assemble_transaction(&proposal, &responses);
-
-    let mut blocks = vec![Block::new(1, genesis.hash(), vec![deploy])];
+/// Builds deploy + `n_blocks` put blocks (disjoint keys) on the network's
+/// builder peer, returning the blocks in delivery order.
+fn build_chain(net: &Net, n_blocks: usize) -> Vec<Block> {
+    let builder = &net.peers[0];
+    let client = net.client(0, "client", Role::Client);
+    let deploy = net.deploy_tx("kv", "1.0", "Org1MSP");
+    let mut blocks = vec![Block::new(1, net.genesis.hash(), vec![deploy])];
     builder.commit_block(&blocks[0]).expect("deploy commits");
     for b in 0..n_blocks {
         let envelopes = (0..TXS_PER_BLOCK)
@@ -96,7 +50,7 @@ fn build_chain(net: &TestNet, genesis: &Block, n_blocks: usize) -> Vec<Block> {
                     ],
                 );
                 let responses = client
-                    .collect_endorsements(&proposal, &[&builder])
+                    .collect_endorsements(&proposal, &[builder])
                     .expect("put endorses");
                 client.assemble_transaction(&proposal, &responses)
             })
@@ -114,38 +68,14 @@ fn build_chain(net: &TestNet, genesis: &Block, n_blocks: usize) -> Vec<Block> {
 
 /// The consumer-side cost of snapshot catch-up: verify every chunk
 /// against the manifest, decode, install, replay the tail.
-fn snapshot_catchup(
-    net: &TestNet,
-    genesis: &Block,
-    snapshot: &Snapshot,
-    blocks: &[Block],
-) -> (Duration, Peer) {
-    let identity = fabric::msp::issue_identity(
-        &net.org_cas[0],
-        "snap-join.org1",
-        Role::Peer,
-        b"cb-snap",
-    );
+fn snapshot_catchup(net: &Net, snapshot: &Snapshot, blocks: &[Block]) -> (Duration, Peer) {
     let t0 = Instant::now();
     let manifest = &snapshot.manifest.manifest;
     for (info, chunks) in manifest.segments.iter().zip(&snapshot.segments) {
         assert!(info.verify(chunks), "segment verifies");
     }
     let entries = decode_entries(manifest, &snapshot.segments).expect("snapshot decodes");
-    let peer = Peer::join_from_snapshot(
-        identity,
-        genesis,
-        &snapshot.manifest,
-        &entries,
-        Arc::new(MemBackend::new()),
-        PeerConfig {
-            vscc_parallelism: 2,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
-            sync_writes: false,
-        },
-    )
-    .expect("snapshot install");
-    peer.install_chaincode("kv", Arc::new(kv_chaincode));
+    let peer = net.join_from_snapshot(kv_peer("snap-join.org1"), &snapshot.manifest, &entries);
     for block in blocks {
         if block.header.number >= manifest.height {
             peer.commit_block(block).expect("tail replays");
@@ -163,12 +93,6 @@ fn main() {
         TXS_PER_BLOCK, TAIL_BLOCKS
     );
 
-    let net = TestNet::new(&["Org1"], ConsensusType::Solo, 1);
-    let ordering =
-        OrderingCluster::new(ConsensusType::Solo, net.orderers(1), vec![net.genesis.clone()])
-            .expect("valid genesis");
-    let genesis = ordering.deliver(&net.channel, 0).expect("genesis");
-
     let mut table = Table::new(&[
         "chain blocks",
         "state keys",
@@ -179,17 +103,22 @@ fn main() {
     ]);
     let mut crossover: Option<usize> = None;
     for &n_blocks in chain_lengths {
-        let blocks = build_chain(&net, &genesis, n_blocks);
+        let net = Net::new(
+            NetSpec::new(&["Org1"])
+                .peer(kv_peer("builder.org1"))
+                .chaincode("kv", Arc::new(kv_chaincode)),
+        );
+        let blocks = build_chain(&net, n_blocks);
         let full_height = blocks.last().unwrap().header.number + 1;
 
         // Source peer replays everything and checkpoints near the tip.
-        let source = make_peer(&net, &genesis, "source.org1");
+        let source = net.join(kv_peer("source.org1"));
         for block in &blocks {
             source.commit_block(block).expect("source commits");
         }
         let snap_height = full_height - TAIL_BLOCKS as u64;
         let snapshot = {
-            let provider = make_peer(&net, &genesis, "provider.org1");
+            let provider = net.join(kv_peer("provider.org1"));
             for block in &blocks[..(snap_height - 1) as usize] {
                 provider.commit_block(block).expect("provider commits");
             }
@@ -204,7 +133,7 @@ fn main() {
         let snapshot_bytes = snapshot.manifest.manifest.total_bytes();
 
         // Path A: full block replay from genesis.
-        let replay_peer = make_peer(&net, &genesis, "replay.org1");
+        let replay_peer = net.join(kv_peer("replay.org1"));
         let t0 = Instant::now();
         for block in &blocks {
             replay_peer.commit_block(block).expect("replay commits");
@@ -212,7 +141,7 @@ fn main() {
         let replay = t0.elapsed();
 
         // Path B: verified snapshot install + tail replay.
-        let (snap_time, snap_peer) = snapshot_catchup(&net, &genesis, &snapshot, &blocks);
+        let (snap_time, snap_peer) = snapshot_catchup(&net, &snapshot, &blocks);
 
         // Both paths end at the same chain tip and state.
         assert_eq!(snap_peer.height(), replay_peer.height());

@@ -19,23 +19,12 @@
 //! single worker point for CI. `FABRIC_BENCH_JSON=<path>` additionally
 //! writes the results as JSON.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use fabric::client::Client;
-use fabric::fabcoin::{
-    coin_key, CentralBank, CoinState, FabcoinChaincode, FabcoinVscc, Wallet, FABCOIN_NAMESPACE,
-};
-use fabric::kvstore::MemBackend;
-use fabric::msp::Role;
-use fabric::ordering::testkit::TestNet;
-use fabric::ordering::OrderingCluster;
-use fabric::peer::{EndorseOptions, Peer, PeerConfig};
-use fabric::primitives::block::Block;
-use fabric::primitives::config::ConsensusType;
-use fabric::primitives::ids::TxId;
+use fabric::net::{FabcoinNetwork, NetSpec, PeerSpec};
+use fabric::peer::EndorseOptions;
 use fabric::primitives::transaction::SignedProposal;
-use fabric::primitives::wire::Wire;
+use fabric_bench::coins::{mint_coins, self_spend};
 use fabric_bench::stats::Table;
 
 fn main() {
@@ -57,115 +46,16 @@ fn main() {
     }
     println!();
 
-    // One org, one endorsing peer; ordering is only used to obtain the
-    // genesis block — the bench never orders anything.
-    let net = TestNet::new(&["Org1"], ConsensusType::Solo, 1);
-    let ordering = OrderingCluster::new(
-        ConsensusType::Solo,
-        net.orderers(1),
-        vec![net.genesis.clone()],
-    )
-    .expect("ordering bootstraps");
-    let genesis = ordering.deliver(&net.channel, 0).expect("genesis block");
-    let bank = CentralBank::new(1, b"endorse-bench-cb");
-    let identity = fabric::msp::issue_identity(
-        &net.org_cas[0],
-        "endorser.org1",
-        Role::Peer,
-        b"endorse-bench-peer",
-    );
-    let peer = Peer::join(
-        identity,
-        &genesis,
-        Arc::new(MemBackend::new()),
-        PeerConfig {
-            vscc_parallelism: 1,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
-            sync_writes: false,
-        },
-    )
-    .expect("peer joins");
-    peer.install_chaincode(FABCOIN_NAMESPACE, Arc::new(FabcoinChaincode));
-    peer.register_vscc(
-        FABCOIN_NAMESPACE,
-        Arc::new(FabcoinVscc::new(bank.public_keys(), 1)),
-    );
-
-    let client = Client::new(
-        fabric::msp::issue_identity(
-            &net.org_cas[0],
-            "client.org1",
-            Role::Client,
-            b"endorse-bench-client",
-        ),
-        net.channel.clone(),
-    );
-    let mut wallet = Wallet::new();
-    let address = wallet.new_address(b"endorse-bench-wallet");
-
-    // Setup: mint one coin per spend (200 outputs per mint tx) and commit
-    // the mint block, so every spend simulates against the same state.
-    let mut mint_envelopes = Vec::new();
-    let mut minted = 0usize;
-    while minted < n_tx {
-        let count = 200.min(n_tx - minted);
-        let outputs: Vec<CoinState> = (0..count)
-            .map(|_| CoinState {
-                amount: 10,
-                owner: address.clone(),
-                label: "FBC".into(),
-            })
-            .collect();
-        let nonce = client.next_nonce();
-        let txid = TxId::derive(&client.identity().serialized().to_wire(), &nonce);
-        let request = bank.create_mint(outputs.clone(), &txid, 1);
-        let proposal = client.create_proposal_with_nonce(
-            FABCOIN_NAMESPACE,
-            "mint",
-            vec![request.to_wire()],
-            nonce,
-        );
-        let responses = client
-            .collect_endorsements(&proposal, &[&peer])
-            .expect("mint endorses");
-        mint_envelopes.push(client.assemble_transaction(&proposal, &responses));
-        for (j, output) in outputs.iter().enumerate() {
-            wallet.note_coin(&coin_key(&txid, j as u32), output);
-        }
-        minted += count;
-    }
-    let mint_block = Block::new(1, genesis.hash(), mint_envelopes);
-    peer.commit_block(&mint_block).expect("mint block commits");
-
-    // Build every spend proposal up front (proposal construction and
+    // One org, one endorsing peer. Setup mints one coin per spend and
+    // commits it, so every spend simulates against the same state; the
+    // spend proposals are built up front (proposal construction and
     // wallet signing are client-side work, outside the measured window).
-    let coins = wallet.coins("FBC");
-    assert!(coins.len() >= n_tx, "not enough coins minted");
-    let proposals: Vec<SignedProposal> = coins
-        .iter()
-        .take(n_tx)
-        .map(|coin| {
-            let nonce = client.next_nonce();
-            let txid = TxId::derive(&client.identity().serialized().to_wire(), &nonce);
-            let request = wallet
-                .create_spend(
-                    std::slice::from_ref(&coin.key),
-                    vec![CoinState {
-                        amount: coin.amount,
-                        owner: address.clone(),
-                        label: "FBC".into(),
-                    }],
-                    &txid,
-                )
-                .expect("wallet owns coin");
-            client.create_proposal_with_nonce(
-                FABCOIN_NAMESPACE,
-                "spend",
-                vec![request.to_wire()],
-                nonce,
-            )
-        })
-        .collect();
+    let mut net =
+        FabcoinNetwork::new(NetSpec::new(&["Org1"]).peer(PeerSpec::new(0, "endorser.org1", 1)));
+    let coins = mint_coins(&mut net, n_tx);
+    let proposals: Vec<SignedProposal> =
+        coins.iter().take(n_tx).map(|c| self_spend(&net, c)).collect();
+    let peer = &net.peers[0];
 
     // Baseline: the sequential endorser, one proposal end to end at a time.
     let start = Instant::now();

@@ -33,22 +33,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fabric::chaincode::{Vscc, LSCC_NAMESPACE};
-use fabric::client::Client;
-use fabric::fabcoin::{
-    coin_key, CentralBank, CoinState, FabcoinChaincode, FabcoinVscc, Wallet, FABCOIN_NAMESPACE,
-};
-use fabric::kvstore::MemBackend;
 use fabric::ledger::Ledger;
-use fabric::msp::{MspRegistry, Role};
-use fabric::ordering::testkit::{make_envelope, TestNet};
-use fabric::ordering::OrderingCluster;
+use fabric::msp::MspRegistry;
+use fabric::net::{FabcoinNetwork, Net, NetSpec, PeerSpec};
+use fabric::ordering::testkit::make_envelope;
 use fabric::peer::{Peer, PeerConfig, PipelineHandle, PipelineManager, PipelineOptions};
 use fabric::primitives::block::Block;
-use fabric::primitives::config::ConsensusType;
-use fabric::primitives::ids::{TxId, TxValidationCode};
+use fabric::primitives::ids::TxValidationCode;
 use fabric::primitives::rwset::{KeyWrite, NsReadWriteSet, TxReadWriteSet};
 use fabric::primitives::transaction::Transaction;
-use fabric::primitives::wire::Wire;
+use fabric_bench::coins::spend_chain;
 use fabric_bench::stats::Table;
 
 /// Stands in for a lifecycle check with real latency, so the barrier
@@ -68,161 +62,17 @@ impl Vscc for SlowLifecycleVscc {
     }
 }
 
-fn make_fabcoin_peer(
-    net: &TestNet,
-    genesis: &Block,
-    bank: &CentralBank,
-    name: &str,
-    vscc_parallelism: usize,
-) -> Peer {
-    make_fabcoin_peer_on(
-        net,
-        genesis,
-        bank,
-        name,
-        vscc_parallelism,
-        Arc::new(MemBackend::new()),
-        false,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn make_fabcoin_peer_on(
-    net: &TestNet,
-    genesis: &Block,
-    bank: &CentralBank,
-    name: &str,
-    vscc_parallelism: usize,
-    backend: Arc<dyn fabric::kvstore::Backend>,
-    sync_writes: bool,
-) -> Peer {
-    let identity =
-        fabric::msp::issue_identity(&net.org_cas[0], name, Role::Peer, name.as_bytes());
-    let peer = Peer::join(
-        identity,
-        genesis,
-        backend,
-        PeerConfig {
-            vscc_parallelism,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
-            sync_writes,
-        },
-    )
-    .expect("peer joins");
-    peer.install_chaincode(FABCOIN_NAMESPACE, Arc::new(FabcoinChaincode));
-    peer.register_vscc(
-        FABCOIN_NAMESPACE,
-        Arc::new(FabcoinVscc::new(bank.public_keys(), 1)),
-    );
-    peer
-}
-
-/// Builds the spend chain once: a mint block (setup) plus `n_blocks`
-/// blocks of `txs_per_block` key-disjoint single-coin spends.
-fn build_spend_chain(
-    net: &TestNet,
-    genesis: &Block,
-    bank: &CentralBank,
-    n_blocks: usize,
-    txs_per_block: usize,
-) -> (Vec<Block>, Vec<Block>) {
-    let builder = make_fabcoin_peer(net, genesis, bank, "builder.org1", 2);
-    let client_identity = fabric::msp::issue_identity(
-        &net.org_cas[0],
-        "client.org1",
-        Role::Client,
-        b"mc-overlap-client",
-    );
-    let client = Client::new(client_identity, net.channel.clone());
-    let mut wallet = Wallet::new();
-    let address = wallet.new_address(b"mc-overlap-wallet");
-
-    let n_tx = n_blocks * txs_per_block;
-    let mut mint_envelopes = Vec::new();
-    let mut minted = 0usize;
-    while minted < n_tx {
-        let count = 200.min(n_tx - minted);
-        let outputs: Vec<CoinState> = (0..count)
-            .map(|_| CoinState {
-                amount: 10,
-                owner: address.clone(),
-                label: "FBC".into(),
-            })
-            .collect();
-        let nonce = client.next_nonce();
-        let txid = TxId::derive(&client.identity().serialized().to_wire(), &nonce);
-        let request = bank.create_mint(outputs.clone(), &txid, 1);
-        let proposal = client.create_proposal_with_nonce(
-            FABCOIN_NAMESPACE,
-            "mint",
-            vec![request.to_wire()],
-            nonce,
-        );
-        let responses = client
-            .collect_endorsements(&proposal, &[&builder])
-            .expect("mint endorses");
-        mint_envelopes.push(client.assemble_transaction(&proposal, &responses));
-        for (j, output) in outputs.iter().enumerate() {
-            wallet.note_coin(&coin_key(&txid, j as u32), output);
-        }
-        minted += count;
-    }
-    let mint_block = Block::new(1, genesis.hash(), mint_envelopes);
-    builder
-        .commit_block(&mint_block)
-        .expect("mint block commits");
-    let setup = vec![mint_block];
-
-    let coins = wallet.coins("FBC");
-    assert!(coins.len() >= n_tx, "not enough coins minted");
-    let mut measured = Vec::with_capacity(n_blocks);
-    let mut prev = setup[0].hash();
-    let first_number = builder.height();
-    for (next_number, chunk) in
-        (first_number..).zip(coins.chunks(txs_per_block).take(n_blocks))
-    {
-        let envelopes = chunk
-            .iter()
-            .map(|coin| {
-                let nonce = client.next_nonce();
-                let txid =
-                    TxId::derive(&client.identity().serialized().to_wire(), &nonce);
-                let request = wallet
-                    .create_spend(
-                        std::slice::from_ref(&coin.key),
-                        vec![CoinState {
-                            amount: coin.amount,
-                            owner: address.clone(),
-                            label: "FBC".into(),
-                        }],
-                        &txid,
-                    )
-                    .expect("wallet owns coin");
-                let proposal = client.create_proposal_with_nonce(
-                    FABCOIN_NAMESPACE,
-                    "spend",
-                    vec![request.to_wire()],
-                    nonce,
-                );
-                let responses = client
-                    .collect_endorsements(&proposal, &[&builder])
-                    .expect("spend endorses");
-                client.assemble_transaction(&proposal, &responses)
-            })
-            .collect();
-        let block = Block::new(next_number, prev, envelopes);
-        prev = block.hash();
-        measured.push(block);
-    }
-    (setup, measured)
+/// A Fabcoin network whose one peer builds the spend chains.
+fn fabcoin_net() -> FabcoinNetwork {
+    FabcoinNetwork::new(NetSpec::new(&["Org1"]).peer(PeerSpec::new(0, "builder.org1", 2)))
 }
 
 /// Builds `n_blocks` one-transaction blocks that each write into the
 /// LSCC namespace: every one is a dependency barrier for its pipeline.
-fn build_barrier_chain(net: &TestNet, genesis: &Block, n_blocks: usize) -> Vec<Block> {
-    let client = net.client(0, "barrier-client");
+fn build_barrier_chain(net: &Net, n_blocks: usize) -> Vec<Block> {
+    let client = net.fixtures.client(0, "barrier-client");
     let mut blocks = Vec::with_capacity(n_blocks);
-    let mut prev = genesis.hash();
+    let mut prev = net.genesis.hash();
     for i in 0..n_blocks {
         let mut nonce = [0u8; 32];
         nonce[..8].copy_from_slice(&(i as u64).to_le_bytes());
@@ -248,14 +98,8 @@ fn build_barrier_chain(net: &TestNet, genesis: &Block, n_blocks: usize) -> Vec<B
 /// envelopes across blocks: the committer never re-verifies envelope
 /// signatures and duplicate tx-ids are simply invalidated at rw-check,
 /// neither of which matters to the scheduling cost being measured.
-fn build_sleep_chain(
-    net: &TestNet,
-    genesis: &Block,
-    n_blocks: usize,
-    txs_per_block: usize,
-    salt: u64,
-) -> Vec<Block> {
-    let client = net.client(0, "sleep-client");
+fn build_sleep_chain(net: &Net, n_blocks: usize, txs_per_block: usize, salt: u64) -> Vec<Block> {
+    let client = net.fixtures.client(0, "sleep-client");
     let envelopes: Vec<_> = (0..txs_per_block)
         .map(|i| {
             let mut nonce = [0u8; 32];
@@ -263,7 +107,7 @@ fn build_sleep_chain(
             make_envelope(&client, &net.channel, nonce, TxReadWriteSet::default())
         })
         .collect();
-    let mut prev = genesis.hash();
+    let mut prev = net.genesis.hash();
     (0..n_blocks)
         .map(|b| {
             let block = Block::new((b + 1) as u64, prev, envelopes.clone());
@@ -273,18 +117,14 @@ fn build_sleep_chain(
         .collect()
 }
 
-/// A bare peer whose "testcc" VSCC sleeps for a fixed per-transaction
-/// cost — the starved-channel scenario's unit of pool work.
-fn make_sleep_peer(net: &TestNet, genesis: &Block, name: &str, vscc_sleep: Duration) -> Peer {
-    let identity =
-        fabric::msp::issue_identity(&net.org_cas[0], name, Role::Peer, name.as_bytes());
-    let peer = Peer::join(
-        identity,
-        genesis,
-        Arc::new(MemBackend::new()),
-        PeerConfig::default(),
-    )
-    .expect("peer joins");
+/// A default-configured peer whose "testcc" VSCC sleeps for a fixed
+/// per-transaction cost: the barrier channel's and the starved-channel
+/// scenario's unit of pool work.
+fn sleep_peer(net: &Net, name: &str, vscc_sleep: Duration) -> Peer {
+    let peer = net.join(PeerSpec {
+        config: PeerConfig::default(),
+        ..PeerSpec::new(0, name, 1)
+    });
     peer.register_vscc("testcc", Arc::new(SlowLifecycleVscc(vscc_sleep)));
     peer
 }
@@ -341,15 +181,10 @@ fn main() {
         });
     let reps = if smoke { 1 } else { 3 };
 
-    let net = TestNet::new(&["Org1"], ConsensusType::Solo, 1);
-    let ordering =
-        OrderingCluster::new(ConsensusType::Solo, net.orderers(1), vec![net.genesis.clone()])
-            .expect("valid genesis");
-    let genesis = ordering.deliver(&net.channel, 0).expect("genesis");
-    let bank = CentralBank::new(1, b"mc-overlap-cb");
-    let (setup, measured) = build_spend_chain(&net, &genesis, &bank, n_blocks, txs_per_block);
+    let mut net = fabcoin_net();
+    let (setup, measured) = spend_chain(&mut net, n_blocks, txs_per_block);
     let total_txs: usize = measured.iter().map(|b| b.envelopes.len()).sum();
-    let barrier_blocks = build_barrier_chain(&net, &genesis, (n_blocks * 2).max(16));
+    let barrier_blocks = build_barrier_chain(&net, (n_blocks * 2).max(16));
 
     println!(
         "== multi-channel pipelines on a shared {workers}-worker VSCC pool \
@@ -359,7 +194,7 @@ fn main() {
     // Warm caches and allocator before anything is timed: the first trip
     // through the chain is consistently 10-20% colder than the rest.
     {
-        let peer = make_fabcoin_peer(&net, &genesis, &bank, "warmup.org1", workers);
+        let peer = net.join(PeerSpec::new(0, "warmup.org1", workers));
         for block in &setup {
             peer.commit_block(block).expect("setup commits");
         }
@@ -380,7 +215,7 @@ fn main() {
     };
     let run_alone = || {
         let pool = PipelineManager::new(workers);
-        let peer_b = make_fabcoin_peer(&net, &genesis, &bank, "alone.org1", workers);
+        let peer_b = net.join(PeerSpec::new(0, "alone.org1", workers));
         for block in &setup {
             peer_b.commit_block(block).expect("setup commits");
         }
@@ -392,28 +227,13 @@ fn main() {
     };
     let run_concurrent = || {
         let pool = PipelineManager::new(workers);
-        let peer_b = make_fabcoin_peer(&net, &genesis, &bank, "shared.org1", workers);
+        let peer_b = net.join(PeerSpec::new(0, "shared.org1", workers));
         for block in &setup {
             peer_b.commit_block(block).expect("setup commits");
         }
-        let peer_a = {
-            let identity = fabric::msp::issue_identity(
-                &net.org_cas[0],
-                "barrier.org1",
-                Role::Peer,
-                b"barrier-peer",
-            );
-            Peer::join(
-                identity,
-                &genesis,
-                Arc::new(MemBackend::new()),
-                PeerConfig::default(),
-            )
-            .expect("peer joins")
-        };
         // The barrier transactions cost real VSCC time, but the channel
         // spends most of its life stalled, holding no pool workers.
-        peer_a.register_vscc("testcc", Arc::new(SlowLifecycleVscc(Duration::from_micros(300))));
+        let peer_a = sleep_peer(&net, "barrier.org1", Duration::from_micros(300));
         let handle_a = peer_a.pipeline_shared(&pool, opts);
         let handle_b = peer_b.pipeline_shared(&pool, opts);
         let mut tps = 0.0;
@@ -482,8 +302,8 @@ fn main() {
     // next blocks' VSCC.
     let fine_per_block = if smoke { 5 } else { 10 };
     let fine_blocks = (n_tx / fine_per_block).max(4);
-    let (fine_setup, fine_measured) =
-        build_spend_chain(&net, &genesis, &bank, fine_blocks, fine_per_block);
+    let mut fine_net = fabcoin_net();
+    let (fine_setup, fine_measured) = spend_chain(&mut fine_net, fine_blocks, fine_per_block);
     let fine_txs: usize = fine_measured.iter().map(|b| b.envelopes.len()).sum();
     let bench_dir = std::env::temp_dir().join(format!("fabric-mc-overlap-{}", std::process::id()));
     let mut run_seq = 0u32;
@@ -493,8 +313,10 @@ fn main() {
         let backend = Arc::new(
             fabric::kvstore::FsBackend::new(&dir).expect("bench scratch dir"),
         );
-        let peer =
-            make_fabcoin_peer_on(&net, &genesis, &bank, "mode.org1", workers, backend, true);
+        let mut spec = PeerSpec::new(0, "mode.org1", workers);
+        spec.backend = Some(backend);
+        spec.config.sync_writes = true;
+        let peer = fine_net.join(spec);
         for block in &fine_setup {
             peer.commit_block(block).expect("setup commits");
         }
@@ -537,14 +359,14 @@ fn main() {
     let backlog_vscc = Duration::from_micros(500);
     let (backlog_blocks, backlog_txs, probe_count) =
         if smoke { (24, 8, 6) } else { (128, 32, 20) };
-    let backlog = build_sleep_chain(&net, &genesis, backlog_blocks, backlog_txs, 31);
-    let probes = build_sleep_chain(&net, &genesis, probe_count, 1, 37);
+    let backlog = build_sleep_chain(&net, backlog_blocks, backlog_txs, 31);
+    let probes = build_sleep_chain(&net, probe_count, 1, 37);
     let starved_run = |with_backlog: bool| -> Duration {
         let pool = PipelineManager::new(workers);
-        let peer_b = make_sleep_peer(&net, &genesis, "sparse.org1", probe_vscc);
+        let peer_b = sleep_peer(&net, "sparse.org1", probe_vscc);
         let handle_b = peer_b.pipeline_shared(&pool, opts);
         let mut latencies = if with_backlog {
-            let peer_a = make_sleep_peer(&net, &genesis, "flood.org1", backlog_vscc);
+            let peer_a = sleep_peer(&net, "flood.org1", backlog_vscc);
             let handle_a = peer_a.pipeline_shared(&pool, opts);
             let latencies = std::thread::scope(|s| {
                 s.spawn(|| {
@@ -560,7 +382,7 @@ fn main() {
                 // the probes measure an idle pool.
                 std::thread::sleep(Duration::from_millis(30));
                 let queues = handle_a.stats().queues;
-                let queued = queues.intake_peak + queues.vscc_tasks_peak / backlog_txs as usize;
+                let queued = queues.intake_peak + queues.vscc_tasks_peak / backlog_txs;
                 assert!(
                     smoke || queued >= 8,
                     "channel A's backlog never queued ({queues:?})"

@@ -7,6 +7,8 @@
 //! `EXPERIMENTS.md` for the index and for recorded paper-vs-measured
 //! results.
 //!
+//! * [`coins`] — Fabcoin mint-then-spend setup for the committer and
+//!   endorser benches.
 //! * [`pipeline`] — the measured end-to-end execute-order-validate run
 //!   (Fig. 6, Fig. 7, Table 1, Experiment 3).
 //! * [`model`] — the calibrated discrete-event WAN model
@@ -15,6 +17,7 @@
 //! * [`stats`] — latency statistics and table rendering.
 
 pub mod calibrate;
+pub mod coins;
 pub mod model;
 pub mod pipeline;
 pub mod stats;

@@ -11,20 +11,16 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fabric::client::Client;
-use fabric::fabcoin::{
-    coin_key, CentralBank, CoinState, FabcoinChaincode, FabcoinVscc, Wallet, FABCOIN_NAMESPACE,
-};
 use fabric::kvstore::backend::Backend;
-use fabric::msp::Role;
-use fabric::ordering::testkit::TestNet;
+use fabric::net::{FabcoinNetwork, NetSpec, PeerSpec};
 use fabric::ordering::OrderingCluster;
-use fabric::peer::{Peer, PeerConfig, PipelineHandle, PipelineOptions, PipelineStats};
-use fabric::primitives::config::{BatchConfig, ConsensusType};
-use fabric::primitives::ids::{TxId, TxValidationCode};
-use fabric::primitives::transaction::Envelope;
+use fabric::peer::{PipelineHandle, PipelineOptions, PipelineStats};
+use fabric::primitives::config::BatchConfig;
+use fabric::primitives::ids::{ChannelId, TxId, TxValidationCode};
+use fabric::primitives::transaction::{Envelope, SignedProposal};
 use fabric::primitives::wire::Wire;
 
+use crate::coins;
 use crate::stats::LatencyStats;
 
 /// Transaction kind for the measured phase.
@@ -117,13 +113,6 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
         preferred_max_bytes: cfg.preferred_block_bytes,
         batch_timeout_ms: 300,
     };
-    let net = TestNet::with_batch(&["Org1"], ConsensusType::Solo, 1, batch);
-    let mut ordering =
-        OrderingCluster::new(ConsensusType::Solo, net.orderers(1), vec![net.genesis.clone()])
-            .expect("valid genesis");
-    let genesis = ordering.deliver(&net.channel, 0).expect("genesis");
-
-    let bank = CentralBank::new(1, b"bench-cb");
     let backend: Arc<dyn Backend> = match &cfg.storage {
         Storage::Mem => Arc::new(fabric::kvstore::MemBackend::new()),
         Storage::Fs(dir) => {
@@ -131,145 +120,39 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
             Arc::new(fabric::kvstore::FsBackend::new(dir).expect("bench dir"))
         }
     };
-    let identity = fabric::msp::issue_identity(
-        &net.org_cas[0],
-        "peer0.org1",
-        Role::Peer,
-        b"bench-peer",
-    );
-    let peer = Peer::join(
-        identity,
-        &genesis,
-        backend,
-        PeerConfig {
-            vscc_parallelism: cfg.vscc_parallelism,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
-            sync_writes: matches!(cfg.storage, Storage::Fs(_)),
-        },
-    )
-    .expect("peer joins");
-    peer.install_chaincode(FABCOIN_NAMESPACE, Arc::new(FabcoinChaincode));
-    peer.register_vscc(
-        FABCOIN_NAMESPACE,
-        Arc::new(FabcoinVscc::new(bank.public_keys(), 1)),
-    );
+    let mut peer = PeerSpec::new(0, "peer0.org1", cfg.vscc_parallelism);
+    peer.backend = Some(backend);
+    peer.config.sync_writes = matches!(cfg.storage, Storage::Fs(_));
+    let mut net = FabcoinNetwork::new(NetSpec { batch, ..NetSpec::new(&["Org1"]) }.peer(peer));
 
-    let client_identity = fabric::msp::issue_identity(
-        &net.org_cas[0],
-        "client.org1",
-        Role::Client,
-        b"bench-client",
-    );
-    let client = Client::new(client_identity, net.channel.clone());
-    let mut wallet = Wallet::new();
-    let address = wallet.new_address(b"bench-wallet");
-
-    let mut endorse_samples: Vec<Duration> = Vec::new();
-
-    // --- Phase 1: mint the coins the spend phase will consume (or the
-    // measured mints themselves). ---
-    let spends_needed = if cfg.kind == TxKind::Spend { cfg.n_tx } else { 0 };
-    if spends_needed > 0 {
-        // Batch mints: 200 outputs per mint keeps this phase short.
-        let mut minted = 0usize;
-        while minted < spends_needed {
-            let count = 200.min(spends_needed - minted);
-            let outputs: Vec<CoinState> = (0..count)
-                .map(|_| CoinState {
-                    amount: 10,
-                    owner: address.clone(),
-                    label: "FBC".into(),
-                })
-                .collect();
-            let nonce = client.next_nonce();
-            let txid = TxId::derive(&client.identity().serialized().to_wire(), &nonce);
-            let request = bank.create_mint(outputs.clone(), &txid, 1);
-            let proposal = client.create_proposal_with_nonce(
-                FABCOIN_NAMESPACE,
-                "mint",
-                vec![request.to_wire()],
-                nonce,
-            );
-            let responses = client
-                .collect_endorsements(&proposal, &[&peer])
-                .expect("mint endorses");
-            let envelope = client.assemble_transaction(&proposal, &responses);
-            ordering.broadcast(envelope).expect("mint broadcasts");
-            for (j, output) in outputs.iter().enumerate() {
-                wallet.note_coin(&coin_key(&txid, j as u32), output);
-            }
-            minted += count;
+    // --- Phase 1: mint the coins the spend phase will consume; Phase 2:
+    // pre-build the measured proposals.
+    let proposals: Vec<SignedProposal> = match cfg.kind {
+        TxKind::Spend => {
+            let coins = coins::mint_coins(&mut net, cfg.n_tx);
+            coins.iter().take(cfg.n_tx).map(|c| coins::self_spend(&net, c)).collect()
         }
-        flush_and_commit(&mut ordering, &net, &peer);
-    }
-
-    // --- Phase 2: pre-build the measured envelopes (endorsement timed).
+        TxKind::Mint => (0..cfg.n_tx)
+            .map(|_| net.mint_proposal(0, vec![net.coin_for(0, 10, "FBC")]))
+            .collect(),
+    };
+    // Endorsement is timed, assembly is not.
+    let mut endorse_samples: Vec<Duration> = Vec::with_capacity(cfg.n_tx);
     let mut envelopes: Vec<(TxId, Envelope)> = Vec::with_capacity(cfg.n_tx);
     let mut total_bytes = 0usize;
-    match cfg.kind {
-        TxKind::Spend => {
-            let coins = wallet.coins("FBC");
-            assert!(coins.len() >= cfg.n_tx, "not enough coins minted");
-            for coin in coins.iter().take(cfg.n_tx) {
-                let nonce = client.next_nonce();
-                let txid = TxId::derive(&client.identity().serialized().to_wire(), &nonce);
-                let request = wallet
-                    .create_spend(
-                        std::slice::from_ref(&coin.key),
-                        vec![CoinState {
-                            amount: coin.amount,
-                            owner: address.clone(),
-                            label: "FBC".into(),
-                        }],
-                        &txid,
-                    )
-                    .expect("wallet owns coin");
-                let proposal = client.create_proposal_with_nonce(
-                    FABCOIN_NAMESPACE,
-                    "spend",
-                    vec![request.to_wire()],
-                    nonce,
-                );
-                let start = Instant::now();
-                let responses = client
-                    .collect_endorsements(&proposal, &[&peer])
-                    .expect("spend endorses");
-                endorse_samples.push(start.elapsed());
-                let envelope = client.assemble_transaction(&proposal, &responses);
-                total_bytes += envelope.wire_size();
-                envelopes.push((txid, envelope));
-            }
-        }
-        TxKind::Mint => {
-            for _ in 0..cfg.n_tx {
-                let nonce = client.next_nonce();
-                let txid = TxId::derive(&client.identity().serialized().to_wire(), &nonce);
-                let request = bank.create_mint(
-                    vec![CoinState {
-                        amount: 10,
-                        owner: address.clone(),
-                        label: "FBC".into(),
-                    }],
-                    &txid,
-                    1,
-                );
-                let proposal = client.create_proposal_with_nonce(
-                    FABCOIN_NAMESPACE,
-                    "mint",
-                    vec![request.to_wire()],
-                    nonce,
-                );
-                let start = Instant::now();
-                let responses = client
-                    .collect_endorsements(&proposal, &[&peer])
-                    .expect("mint endorses");
-                endorse_samples.push(start.elapsed());
-                let envelope = client.assemble_transaction(&proposal, &responses);
-                total_bytes += envelope.wire_size();
-                envelopes.push((txid, envelope));
-            }
-        }
+    let client = &net.clients[0];
+    for proposal in &proposals {
+        let start = Instant::now();
+        let responses = client
+            .collect_endorsements(proposal, &[&net.peers[0]])
+            .expect("proposal endorses");
+        endorse_samples.push(start.elapsed());
+        let envelope = client.assemble_transaction(proposal, &responses);
+        total_bytes += envelope.wire_size();
+        envelopes.push((proposal.proposal.tx_id(), envelope));
     }
+    let net = &mut net.net;
+    let peer = &net.peers[0];
 
     // --- Phase 3: measured submission, committed through the pipelined
     // committer (block n+1's VSCC overlaps block n's rw-check/append). ---
@@ -302,11 +185,11 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
             }
         }
         send_ts.insert(txid, Instant::now());
-        ordering.broadcast(envelope).expect("broadcast accepted");
+        net.ordering.broadcast(envelope).expect("broadcast accepted");
         // Feed any block the orderer has cut into the pipeline.
         submit_ready(
-            &ordering,
-            &net,
+            &net.ordering,
+            &net.channel,
             &handle,
             &mut next_deliver,
             &send_ts,
@@ -325,10 +208,10 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
     }
     // Flush the tail: tick until the timeout cuts the last partial block.
     for _ in 0..10 {
-        ordering.tick();
+        net.ordering.tick();
         submit_ready(
-            &ordering,
-            &net,
+            &net.ordering,
+            &net.channel,
             &handle,
             &mut next_deliver,
             &send_ts,
@@ -387,14 +270,14 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
 /// recording ordering latency at delivery time.
 fn submit_ready(
     ordering: &OrderingCluster,
-    net: &TestNet,
+    channel: &ChannelId,
     handle: &PipelineHandle,
     next_deliver: &mut u64,
     send_ts: &std::collections::HashMap<TxId, Instant>,
     ordering_samples: &mut Vec<Duration>,
     block_txids: &mut std::collections::HashMap<u64, Vec<TxId>>,
 ) {
-    while let Some(block) = ordering.deliver(&net.channel, *next_deliver) {
+    while let Some(block) = ordering.deliver(channel, *next_deliver) {
         let received = Instant::now();
         let tx_ids: Vec<TxId> = block.envelopes.iter().map(|e| e.tx_id()).collect();
         for txid in &tx_ids {
@@ -435,24 +318,6 @@ fn drain_events(
         if measured_in_block > 0 {
             timings.push(event.timing);
             block_sizes.push(measured_in_block);
-        }
-    }
-}
-
-/// Commits all outstanding blocks without measuring (setup phases).
-fn flush_and_commit(ordering: &mut OrderingCluster, net: &TestNet, peer: &Peer) {
-    for _ in 0..10 {
-        ordering.tick();
-        loop {
-            let next = peer.height();
-            let Some(block) = ordering.deliver(&net.channel, next) else {
-                break;
-            };
-            let (flags, _) = peer.commit_block(&block).expect("setup commit");
-            assert!(
-                flags.iter().all(|f| f.is_valid()),
-                "setup transactions must validate"
-            );
         }
     }
 }

@@ -8,9 +8,12 @@
 use std::collections::HashMap;
 
 use fabric_crypto::SigningKey;
-use fabric_primitives::ids::TxId;
+use fabric_primitives::block::Block;
+use fabric_primitives::ids::{TxId, TxValidationCode};
+use fabric_primitives::transaction::EnvelopeContent;
+use fabric_primitives::wire::Wire;
 
-use crate::types::{CoinState, FabcoinRequest};
+use crate::types::{coin_key, CoinState, FabcoinRequest, FABCOIN_NAMESPACE};
 
 /// An unspent coin tracked by a wallet.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,6 +70,42 @@ impl Wallet {
     /// Forgets a coin once its spend has committed.
     pub fn note_spent(&mut self, key: &str) {
         self.coins.remove(key);
+    }
+
+    /// Applies a committed block: every valid Fabcoin transaction's
+    /// inputs are spent and its outputs noted (kept if this wallet owns
+    /// them). Returns every such output as `(coin key, state)`, in block
+    /// order.
+    pub fn apply_committed(
+        &mut self,
+        block: &Block,
+        flags: &[TxValidationCode],
+    ) -> Vec<(String, CoinState)> {
+        let mut outputs = Vec::new();
+        for (env, flag) in block.envelopes.iter().zip(flags) {
+            if !flag.is_valid() {
+                continue;
+            }
+            let EnvelopeContent::Transaction(tx) = &env.content else {
+                continue;
+            };
+            if tx.response_payload.chaincode.name != FABCOIN_NAMESPACE {
+                continue;
+            }
+            let Some(Ok(request)) = tx.proposal_payload.args.first().map(|raw| FabcoinRequest::from_wire(raw)) else {
+                continue;
+            };
+            for input in &request.inputs {
+                self.note_spent(input);
+            }
+            let txid = tx.tx_id();
+            for (j, output) in request.outputs.into_iter().enumerate() {
+                let key = coin_key(&txid, j as u32);
+                self.note_coin(&key, &output);
+                outputs.push((key, output));
+            }
+        }
+        outputs
     }
 
     /// Total unspent value held for `label`.

@@ -9,15 +9,12 @@
 
 use std::sync::Arc;
 
-use fabric::chaincode::{ChaincodeDefinition, Stub, LSCC_NAMESPACE};
+use fabric::chaincode::Stub;
 use fabric::client::Client;
-use fabric::kvstore::MemBackend;
 use fabric::msp::Role;
-use fabric::ordering::testkit::TestNet;
-use fabric::ordering::OrderingCluster;
-use fabric::peer::{Peer, PeerConfig};
-use fabric::primitives::config::{BatchConfig, ConsensusType};
-use fabric::primitives::wire::Wire;
+use fabric::net::{Net, NetSpec};
+use fabric::peer::Peer;
+use fabric::primitives::config::BatchConfig;
 
 /// The EAM chaincode: assets keyed `asset/<serial>`, holding
 /// `owner|status` strings, with a life-cycle event log per asset.
@@ -76,98 +73,42 @@ fn eam_chaincode(stub: &mut Stub<'_>) -> Result<Vec<u8>, String> {
 
 fn main() {
     // A consortium: the manufacturer and the customer, each with a peer.
-    let net = TestNet::with_batch(
-        &["Maker", "Customer"],
-        ConsensusType::Solo,
-        1,
-        BatchConfig {
-            max_message_count: 1,
-            absolute_max_bytes: 10 << 20,
-            preferred_max_bytes: 2 << 20,
-            batch_timeout_ms: 1000,
-        },
+    let mut net = Net::new(
+        NetSpec {
+            batch: BatchConfig {
+                max_message_count: 1,
+                absolute_max_bytes: 10 << 20,
+                preferred_max_bytes: 2 << 20,
+                batch_timeout_ms: 1000,
+            },
+            ..NetSpec::new(&["Maker", "Customer"])
+        }
+        .peer_per_org(2)
+        .chaincode("eam", Arc::new(eam_chaincode)),
     );
-    let mut ordering = OrderingCluster::new(
-        ConsensusType::Solo,
-        net.orderers(1),
-        vec![net.genesis.clone()],
-    )
-    .expect("ordering bootstraps");
-    let genesis = ordering.deliver(&net.channel, 0).expect("genesis");
-
-    let peers: Vec<Peer> = (0..2)
-        .map(|i| {
-            let identity = fabric::msp::issue_identity(
-                &net.org_cas[i],
-                &format!("peer0.org{i}"),
-                Role::Peer,
-                format!("eam-peer-{i}").as_bytes(),
-            );
-            let peer = Peer::join(
-                identity,
-                &genesis,
-                Arc::new(MemBackend::new()),
-                PeerConfig::default(),
-            )
-            .expect("peer joins");
-            peer.install_chaincode("eam", Arc::new(eam_chaincode));
-            peer
-        })
-        .collect();
-    let endorsers: Vec<&Peer> = peers.iter().collect();
 
     // Deploy with a two-party endorsement policy: BOTH orgs must endorse.
-    let admin = fabric::msp::issue_identity(&net.org_cas[0], "admin", Role::Admin, b"eam-admin");
-    let admin_client = Client::new(admin, net.channel.clone());
-    let definition = ChaincodeDefinition {
-        name: "eam".into(),
-        version: "1.0".into(),
-        endorsement_policy: "AND(MakerMSP, CustomerMSP)".into(),
-    };
-    let proposal =
-        admin_client.create_proposal(LSCC_NAMESPACE, "deploy", vec![definition.to_wire()]);
-    let responses = admin_client
-        .collect_endorsements(&proposal, &endorsers)
-        .expect("deploy endorsed by both orgs");
-    let envelope = admin_client.assemble_transaction(&proposal, &responses);
-    ordering.broadcast(envelope).expect("deploy ordered");
-    commit_all(&ordering, &net, &peers);
+    net.deploy("eam", "1.0", "AND(MakerMSP, CustomerMSP)");
     println!("chaincode 'eam' deployed with policy AND(MakerMSP, CustomerMSP)");
 
     // The manufacturer registers an asset, then ships it to the customer.
-    let maker = fabric::msp::issue_identity(&net.org_cas[0], "ops", Role::Client, b"maker-ops");
-    let client = Client::new(maker, net.channel.clone());
-    let invoke = |client: &Client, ordering: &mut OrderingCluster, function: &str, args: Vec<&str>| {
-        let tx = client
-            .invoke(
-                &endorsers,
-                ordering,
-                "eam",
-                function,
-                args.iter().map(|a| a.as_bytes().to_vec()).collect(),
-            )
-            .expect("invoke accepted");
-        tx
-    };
-    invoke(&client, &mut ordering, "register", vec!["SN-1001", "Maker"]);
-    commit_all(&ordering, &net, &peers);
+    let client = net.client(0, "ops", Role::Client);
+    invoke(&mut net, &client, "register", &["SN-1001", "Maker"]);
     invoke(
+        &mut net,
         &client,
-        &mut ordering,
         "transfer",
-        vec!["SN-1001", "GlobalShipping", "in-transit", "1"],
+        &["SN-1001", "GlobalShipping", "in-transit", "1"],
     );
-    commit_all(&ordering, &net, &peers);
     invoke(
+        &mut net,
         &client,
-        &mut ordering,
         "transfer",
-        vec!["SN-1001", "Customer", "deployed", "2"],
+        &["SN-1001", "Customer", "deployed", "2"],
     );
-    commit_all(&ordering, &net, &peers);
 
     // Both parties see the same state and the same audit trail.
-    for (i, peer) in peers.iter().enumerate() {
+    for (i, peer) in net.peers.iter().enumerate() {
         let state = peer
             .get_state("eam", "asset/SN-1001")
             .unwrap()
@@ -179,17 +120,25 @@ fn main() {
         );
     }
     let history = client
-        .query(&peers[1], "eam", "history", vec![b"SN-1001".to_vec()])
+        .query(&net.peers[1], "eam", "history", vec![b"SN-1001".to_vec()])
         .expect("history query");
     println!("life-cycle history:\n{}", String::from_utf8_lossy(&history));
-    println!("ledger height: {}", peers[0].height());
+    println!("ledger height: {}", net.peers[0].height());
 }
 
-fn commit_all(ordering: &OrderingCluster, net: &TestNet, peers: &[Peer]) {
-    while let Some(block) = ordering.deliver(&net.channel, peers[0].height()) {
-        for peer in peers {
-            let (flags, _) = peer.commit_block(&block).expect("commit");
-            assert!(flags.iter().all(|f| f.is_valid()), "tx invalid: {flags:?}");
-        }
+/// Invokes `function` endorsed by both orgs' peers and commits it.
+fn invoke(net: &mut Net, client: &Client, function: &str, args: &[&str]) {
+    let endorsers: Vec<&Peer> = net.peers.iter().collect();
+    client
+        .invoke(
+            &endorsers,
+            &mut net.ordering,
+            "eam",
+            function,
+            args.iter().map(|a| a.as_bytes().to_vec()).collect(),
+        )
+        .expect("invoke accepted");
+    for flags in net.settle() {
+        assert!(flags.iter().all(|f| f.is_valid()), "tx invalid: {flags:?}");
     }
 }

@@ -8,22 +8,22 @@
 //!
 //! Run with: `cargo run --release --example fabcoin_demo`
 
-use fabric::fabcoin::{FabcoinNetwork, FabcoinNetworkConfig};
+use fabric::net::{FabcoinNetwork, NetSpec};
 use fabric::primitives::config::BatchConfig;
 use fabric::primitives::ids::TxValidationCode;
 
 fn main() {
     // Two orgs (Alice's and Bob's), a Solo orderer, blocks of up to 2 txs.
-    let mut net = FabcoinNetwork::new(FabcoinNetworkConfig {
-        orgs: 2,
+    let spec = NetSpec {
         batch: BatchConfig {
             max_message_count: 2,
             absolute_max_bytes: 10 << 20,
             preferred_max_bytes: 2 << 20,
             batch_timeout_ms: 1000,
         },
-        ..FabcoinNetworkConfig::default()
-    });
+        ..NetSpec::new(&["Org1", "Org2"])
+    };
+    let mut net = FabcoinNetwork::new(spec.peer_per_org(2));
     let alice = 0;
     let bob = 1;
 
@@ -85,7 +85,7 @@ fn main() {
         .clone();
     let honest = net.coin_for(bob, 40, "FBC");
     let tx_honest = net
-        .spend(alice, &[change_key.clone()], vec![honest])
+        .spend(alice, std::slice::from_ref(&change_key), vec![honest])
         .expect("first spend accepted");
     let sneaky = net.coin_for(alice, 40, "FBC");
     let tx_sneaky = net

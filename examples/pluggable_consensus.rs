@@ -4,23 +4,23 @@
 //!
 //! Run with: `cargo run --release --example pluggable_consensus`
 
-use fabric::fabcoin::{FabcoinNetwork, FabcoinNetworkConfig};
+use fabric::net::{FabcoinNetwork, NetSpec};
 use fabric::primitives::config::{BatchConfig, ConsensusType};
 use fabric::primitives::ids::TxValidationCode;
 
 fn run(consensus: ConsensusType, osn_count: usize) -> (u64, usize) {
-    let mut net = FabcoinNetwork::new(FabcoinNetworkConfig {
-        orgs: 2,
+    let spec = NetSpec {
         consensus,
-        osn_count,
+        osns: osn_count,
         batch: BatchConfig {
             max_message_count: 2,
             absolute_max_bytes: 10 << 20,
             preferred_max_bytes: 2 << 20,
             batch_timeout_ms: 500,
         },
-        ..FabcoinNetworkConfig::default()
-    });
+        ..NetSpec::new(&["Org1", "Org2"])
+    };
+    let mut net = FabcoinNetwork::new(spec.peer_per_org(2));
 
     // Mint two coins, spend both.
     let c1 = net.coin_for(0, 10, "FBC");
@@ -35,7 +35,7 @@ fn run(consensus: ConsensusType, osn_count: usize) -> (u64, usize) {
     let mut spend_flags = Vec::new();
     for coin in coins {
         let out = net.coin_for(1, coin.amount, "FBC");
-        let tx = net.spend(0, &[coin.key.clone()], vec![out]).expect("spend");
+        let tx = net.spend(0, std::slice::from_ref(&coin.key), vec![out]).expect("spend");
         for _ in 0..10 {
             net.tick();
         }

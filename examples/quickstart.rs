@@ -53,7 +53,7 @@ fn main() {
     .expect("bootstrap ordering");
     let genesis = ordering.deliver(&net.channel, 0).expect("genesis block");
     println!("channel '{}' bootstrapped, genesis hash {}", net.channel,
-        fabric::crypto::hex(&genesis.hash())[..16].to_string());
+        &fabric::crypto::hex(&genesis.hash())[..16]);
 
     // 2. A peer joins the channel and installs the chaincode binary.
     let peer_identity =

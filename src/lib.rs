@@ -32,6 +32,10 @@
 //! | [`client`] | `fabric-client` | Sec. 3.2 client SDK |
 //! | [`fabcoin`] | `fabric-fabcoin` | Sec. 5.1 |
 //! | [`simnet`] | `fabric-simnet` | Sec. 5.2 WAN experiments |
+//!
+//! [`net`] is this crate's own: one [`net::NetSpec`] stands up an
+//! in-process network (orgs, any ordering backend, peers joined from
+//! genesis) for tests, examples and benches.
 
 pub use fabric_chaincode as chaincode;
 pub use fabric_client as client;
@@ -50,3 +54,5 @@ pub use fabric_primitives as primitives;
 pub use fabric_raft as raft;
 pub use fabric_simnet as simnet;
 pub use fabric_statesync as statesync;
+
+pub mod net;

@@ -1,6 +1,6 @@
 //! Shared fixture for the pipelined-committer integration tests: a
-//! single-org network, a KV chaincode with read-modify-write and
-//! range-query (phantom-prone) operations, and a block builder that can
+//! single-org network running `fabric::net::kv_chaincode` (read-modify-
+//! write and range-query operations), and a block builder that can
 //! produce valid, tampered, under-endorsed, and stale (cross-block MVCC
 //! conflicting) transactions.
 
@@ -10,75 +10,22 @@
 
 use std::sync::Arc;
 
-use fabric::chaincode::{ChaincodeDefinition, Stub, LSCC_NAMESPACE};
 use fabric::client::Client;
 use fabric::kvstore::backend::Backend;
-use fabric::kvstore::MemBackend;
 use fabric::msp::Role;
-use fabric::ordering::testkit::TestNet;
-use fabric::ordering::OrderingCluster;
-use fabric::peer::{Peer, PeerConfig};
+use fabric::net::{Net, NetSpec, PeerSpec};
+use fabric::peer::Peer;
 use fabric::primitives::block::Block;
-use fabric::primitives::config::ConsensusType;
 use fabric::primitives::transaction::{Envelope, EnvelopeContent};
-use fabric::primitives::wire::Wire;
 
-/// KV chaincode with conflict-generating operations:
-/// * `put(key, value)` — blind write;
-/// * `get(key)` — read only;
-/// * `incr(key)` — read-modify-write (MVCC conflict generator);
-/// * `scanput(prefix, dest)` — range query over `[prefix, prefix~)` whose
-///   result count is written to `dest` (phantom-read generator).
-pub fn kv_chaincode(stub: &mut Stub<'_>) -> Result<Vec<u8>, String> {
-    match stub.function() {
-        "put" => {
-            let key = stub.arg_string(0)?;
-            stub.put_state(&key, stub.args()[1].clone());
-            Ok(vec![])
-        }
-        "get" => {
-            let key = stub.arg_string(0)?;
-            stub.get_state(&key)?.ok_or("missing".into())
-        }
-        "incr" => {
-            let key = stub.arg_string(0)?;
-            // A `put` may have left a short value under the same key.
-            let current = stub
-                .get_state(&key)?
-                .and_then(|v| v.get(..8).map(|b| u64::from_le_bytes(b.try_into().unwrap())))
-                .unwrap_or(0);
-            stub.put_state(&key, (current + 1).to_le_bytes().to_vec());
-            Ok(vec![])
-        }
-        "multiget" => {
-            // Reads every argument as a key and concatenates the values:
-            // a multi-key read in one simulation (snapshot-consistency
-            // probe for the endorsement tests).
-            let mut out = Vec::new();
-            for arg in stub.args().to_vec() {
-                let key = String::from_utf8(arg).map_err(|e| e.to_string())?;
-                out.extend(stub.get_state(&key)?.unwrap_or_default());
-            }
-            Ok(out)
-        }
-        "scanput" => {
-            let prefix = stub.arg_string(0)?;
-            let dest = stub.arg_string(1)?;
-            let end = format!("{prefix}~");
-            let hits = stub.get_state_range(&prefix, &end)?;
-            stub.put_state(&dest, (hits.len() as u64).to_le_bytes().to_vec());
-            Ok(vec![])
-        }
-        other => Err(format!("unknown {other}")),
-    }
-}
+pub use fabric::net::kv_chaincode;
 
 /// A single-org world whose builder peer endorses and (sequentially)
 /// commits blocks as they are built, so later endorsements simulate
 /// against up-to-date state.
 pub struct PipelineWorld {
-    pub net: TestNet,
-    pub genesis: Block,
+    /// The network (no peers of its own: the builder is taken out).
+    pub net: Net,
     pub builder: Peer,
     pub client: Client,
     /// Every block built so far, deploy block included, in order.
@@ -87,46 +34,19 @@ pub struct PipelineWorld {
 
 impl PipelineWorld {
     pub fn new() -> Self {
-        let net = TestNet::new(&["Org1"], ConsensusType::Solo, 1);
-        let ordering =
-            OrderingCluster::new(ConsensusType::Solo, net.orderers(1), vec![net.genesis.clone()])
-                .expect("ordering bootstraps");
-        let genesis = ordering.deliver(&net.channel, 0).expect("genesis block");
-        let builder = make_peer(&net, &genesis, "builder.org1", 2, Arc::new(MemBackend::new()));
-        let client_identity = fabric::msp::issue_identity(
-            &net.org_cas[0],
-            "client.org1",
-            Role::Client,
-            b"pw-client",
+        let mut net = Net::new(
+            NetSpec::new(&["Org1"])
+                .peer(PeerSpec::new(0, "builder.org1", 2))
+                .chaincode("kv", Arc::new(kv_chaincode)),
         );
-        let client = Client::new(client_identity, net.channel.clone());
-
+        // Block 1: deploy the KV chaincode, any-Org1 endorsement policy.
+        let deploy = net.deploy_tx("kv", "1.0", "Org1MSP");
         let mut world = PipelineWorld {
+            builder: net.peers.remove(0),
+            client: net.client(0, "client.org1", Role::Client),
             net,
-            genesis,
-            builder,
-            client,
             blocks: Vec::new(),
         };
-        // Block 1: deploy the KV chaincode, any-Org1 endorsement policy.
-        let admin = fabric::msp::issue_identity(
-            &world.net.org_cas[0],
-            "admin.org1",
-            Role::Admin,
-            b"pw-admin",
-        );
-        let admin_client = Client::new(admin, world.net.channel.clone());
-        let def = ChaincodeDefinition {
-            name: "kv".into(),
-            version: "1.0".into(),
-            endorsement_policy: "Org1MSP".into(),
-        };
-        let proposal =
-            admin_client.create_proposal(LSCC_NAMESPACE, "deploy", vec![def.to_wire()]);
-        let responses = admin_client
-            .collect_endorsements(&proposal, &[&world.builder])
-            .expect("deploy endorses");
-        let deploy = admin_client.assemble_transaction(&proposal, &responses);
         world.seal_block(vec![deploy]);
         world
     }
@@ -168,7 +88,7 @@ impl PipelineWorld {
     pub fn seal_block(&mut self, envelopes: Vec<Envelope>) -> &Block {
         let number = self.builder.height();
         let prev = if number == 1 {
-            self.genesis.hash()
+            self.net.genesis.hash()
         } else {
             self.blocks.last().expect("previous block").hash()
         };
@@ -183,13 +103,7 @@ impl PipelineWorld {
     /// A fresh replica peer joined from genesis with the KV chaincode
     /// installed, on its own in-memory backend.
     pub fn replica(&self, name: &str, vscc_parallelism: usize) -> Peer {
-        make_peer(
-            &self.net,
-            &self.genesis,
-            name,
-            vscc_parallelism,
-            Arc::new(MemBackend::new()),
-        )
+        self.net.join(PeerSpec::new(0, name, vscc_parallelism))
     }
 
     /// Like [`PipelineWorld::replica`] on an explicit backend (crash and
@@ -200,30 +114,9 @@ impl PipelineWorld {
         vscc_parallelism: usize,
         backend: Arc<dyn Backend>,
     ) -> Peer {
-        make_peer(&self.net, &self.genesis, name, vscc_parallelism, backend)
+        self.net.join(PeerSpec {
+            backend: Some(backend),
+            ..PeerSpec::new(0, name, vscc_parallelism)
+        })
     }
-}
-
-pub fn make_peer(
-    net: &TestNet,
-    genesis: &Block,
-    name: &str,
-    vscc_parallelism: usize,
-    backend: Arc<dyn Backend>,
-) -> Peer {
-    let identity =
-        fabric::msp::issue_identity(&net.org_cas[0], name, Role::Peer, name.as_bytes());
-    let peer = Peer::join(
-        identity,
-        genesis,
-        backend,
-        PeerConfig {
-            vscc_parallelism,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
-            sync_writes: false,
-        },
-    )
-    .expect("peer joins channel");
-    peer.install_chaincode("kv", Arc::new(kv_chaincode));
-    peer
 }

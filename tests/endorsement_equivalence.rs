@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 use common::PipelineWorld;
 use fabric::client::Client;
 use fabric::msp::{Msp, MspRegistry, Role};
-use fabric::peer::{EndorseOptions, EndorsePipeline, PeerError};
+use fabric::peer::{EndorseOptions, EndorsePipeline, Peer, PeerError};
 use fabric::primitives::transaction::{Endorsement, SignedProposal};
 use fabric::primitives::wire::Wire;
 use proptest::prelude::*;
@@ -44,7 +44,9 @@ enum Op {
 }
 
 struct EqWorld {
-    world: PipelineWorld,
+    /// The world's builder peer (the ordering service stays behind: it
+    /// is not `Sync`, and nothing here orders).
+    builder: Peer,
     clients: Vec<Client>,
     msp: MspRegistry,
 }
@@ -68,7 +70,7 @@ fn eq_world() -> &'static EqWorld {
         let clients = (0..3)
             .map(|i| {
                 let id = fabric::msp::issue_identity(
-                    &world.net.org_cas[0],
+                    &world.net.fixtures.org_cas[0],
                     &format!("eq-client{i}"),
                     Role::Client,
                     format!("eq-c{i}").as_bytes(),
@@ -78,11 +80,11 @@ fn eq_world() -> &'static EqWorld {
             .collect();
         let msp = {
             let mut m = MspRegistry::new();
-            m.add(Msp::new("Org1MSP", world.net.org_cas[0].root_cert().clone()).unwrap());
+            m.add(Msp::new("Org1MSP", world.net.fixtures.org_cas[0].root_cert().clone()).unwrap());
             m
         };
         EqWorld {
-            world,
+            builder: world.builder,
             clients,
             msp,
         }
@@ -177,7 +179,7 @@ proptest! {
         workers in 1usize..5,
     ) {
         let eq = eq_world();
-        let pipeline: EndorsePipeline = eq.world.builder.endorse_pipeline(EndorseOptions {
+        let pipeline: EndorsePipeline = eq.builder.endorse_pipeline(EndorseOptions {
             workers,
             ..EndorseOptions::default()
         });
@@ -195,7 +197,7 @@ proptest! {
             .collect();
         let sequential: Vec<Result<_, _>> = proposals
             .iter()
-            .map(|sp| eq.world.builder.process_proposal(sp))
+            .map(|sp| eq.builder.process_proposal(sp))
             .collect();
         // Submit everything before waiting: proposals are genuinely in
         // flight together on the pool.
@@ -269,7 +271,7 @@ proptest! {
 #[test]
 fn payload_multiset_identical_across_schedules() {
     let eq = eq_world();
-    let pipeline = eq.world.builder.endorse_pipeline(EndorseOptions {
+    let pipeline = eq.builder.endorse_pipeline(EndorseOptions {
         workers: 8,
         ..EndorseOptions::default()
     });
@@ -309,8 +311,7 @@ fn payload_multiset_identical_across_schedules() {
     let mut sequential: Vec<Vec<u8>> = proposals
         .iter()
         .map(|sp| {
-            eq.world
-                .builder
+            eq.builder
                 .process_proposal(sp)
                 .expect("valid workload")
                 .payload

@@ -13,9 +13,9 @@ use std::time::Duration;
 use common::PipelineWorld;
 use fabric::chaincode::{RuntimeConfig, Stub};
 use fabric::client::Client;
-use fabric::kvstore::MemBackend;
 use fabric::msp::Role;
-use fabric::peer::{EndorseOptions, Peer, PeerConfig, PeerError};
+use fabric::net::PeerSpec;
+use fabric::peer::{EndorseOptions, Peer, PeerError};
 use fabric::primitives::block::Block;
 use fabric::primitives::transaction::Envelope;
 
@@ -25,35 +25,13 @@ const WORKERS: usize = 2;
 /// A peer joined to the world's channel with a deadline-guarded runtime
 /// (the configuration under attack in this battery).
 fn faulty_peer(world: &PipelineWorld, name: &str, timeout: Duration) -> Peer {
-    let identity = fabric::msp::issue_identity(
-        &world.net.org_cas[0],
-        name,
-        Role::Peer,
-        name.as_bytes(),
-    );
-    let peer = Peer::join(
-        identity,
-        &world.genesis,
-        Arc::new(MemBackend::new()),
-        PeerConfig {
-            vscc_parallelism: 1,
-            runtime: RuntimeConfig { exec_timeout: Some(timeout) },
-            sync_writes: false,
-        },
-    )
-    .expect("peer joins");
-    peer.install_chaincode("kv", Arc::new(common::kv_chaincode));
-    peer
+    let mut spec = PeerSpec::new(0, name, 1);
+    spec.config.runtime = RuntimeConfig { exec_timeout: Some(timeout) };
+    world.net.join(spec)
 }
 
 fn client(world: &PipelineWorld, name: &str) -> Client {
-    let id = fabric::msp::issue_identity(
-        &world.net.org_cas[0],
-        name,
-        Role::Client,
-        name.as_bytes(),
-    );
-    Client::new(id, world.net.channel.clone())
+    world.net.client(0, name, Role::Client)
 }
 
 #[test]
@@ -308,8 +286,7 @@ fn simulations_read_from_a_single_snapshot_under_concurrent_commits() {
     // whenever they commit. Hash-chain them without committing yet.
     let mut pending_blocks: Vec<Block> = Vec::new();
     let mut prev = world.blocks.last().unwrap().hash();
-    let mut number = world.builder.height();
-    for marker in 1..=BLOCKS as u8 {
+    for (number, marker) in (world.builder.height()..).zip(1..=BLOCKS as u8) {
         let envelopes: Vec<Envelope> = (0..KEYS)
             .map(|k| {
                 world.endorse(
@@ -320,7 +297,6 @@ fn simulations_read_from_a_single_snapshot_under_concurrent_commits() {
             .collect();
         let block = Block::new(number, prev, envelopes);
         prev = block.hash();
-        number += 1;
         pending_blocks.push(block);
     }
 

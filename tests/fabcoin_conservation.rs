@@ -6,9 +6,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fabric::fabcoin::{
-    CoinState, FabcoinNetwork, FabcoinNetworkConfig, FABCOIN_NAMESPACE,
-};
+use fabric::fabcoin::{CoinState, FABCOIN_NAMESPACE};
+use fabric::net::{FabcoinNetwork, NetSpec};
 use fabric::primitives::config::BatchConfig;
 use fabric::primitives::ids::TxValidationCode;
 use fabric::primitives::wire::Wire;
@@ -28,16 +27,16 @@ fn on_ledger_supply(net: &FabcoinNetwork, label: &str) -> u64 {
 #[test]
 fn randomized_workload_conserves_value() {
     let mut rng = StdRng::seed_from_u64(0xfab_c01);
-    let mut net = FabcoinNetwork::new(FabcoinNetworkConfig {
-        orgs: 2,
+    let spec = NetSpec {
         batch: BatchConfig {
             max_message_count: 1,
             absolute_max_bytes: 10 << 20,
             preferred_max_bytes: 2 << 20,
             batch_timeout_ms: 10_000,
         },
-        ..FabcoinNetworkConfig::default()
-    });
+        ..NetSpec::new(&["Org1", "Org2"])
+    };
+    let mut net = FabcoinNetwork::new(spec.peer_per_org(2));
 
     let mut minted_total: u64 = 0;
     let mut valid_txs = 0usize;
@@ -75,7 +74,7 @@ fn randomized_workload_conserves_value() {
                     vec![net.coin_for(to, coin.amount, "FBC")]
                 };
                 let tx = net
-                    .spend(org, &[coin.key.clone()], outputs)
+                    .spend(org, std::slice::from_ref(&coin.key), outputs)
                     .expect("spend endorsed");
                 submitted.push(tx);
             }
@@ -89,11 +88,11 @@ fn randomized_workload_conserves_value() {
                 let coin = &coins[rng.gen_range(0..coins.len())];
                 let honest = vec![net.coin_for(1 - org, coin.amount, "FBC")];
                 let tx1 = net
-                    .spend(org, &[coin.key.clone()], honest)
+                    .spend(org, std::slice::from_ref(&coin.key), honest)
                     .expect("first spend endorsed");
                 let sneaky = vec![net.coin_for(org, coin.amount, "FBC")];
                 let tx2 = net
-                    .spend(org, &[coin.key.clone()], sneaky)
+                    .spend(org, std::slice::from_ref(&coin.key), sneaky)
                     .expect("second spend endorsed");
                 submitted.push(tx1);
                 submitted.push(tx2);

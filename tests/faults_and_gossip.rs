@@ -7,40 +7,45 @@ use std::time::Duration;
 
 use fabric::chaincode::{RuntimeConfig, Stub};
 use fabric::gossip::{GossipConfig, GossipNode, GossipOutput};
-use fabric::kvstore::MemBackend;
 use fabric::msp::Role;
-use fabric::ordering::testkit::{make_envelope, TestNet};
-use fabric::ordering::OrderingCluster;
-use fabric::peer::{Peer, PeerConfig, PeerError, PipelineHandle};
+use fabric::net::{Net, NetSpec, PeerSpec};
+use fabric::ordering::testkit::make_envelope;
+use fabric::peer::{PeerConfig, PeerError, PipelineHandle};
 use fabric::primitives::block::Block;
-use fabric::primitives::config::{BatchConfig, ConsensusType};
+use fabric::primitives::config::BatchConfig;
 use fabric::primitives::rwset::TxReadWriteSet;
 use fabric::primitives::wire::Wire;
+
+/// One org on Solo; every transaction is cut into its own block.
+fn one_tx_blocks() -> NetSpec {
+    NetSpec {
+        batch: BatchConfig {
+            max_message_count: 1,
+            absolute_max_bytes: 10 << 20,
+            preferred_max_bytes: 2 << 20,
+            batch_timeout_ms: 1000,
+        },
+        ..NetSpec::new(&["Org1"])
+    }
+}
+
+/// A peer with the default configuration (guarded chaincode, host-wide
+/// VSCC pool).
+fn default_peer(name: &str) -> PeerSpec {
+    PeerSpec {
+        config: PeerConfig::default(),
+        ..PeerSpec::new(0, name, 1)
+    }
+}
 
 #[test]
 fn dos_chaincode_cannot_stall_the_peer() {
     // Paper Sec. 3.2: an endorser unilaterally aborts a runaway chaincode;
     // only that proposal's liveness suffers.
-    let net = TestNet::new(&["Org1"], ConsensusType::Solo, 1);
-    let ordering = OrderingCluster::new(
-        ConsensusType::Solo,
-        net.orderers(1),
-        vec![net.genesis.clone()],
-    )
-    .unwrap();
-    let genesis = ordering.deliver(&net.channel, 0).unwrap();
-    let identity = fabric::msp::issue_identity(&net.org_cas[0], "p", Role::Peer, b"p");
-    let peer = Peer::join(
-        identity,
-        &genesis,
-        Arc::new(MemBackend::new()),
-        PeerConfig {
-            vscc_parallelism: 1,
-            runtime: RuntimeConfig { exec_timeout: Some(Duration::from_millis(150)) },
-            sync_writes: false,
-        },
-    )
-    .unwrap();
+    let mut spec = PeerSpec::new(0, "p", 1);
+    spec.config.runtime = RuntimeConfig { exec_timeout: Some(Duration::from_millis(150)) };
+    let net = Net::new(NetSpec::new(&["Org1"]).peer(spec));
+    let peer = &net.peers[0];
     peer.install_chaincode(
         "evil",
         Arc::new(|_: &mut Stub<'_>| -> Result<Vec<u8>, String> {
@@ -56,10 +61,7 @@ fn dos_chaincode_cannot_stall_the_peer() {
             Ok(vec![])
         }),
     );
-    let client = fabric::client::Client::new(
-        fabric::msp::issue_identity(&net.org_cas[0], "c", Role::Client, b"c"),
-        net.channel.clone(),
-    );
+    let client = net.client(0, "c", Role::Client);
     // The evil proposal times out...
     let evil = client.create_proposal("evil", "spin", vec![]);
     let started = std::time::Instant::now();
@@ -80,29 +82,17 @@ fn dos_chaincode_cannot_stall_the_peer() {
 fn gossip_delivers_ordered_blocks_to_non_endorsing_peers() {
     // Wire the gossip overlay between a leader (pulling from the ordering
     // service) and followers; every follower commits the same chain.
-    let net = TestNet::with_batch(
-        &["Org1"],
-        ConsensusType::Solo,
-        1,
-        BatchConfig {
-            max_message_count: 1,
-            absolute_max_bytes: 10 << 20,
-            preferred_max_bytes: 2 << 20,
-            batch_timeout_ms: 1000,
-        },
+    let mut net = Net::new(
+        one_tx_blocks()
+            .peer(default_peer("p0"))
+            .peer(default_peer("p1"))
+            .peer(default_peer("p2")),
     );
-    let mut ordering = OrderingCluster::new(
-        ConsensusType::Solo,
-        net.orderers(1),
-        vec![net.genesis.clone()],
-    )
-    .unwrap();
-    let genesis = ordering.deliver(&net.channel, 0).unwrap();
-    let client = net.client(0, "c1");
+    let client = net.fixtures.client(0, "c1");
     for i in 0..5u64 {
         let mut nonce = [0u8; 32];
         nonce[..8].copy_from_slice(&i.to_le_bytes());
-        ordering
+        net.ordering
             .broadcast(make_envelope(
                 &client,
                 &net.channel,
@@ -127,23 +117,7 @@ fn gossip_delivers_ordered_blocks_to_non_endorsing_peers() {
             )
         })
         .collect();
-    let peers: Vec<Peer> = (0..3)
-        .map(|i| {
-            let identity = fabric::msp::issue_identity(
-                &net.org_cas[0],
-                &format!("p{i}"),
-                Role::Peer,
-                format!("gp{i}").as_bytes(),
-            );
-            Peer::join(
-                identity,
-                &genesis,
-                Arc::new(MemBackend::new()),
-                PeerConfig::default(),
-            )
-            .unwrap()
-        })
-        .collect();
+    let peers = &net.peers;
 
     // Every peer's gossip intake feeds its pipelined committer; blocks
     // validate and commit asynchronously while gossip keeps routing.
@@ -155,16 +129,16 @@ fn gossip_delivers_ordered_blocks_to_non_endorsing_peers() {
     let mut pending: std::collections::VecDeque<(u64, u64, fabric::gossip::GossipMessage)> =
         Default::default();
     for _ in 0..30 {
-        for idx in 0..gossips.len() {
-            let node_id = gossips[idx].id();
-            let outputs = gossips[idx].tick();
+        for (idx, gossip) in gossips.iter_mut().enumerate() {
+            let node_id = gossip.id();
+            let outputs = gossip.tick();
             for output in outputs {
                 match output {
                     GossipOutput::PullFromOrderer { channel, next } => {
                         // Only the leader should be pulling.
                         assert_eq!(node_id, 1, "only the org leader pulls");
-                        if let Some(block) = ordering.deliver(&channel, next) {
-                            let more = gossips[idx].on_block_from_orderer(
+                        if let Some(block) = net.ordering.deliver(&channel, next) {
+                            let more = gossip.on_block_from_orderer(
                                 &channel,
                                 block.header.number,
                                 block.to_wire(),
@@ -240,34 +214,10 @@ fn mislabelled_gossip_payloads_quarantine_the_provider() {
     // an honest provider delivering real blocks is credited.
     use fabric::peer::{DeliverMux, PipelineOptions};
 
-    let net = TestNet::with_batch(
-        &["Org1"],
-        ConsensusType::Solo,
-        1,
-        BatchConfig {
-            max_message_count: 1,
-            absolute_max_bytes: 10 << 20,
-            preferred_max_bytes: 2 << 20,
-            batch_timeout_ms: 1000,
-        },
-    );
-    let mut ordering = OrderingCluster::new(
-        ConsensusType::Solo,
-        net.orderers(1),
-        vec![net.genesis.clone()],
-    )
-    .unwrap();
-    let genesis = ordering.deliver(&net.channel, 0).unwrap();
-    let identity = fabric::msp::issue_identity(&net.org_cas[0], "p", Role::Peer, b"p");
-    let peer = Peer::join(
-        identity,
-        &genesis,
-        Arc::new(MemBackend::new()),
-        PeerConfig::default(),
-    )
-    .unwrap();
+    let mut net = Net::new(one_tx_blocks().peer(default_peer("p")));
+    let peer = &net.peers[0];
     let mux = DeliverMux::new(1);
-    mux.attach(net.channel.clone(), &peer, PipelineOptions::default())
+    mux.attach(net.channel.clone(), peer, PipelineOptions::default())
         .unwrap();
 
     let mut gossip = GossipNode::new(
@@ -316,8 +266,8 @@ fn mislabelled_gossip_payloads_quarantine_the_provider() {
 
     // Peer 3 relays the genuine block: accepted, reputation credited.
     let block1 = {
-        let client = net.client(0, "c1");
-        ordering
+        let client = net.fixtures.client(0, "c1");
+        net.ordering
             .broadcast(make_envelope(
                 &client,
                 &net.channel,
@@ -325,7 +275,7 @@ fn mislabelled_gossip_payloads_quarantine_the_provider() {
                 TxReadWriteSet::default(),
             ))
             .unwrap();
-        ordering.deliver(&net.channel, 1).unwrap()
+        net.ordering.deliver(&net.channel, 1).unwrap()
     };
     mux.deliver_from_gossip(
         &mut gossip,
@@ -344,26 +294,10 @@ fn mislabelled_gossip_payloads_quarantine_the_provider() {
 fn tampered_block_from_gossip_rejected_by_peer() {
     // A malicious gossip relay alters a block payload; the receiving peer
     // detects it via the data hash / orderer signature and refuses it.
-    let net = TestNet::with_batch(
-        &["Org1"],
-        ConsensusType::Solo,
-        1,
-        BatchConfig {
-            max_message_count: 1,
-            absolute_max_bytes: 10 << 20,
-            preferred_max_bytes: 2 << 20,
-            batch_timeout_ms: 1000,
-        },
-    );
-    let mut ordering = OrderingCluster::new(
-        ConsensusType::Solo,
-        net.orderers(1),
-        vec![net.genesis.clone()],
-    )
-    .unwrap();
-    let genesis = ordering.deliver(&net.channel, 0).unwrap();
-    let client = net.client(0, "c1");
-    ordering
+    let mut net = Net::new(one_tx_blocks().peer(default_peer("p")));
+    let genesis = net.genesis.clone();
+    let client = net.fixtures.client(0, "c1");
+    net.ordering
         .broadcast(make_envelope(
             &client,
             &net.channel,
@@ -371,16 +305,8 @@ fn tampered_block_from_gossip_rejected_by_peer() {
             TxReadWriteSet::default(),
         ))
         .unwrap();
-    let block = ordering.deliver(&net.channel, 1).unwrap();
-
-    let identity = fabric::msp::issue_identity(&net.org_cas[0], "p", Role::Peer, b"p");
-    let peer = Peer::join(
-        identity,
-        &genesis,
-        Arc::new(MemBackend::new()),
-        PeerConfig::default(),
-    )
-    .unwrap();
+    let block = net.ordering.deliver(&net.channel, 1).unwrap();
+    let peer = &net.peers[0];
 
     // Tamper with the payload but keep the header: data-hash check fires.
     let mut tampered = block.clone();
@@ -405,14 +331,7 @@ fn tampered_block_from_gossip_rejected_by_peer() {
     // The same tampering fed through the pipelined committer: the admitter
     // verifies integrity before VSCC, the pipeline stops with the error,
     // and nothing reaches the ledger.
-    let identity2 = fabric::msp::issue_identity(&net.org_cas[0], "p2", Role::Peer, b"p2");
-    let peer2 = Peer::join(
-        identity2,
-        &genesis,
-        Arc::new(MemBackend::new()),
-        PeerConfig::default(),
-    )
-    .unwrap();
+    let peer2 = net.join(default_peer("p2"));
     let handle = peer2.pipeline();
     handle.submit(tampered).expect("submission only queues");
     assert!(matches!(handle.close(), Err(PeerError::BadBlock(_))));

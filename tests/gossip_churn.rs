@@ -184,7 +184,7 @@ impl Battery {
         let mut work: Vec<(usize, GossipOutput)> =
             outputs.into_iter().map(|o| (node, o)).collect();
         while !work.is_empty() {
-            let batch: Vec<(usize, GossipOutput)> = work.drain(..).collect();
+            let batch: Vec<(usize, GossipOutput)> = std::mem::take(&mut work);
             for (at, output) in batch {
                 match output {
                     GossipOutput::Send { to, message } => {

@@ -9,19 +9,20 @@
 mod common;
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use common::PipelineWorld;
 use fabric::gossip::{GossipConfig, GossipMessage, GossipNode, GossipOutput, PeerId};
-use fabric::kvstore::MemBackend;
-use fabric::msp::{Msp, MspRegistry, Role};
-use fabric::peer::{Peer, PeerConfig};
+use fabric::msp::{Msp, MspRegistry};
+use fabric::net::PeerSpec;
 use fabric::primitives::wire::Wire;
 use fabric::simnet::{SimEvent, Simulator, MS};
 use fabric::statesync::{
     Catchup, Checkpointer, ConsumerConfig, SignedManifest, SnapshotConfig, SnapshotStore,
     SyncMessage, SyncOutput,
 };
+
+/// A verified snapshot: its manifest and decoded state entries.
+type Installed = (SignedManifest, Vec<(Vec<u8>, Vec<u8>)>);
 
 /// Gossip peer ids 1..=3 are snapshot providers; 4 is the late joiner.
 const PROVIDERS: [PeerId; 3] = [1, 2, 3];
@@ -52,7 +53,7 @@ fn make_world(tx_blocks: u8) -> PipelineWorld {
 
 fn channel_msps(world: &PipelineWorld) -> MspRegistry {
     let mut registry = MspRegistry::new();
-    registry.add(Msp::new("Org1MSP", world.net.org_cas[0].root_cert().clone()).unwrap());
+    registry.add(Msp::new("Org1MSP", world.net.fixtures.org_cas[0].root_cert().clone()).unwrap());
     registry
 }
 
@@ -146,7 +147,7 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
 
     // Phase B — transfer: the consumer's requests ride gossip StateSync
     // messages; providers answer from their snapshot stores.
-    let mut installed: Option<(SignedManifest, Vec<(Vec<u8>, Vec<u8>)>)> = None;
+    let mut installed: Option<Installed> = None;
     let mut signed_manifest: Option<SignedManifest> = None;
     let mut served: HashMap<PeerId, u32> = HashMap::new();
     let mut corruptions = 0u32;
@@ -249,26 +250,9 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
     // Phase C — install + tail replay through the pipelined committer.
     let snap_height = manifest.manifest.height;
     assert!(snap_height < full_height, "tail replay must be non-empty");
-    let identity = fabric::msp::issue_identity(
-        &world.net.org_cas[0],
-        "late.org1",
-        Role::Peer,
-        b"late.org1",
-    );
-    let joiner = Peer::join_from_snapshot(
-        identity,
-        &world.genesis,
-        &manifest,
-        &entries,
-        Arc::new(MemBackend::new()),
-        PeerConfig {
-            vscc_parallelism: 2,
-            runtime: fabric::chaincode::RuntimeConfig { exec_timeout: None },
-            sync_writes: false,
-        },
-    )
-    .unwrap();
-    joiner.install_chaincode("kv", Arc::new(common::kv_chaincode));
+    let joiner = world
+        .net
+        .join_from_snapshot(PeerSpec::new(0, "late.org1", 2), &manifest, &entries);
     assert_eq!(joiner.height(), snap_height, "starts at the snapshot height");
 
     let handle = joiner.pipeline();
@@ -397,7 +381,7 @@ fn drive_late(
     sim: &mut Simulator<Msg>,
     channel: &fabric::primitives::ChannelId,
     signed_manifest: &mut Option<SignedManifest>,
-    installed: &mut Option<(SignedManifest, Vec<(Vec<u8>, Vec<u8>)>)>,
+    installed: &mut Option<Installed>,
     outputs: Vec<SyncOutput>,
 ) {
     for output in outputs {
