@@ -69,6 +69,9 @@
 # 16. The root crate (the `fabric::net` test-network builder, every
 #     integration test and example), the fabcoin crate and the bench
 #     crate pass clippy with -D warnings across all targets.
+# 17. The client, crypto, msp and policy crates pass clippy with
+#     -D warnings across all targets, so every member crate is under a
+#     lint gate.
 #
 # Run from the repo root: ./ci.sh
 set -euo pipefail
@@ -203,6 +206,16 @@ else
     echo "clippy not installed; falling back to rustc warning gate"
     find src tests examples crates/fabcoin/src crates/bench -name '*.rs' -exec touch {} +
     RUSTFLAGS="-Dwarnings" cargo build -p fabric -p fabric-fabcoin -p fabric-bench --all-targets
+fi
+
+echo "== fabric-client / fabric-crypto / fabric-msp / fabric-policy: clippy gate (-D warnings) =="
+if cargo clippy --version >/dev/null 2>&1; then
+    find crates/client crates/crypto crates/msp crates/policy -name '*.rs' -exec touch {} +
+    cargo clippy -p fabric-client -p fabric-crypto -p fabric-msp -p fabric-policy --all-targets -- -D warnings
+else
+    echo "clippy not installed; falling back to rustc warning gate"
+    find crates/client crates/crypto crates/msp crates/policy -name '*.rs' -exec touch {} +
+    RUSTFLAGS="-Dwarnings" cargo build -p fabric-client -p fabric-crypto -p fabric-msp -p fabric-policy --all-targets
 fi
 
 echo "== system benchmark: locked release build + unit tests =="

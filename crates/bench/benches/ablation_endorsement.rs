@@ -12,9 +12,10 @@ use std::sync::Arc;
 
 use fabric::msp::Role;
 use fabric::net::{kv_chaincode, Net, NetSpec};
-use fabric::peer::Peer;
+use fabric::peer::{DeliverMux, Peer, PipelineOptions};
 use fabric::primitives::config::BatchConfig;
 use fabric::primitives::wire::Wire;
+use fabric_bench::pipeline::deliver;
 use fabric_bench::stats::Table;
 
 fn main() {
@@ -76,21 +77,30 @@ fn main() {
             tx_bytes += env.wire_size();
             envelopes.push(env);
         }
-        // Commit (validation at peer 0) under the clock.
+        // Commit (validation at peer 0, through its own one-worker mux)
+        // under the clock.
+        let peer = net.detach(0);
+        let channel = net.channel.clone();
+        let mux = DeliverMux::new(1);
+        mux.attach(channel.clone(), &peer, PipelineOptions::default())
+            .unwrap();
+        let mut next = peer.height();
         let start = std::time::Instant::now();
-        let peer = &net.peers[0];
         for env in envelopes {
             net.ordering.broadcast(env).unwrap();
-            while let Some(block) = net.ordering.deliver(&net.channel, peer.height()) {
-                peer.commit_block(&block).unwrap();
+            while let Some(block) = net.ordering.deliver(&channel, next) {
+                deliver(&mux, &channel, &block).unwrap();
+                next += 1;
             }
         }
         for _ in 0..5 {
             net.ordering.tick();
         }
-        while let Some(block) = net.ordering.deliver(&net.channel, peer.height()) {
-            peer.commit_block(&block).unwrap();
+        while let Some(block) = net.ordering.deliver(&channel, next) {
+            deliver(&mux, &channel, &block).unwrap();
+            next += 1;
         }
+        mux.wait_committed(&channel, next).unwrap();
         let elapsed = start.elapsed();
         table.row(vec![
             format!("{orgs}"),

@@ -31,11 +31,13 @@ fn kv_peer(name: &str) -> PeerSpec {
 }
 
 /// Builds deploy + `n_blocks` put blocks (disjoint keys) on the network's
-/// builder peer, returning the blocks in delivery order.
-fn build_chain(net: &Net, n_blocks: usize) -> Vec<Block> {
-    let builder = &net.peers[0];
+/// builder peer, taken out of the network to commit each block
+/// sequentially as it is sealed, and returns the blocks in delivery
+/// order.
+fn build_chain(net: &mut Net, n_blocks: usize) -> Vec<Block> {
     let client = net.client(0, "client", Role::Client);
     let deploy = net.deploy_tx("kv", "1.0", "Org1MSP");
+    let builder = net.detach(0);
     let mut blocks = vec![Block::new(1, net.genesis.hash(), vec![deploy])];
     builder.commit_block(&blocks[0]).expect("deploy commits");
     for b in 0..n_blocks {
@@ -50,7 +52,7 @@ fn build_chain(net: &Net, n_blocks: usize) -> Vec<Block> {
                     ],
                 );
                 let responses = client
-                    .collect_endorsements(&proposal, &[builder])
+                    .collect_endorsements(&proposal, &[&builder])
                     .expect("put endorses");
                 client.assemble_transaction(&proposal, &responses)
             })
@@ -103,12 +105,12 @@ fn main() {
     ]);
     let mut crossover: Option<usize> = None;
     for &n_blocks in chain_lengths {
-        let net = Net::new(
+        let mut net = Net::new(
             NetSpec::new(&["Org1"])
                 .peer(kv_peer("builder.org1"))
                 .chaincode("kv", Arc::new(kv_chaincode)),
         );
-        let blocks = build_chain(&net, n_blocks);
+        let blocks = build_chain(&mut net, n_blocks);
         let full_height = blocks.last().unwrap().header.number + 1;
 
         // Source peer replays everything and checkpoints near the tip.

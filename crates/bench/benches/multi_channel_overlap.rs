@@ -1,5 +1,5 @@
 //! Multi-channel pipeline benchmark: per-channel validation pipelines
-//! sharing one global VSCC worker pool ([`fabric::peer::PipelineManager`]).
+//! sharing one global VSCC worker pool (one [`fabric::peer::DeliverMux`]).
 //!
 //! Three scenarios:
 //!
@@ -37,12 +37,13 @@ use fabric::ledger::Ledger;
 use fabric::msp::MspRegistry;
 use fabric::net::{FabcoinNetwork, Net, NetSpec, PeerSpec};
 use fabric::ordering::testkit::make_envelope;
-use fabric::peer::{Peer, PeerConfig, PipelineHandle, PipelineManager, PipelineOptions};
+use fabric::peer::{DeliverMux, Peer, PeerConfig, PipelineOptions};
 use fabric::primitives::block::Block;
-use fabric::primitives::ids::TxValidationCode;
+use fabric::primitives::ids::{ChannelId, TxValidationCode};
 use fabric::primitives::rwset::{KeyWrite, NsReadWriteSet, TxReadWriteSet};
 use fabric::primitives::transaction::Transaction;
 use fabric_bench::coins::spend_chain;
+use fabric_bench::pipeline::deliver;
 use fabric_bench::stats::Table;
 
 /// Stands in for a lifecycle check with real latency, so the barrier
@@ -129,15 +130,15 @@ fn sleep_peer(net: &Net, name: &str, vscc_sleep: Duration) -> Peer {
     peer
 }
 
-/// Submits each probe alone and measures its submit-to-commit latency,
-/// with a breather between probes (the sparse-channel traffic pattern).
-fn probe_latencies(handle: &PipelineHandle, probes: &[Block]) -> Vec<Duration> {
+/// Delivers each probe alone on `channel` and measures its
+/// deliver-to-commit latency, with a breather between probes (the
+/// sparse-channel traffic pattern).
+fn probe_latencies(mux: &DeliverMux, channel: &ChannelId, probes: &[Block]) -> Vec<Duration> {
     let mut out = Vec::with_capacity(probes.len());
     for block in probes {
         let started = Instant::now();
-        handle.submit(block.clone()).expect("probe submits");
-        handle
-            .wait_committed(block.header.number + 1)
+        deliver(mux, channel, block).expect("probe delivers");
+        mux.wait_committed(channel, block.header.number + 1)
             .expect("probe commits");
         out.push(started.elapsed());
         std::thread::sleep(Duration::from_millis(5));
@@ -151,15 +152,27 @@ fn p99(latencies: &mut [Duration]) -> Duration {
     latencies[idx]
 }
 
-/// Drains `measured` through `handle`, returning transactions per second.
-fn drive(handle: &fabric::peer::PipelineHandle, measured: &[Block], total_txs: usize) -> f64 {
+/// Drains `measured` through `channel` of `mux`, returning transactions
+/// per second.
+fn drive(mux: &DeliverMux, channel: &ChannelId, measured: &[Block], total_txs: usize) -> f64 {
     let final_height = measured.last().unwrap().header.number + 1;
     let t0 = Instant::now();
     for block in measured {
-        handle.submit(block.clone()).expect("pipeline accepts");
+        deliver(mux, channel, block).expect("pipeline accepts");
     }
-    handle.wait_committed(final_height).expect("pipeline drains");
+    mux.wait_committed(channel, final_height)
+        .expect("pipeline drains");
     total_txs as f64 / t0.elapsed().as_secs_f64()
+}
+
+/// A mux of `workers` VSCC workers with each `(channel, peer)` attached.
+fn mux_of(workers: usize, channels: &[(&ChannelId, &Peer)]) -> DeliverMux {
+    let mux = DeliverMux::new(workers);
+    for (channel, peer) in channels {
+        mux.attach((*channel).clone(), peer, PipelineOptions::default())
+            .expect("channel attaches");
+    }
+    mux
 }
 
 fn main() {
@@ -191,6 +204,8 @@ fn main() {
          ({n_blocks} blocks x {txs_per_block} spends) =="
     );
 
+    let (chan_a, chan_b) = (ChannelId::new("chan-a"), ChannelId::new("chan-b"));
+
     // Warm caches and allocator before anything is timed: the first trip
     // through the chain is consistently 10-20% colder than the rest.
     {
@@ -198,35 +213,24 @@ fn main() {
         for block in &setup {
             peer.commit_block(block).expect("setup commits");
         }
-        let handle = peer.pipeline_with(PipelineOptions {
-            vscc_workers: workers,
-            intake_capacity: 64,
-            ..PipelineOptions::default()
-        });
-        drive(&handle, &measured, total_txs);
-        handle.close().expect("warmup closes");
+        let mux = mux_of(workers, &[(&chan_b, &peer)]);
+        drive(&mux, &chan_b, &measured, total_txs);
+        mux.close().expect("warmup closes");
     }
 
     // Scenario 1: channel B alone vs channel B next to barrier-stalled
     // channel A, both on one shared pool. Best of `reps` runs each.
-    let opts = PipelineOptions {
-        intake_capacity: 64,
-        ..PipelineOptions::default()
-    };
     let run_alone = || {
-        let pool = PipelineManager::new(workers);
         let peer_b = net.join(PeerSpec::new(0, "alone.org1", workers));
         for block in &setup {
             peer_b.commit_block(block).expect("setup commits");
         }
-        let handle = peer_b.pipeline_shared(&pool, opts);
-        let tps = drive(&handle, &measured, total_txs);
-        handle.close().expect("pipeline closes");
-        pool.close();
+        let mux = mux_of(workers, &[(&chan_b, &peer_b)]);
+        let tps = drive(&mux, &chan_b, &measured, total_txs);
+        mux.close().expect("pipeline closes");
         tps
     };
     let run_concurrent = || {
-        let pool = PipelineManager::new(workers);
         let peer_b = net.join(PeerSpec::new(0, "shared.org1", workers));
         for block in &setup {
             peer_b.commit_block(block).expect("setup commits");
@@ -234,25 +238,23 @@ fn main() {
         // The barrier transactions cost real VSCC time, but the channel
         // spends most of its life stalled, holding no pool workers.
         let peer_a = sleep_peer(&net, "barrier.org1", Duration::from_micros(300));
-        let handle_a = peer_a.pipeline_shared(&pool, opts);
-        let handle_b = peer_b.pipeline_shared(&pool, opts);
+        let mux = mux_of(workers, &[(&chan_a, &peer_a), (&chan_b, &peer_b)]);
         let mut tps = 0.0;
         std::thread::scope(|s| {
             s.spawn(|| {
                 for block in &barrier_blocks {
-                    if handle_a.submit(block.clone()).is_err() {
+                    if deliver(&mux, &chan_a, block).is_err() {
                         break;
                     }
                 }
             });
-            tps = drive(&handle_b, &measured, total_txs);
+            tps = drive(&mux, &chan_b, &measured, total_txs);
         });
-        let b_stats = handle_b.close().expect("channel B closes");
+        let b_stats = mux.stats(&chan_b).expect("channel B attached");
         assert_eq!(b_stats.blocks, measured.len() as u64);
-        let a_stats = handle_a.stats();
+        let a_stats = mux.stats(&chan_a).expect("channel A attached");
         // Channel A may still have barriers queued; discard the tail.
-        handle_a.abort();
-        pool.close();
+        mux.abort();
         (tps, a_stats.queues.dependency_stalls, a_stats.blocks)
     };
     // Interleave the two configurations so machine drift hits both alike.
@@ -320,13 +322,10 @@ fn main() {
         for block in &fine_setup {
             peer.commit_block(block).expect("setup commits");
         }
-        let handle = peer.pipeline_with(PipelineOptions {
-            vscc_workers: workers,
-            intake_capacity: 64,
-            ..PipelineOptions::default()
-        });
-        let tps = drive(&handle, &fine_measured, fine_txs);
-        let stats = handle.close().expect("pipeline closes");
+        let mux = mux_of(workers, &[(&chan_b, &peer)]);
+        let tps = drive(&mux, &chan_b, &fine_measured, fine_txs);
+        let mut stats = mux.close().expect("pipeline closes");
+        let stats = stats.remove(&chan_b).expect("channel attached");
         assert_eq!(stats.blocks, fine_measured.len() as u64);
         drop(peer);
         let _ = std::fs::remove_dir_all(&dir);
@@ -362,16 +361,16 @@ fn main() {
     let backlog = build_sleep_chain(&net, backlog_blocks, backlog_txs, 31);
     let probes = build_sleep_chain(&net, probe_count, 1, 37);
     let starved_run = |with_backlog: bool| -> Duration {
-        let pool = PipelineManager::new(workers);
         let peer_b = sleep_peer(&net, "sparse.org1", probe_vscc);
-        let handle_b = peer_b.pipeline_shared(&pool, opts);
+        let mux = mux_of(workers, &[(&chan_b, &peer_b)]);
         let mut latencies = if with_backlog {
             let peer_a = sleep_peer(&net, "flood.org1", backlog_vscc);
-            let handle_a = peer_a.pipeline_shared(&pool, opts);
+            mux.attach(chan_a.clone(), &peer_a, PipelineOptions::default())
+                .expect("channel A attaches");
             let latencies = std::thread::scope(|s| {
                 s.spawn(|| {
                     for block in &backlog {
-                        if handle_a.submit(block.clone()).is_err() {
+                        if deliver(&mux, &chan_a, block).is_err() {
                             break;
                         }
                     }
@@ -381,24 +380,22 @@ fn main() {
                 // worth of tasks in A's scheduler queue) — otherwise
                 // the probes measure an idle pool.
                 std::thread::sleep(Duration::from_millis(30));
-                let queues = handle_a.stats().queues;
+                let queues = mux.stats(&chan_a).expect("channel A attached").queues;
                 let queued = queues.intake_peak + queues.vscc_tasks_peak / backlog_txs;
                 assert!(
                     smoke || queued >= 8,
                     "channel A's backlog never queued ({queues:?})"
                 );
-                probe_latencies(&handle_b, &probes)
+                probe_latencies(&mux, &chan_b, &probes)
             });
-            handle_b.close().expect("sparse channel closes");
             // The backlog's tail is irrelevant; drop it.
-            handle_a.abort();
+            mux.abort();
             latencies
         } else {
-            let latencies = probe_latencies(&handle_b, &probes);
-            handle_b.close().expect("sparse channel closes");
+            let latencies = probe_latencies(&mux, &chan_b, &probes);
+            mux.close().expect("sparse channel closes");
             latencies
         };
-        pool.close();
         p99(&mut latencies)
     };
     let mut solo_p99 = Duration::MAX;

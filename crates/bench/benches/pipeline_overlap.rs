@@ -1,5 +1,6 @@
-//! Micro-benchmark: sequential committer vs cross-block pipelined
-//! committer ([`fabric::peer::Peer::pipeline`]) on a pre-built chain of
+//! Micro-benchmark: sequential committer
+//! ([`fabric::peer::Peer::commit_block`]) vs cross-block pipelined
+//! committer ([`fabric::peer::DeliverMux`]) on a pre-built chain of
 //! Fabcoin spend blocks.
 //!
 //! The sequential path validates one block at a time (VSCC → rw-check →
@@ -16,8 +17,9 @@
 use std::time::Instant;
 
 use fabric::net::{FabcoinNetwork, NetSpec, PeerSpec};
-use fabric::peer::PipelineOptions;
+use fabric::peer::{DeliverMux, PipelineOptions};
 use fabric_bench::coins::spend_chain;
+use fabric_bench::pipeline::deliver;
 use fabric_bench::stats::Table;
 
 fn main() {
@@ -63,24 +65,28 @@ fn main() {
         }
         let seq_tps = total_txs as f64 / t0.elapsed().as_secs_f64();
 
-        // Pipelined: same blocks through the cross-block pipeline.
+        // Pipelined: same blocks through a mux of `w` VSCC workers.
         let pipe_peer = net.join(PeerSpec::new(0, "pipe.org1", w));
         for block in &setup {
             pipe_peer.commit_block(block).expect("setup commits");
         }
-        let handle = pipe_peer.pipeline_with(PipelineOptions {
-            vscc_workers: w,
-            intake_capacity: 64,
-            ..PipelineOptions::default()
-        });
+        let channel = pipe_peer.channel();
+        let mux = DeliverMux::new(w);
+        mux.attach(channel.clone(), &pipe_peer, PipelineOptions::default())
+            .expect("pipeline attaches");
         let final_height = measured.last().unwrap().header.number + 1;
         let t0 = Instant::now();
         for block in &measured {
-            handle.submit(block.clone()).expect("pipeline accepts");
+            deliver(&mux, channel, block).expect("pipeline accepts");
         }
-        handle.wait_committed(final_height).expect("pipeline drains");
+        mux.wait_committed(channel, final_height)
+            .expect("pipeline drains");
         let pipe_tps = total_txs as f64 / t0.elapsed().as_secs_f64();
-        let stats = handle.close().expect("pipeline closes");
+        let stats = mux
+            .close()
+            .expect("pipeline closes")
+            .remove(channel)
+            .expect("channel attached");
         assert_eq!(stats.blocks, measured.len() as u64);
 
         table.row(vec![

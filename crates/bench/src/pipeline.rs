@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 use fabric::kvstore::backend::Backend;
 use fabric::net::{FabcoinNetwork, NetSpec, PeerSpec};
 use fabric::ordering::OrderingCluster;
-use fabric::peer::{PipelineHandle, PipelineOptions, PipelineStats};
+use fabric::peer::{Deliver, DeliverMux, PeerError, PipelineOptions, PipelineStats};
+use fabric::primitives::block::Block;
 use fabric::primitives::config::BatchConfig;
 use fabric::primitives::ids::{ChannelId, TxId, TxValidationCode};
 use fabric::primitives::transaction::{Envelope, SignedProposal};
@@ -151,8 +152,14 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
         total_bytes += envelope.wire_size();
         envelopes.push((proposal.proposal.tx_id(), envelope));
     }
+    // The measured peer leaves the network's one-block-at-a-time commits:
+    // this run feeds its own mux every block the moment it is cut.
+    let peer = net.detach(0);
     let net = &mut net.net;
-    let peer = &net.peers[0];
+    let channel = &net.channel;
+    let mux = DeliverMux::new(cfg.vscc_parallelism);
+    mux.attach(channel.clone(), &peer, PipelineOptions::default())
+        .expect("measured peer attaches");
 
     // --- Phase 3: measured submission, committed through the pipelined
     // committer (block n+1's VSCC overlaps block n's rw-check/append). ---
@@ -165,11 +172,6 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
     let mut block_sizes = Vec::new();
     let mut invalid = 0usize;
 
-    let handle = peer.pipeline_with(PipelineOptions {
-        vscc_workers: cfg.vscc_parallelism,
-        intake_capacity: 64,
-        ..PipelineOptions::default()
-    });
     // Block number → tx ids, so commit events can be matched back to the
     // transactions' send timestamps.
     let mut block_txids: std::collections::HashMap<u64, Vec<TxId>> =
@@ -189,15 +191,16 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
         // Feed any block the orderer has cut into the pipeline.
         submit_ready(
             &net.ordering,
-            &net.channel,
-            &handle,
+            channel,
+            &mux,
             &mut next_deliver,
             &send_ts,
             &mut ordering_samples,
             &mut block_txids,
         );
         drain_events(
-            &handle,
+            &mux,
+            channel,
             &send_ts,
             &mut block_txids,
             &mut e2e_samples,
@@ -211,19 +214,19 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
         net.ordering.tick();
         submit_ready(
             &net.ordering,
-            &net.channel,
-            &handle,
+            channel,
+            &mux,
             &mut next_deliver,
             &send_ts,
             &mut ordering_samples,
             &mut block_txids,
         );
     }
-    handle
-        .wait_committed(next_deliver)
+    mux.wait_committed(channel, next_deliver)
         .expect("pipeline drains");
     drain_events(
-        &handle,
+        &mux,
+        channel,
         &send_ts,
         &mut block_txids,
         &mut e2e_samples,
@@ -232,7 +235,11 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
         &mut invalid,
     );
     let elapsed = t0.elapsed();
-    let pipeline_stats = handle.close().expect("pipeline closes clean");
+    let pipeline_stats = mux
+        .close()
+        .expect("pipeline closes clean")
+        .remove(channel)
+        .expect("channel attached");
 
     let committed: usize = block_sizes.iter().sum();
     assert_eq!(committed, n, "all measured txs committed");
@@ -271,7 +278,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
 fn submit_ready(
     ordering: &OrderingCluster,
     channel: &ChannelId,
-    handle: &PipelineHandle,
+    mux: &DeliverMux,
     next_deliver: &mut u64,
     send_ts: &std::collections::HashMap<TxId, Instant>,
     ordering_samples: &mut Vec<Duration>,
@@ -286,8 +293,23 @@ fn submit_ready(
             }
         }
         block_txids.insert(block.header.number, tx_ids);
-        handle.submit(block).expect("pipeline accepts block");
+        deliver(mux, channel, &block).expect("pipeline accepts block");
         *next_deliver += 1;
+    }
+}
+
+/// Offers `block` to `mux` until it is taken. A `Saturated` refusal (the
+/// parking window is full behind an exhausted credit window) waits for
+/// one more commit to free room, then re-offers — what a backing-off
+/// deliver client does. Returns the accepting verdict.
+pub fn deliver(mux: &DeliverMux, channel: &ChannelId, block: &Block) -> Result<Deliver, PeerError> {
+    let payload = block.to_wire();
+    let number = block.header.number;
+    loop {
+        match mux.deliver(channel, number, &payload)? {
+            Deliver::Saturated => mux.wait_committed(channel, mux.committed_height(channel) + 1)?,
+            verdict => return Ok(verdict),
+        }
     }
 }
 
@@ -295,7 +317,8 @@ fn submit_ready(
 /// their send timestamps for end-to-end latency.
 #[allow(clippy::too_many_arguments)]
 fn drain_events(
-    handle: &PipelineHandle,
+    mux: &DeliverMux,
+    channel: &ChannelId,
     send_ts: &std::collections::HashMap<TxId, Instant>,
     block_txids: &mut std::collections::HashMap<u64, Vec<TxId>>,
     e2e_samples: &mut Vec<Duration>,
@@ -303,7 +326,8 @@ fn drain_events(
     block_sizes: &mut Vec<usize>,
     invalid: &mut usize,
 ) {
-    while let Some(event) = handle.try_event() {
+    let events = mux.events(channel).expect("channel attached");
+    while let Ok(event) = events.try_recv() {
         let tx_ids = block_txids.remove(&event.block_num).unwrap_or_default();
         let mut measured_in_block = 0;
         for (txid, flag) in tx_ids.iter().zip(&event.validity) {

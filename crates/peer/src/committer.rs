@@ -85,11 +85,6 @@ impl Committer {
         self.custom_vsccs.write().insert(chaincode.into(), vscc);
     }
 
-    /// The configured VSCC worker-pool width.
-    pub fn vscc_parallelism(&self) -> usize {
-        self.vscc_parallelism
-    }
-
     /// Whether a custom VSCC is registered for the chaincode — such VSCCs
     /// may read committed state, which the pipeline must order around.
     pub(crate) fn has_custom_vscc(&self, chaincode: &str) -> bool {

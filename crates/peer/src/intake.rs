@@ -1,13 +1,14 @@
 //! Multi-channel deliver intake: routes the gossip/deliver block stream
 //! of many channels into per-channel validation pipelines that share one
-//! global VSCC worker pool.
+//! global VSCC worker pool. This is the one way a peer commits blocks in
+//! production; [`crate::Peer::commit_block`] is the sequential reference.
 //!
 //! The gossip layer emits `DeliverBlock { channel, block_num, payload }`
 //! outputs — re-delivered at-least-once (a pull and a push may both
 //! surface the same block) and, across providers, not necessarily in
 //! order. [`DeliverMux`] owns that boundary: it decodes the payload,
 //! drops duplicates, parks a bounded window of out-of-order arrivals for
-//! in-order re-admission, and feeds each channel's [`PipelineHandle`] in
+//! in-order re-admission, and feeds each channel's pipeline in
 //! strict order, exactly as the paper's one-blockchain-per-channel model
 //! prescribes (Sec. 3.1).
 //!
@@ -33,11 +34,14 @@ use parking_lot::Mutex;
 
 use fabric_gossip::{GossipNode, PeerId as GossipPeerId};
 use fabric_primitives::block::Block;
+use fabric_primitives::flow::Pool;
 use fabric_primitives::ids::ChannelId;
 use fabric_primitives::wire::Wire;
 
-use crate::pipeline::{CommitEvent, PipelineManager, PipelineOptions, PipelineStats};
-use crate::{Peer, PeerError, PipelineHandle};
+use crate::pipeline::{
+    vscc_pool, CommitEvent, PipelineHandle, PipelineOptions, PipelineStats, VsccTask,
+};
+use crate::{Peer, PeerError};
 
 /// What [`DeliverMux::deliver`] did with one delivered block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,25 +116,33 @@ impl MuxEntry {
 
 /// Per-channel pipelines behind one shared VSCC worker pool, keyed by
 /// channel id, fed from serialized deliver/gossip payloads.
+///
+/// Dropping the mux drains every channel (each pipeline commits what was
+/// submitted to it) before the pool shuts down; [`DeliverMux::abort`]
+/// abandons queued blocks instead.
 pub struct DeliverMux {
-    pool: PipelineManager,
+    // Declared before `pool` so that on drop every channel drains while
+    // the workers are still there to validate its queued transactions.
     channels: Mutex<HashMap<ChannelId, MuxEntry>>,
+    pool: Pool<VsccTask>,
 }
 
 impl DeliverMux {
     /// Creates a mux whose channels share a pool of `vscc_workers`
-    /// persistent workers under the pool's cross-channel round-robin
-    /// scheduler.
+    /// persistent workers (at least one) under the pool's cross-channel
+    /// round-robin scheduler.
     pub fn new(vscc_workers: usize) -> Self {
         DeliverMux {
-            pool: PipelineManager::new(vscc_workers),
             channels: Mutex::new(HashMap::new()),
+            pool: vscc_pool(vscc_workers),
         }
     }
 
     /// Attaches `peer` (one channel's ledger) under `channel`. The
     /// pipeline resumes at the peer's current height, so re-delivered
-    /// older blocks are dropped rather than re-submitted.
+    /// older blocks are dropped rather than re-submitted. From here on
+    /// the mux commits to the peer's ledger: do not call
+    /// [`Peer::commit_block`] on it as well.
     ///
     /// `opts.deliver_credits` is clamped to `1..=intake_capacity` — a
     /// submit under credits must never block the deliver thread on a
@@ -149,7 +161,7 @@ impl DeliverMux {
             )));
         }
         let next = peer.height();
-        let handle = peer.pipeline_shared(&self.pool, opts);
+        let handle = PipelineHandle::start(&self.pool, &peer.committer, peer.ledger.clone(), opts);
         channels.insert(
             channel,
             MuxEntry {
@@ -280,8 +292,17 @@ impl DeliverMux {
             .map_or(0, |entry| entry.handle.committed_height())
     }
 
+    /// One channel's pipeline statistics so far (`None` if not attached).
+    pub fn stats(&self, channel: &ChannelId) -> Option<PipelineStats> {
+        self.channels
+            .lock()
+            .get(channel)
+            .map(|entry| entry.handle.stats())
+    }
+
     /// Blocks until `channel` has committed up to `height`, pumping
-    /// credit-stalled parked blocks as commits free the window.
+    /// credit-stalled parked blocks as commits free the window. Returns
+    /// the pipeline's error if it stops short of `height`.
     pub fn wait_committed(&self, channel: &ChannelId, height: u64) -> Result<(), PeerError> {
         // Don't hold the map lock while waiting: poll through a
         // short-lived borrow, pumping on each pass so parked blocks the
@@ -295,6 +316,9 @@ impl DeliverMux {
                 entry.pump()?;
                 if entry.handle.committed_height() >= height {
                     return Ok(());
+                }
+                if entry.handle.is_stopped() {
+                    return Err(entry.handle.take_error());
                 }
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
@@ -340,10 +364,21 @@ impl DeliverMux {
                 }
             }
         }
-        self.pool.close();
+        drop(self.pool);
         match first_err {
             Some(err) => Err(err),
             None => Ok(stats),
         }
+    }
+
+    /// Hard stop of every channel (crash simulation): queued, parked and
+    /// in-flight blocks are abandoned without committing, and each ledger
+    /// is left at its last fully committed block — exactly what savepoint
+    /// recovery expects.
+    pub fn abort(self) {
+        for (_, entry) in self.channels.into_inner() {
+            entry.handle.abort();
+        }
+        drop(self.pool);
     }
 }

@@ -6,26 +6,23 @@
 //! surface. Peers maintain the ledger; they never talk to each other about
 //! application state except through ordered blocks.
 
-pub mod committer;
-pub mod endorse_pipeline;
-pub mod endorser;
-pub mod intake;
-pub mod peer;
-pub mod pipeline;
-pub mod view;
+mod committer;
+mod endorse_pipeline;
+mod endorser;
+mod intake;
+mod peer;
+mod pipeline;
+mod view;
 
-pub use committer::{Committer, ValidationTiming};
+pub use committer::ValidationTiming;
 pub use endorse_pipeline::{
     EndorseOptions, EndorsePipeline, EndorseReject, EndorseStats, EndorseTicket,
 };
-pub use endorser::Endorser;
 pub use intake::{Deliver, DeliverMux, MuxGauges};
 pub use peer::{Peer, PeerConfig};
 pub use pipeline::{
-    CommitEvent, PipelineHandle, PipelineManager, PipelineOptions, PipelineStats, QueueGauges,
-    StageHistogram, StageSummary,
+    CommitEvent, PipelineOptions, PipelineStats, QueueGauges, StageHistogram, StageSummary,
 };
-pub use view::ChannelView;
 
 /// Errors surfaced by peer operations.
 #[derive(Debug)]

@@ -25,7 +25,6 @@ use fabric_primitives::ChannelId;
 use crate::committer::{Committer, ValidationTiming};
 use crate::endorse_pipeline::{EndorseOptions, EndorsePipeline};
 use crate::endorser::Endorser;
-use crate::pipeline::{PipelineHandle, PipelineOptions};
 use crate::view::ChannelView;
 use crate::PeerError;
 
@@ -58,10 +57,10 @@ impl Default for PeerConfig {
 pub struct Peer {
     identity: SigningIdentity,
     channel: ChannelId,
-    ledger: Arc<Ledger>,
+    pub(crate) ledger: Arc<Ledger>,
     view: Arc<RwLock<ChannelView>>,
     endorser: Arc<Endorser>,
-    committer: Committer,
+    pub(crate) committer: Committer,
     runtime: Arc<ChaincodeRuntime>,
 }
 
@@ -217,6 +216,12 @@ impl Peer {
     /// Validates and commits a delivered block (validation phase), after
     /// verifying its integrity and orderer signature. On a committed
     /// config block, the peer's channel view is updated.
+    ///
+    /// This is the sequential reference: one block at a time, nothing
+    /// overlapped. Production commits go through a [`crate::DeliverMux`]
+    /// (the pipelined committer), which must give the same masks and
+    /// state; the equivalence and recovery tests compare the two. Never
+    /// call it on a peer attached to a mux.
     pub fn commit_block(
         &self,
         block: &Block,
@@ -232,34 +237,6 @@ impl Peer {
         let (flags, timing) = self.committer.validate_and_commit(&self.ledger, block)?;
         self.committer.apply_config(block, &flags)?;
         Ok((flags, timing))
-    }
-
-    /// Starts the cross-block pipelined committer with default options.
-    ///
-    /// The handle accepts the peer's deliver/gossip block stream (strictly
-    /// in order) and emits a [`crate::pipeline::CommitEvent`] per
-    /// committed block. While the pipeline runs, [`Peer::commit_block`]
-    /// must not be called — the two paths share the ledger.
-    pub fn pipeline(&self) -> PipelineHandle {
-        self.pipeline_with(PipelineOptions::default())
-    }
-
-    /// Starts the pipelined committer with explicit options.
-    pub fn pipeline_with(&self, opts: PipelineOptions) -> PipelineHandle {
-        self.committer.pipeline(self.ledger.clone(), opts)
-    }
-
-    /// Starts a pipelined committer attached to a shared VSCC worker
-    /// pool, so several channels' pipelines can run on one peer without
-    /// a stalled channel idling the validation cores. The pool serves
-    /// channels round robin, so a sparse channel is never starved behind
-    /// a sibling's backlog.
-    pub fn pipeline_shared(
-        &self,
-        pool: &crate::pipeline::PipelineManager,
-        opts: PipelineOptions,
-    ) -> PipelineHandle {
-        self.committer.pipeline_in(pool, self.ledger.clone(), opts)
     }
 
     /// Current ledger height.

@@ -1,5 +1,9 @@
 //! Cross-block pipelined committer (paper Sec. 5.2's "validation
-//! pipelining" direction), generalised to many channels.
+//! pipelining" direction), generalised to many channels. This is the
+//! production commit path: [`crate::DeliverMux`] owns the shared VSCC
+//! pool and one [`PipelineHandle`] per attached channel, and it is the
+//! only way to start one. [`crate::Peer::commit_block`] is the
+//! sequential reference these pipelines are tested against.
 //!
 //! The sequential committer processes one block at a time: VSCC →
 //! rw-check → ledger append, then the next block. Since VSCC is by far the
@@ -22,7 +26,7 @@
 //!   may start while block *n* is still in rw-check/append (see the
 //!   ordering invariants below). It dispatches one pool task per
 //!   transaction of each admitted block.
-//! * The **VSCC worker pool** ([`PipelineManager`]) is persistent and
+//! * The **VSCC worker pool** ([`vscc_pool`]) is persistent and
 //!   global: workers pull transactions from *any* admitted block of *any*
 //!   attached channel, so a slow or barrier-stalled channel never idles
 //!   the cores serving the others. Which channel's transaction a freed
@@ -83,13 +87,10 @@ use fabric_primitives::transaction::EnvelopeContent;
 use crate::committer::{Committer, ValidationTiming};
 use crate::PeerError;
 
-/// Pipeline construction knobs.
+/// Per-channel pipeline knobs, given to [`crate::DeliverMux::attach`]
+/// (the mux's pool width is fixed by [`crate::DeliverMux::new`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineOptions {
-    /// VSCC worker-pool width; `0` uses the committer's configured
-    /// parallelism (the Fig. 7 knob). Ignored by
-    /// [`Committer::pipeline_in`], where the shared pool fixes the width.
-    pub vscc_workers: usize,
     /// Bounded capacity of the intake queue — backpressure for the
     /// deliver/gossip side when validation falls behind.
     pub intake_capacity: usize,
@@ -109,7 +110,6 @@ pub struct PipelineOptions {
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
-            vscc_workers: 0,
             intake_capacity: 64,
             deliver_credits: 32,
             park_window: 32,
@@ -492,73 +492,32 @@ impl BlockProfile {
     }
 }
 
-/// The global persistent VSCC worker pool, shared by every channel
-/// pipeline attached through [`Committer::pipeline_in`].
+/// The global persistent VSCC worker pool a [`crate::DeliverMux`] owns:
+/// `width` workers (at least one) shared by every attached channel.
 ///
 /// Freed workers pick their next transaction through the pool's
-/// cross-channel round-robin [`Scheduler`], so one
-/// channel's backlog cannot monopolize the pool. Close (or drop) the manager only after
+/// cross-channel round-robin [`Scheduler`], so one channel's backlog
+/// cannot monopolize the pool. Close (or drop) the pool only after
 /// closing every attached [`PipelineHandle`]: closing first abandons the
 /// channels' queued transactions mid-block.
-pub struct PipelineManager {
-    pool: Pool<VsccTask>,
+pub(crate) fn vscc_pool(width: usize) -> Pool<VsccTask> {
+    Pool::new("vscc-worker", width.max(1), validate_tx, finish_tx)
 }
 
-impl PipelineManager {
-    /// Spawns a pool of `vscc_workers` persistent workers (at least one);
-    /// channels share it in equal turns.
-    pub fn new(vscc_workers: usize) -> Self {
-        PipelineManager {
-            pool: Pool::new("vscc-worker", vscc_workers.max(1), validate_tx, finish_tx),
-        }
-    }
-
-    pub(crate) fn scheduler(&self) -> Arc<Scheduler<VsccTask>> {
-        self.pool.scheduler().clone()
-    }
-
-    /// Shuts the pool down: drains already-queued tasks, then joins the
-    /// workers (dropping the manager does the same).
-    pub fn close(mut self) {
-        self.pool.close();
-    }
-}
-
-impl Committer {
-    /// Starts a cross-block pipelined committer over `ledger` with a
-    /// private worker pool.
-    ///
-    /// The returned handle accepts a stream of delivered blocks
-    /// ([`PipelineHandle::submit`], strictly in block order) and emits one
-    /// [`CommitEvent`] per committed block. While the pipeline runs, no
-    /// other code path may commit to the same ledger.
-    pub fn pipeline(&self, ledger: Arc<Ledger>, opts: PipelineOptions) -> PipelineHandle {
-        let workers = if opts.vscc_workers == 0 {
-            self.vscc_parallelism()
-        } else {
-            opts.vscc_workers
-        };
-        let pool = PipelineManager::new(workers);
-        let mut handle = self.pipeline_in(&pool, ledger, opts);
-        handle.pool = Some(pool);
-        handle
-    }
-
-    /// Starts a channel pipeline attached to a shared worker pool: only
-    /// the admitter and sequencer threads are spawned here, VSCC tasks
-    /// go to `pool`. Many channels may attach to one pool; a barrier- or
-    /// dependency-stalled channel never idles the pool for the others.
-    ///
-    /// `opts.vscc_workers` is ignored — the pool fixes the width.
-    pub fn pipeline_in(
-        &self,
-        pool: &PipelineManager,
+impl PipelineHandle {
+    /// Starts one channel's pipeline over `ledger`, attached to `pool`:
+    /// only the admitter and sequencer threads are spawned here, VSCC
+    /// tasks go to the pool. While it runs, no other code path may
+    /// commit to the same ledger.
+    pub(crate) fn start(
+        pool: &Pool<VsccTask>,
+        committer: &Committer,
         ledger: Arc<Ledger>,
         opts: PipelineOptions,
     ) -> PipelineHandle {
         let start_height = ledger.height();
         let shared = Arc::new(Shared {
-            committer: self.clone(),
+            committer: committer.clone(),
             ledger,
             watermark: Mutex::new(start_height),
             watermark_cv: Condvar::new(),
@@ -570,7 +529,7 @@ impl Committer {
         });
 
         let (intake_tx, intake_rx) = bounded::<Block>(opts.intake_capacity.max(1));
-        let sched = pool.scheduler();
+        let sched = pool.scheduler().clone();
         let slot = sched.register();
         let (done_tx, done_rx) = unbounded::<CompletedVscc>();
         let (event_tx, event_rx) = unbounded::<CommitEvent>();
@@ -604,7 +563,6 @@ impl Committer {
             events: event_rx,
             threads,
             sched: Some((sched, slot)),
-            pool: None,
         }
     }
 }
@@ -859,12 +817,13 @@ fn commit_in_order(shared: &Shared, completed: &CompletedVscc) -> Result<CommitE
     })
 }
 
-/// Handle to one channel's running pipelined committer.
+/// Handle to one channel's running pipelined committer, owned by a
+/// [`crate::DeliverMux`].
 ///
 /// Dropping the handle closes the intake and waits for every submitted
-/// block to commit (graceful drain); use [`PipelineHandle::abort`] to
-/// simulate a crash with blocks still queued.
-pub struct PipelineHandle {
+/// block to commit (graceful drain); [`PipelineHandle::abort`] simulates
+/// a crash with blocks still queued.
+pub(crate) struct PipelineHandle {
     shared: Arc<Shared>,
     intake: Option<Sender<Block>>,
     events: Receiver<CommitEvent>,
@@ -872,9 +831,6 @@ pub struct PipelineHandle {
     /// This channel's slot in the pool's cross-channel scheduler, held so
     /// close/abort can deregister it (dropping any queued tasks).
     sched: Option<(Arc<Scheduler<VsccTask>>, u64)>,
-    /// The privately owned pool, when built via [`Committer::pipeline`];
-    /// `None` for channels attached to a shared [`PipelineManager`].
-    pool: Option<PipelineManager>,
 }
 
 impl PipelineHandle {
@@ -895,17 +851,6 @@ impl PipelineHandle {
     /// to drain events that arrive after [`PipelineHandle::close`].
     pub fn events(&self) -> Receiver<CommitEvent> {
         self.events.clone()
-    }
-
-    /// Next committed event without blocking.
-    pub fn try_event(&self) -> Option<CommitEvent> {
-        self.events.try_recv().ok()
-    }
-
-    /// Next committed event, waiting; `None` once the pipeline has
-    /// finished and all events were consumed.
-    pub fn recv_event(&self) -> Option<CommitEvent> {
-        self.events.recv().ok()
     }
 
     /// Ledger height the pipeline has committed up to.
@@ -937,8 +882,8 @@ impl PipelineHandle {
     }
 
     /// Closes the intake, drains every submitted block, and returns the
-    /// final statistics (or the first error). A privately owned pool is
-    /// shut down; a shared pool stays up for its other channels.
+    /// final statistics (or the first error). The shared pool stays up
+    /// for the other channels.
     pub fn close(mut self) -> Result<PipelineStats, PeerError> {
         self.drain();
         if let Some(err) = self.shared.error.lock().take() {
@@ -958,9 +903,6 @@ impl PipelineHandle {
         if let Some((sched, slot)) = self.sched.take() {
             sched.deregister(slot);
         }
-        if let Some(pool) = self.pool.take() {
-            pool.close();
-        }
     }
 
     /// Hard stop: abandons queued and in-flight blocks without committing
@@ -978,12 +920,16 @@ impl PipelineHandle {
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
-        if let Some(pool) = self.pool.take() {
-            pool.close();
-        }
     }
 
-    fn take_error(&self) -> PeerError {
+    /// Whether the pipeline has stopped (error or abort): its committed
+    /// height will not move again.
+    pub fn is_stopped(&self) -> bool {
+        self.shared.is_stopped()
+    }
+
+    /// The error that stopped the pipeline (handed out once).
+    pub fn take_error(&self) -> PeerError {
         self.shared
             .error
             .lock()
@@ -1002,11 +948,39 @@ impl Drop for PipelineHandle {
 mod tests {
     use super::*;
     use crate::tests as fx;
-    use crate::{Peer, PeerError};
+    use crate::{Deliver, DeliverMux, Peer, PeerError};
 
     use fabric_chaincode::Vscc;
     use fabric_msp::{MspRegistry, Role};
+    use fabric_primitives::ids::ChannelId;
     use fabric_primitives::transaction::{Envelope, Transaction};
+    use fabric_primitives::wire::Wire;
+
+    /// A mux of `workers` VSCC workers with `peer` attached under the
+    /// peer's own channel id.
+    fn mux_for(peer: &Peer, workers: usize, opts: PipelineOptions) -> DeliverMux {
+        let mux = DeliverMux::new(workers);
+        mux.attach(peer.channel().clone(), peer, opts).unwrap();
+        mux
+    }
+
+    /// Delivers `blocks` in order; a block refused as saturated is
+    /// re-offered once a commit frees room.
+    fn deliver_all(mux: &DeliverMux, channel: &ChannelId, blocks: &[Block]) {
+        for block in blocks {
+            let payload = block.to_wire();
+            let number = block.header.number;
+            while mux.deliver(channel, number, &payload).unwrap() == Deliver::Saturated {
+                mux.wait_committed(channel, mux.committed_height(channel) + 1)
+                    .unwrap();
+            }
+        }
+    }
+
+    /// Closes a one-channel mux, returning that channel's statistics.
+    fn close_one(mux: DeliverMux, channel: &ChannelId) -> Result<PipelineStats, PeerError> {
+        mux.close().map(|mut stats| stats.remove(channel).unwrap())
+    }
 
     /// Builds `n_blocks` blocks of `txs_per_block` signed kvcc puts on
     /// disjoint keys, committed progressively on `builder` so every
@@ -1049,7 +1023,8 @@ mod tests {
     fn empty_pipeline_closes_clean() {
         let fixture = fx::fixture();
         let peer = fx::make_peer(&fixture, &fixture.ca1, "peer0.org1");
-        let stats = peer.pipeline().close().unwrap();
+        let mux = mux_for(&peer, 2, PipelineOptions::default());
+        let stats = close_one(mux, peer.channel()).unwrap();
         assert_eq!(stats.blocks, 0);
         assert_eq!(stats.txs, 0);
     }
@@ -1093,17 +1068,20 @@ mod tests {
         // Pipelined peer: the deploy block is an LSCC barrier, the rest
         // overlap freely.
         let pipelined = fx::make_peer(&fixture, &fixture.ca1, "pipe.org1");
-        let handle = pipelined.pipeline_with(PipelineOptions {
-            vscc_workers: 4,
-            intake_capacity: 2,
-            ..PipelineOptions::default()
-        });
-        let events = handle.events();
-        for block in &blocks {
-            handle.submit(block.clone()).unwrap();
-        }
-        handle.wait_committed(blocks.len() as u64 + 1).unwrap();
-        let stats = handle.close().unwrap();
+        let channel = pipelined.channel();
+        let mux = mux_for(
+            &pipelined,
+            4,
+            PipelineOptions {
+                intake_capacity: 2,
+                ..PipelineOptions::default()
+            },
+        );
+        let events = mux.events(channel).unwrap();
+        deliver_all(&mux, channel, &blocks);
+        mux.wait_committed(channel, blocks.len() as u64 + 1)
+            .unwrap();
+        let stats = close_one(mux, channel).unwrap();
 
         assert_eq!(stats.blocks, blocks.len() as u64);
         assert_eq!(pipelined.height(), sequential.height());
@@ -1143,24 +1121,23 @@ mod tests {
         let blocks = build_put_chain(&fixture, &builder, &admin, &client, 3, 4);
 
         // Two independent ledgers ("channels") fed through ONE pool.
-        let pool = PipelineManager::new(2);
+        let mux = DeliverMux::new(2);
         let peer_a = fx::make_peer(&fixture, &fixture.ca1, "chan-a.org1");
         let peer_b = fx::make_peer(&fixture, &fixture.ca1, "chan-b.org1");
-        let handle_a = peer_a.pipeline_shared(&pool, PipelineOptions::default());
-        let handle_b = peer_b.pipeline_shared(&pool, PipelineOptions::default());
-        for block in &blocks {
-            handle_a.submit(block.clone()).unwrap();
-            handle_b.submit(block.clone()).unwrap();
-        }
+        let (chan_a, chan_b) = (ChannelId::new("chan-a"), ChannelId::new("chan-b"));
+        mux.attach(chan_a.clone(), &peer_a, PipelineOptions::default())
+            .unwrap();
+        mux.attach(chan_b.clone(), &peer_b, PipelineOptions::default())
+            .unwrap();
+        deliver_all(&mux, &chan_a, &blocks);
+        deliver_all(&mux, &chan_b, &blocks);
         let final_height = blocks.len() as u64 + 1;
-        handle_a.wait_committed(final_height).unwrap();
-        handle_b.wait_committed(final_height).unwrap();
-        let stats_a = handle_a.close().unwrap();
-        let stats_b = handle_b.close().unwrap();
-        pool.close();
+        mux.wait_committed(&chan_a, final_height).unwrap();
+        mux.wait_committed(&chan_b, final_height).unwrap();
+        let stats = mux.close().unwrap();
 
-        assert_eq!(stats_a.blocks, blocks.len() as u64);
-        assert_eq!(stats_b.blocks, blocks.len() as u64);
+        assert_eq!(stats[&chan_a].blocks, blocks.len() as u64);
+        assert_eq!(stats[&chan_b].blocks, blocks.len() as u64);
         let sequential = fx::make_peer(&fixture, &fixture.ca1, "seq.org1");
         for block in &blocks {
             sequential.commit_block(block).unwrap();
@@ -1175,6 +1152,8 @@ mod tests {
         }
     }
 
+    /// The admitter's own order check, below the mux (which parks an
+    /// out-of-order delivery instead of submitting it).
     #[test]
     fn out_of_order_submission_fails_pipeline() {
         let fixture = fx::fixture();
@@ -1184,7 +1163,13 @@ mod tests {
         let blocks = build_put_chain(&fixture, &builder, &admin, &client, 2, 2);
 
         let peer = fx::make_peer(&fixture, &fixture.ca1, "pipe.org1");
-        let handle = peer.pipeline();
+        let pool = vscc_pool(2);
+        let handle = PipelineHandle::start(
+            &pool,
+            &peer.committer,
+            peer.ledger.clone(),
+            PipelineOptions::default(),
+        );
         handle.submit(blocks[1].clone()).unwrap(); // expects block 1, gets 2
         assert!(matches!(handle.close(), Err(PeerError::BadBlock(_))));
         assert_eq!(peer.height(), 1, "nothing committed past genesis");
@@ -1268,17 +1253,19 @@ mod tests {
                 expect: b"v1".to_vec(),
             }),
         );
-        let handle = pipelined.pipeline_with(PipelineOptions {
-            vscc_workers: 4,
-            intake_capacity: 8,
-            ..PipelineOptions::default()
-        });
-        let events = handle.events();
-        handle.submit(deploy_block).unwrap();
-        handle.submit(writer_block).unwrap();
-        handle.submit(reader_block).unwrap();
-        handle.wait_committed(4).unwrap();
-        let stats = handle.close().unwrap();
+        let channel = pipelined.channel();
+        let mux = mux_for(
+            &pipelined,
+            4,
+            PipelineOptions {
+                intake_capacity: 8,
+                ..PipelineOptions::default()
+            },
+        );
+        let events = mux.events(channel).unwrap();
+        deliver_all(&mux, channel, &[deploy_block, writer_block, reader_block]);
+        mux.wait_committed(channel, 4).unwrap();
+        let stats = close_one(mux, channel).unwrap();
         let masks: Vec<Vec<TxValidationCode>> =
             std::iter::from_fn(|| events.try_recv().ok().map(|e| e.validity)).collect();
         assert_eq!(
@@ -1366,20 +1353,17 @@ mod tests {
         // A slow custom VSCC keeps the writer block in flight while the
         // reader block reaches the admitter's stall rule.
         pipelined.register_vscc("kvcc", Arc::new(SleepVscc(Duration::from_millis(50))));
-        let handle = pipelined.pipeline_with(PipelineOptions {
-            vscc_workers: 2,
-            ..PipelineOptions::default()
-        });
+        let channel = pipelined.channel();
+        let mux = mux_for(&pipelined, 2, PipelineOptions::default());
         // Retire the barrier (deploy) and seed blocks before the race so
         // only writer-vs-reader can register a dependency stall.
-        handle.submit(deploy_block).unwrap();
-        handle.wait_committed(2).unwrap();
-        handle.submit(seed_block).unwrap();
-        handle.wait_committed(3).unwrap();
-        handle.submit(writer_block).unwrap();
-        handle.submit(reader_block).unwrap();
-        handle.wait_committed(5).unwrap();
-        let stats = handle.close().unwrap();
+        deliver_all(&mux, channel, &[deploy_block]);
+        mux.wait_committed(channel, 2).unwrap();
+        deliver_all(&mux, channel, &[seed_block]);
+        mux.wait_committed(channel, 3).unwrap();
+        deliver_all(&mux, channel, &[writer_block, reader_block]);
+        mux.wait_committed(channel, 5).unwrap();
+        let stats = close_one(mux, channel).unwrap();
         assert_eq!(pipelined.get_state("kvcc", "a").unwrap(), Some(b"w".to_vec()));
         assert_eq!(
             stats.queues.dependency_stalls, 0,
@@ -1437,16 +1421,13 @@ mod tests {
         let slow_vscc = || Arc::new(SleepVscc(Duration::from_millis(100)));
         let pipelined = fx::make_peer(&fixture, &fixture.ca1, "pipe.org1");
         pipelined.register_vscc("slowcc", slow_vscc());
-        let handle = pipelined.pipeline_with(PipelineOptions {
-            vscc_workers: 2,
-            ..PipelineOptions::default()
-        });
-        let events = handle.events();
-        for block in &blocks {
-            handle.submit(block.clone()).unwrap();
-        }
-        handle.wait_committed(blocks.len() as u64 + 1).unwrap();
-        let stats = handle.close().unwrap();
+        let channel = pipelined.channel();
+        let mux = mux_for(&pipelined, 2, PipelineOptions::default());
+        let events = mux.events(channel).unwrap();
+        deliver_all(&mux, channel, &blocks);
+        mux.wait_committed(channel, blocks.len() as u64 + 1)
+            .unwrap();
+        let stats = close_one(mux, channel).unwrap();
         assert!(
             stats.queues.reorder_peak >= 2,
             "blocks 4 and 5 must park behind the slow block, got {:?}",
@@ -1489,12 +1470,11 @@ mod tests {
         let blocks = build_put_chain(&fixture, &builder, &admin, &client, 5, 2);
 
         let peer = fx::make_peer(&fixture, &fixture.ca1, "pipe.org1");
-        let handle = peer.pipeline();
-        for block in &blocks {
-            handle.submit(block.clone()).unwrap();
-        }
-        handle.wait_committed(3).unwrap();
-        handle.abort();
+        let channel = peer.channel();
+        let mux = mux_for(&peer, 2, PipelineOptions::default());
+        deliver_all(&mux, channel, &blocks);
+        mux.wait_committed(channel, 3).unwrap();
+        mux.abort();
         let height = peer.height();
         assert!(height >= 3, "waited-for prefix must be committed");
         // The ledger tip is consistent: savepoint == last block.

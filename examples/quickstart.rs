@@ -11,7 +11,7 @@ use fabric::kvstore::MemBackend;
 use fabric::msp::Role;
 use fabric::ordering::testkit::TestNet;
 use fabric::ordering::OrderingCluster;
-use fabric::peer::{Peer, PeerConfig};
+use fabric::peer::{DeliverMux, Peer, PeerConfig, PipelineOptions};
 use fabric::primitives::config::{BatchConfig, ConsensusType};
 use fabric::primitives::wire::Wire;
 
@@ -66,6 +66,11 @@ fn main() {
     )
     .expect("peer joins channel");
     peer.install_chaincode("kv", Arc::new(kv_chaincode));
+    // The peer validates and commits delivered blocks through its deliver
+    // mux: the pipelined committer, on a pool of VSCC workers.
+    let mux = DeliverMux::new(PeerConfig::default().vscc_parallelism);
+    mux.attach(net.channel.clone(), &peer, PipelineOptions::default())
+        .expect("commit pipeline attaches");
 
     // 3. An admin deploys the chaincode definition through LSCC.
     let admin = fabric::msp::issue_identity(&net.org_cas[0], "admin", Role::Admin, b"admin");
@@ -85,7 +90,7 @@ fn main() {
         .expect("deploy endorsed");
     let envelope = admin_client.assemble_transaction(&proposal, &responses);
     ordering.broadcast(envelope).expect("deploy ordered");
-    commit_available(&ordering, &net, &peer);
+    commit_available(&ordering, &net, &mux);
     println!("chaincode 'kv' deployed with policy {:?}", definition.endorsement_policy);
 
     // 4. A client invokes put("hello", "world"): execute → order → validate.
@@ -101,7 +106,7 @@ fn main() {
             vec![b"hello".to_vec(), b"world".to_vec()],
         )
         .expect("invoke succeeds");
-    commit_available(&ordering, &net, &peer);
+    commit_available(&ordering, &net, &mux);
     let (_, _, flag) = peer
         .get_transaction(&tx_id)
         .expect("query ok")
@@ -116,12 +121,19 @@ fn main() {
     println!("ledger height: {} blocks", peer.height());
 }
 
-/// Commits every block the orderer has cut that the peer hasn't seen.
-fn commit_available(ordering: &OrderingCluster, net: &TestNet, peer: &Peer) {
-    while let Some(block) = ordering.deliver(&net.channel, peer.height()) {
-        let (flags, _) = peer.commit_block(&block).expect("commit");
-        for flag in flags {
+/// Delivers every block the orderer has cut that the peer hasn't seen to
+/// its mux, and waits on each block's commit event.
+fn commit_available(ordering: &OrderingCluster, net: &TestNet, mux: &DeliverMux) {
+    let channel = &net.channel;
+    let events = mux.events(channel).expect("channel attached");
+    let mut next = mux.committed_height(channel);
+    while let Some(block) = ordering.deliver(channel, next) {
+        mux.deliver(channel, next, &block.to_wire())
+            .expect("block routes");
+        let event = events.recv().expect("block commits");
+        for flag in event.validity {
             assert!(flag.is_valid(), "unexpected invalid tx: {flag:?}");
         }
+        next += 1;
     }
 }

@@ -7,8 +7,10 @@
 //! [`Net`] then offers what tests, examples and benches do with such a
 //! network: issue clients, join extra replicas, deploy a chaincode
 //! through LSCC, and commit whatever the ordering service has cut on
-//! every peer, sequentially. [`FabcoinNetwork`] is the Fabcoin layer on
-//! top (bank, wallets, mint and spend).
+//! every peer. Each of its peers commits through its own
+//! [`DeliverMux`] — the pipelined committer a production peer runs — so
+//! everything built on a `Net` exercises that path. [`FabcoinNetwork`]
+//! is the Fabcoin layer on top (bank, wallets, mint and spend).
 
 use std::sync::Arc;
 
@@ -18,7 +20,7 @@ use fabric_kvstore::{Backend, MemBackend};
 use fabric_msp::{Role, SigningIdentity};
 use fabric_ordering::testkit::TestNet;
 use fabric_ordering::OrderingCluster;
-use fabric_peer::{Peer, PeerConfig};
+use fabric_peer::{Deliver, DeliverMux, Peer, PeerConfig, PipelineOptions};
 use fabric_primitives::block::Block;
 use fabric_primitives::config::{BatchConfig, ConsensusType};
 use fabric_primitives::ids::{ChannelId, TxValidationCode};
@@ -132,8 +134,13 @@ pub struct Net {
     pub genesis: Block,
     /// The ordering service.
     pub ordering: OrderingCluster,
-    /// The spec's peers, in spec order.
+    /// The spec's peers, in spec order, then any [`Net::add_peer`] added.
+    /// Change the list only through [`Net::add_peer`] and
+    /// [`Net::detach`], which keep `muxes` in step.
     pub peers: Vec<Peer>,
+    /// `muxes[i]` commits for `peers[i]`: one channel, a pool of the
+    /// peer's `vscc_parallelism` workers.
+    muxes: Vec<DeliverMux>,
     chaincodes: Vec<(String, Arc<dyn Chaincode>)>,
     vsccs: Vec<(String, Arc<dyn Vscc>)>,
 }
@@ -159,15 +166,42 @@ impl Net {
             genesis,
             ordering,
             peers: Vec::new(),
+            muxes: Vec::new(),
             chaincodes: spec.chaincodes,
             vsccs: spec.vsccs,
         };
-        net.peers = spec.peers.into_iter().map(|p| net.join(p)).collect();
+        for peer in spec.peers {
+            net.add_peer(peer);
+        }
         net
     }
 
+    /// Joins one more peer like the spec's: it is added to `peers` and
+    /// commits through its own [`DeliverMux`], attached at the peer's
+    /// current height (a peer reopened on a used backend resumes there).
+    pub fn add_peer(&mut self, spec: PeerSpec) {
+        let mux = DeliverMux::new(spec.config.vscc_parallelism);
+        let peer = self.join(spec);
+        mux.attach(self.channel.clone(), &peer, PipelineOptions::default())
+            .expect("fresh mux attaches");
+        self.peers.push(peer);
+        self.muxes.push(mux);
+    }
+
+    /// Takes `peers[i]` out of the network: its mux drains and closes,
+    /// and the peer is handed back caller-driven, like one from
+    /// [`Net::join`].
+    pub fn detach(&mut self, i: usize) -> Peer {
+        self.muxes
+            .remove(i)
+            .close()
+            .expect("detached peer's mux closes clean");
+        self.peers.remove(i)
+    }
+
     /// Joins one more peer from genesis, with the spec's chaincodes and
-    /// VSCCs installed. The caller owns it; it is not added to `peers`.
+    /// VSCCs installed. The caller owns it and drives its commits; it is
+    /// not added to `peers`.
     pub fn join(&self, spec: PeerSpec) -> Peer {
         let (identity, backend) = self.identity_and_backend(&spec);
         let peer =
@@ -255,21 +289,35 @@ impl Net {
         self.settle();
     }
 
-    /// Commits the next block the ordering service has cut, on every
-    /// peer in order, and returns it with peer 0's flags.
+    /// Commits the next block the ordering service has cut: delivers it
+    /// to every peer's mux, waits until each has committed it, and
+    /// returns it with peer 0's flags.
     pub fn commit_next(&self) -> Option<(Block, Vec<TxValidationCode>)> {
-        let (first, rest) = self.peers.split_first()?;
-        let block = self.ordering.deliver(&self.channel, first.height())?;
-        let (flags, _) = first.commit_block(&block).expect("commit succeeds");
-        for peer in rest {
-            peer.commit_block(&block).expect("commit succeeds");
+        // The ledger height moves before the commit event is sent, so it
+        // is current once the previous call has seen that event.
+        let number = self.peers.first()?.height();
+        let block = self.ordering.deliver(&self.channel, number)?;
+        let payload = block.to_wire();
+        for mux in &self.muxes {
+            // One block in flight at a time: never parked, never refused.
+            let verdict = mux.deliver(&self.channel, number, &payload);
+            assert_eq!(verdict.expect("block routes"), Deliver::Submitted);
         }
-        Some((block, flags))
+        let mut flags = None;
+        for mux in &self.muxes {
+            let events = mux.events(&self.channel).expect("channel attached");
+            let Ok(event) = events.recv() else {
+                let err = mux.wait_committed(&self.channel, number + 1).err();
+                panic!("block {number} fails to commit: {err:?}");
+            };
+            flags.get_or_insert(event.validity);
+        }
+        Some((block, flags.expect("at least one peer")))
     }
 
     /// Ten rounds of: tick the orderers (so batch timeouts cut partial
-    /// blocks), then commit everything cut. Returns peer 0's flags per
-    /// committed block.
+    /// blocks), then commit everything cut, each block waited for on its
+    /// commit event. Returns peer 0's flags per committed block.
     pub fn settle(&mut self) -> Vec<Vec<TxValidationCode>> {
         let mut flags = Vec::new();
         for _ in 0..10 {

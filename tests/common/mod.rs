@@ -1,8 +1,9 @@
 //! Shared fixture for the pipelined-committer integration tests: a
 //! single-org network running `fabric::net::kv_chaincode` (read-modify-
-//! write and range-query operations), and a block builder that can
+//! write and range-query operations), a block builder that can
 //! produce valid, tampered, under-endorsed, and stale (cross-block MVCC
-//! conflicting) transactions.
+//! conflicting) transactions, and the one way these tests feed blocks
+//! to a `DeliverMux`.
 
 // Each integration-test binary compiles this module separately and uses a
 // different subset of it.
@@ -14,17 +15,55 @@ use fabric::client::Client;
 use fabric::kvstore::backend::Backend;
 use fabric::msp::Role;
 use fabric::net::{Net, NetSpec, PeerSpec};
-use fabric::peer::Peer;
+use fabric::peer::{Deliver, DeliverMux, Peer, PeerError, PipelineOptions};
 use fabric::primitives::block::Block;
+use fabric::primitives::ids::ChannelId;
 use fabric::primitives::transaction::{Envelope, EnvelopeContent};
+use fabric::primitives::wire::Wire;
 
 pub use fabric::net::kv_chaincode;
+
+/// A mux of `workers` VSCC workers with `peer` attached under the peer's
+/// own channel id.
+pub fn mux_for(peer: &Peer, workers: usize, opts: PipelineOptions) -> DeliverMux {
+    let mux = DeliverMux::new(workers);
+    mux.attach(peer.channel().clone(), peer, opts)
+        .expect("channel attaches");
+    mux
+}
+
+/// Offers `block` to `mux` until it is taken. A `Saturated` refusal
+/// (the parking window is full behind an exhausted credit window) waits
+/// for one more commit to free room, then re-offers — what a backing-off
+/// deliver client does. Returns the accepting verdict.
+pub fn deliver(mux: &DeliverMux, channel: &ChannelId, block: &Block) -> Result<Deliver, PeerError> {
+    let payload = block.to_wire();
+    let number = block.header.number;
+    loop {
+        match mux.deliver(channel, number, &payload)? {
+            Deliver::Saturated => mux.wait_committed(channel, mux.committed_height(channel) + 1)?,
+            verdict => return Ok(verdict),
+        }
+    }
+}
+
+/// [`deliver`] for each of `blocks`, in order.
+pub fn deliver_all(
+    mux: &DeliverMux,
+    channel: &ChannelId,
+    blocks: &[Block],
+) -> Result<(), PeerError> {
+    for block in blocks {
+        deliver(mux, channel, block)?;
+    }
+    Ok(())
+}
 
 /// A single-org world whose builder peer endorses and (sequentially)
 /// commits blocks as they are built, so later endorsements simulate
 /// against up-to-date state.
 pub struct PipelineWorld {
-    /// The network (no peers of its own: the builder is taken out).
+    /// The network (no peers of its own: the builder is detached).
     pub net: Net,
     pub builder: Peer,
     pub client: Client,
@@ -42,7 +81,7 @@ impl PipelineWorld {
         // Block 1: deploy the KV chaincode, any-Org1 endorsement policy.
         let deploy = net.deploy_tx("kv", "1.0", "Org1MSP");
         let mut world = PipelineWorld {
-            builder: net.peers.remove(0),
+            builder: net.detach(0),
             client: net.client(0, "client.org1", Role::Client),
             net,
             blocks: Vec::new(),

@@ -301,9 +301,9 @@ fn peer_crash_recovery_via_persistent_backend() {
         let peer = &net.peers[0];
         assert!(peer.get_transaction(&tx).unwrap().is_some());
         // Peer "crashes" here (dropped).
-        net.peers.clear();
+        drop(net.detach(0));
     }
-    net.peers.push(net.join(durable_peer()));
+    net.add_peer(durable_peer());
     let peer = &net.peers[0];
     assert_eq!(peer.height(), 3, "genesis + deploy + put");
     assert_eq!(

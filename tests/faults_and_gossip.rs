@@ -10,7 +10,7 @@ use fabric::gossip::{GossipConfig, GossipNode, GossipOutput};
 use fabric::msp::Role;
 use fabric::net::{Net, NetSpec, PeerSpec};
 use fabric::ordering::testkit::make_envelope;
-use fabric::peer::{PeerConfig, PeerError, PipelineHandle};
+use fabric::peer::{Deliver, DeliverMux, Peer, PeerConfig, PeerError, PipelineOptions};
 use fabric::primitives::block::Block;
 use fabric::primitives::config::BatchConfig;
 use fabric::primitives::rwset::TxReadWriteSet;
@@ -82,12 +82,7 @@ fn dos_chaincode_cannot_stall_the_peer() {
 fn gossip_delivers_ordered_blocks_to_non_endorsing_peers() {
     // Wire the gossip overlay between a leader (pulling from the ordering
     // service) and followers; every follower commits the same chain.
-    let mut net = Net::new(
-        one_tx_blocks()
-            .peer(default_peer("p0"))
-            .peer(default_peer("p1"))
-            .peer(default_peer("p2")),
-    );
+    let mut net = Net::new(one_tx_blocks());
     let client = net.fixtures.client(0, "c1");
     for i in 0..5u64 {
         let mut nonce = [0u8; 32];
@@ -117,12 +112,23 @@ fn gossip_delivers_ordered_blocks_to_non_endorsing_peers() {
             )
         })
         .collect();
-    let peers = &net.peers;
+    let peers: Vec<Peer> = ["p0", "p1", "p2"]
+        .iter()
+        .map(|name| net.join(default_peer(name)))
+        .collect();
 
-    // Every peer's gossip intake feeds its pipelined committer; blocks
-    // validate and commit asynchronously while gossip keeps routing.
-    let handles: Vec<PipelineHandle> = peers.iter().map(|p| p.pipeline()).collect();
-    let mut next_submit: Vec<u64> = peers.iter().map(|p| p.height()).collect();
+    // Every peer's gossip intake feeds its deliver mux; blocks validate
+    // and commit asynchronously while gossip keeps routing, and the mux
+    // drops gossip's at-least-once redeliveries.
+    let muxes: Vec<DeliverMux> = peers
+        .iter()
+        .map(|peer| {
+            let mux = DeliverMux::new(1);
+            mux.attach(net.channel.clone(), peer, PipelineOptions::default())
+                .unwrap();
+            mux
+        })
+        .collect();
 
     // Drive gossip: leaders pull from ordering, outputs route messages and
     // block deliveries.
@@ -144,27 +150,19 @@ fn gossip_delivers_ordered_blocks_to_non_endorsing_peers() {
                                 block.to_wire(),
                             );
                             for m in more {
-                                route(node_id, m, &mut pending, &handles, &mut next_submit, idx);
+                                route(node_id, m, &mut pending, &muxes[idx], gossip);
                             }
                         }
                     }
-                    other => {
-                        route(node_id, other, &mut pending, &handles, &mut next_submit, idx)
-                    }
+                    other => route(node_id, other, &mut pending, &muxes[idx], gossip),
                 }
             }
         }
         while let Some((from, to, message)) = pending.pop_front() {
-            let outputs = gossips[(to - 1) as usize].step(from, message);
+            let idx = (to - 1) as usize;
+            let outputs = gossips[idx].step(from, message);
             for output in outputs {
-                route(
-                    to,
-                    output,
-                    &mut pending,
-                    &handles,
-                    &mut next_submit,
-                    (to - 1) as usize,
-                );
+                route(to, output, &mut pending, &muxes[idx], &mut gossips[idx]);
             }
         }
     }
@@ -173,22 +171,21 @@ fn gossip_delivers_ordered_blocks_to_non_endorsing_peers() {
         from: u64,
         output: GossipOutput,
         pending: &mut std::collections::VecDeque<(u64, u64, fabric::gossip::GossipMessage)>,
-        handles: &[PipelineHandle],
-        next_submit: &mut [u64],
-        peer_idx: usize,
+        mux: &DeliverMux,
+        gossip: &mut GossipNode,
     ) {
         match output {
             GossipOutput::Send { to, message } => pending.push_back((from, to, message)),
-            GossipOutput::DeliverBlock { payload, .. } => {
-                let block = Block::from_wire(&payload).expect("valid block");
-                // Gossip redelivers; feed each block to the pipeline once,
-                // in order.
-                if block.header.number == next_submit[peer_idx] {
-                    handles[peer_idx]
-                        .submit(block)
-                        .expect("pipeline accepts gossip block");
-                    next_submit[peer_idx] += 1;
-                }
+            GossipOutput::DeliverBlock {
+                channel,
+                block_num,
+                payload,
+                from: provider,
+            } => {
+                let verdict = mux
+                    .deliver_from_gossip(gossip, &channel, block_num, &payload, provider)
+                    .expect("mux accepts gossip block");
+                assert_ne!(verdict, Deliver::Saturated, "five blocks fit the window");
             }
             GossipOutput::PullFromOrderer { .. } => {}
             GossipOutput::DeliverStateSync { .. } => {}
@@ -197,10 +194,14 @@ fn gossip_delivers_ordered_blocks_to_non_endorsing_peers() {
     }
 
     // All peers converged to the full chain (5 tx blocks + genesis).
-    for (i, handle) in handles.into_iter().enumerate() {
-        handle.wait_committed(6).expect("pipeline drains");
-        let stats = handle.close().expect("pipeline closes clean");
-        assert_eq!(stats.blocks, 5, "peer {i} committed the 5 tx blocks");
+    for (i, mux) in muxes.into_iter().enumerate() {
+        mux.wait_committed(&net.channel, 6)
+            .expect("pipeline drains");
+        let stats = mux.close().expect("pipeline closes clean");
+        assert_eq!(
+            stats[&net.channel].blocks, 5,
+            "peer {i} committed the 5 tx blocks"
+        );
     }
     for (i, peer) in peers.iter().enumerate() {
         assert_eq!(peer.height(), 6, "peer {i} converged via gossip");
@@ -212,12 +213,10 @@ fn mislabelled_gossip_payloads_quarantine_the_provider() {
     // A malicious relay feeds garbage through the deliver mux; the intake
     // verdict flows back into gossip reputation and quarantines it, while
     // an honest provider delivering real blocks is credited.
-    use fabric::peer::{DeliverMux, PipelineOptions};
-
-    let mut net = Net::new(one_tx_blocks().peer(default_peer("p")));
-    let peer = &net.peers[0];
+    let mut net = Net::new(one_tx_blocks());
+    let peer = net.join(default_peer("p"));
     let mux = DeliverMux::new(1);
-    mux.attach(net.channel.clone(), peer, PipelineOptions::default())
+    mux.attach(net.channel.clone(), &peer, PipelineOptions::default())
         .unwrap();
 
     let mut gossip = GossipNode::new(
@@ -294,7 +293,7 @@ fn mislabelled_gossip_payloads_quarantine_the_provider() {
 fn tampered_block_from_gossip_rejected_by_peer() {
     // A malicious gossip relay alters a block payload; the receiving peer
     // detects it via the data hash / orderer signature and refuses it.
-    let mut net = Net::new(one_tx_blocks().peer(default_peer("p")));
+    let mut net = Net::new(one_tx_blocks());
     let genesis = net.genesis.clone();
     let client = net.fixtures.client(0, "c1");
     net.ordering
@@ -306,7 +305,8 @@ fn tampered_block_from_gossip_rejected_by_peer() {
         ))
         .unwrap();
     let block = net.ordering.deliver(&net.channel, 1).unwrap();
-    let peer = &net.peers[0];
+    // A caller-driven peer, committed through the sequential reference.
+    let peer = net.join(default_peer("p"));
 
     // Tamper with the payload but keep the header: data-hash check fires.
     let mut tampered = block.clone();
@@ -328,20 +328,27 @@ fn tampered_block_from_gossip_rejected_by_peer() {
     // The genuine block still commits.
     peer.commit_block(&block).expect("authentic block accepted");
 
-    // The same tampering fed through the pipelined committer: the admitter
-    // verifies integrity before VSCC, the pipeline stops with the error,
-    // and nothing reaches the ledger.
+    // The same tampering fed through the deliver mux: its header still
+    // decodes and matches, so the mux submits it; the admitter verifies
+    // integrity before VSCC, the channel's pipeline stops with the error
+    // (which the mux reports), and nothing reaches the ledger.
     let peer2 = net.join(default_peer("p2"));
-    let handle = peer2.pipeline();
-    handle.submit(tampered).expect("submission only queues");
-    assert!(matches!(handle.close(), Err(PeerError::BadBlock(_))));
+    let mux = DeliverMux::new(1);
+    mux.attach(net.channel.clone(), &peer2, PipelineOptions::default())
+        .unwrap();
+    let verdict = mux.deliver(&net.channel, 1, &tampered.to_wire());
+    assert_eq!(verdict.expect("submission only queues"), Deliver::Submitted);
+    assert!(matches!(mux.close(), Err(PeerError::BadBlock(_))));
     assert_eq!(peer2.height(), 1, "tampered block never committed");
 
-    // A fresh pipeline on the same peer accepts the genuine block.
-    let handle = peer2.pipeline();
-    handle.submit(block).expect("genuine block accepted");
-    handle.wait_committed(2).expect("commits");
-    handle.close().expect("clean close");
+    // A fresh mux on the same peer accepts the genuine block.
+    let mux = DeliverMux::new(1);
+    mux.attach(net.channel.clone(), &peer2, PipelineOptions::default())
+        .unwrap();
+    let verdict = mux.deliver(&net.channel, 1, &block.to_wire());
+    assert_eq!(verdict.expect("genuine block accepted"), Deliver::Submitted);
+    mux.wait_committed(&net.channel, 2).expect("commits");
+    mux.close().expect("clean close");
     assert_eq!(peer2.height(), 2);
 }
 

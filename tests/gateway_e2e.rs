@@ -24,7 +24,7 @@ use fabric::msp::Role;
 use fabric::net::{Net, NetSpec, PeerSpec};
 use fabric::ordering::OrderingCluster;
 use fabric::peer::{
-    CommitEvent, Deliver, DeliverMux, EndorseOptions, EndorsePipeline, PeerConfig,
+    CommitEvent, Deliver, DeliverMux, EndorseOptions, EndorsePipeline, Peer, PeerConfig,
     PipelineOptions,
 };
 use fabric::primitives::config::{BatchConfig, ConsensusType};
@@ -78,6 +78,8 @@ struct WorkloadStats {
 struct GatewayWorkload {
     /// The network: one peer, its ordering service.
     net: Net,
+    /// The one peer, driven by this workload's own mux.
+    peer: Peer,
     /// The peer's endorsement pipeline.
     endorse: EndorsePipeline,
     /// The endorse-side gateway.
@@ -115,11 +117,14 @@ impl GatewayWorkload {
     fn new(spec: NetSpec, accounts: u64, funded: u64, coin_amount: u64) -> Self {
         let bank = CentralBank::new(1, b"gateway-workload-cb");
         let net = Net::new(
-            spec.peer(PeerSpec::new(0, "peer0.org1", PeerConfig::default().vscc_parallelism))
-                .chaincode(FABCOIN_NAMESPACE, Arc::new(FabcoinChaincode))
+            spec.chaincode(FABCOIN_NAMESPACE, Arc::new(FabcoinChaincode))
                 .vscc(FABCOIN_NAMESPACE, Arc::new(FabcoinVscc::new(bank.public_keys(), 1))),
         );
-        let peer = &net.peers[0];
+        let peer = net.join(PeerSpec::new(
+            0,
+            "peer0.org1",
+            PeerConfig::default().vscc_parallelism,
+        ));
         let endorse = peer.endorse_pipeline(EndorseOptions {
             workers: 2,
             ..EndorseOptions::default()
@@ -127,7 +132,7 @@ impl GatewayWorkload {
         let mux = DeliverMux::new(2);
         mux.attach(
             net.channel.clone(),
-            peer,
+            &peer,
             PipelineOptions {
                 deliver_credits: 8,
                 park_window: 32,
@@ -153,6 +158,7 @@ impl GatewayWorkload {
             accounts,
             stats: WorkloadStats::default(),
             net,
+            peer,
             endorse,
             mux,
         };
@@ -197,7 +203,7 @@ impl GatewayWorkload {
             );
             let responses = self
                 .client
-                .collect_endorsements(&proposal, &[&self.net.peers[0]])
+                .collect_endorsements(&proposal, &[&self.peer])
                 .expect("mint endorses");
             let envelope = self.client.assemble_transaction(&proposal, &responses);
             self.net.ordering.broadcast(envelope).expect("mint broadcasts");
@@ -366,7 +372,8 @@ impl GatewayWorkload {
     /// latency samples for committed transfers.
     fn collect_events(&mut self) {
         while let Ok(event) = self.events.try_recv() {
-            let block = self.net.peers[0]
+            let block = self
+                .peer
                 .get_block(event.block_num)
                 .ok()
                 .flatten()
@@ -417,7 +424,7 @@ impl GatewayWorkload {
     /// Total committed coin value in the state DB — the conservation
     /// check: mint total in, transfers only move it.
     fn total_on_ledger(&self) -> u64 {
-        self.net.peers[0]
+        self.peer
             .scan_state(FABCOIN_NAMESPACE, "", "")
             .expect("state scan")
             .iter()

@@ -5,6 +5,8 @@
 //! `DeliverMux`, whose per-channel validation pipelines share one global
 //! VSCC worker pool.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,9 +17,7 @@ use fabric::ledger::Ledger;
 use fabric::msp::{MspRegistry, Role};
 use fabric::ordering::testkit::{make_envelope, TestNet};
 use fabric::ordering::{OrderingCluster, OrderingNode};
-use fabric::peer::{
-    Deliver, DeliverMux, Peer, PeerConfig, PeerError, PipelineManager, PipelineOptions,
-};
+use fabric::peer::{Deliver, DeliverMux, Peer, PeerConfig, PeerError, PipelineOptions};
 use fabric::primitives::block::Block;
 use fabric::primitives::config::{BatchConfig, ConsensusType};
 use fabric::primitives::ids::{ChannelId, TxValidationCode};
@@ -651,16 +651,15 @@ fn deliver_mux_gap_backfill_races_credit_refresh() {
     assert_eq!(peer.height(), 5);
 }
 
-/// Submits `probes` one at a time and measures each one's
-/// submit-to-commit latency, with a short breather between probes (the
+/// Delivers `probes` one at a time on `channel` and measures each one's
+/// deliver-to-commit latency, with a short breather between probes (the
 /// sparse-channel traffic pattern).
-fn probe_latencies(handle: &fabric::peer::PipelineHandle, probes: &[Block]) -> Vec<Duration> {
+fn probe_latencies(mux: &DeliverMux, channel: &ChannelId, probes: &[Block]) -> Vec<Duration> {
     let mut out = Vec::with_capacity(probes.len());
     for block in probes {
         let started = Instant::now();
-        handle.submit(block.clone()).expect("probe submits");
-        handle
-            .wait_committed(block.header.number + 1)
+        common::deliver(mux, channel, block).expect("probe delivers");
+        mux.wait_committed(channel, block.header.number + 1)
             .expect("probe commits");
         out.push(started.elapsed());
         std::thread::sleep(Duration::from_millis(5));
@@ -698,49 +697,47 @@ fn drr_bounds_sparse_channel_latency_behind_sibling_backlog() {
     let probes = sleepy_chain(&net, &genesis_b, &chan_b, PROBES, 1, 19);
     let slow_vscc = || Arc::new(SleepVscc(VSCC_SLEEP));
 
-    // Solo baseline: channel B alone on a two-worker pool.
+    // Solo baseline: channel B alone on a two-worker mux.
     let solo_worst = {
-        let pool = PipelineManager::new(2);
+        let mux = DeliverMux::new(2);
         let peer_b = join_peer(&net, &genesis_b, "solo-b");
         peer_b.register_vscc("testcc", slow_vscc());
-        let handle = peer_b.pipeline_shared(&pool, PipelineOptions::default());
-        let latencies = probe_latencies(&handle, &probes);
-        handle.close().expect("solo channel closes");
-        pool.close();
+        mux.attach(chan_b.clone(), &peer_b, PipelineOptions::default())
+            .expect("channel B attaches");
+        let latencies = probe_latencies(&mux, &chan_b, &probes);
+        mux.close().expect("solo channel closes");
         latencies.into_iter().max().unwrap()
     };
 
     // Contended: same probes while A floods the shared pool (DRR).
     let contended_worst = {
-        let pool = PipelineManager::new(2);
+        let mux = DeliverMux::new(2);
         let peer_a = join_peer(&net, &genesis_a, "busy-a");
         let peer_b = join_peer(&net, &genesis_b, "sparse-b");
         peer_a.register_vscc("testcc", slow_vscc());
         peer_b.register_vscc("testcc", slow_vscc());
-        let handle_a = peer_a.pipeline_shared(&pool, PipelineOptions::default());
-        let handle_b = peer_b.pipeline_shared(&pool, PipelineOptions::default());
+        mux.attach(chan_a.clone(), &peer_a, PipelineOptions::default())
+            .expect("channel A attaches");
+        mux.attach(chan_b.clone(), &peer_b, PipelineOptions::default())
+            .expect("channel B attaches");
         let latencies = std::thread::scope(|scope| {
             scope.spawn(|| {
-                for block in &backlog {
-                    handle_a.submit(block.clone()).expect("backlog submits");
-                }
+                common::deliver_all(&mux, &chan_a, &backlog).expect("backlog delivers");
             });
             // Let the backlog pile up in A's queues first, and check it
             // did: blocks waiting in the intake plus blocks' worth of
             // tasks waiting in A's scheduler queue.
             std::thread::sleep(Duration::from_millis(50));
-            let queues = handle_a.stats().queues;
+            let queues = mux.stats(&chan_a).expect("channel A attached").queues;
             let queued = queues.intake_peak + queues.vscc_tasks_peak / BACKLOG_TXS as usize;
             assert!(
                 queued >= 8,
                 "channel A's backlog never queued ({queues:?}): the probes measure nothing"
             );
-            probe_latencies(&handle_b, &probes)
+            probe_latencies(&mux, &chan_b, &probes)
         });
-        handle_b.close().expect("sparse channel closes");
-        // The backlog doesn't need to finish committing.
-        handle_a.abort();
-        pool.close();
+        // Closing drains the rest of A's backlog.
+        mux.close().expect("both channels close clean");
         latencies.into_iter().max().unwrap()
     };
 

@@ -2,12 +2,13 @@
 //! arbitrary block sequences — valid, tampered, under-endorsed, stale
 //! (cross-block MVCC conflicting), and phantom-prone transactions — must
 //! produce byte-identical validity masks and final state whether committed
-//! through `Peer::commit_block` (sequential) or `Peer::pipeline()`.
+//! through `Peer::commit_block` (the sequential reference) or a
+//! `DeliverMux` (the pipelined committer every peer runs).
 
 mod common;
 
 use common::PipelineWorld;
-use fabric::peer::{Deliver, DeliverMux, Peer, PipelineManager, PipelineOptions};
+use fabric::peer::{Deliver, DeliverMux, Peer, PipelineOptions};
 use fabric::primitives::block::Block;
 use fabric::primitives::ids::{ChannelId, TxValidationCode, Version};
 use fabric::primitives::transaction::Envelope;
@@ -22,25 +23,21 @@ fn commit_sequential(peer: &Peer, blocks: &[Block]) -> Vec<Vec<TxValidationCode>
         .collect()
 }
 
-/// Commits `blocks` through the pipeline, returning the per-block masks
-/// in commit (block) order.
-fn commit_pipelined(
-    peer: &Peer,
-    blocks: &[Block],
-    vscc_workers: usize,
-) -> Vec<Vec<TxValidationCode>> {
-    let handle = peer.pipeline_with(PipelineOptions {
-        vscc_workers,
+/// Commits `blocks` through a mux of `workers` VSCC workers, returning
+/// the per-block masks in commit (block) order.
+fn commit_pipelined(peer: &Peer, blocks: &[Block], workers: usize) -> Vec<Vec<TxValidationCode>> {
+    let channel = peer.channel();
+    let opts = PipelineOptions {
         intake_capacity: 4,
         ..PipelineOptions::default()
-    });
-    let events = handle.events();
-    for block in blocks {
-        handle.submit(block.clone()).expect("pipeline accepts block");
-    }
+    };
+    let mux = common::mux_for(peer, workers, opts);
+    let events = mux.events(channel).expect("channel events");
+    common::deliver_all(&mux, channel, blocks).expect("pipeline accepts blocks");
     let final_height = blocks.last().expect("blocks nonempty").header.number + 1;
-    handle.wait_committed(final_height).expect("pipeline drains");
-    handle.close().expect("pipeline closes clean");
+    mux.wait_committed(channel, final_height)
+        .expect("pipeline drains");
+    mux.close().expect("pipeline closes clean");
     let mut masks = Vec::with_capacity(blocks.len());
     let mut expected_num = blocks[0].header.number;
     while let Ok(event) = events.try_recv() {
@@ -134,7 +131,7 @@ proptest! {
 
     /// The core equivalence property: for arbitrary op streams, the
     /// pipelined committer's masks and final state are byte-identical to
-    /// the sequential committer's.
+    /// the sequential committer's, on one VSCC worker and on several.
     #[test]
     fn pipelined_committer_equivalent_to_sequential(
         ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 6..36),
@@ -143,79 +140,18 @@ proptest! {
         build_op_blocks(&mut world, &ops);
 
         let sequential = world.replica("seq.org1", 2);
-        let pipelined = world.replica("pipe.org1", 2);
         let masks_seq = commit_sequential(&sequential, &world.blocks);
-        let masks_pipe = commit_pipelined(&pipelined, &world.blocks, 3);
-        prop_assert_eq!(masks_seq, masks_pipe);
-        assert_ledgers_equal(&sequential, &pipelined);
+        for workers in [1, 3] {
+            let pipelined = world.replica(&format!("pipe{workers}.org1"), 2);
+            let masks_pipe = commit_pipelined(&pipelined, &world.blocks, workers);
+            prop_assert_eq!(&masks_seq, &masks_pipe, "{} workers", workers);
+            assert_ledgers_equal(&sequential, &pipelined);
+        }
     }
 
     /// Multi-channel equivalence: two channels (independent replica
-    /// ledgers) share one global VSCC worker pool, their submissions
-    /// raced under a proptest-chosen cross-channel interleaving. Each
-    /// channel's masks and state must stay byte-identical to the
-    /// sequential path.
-    #[test]
-    fn multi_channel_shared_pool_equivalent_to_sequential(
-        ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 6..24),
-        interleave in prop::collection::vec(any::<u8>(), 48),
-    ) {
-        let mut world = PipelineWorld::new();
-        build_op_blocks(&mut world, &ops);
-
-        let sequential = world.replica("seq.org1", 2);
-        let masks_seq = commit_sequential(&sequential, &world.blocks);
-
-        let pool = PipelineManager::new(3);
-        let peers = [world.replica("chan-a.org1", 2), world.replica("chan-b.org1", 2)];
-        let opts = PipelineOptions {
-            intake_capacity: 4,
-            ..PipelineOptions::default()
-        };
-        let handles = [
-            peers[0].pipeline_shared(&pool, opts),
-            peers[1].pipeline_shared(&pool, opts),
-        ];
-        let events = [handles[0].events(), handles[1].events()];
-        let mut next = [0usize; 2];
-        // Race the two channels' in-order submissions in the chosen order.
-        for &choice in &interleave {
-            let channel = (choice % 2) as usize;
-            if next[channel] < world.blocks.len() {
-                handles[channel]
-                    .submit(world.blocks[next[channel]].clone())
-                    .expect("pipeline accepts block");
-                next[channel] += 1;
-            }
-        }
-        let final_height = world.blocks.last().expect("blocks nonempty").header.number + 1;
-        for (channel, handle) in handles.into_iter().enumerate() {
-            while next[channel] < world.blocks.len() {
-                handle
-                    .submit(world.blocks[next[channel]].clone())
-                    .expect("pipeline accepts block");
-                next[channel] += 1;
-            }
-            handle.wait_committed(final_height).expect("pipeline drains");
-            handle.close().expect("pipeline closes clean");
-        }
-        pool.close();
-
-        for (channel, events) in events.into_iter().enumerate() {
-            let mut masks = Vec::with_capacity(world.blocks.len());
-            let mut expected_num = world.blocks[0].header.number;
-            while let Ok(event) = events.try_recv() {
-                prop_assert_eq!(event.block_num, expected_num, "events in block order");
-                expected_num += 1;
-                masks.push(event.validity);
-            }
-            prop_assert_eq!(&masks, &masks_seq, "channel {} masks diverge", channel);
-            assert_ledgers_equal(&sequential, &peers[channel]);
-        }
-    }
-
-    /// Scheduling must never change results: the same two-channel race,
-    /// but routed through a `DeliverMux` with proptest-chosen credit
+    /// ledgers) share one mux and its VSCC pool, their deliveries raced
+    /// under a proptest-chosen cross-channel interleaving and credit
     /// windows. Tiny windows (1..=3) against a small parking
     /// buffer force genuine credit-exhaustion stalls and `Saturated`
     /// refusals mid-stream; whatever the scheduler and backpressure do,
@@ -241,7 +177,6 @@ proptest! {
                 intake_capacity: 4,
                 deliver_credits: credits[channel],
                 park_window: 4,
-                ..PipelineOptions::default()
             }).expect("channel attaches");
         }
         let events = [
@@ -277,13 +212,8 @@ proptest! {
         // Drain the stragglers, waiting out credit stalls.
         let final_height = world.blocks.last().expect("blocks nonempty").header.number + 1;
         for channel in 0..2 {
-            while next[channel] < wire.len() {
-                let before = next[channel];
-                offer(channel, &mut next)?;
-                if next[channel] == before {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            }
+            common::deliver_all(&mux, &chans[channel], &world.blocks[next[channel]..])
+                .expect("in-order delivery never errors");
             mux.wait_committed(&chans[channel], final_height).expect("channel drains");
         }
         let stats = mux.close().expect("mux closes clean");

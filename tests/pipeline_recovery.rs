@@ -1,22 +1,23 @@
-//! Crash-recovery tests for the pipelined committer: killing the peer
-//! with blocks still queued in the pipeline must leave a ledger that
-//! recovers from its savepoint to exactly the last fully committed block,
-//! after which re-delivering the remaining blocks converges with a peer
-//! that never crashed.
+//! Crash-recovery tests for the pipelined committer (`DeliverMux`):
+//! killing the peer with blocks still queued in the pipeline must leave a
+//! ledger that recovers from its savepoint to exactly the last fully
+//! committed block, after which re-delivering the remaining blocks
+//! converges with a peer that never crashed.
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use common::PipelineWorld;
+use common::{deliver, deliver_all, mux_for, PipelineWorld};
 use fabric::chaincode::Vscc;
 use fabric::kvstore::backend::Backend;
 use fabric::kvstore::MemBackend;
 use fabric::ledger::{BlockStore, Ledger};
 use fabric::msp::MspRegistry;
-use fabric::peer::{PipelineManager, PipelineOptions};
-use fabric::primitives::ids::TxValidationCode;
+use fabric::peer::{DeliverMux, Peer, PipelineOptions};
+use fabric::primitives::block::Block;
+use fabric::primitives::ids::{ChannelId, TxValidationCode};
 use fabric::primitives::transaction::Transaction;
 
 /// A VSCC that validates like the default "always valid for honestly
@@ -35,6 +36,23 @@ impl Vscc for SlowVscc {
         std::thread::sleep(Duration::from_millis(15));
         TxValidationCode::Valid
     }
+}
+
+/// A two-block intake: the mux clamps its credit window to it, so most
+/// delivered blocks are still queued when a test crashes or closes.
+fn small_intake() -> PipelineOptions {
+    PipelineOptions {
+        intake_capacity: 2,
+        ..PipelineOptions::default()
+    }
+}
+
+/// Re-delivers `blocks` to a restarted peer as a restarted peer takes
+/// them: through a fresh mux attached at the recovered height.
+fn redeliver(peer: &Peer, blocks: &[Block]) {
+    let mux = mux_for(peer, 2, PipelineOptions::default());
+    deliver_all(&mux, peer.channel(), blocks).expect("redelivered tail accepted");
+    mux.close().expect("redelivered tail commits");
 }
 
 #[test]
@@ -58,18 +76,13 @@ fn abort_with_queued_blocks_recovers_from_savepoint() {
     let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
     let victim = world.replica_on("victim.org1", 2, backend.clone());
     victim.register_vscc("kv", Arc::new(SlowVscc));
-    let handle = victim.pipeline_with(PipelineOptions {
-        vscc_workers: 2,
-        intake_capacity: 2,
-        ..PipelineOptions::default()
-    });
-    for block in &world.blocks {
-        handle.submit(block.clone()).expect("pipeline accepts");
-    }
+    let channel = victim.channel();
+    let mux = mux_for(&victim, 2, small_intake());
+    deliver_all(&mux, channel, &world.blocks).expect("pipeline accepts");
     // Crash while later blocks are still queued: wait for a mid-chain
     // watermark, then abort without draining.
-    handle.wait_committed(3).expect("prefix commits");
-    handle.abort();
+    mux.wait_committed(channel, 3).expect("prefix commits");
+    mux.abort();
     let crash_height = victim.height();
     assert!(
         crash_height >= 3,
@@ -97,9 +110,7 @@ fn abort_with_queued_blocks_recovers_from_savepoint() {
     for block in &world.blocks {
         reference.commit_block(block).expect("reference commits");
     }
-    for block in &world.blocks[(crash_height as usize - 1)..] {
-        reopened.commit_block(block).expect("redelivered commit");
-    }
+    redeliver(&reopened, &world.blocks[(crash_height as usize - 1)..]);
     assert_eq!(reopened.height(), reference.height());
     assert_eq!(reopened.ledger().last_hash(), reference.ledger().last_hash());
     assert_eq!(
@@ -112,7 +123,7 @@ fn abort_with_queued_blocks_recovers_from_savepoint() {
 #[test]
 fn close_with_queued_blocks_drains_then_restarts_from_savepoint() {
     // `close()` is the graceful counterpart of `abort()`: every block
-    // already submitted must drain through validation and commit before
+    // already delivered must drain through validation and commit before
     // the call returns — drain, not drop.
     let mut world = PipelineWorld::new();
     for b in 0..5u8 {
@@ -131,17 +142,16 @@ fn close_with_queued_blocks_drains_then_restarts_from_savepoint() {
     let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
     let peer = world.replica_on("drainer.org1", 2, backend.clone());
     peer.register_vscc("kv", Arc::new(SlowVscc));
-    let handle = peer.pipeline_with(PipelineOptions {
-        vscc_workers: 2,
-        intake_capacity: 2,
-        ..PipelineOptions::default()
-    });
-    for block in &world.blocks {
-        handle.submit(block.clone()).expect("pipeline accepts");
-    }
+    let channel = peer.channel();
+    let mux = mux_for(&peer, 2, small_intake());
+    deliver_all(&mux, channel, &world.blocks).expect("pipeline accepts");
     // Close immediately, without waiting for the watermark: the queued
     // tail must still commit.
-    let stats = handle.close().expect("close drains clean");
+    let stats = mux
+        .close()
+        .expect("close drains clean")
+        .remove(channel)
+        .unwrap();
     assert_eq!(stats.blocks, total_blocks, "every queued block committed");
     assert_eq!(
         peer.height(),
@@ -169,9 +179,11 @@ fn close_with_queued_blocks_drains_then_restarts_from_savepoint() {
 
 #[test]
 fn multi_channel_abort_isolates_channels_and_recovers_from_savepoint() {
-    // Two channels share one VSCC worker pool. Aborting one mid-stream
-    // (a per-channel crash) must not disturb the other channel's drain,
-    // and the aborted channel must restart cleanly from its savepoint.
+    // Two channels share one mux and its VSCC pool. The victim's VSCC is
+    // slow; the survivor's backlog must still drain to completion beside
+    // it. Aborting the mux (a peer crash) then leaves each channel at its
+    // own savepoint: the survivor's chain is whole, and the victim
+    // restarts cleanly from wherever its pipeline stopped.
     let mut world = PipelineWorld::new();
     for b in 0..6u8 {
         let envelopes = (0..3)
@@ -186,34 +198,29 @@ fn multi_channel_abort_isolates_channels_and_recovers_from_savepoint() {
     }
     let total_blocks = world.blocks.len() as u64; // deploy + 6
 
-    let pool = PipelineManager::new(2);
+    let mux = DeliverMux::new(2);
     let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
     let victim = world.replica_on("victim.org1", 2, backend.clone());
     victim.register_vscc("kv", Arc::new(SlowVscc));
     let survivor = world.replica("survivor.org1", 2);
-    survivor.register_vscc("kv", Arc::new(SlowVscc));
-    let opts = PipelineOptions {
-        intake_capacity: 2,
-        ..PipelineOptions::default()
-    };
-    let victim_handle = victim.pipeline_shared(&pool, opts);
-    let survivor_handle = survivor.pipeline_shared(&pool, opts);
+    let (victim_chan, survivor_chan) = (ChannelId::new("victim"), ChannelId::new("survivor"));
+    mux.attach(victim_chan.clone(), &victim, small_intake())
+        .expect("victim attaches");
+    mux.attach(survivor_chan.clone(), &survivor, small_intake())
+        .expect("survivor attaches");
     for block in &world.blocks {
-        victim_handle.submit(block.clone()).expect("victim accepts");
-        survivor_handle.submit(block.clone()).expect("survivor accepts");
+        deliver(&mux, &victim_chan, block).expect("victim accepts");
+        deliver(&mux, &survivor_chan, block).expect("survivor accepts");
     }
-    victim_handle.wait_committed(3).expect("victim prefix commits");
-    victim_handle.abort();
+    mux.wait_committed(&victim_chan, 3)
+        .expect("victim prefix commits");
+    // The surviving channel drains to completion on the shared pool.
+    mux.wait_committed(&survivor_chan, total_blocks + 1)
+        .expect("survivor unaffected by the victim's slow backlog");
+    mux.abort();
     let crash_height = victim.height();
     assert!(crash_height >= 3, "the waited-for prefix must have committed");
     drop(victim);
-
-    // The surviving channel drains to completion on the shared pool.
-    survivor_handle
-        .wait_committed(total_blocks + 1)
-        .expect("survivor unaffected by the victim's abort");
-    survivor_handle.close().expect("survivor closes clean");
-    pool.close();
 
     let reference = world.replica("reference.org1", 2);
     for block in &world.blocks {
@@ -234,9 +241,7 @@ fn multi_channel_abort_isolates_channels_and_recovers_from_savepoint() {
         Some(crash_height - 1),
         "savepoint matches the last committed block"
     );
-    for block in &world.blocks[(crash_height as usize - 1)..] {
-        reopened.commit_block(block).expect("redelivered commit");
-    }
+    redeliver(&reopened, &world.blocks[(crash_height as usize - 1)..]);
     assert_eq!(reopened.height(), reference.height());
     assert_eq!(reopened.ledger().last_hash(), reference.ledger().last_hash());
     assert_eq!(
@@ -244,6 +249,29 @@ fn multi_channel_abort_isolates_channels_and_recovers_from_savepoint() {
         reference.scan_state("kv", "", "").unwrap(),
         "post-recovery state equals the never-crashed reference"
     );
+}
+
+/// Dropping a mux without `close` is a graceful stop: every delivered
+/// block drains through validation and commits before the VSCC pool
+/// shuts down, rather than being abandoned in the pool's queue.
+#[test]
+fn dropping_the_mux_drains_delivered_blocks() {
+    let mut world = PipelineWorld::new();
+    for b in 0..6u8 {
+        let envelopes = (0..2)
+            .map(|i| world.endorse("put", vec![format!("d{b}x{i}").into_bytes(), vec![b, i]]))
+            .collect();
+        world.seal_block(envelopes);
+    }
+    let final_height = world.blocks.len() as u64 + 1; // genesis + deploy + 6
+
+    let peer = world.replica("dropper.org1", 2);
+    peer.register_vscc("kv", Arc::new(SlowVscc));
+    let channel = peer.channel();
+    let mux = mux_for(&peer, 2, PipelineOptions::default());
+    deliver_all(&mux, channel, &world.blocks).expect("pipeline accepts");
+    drop(mux);
+    assert_eq!(peer.height(), final_height, "dropping the mux drained it");
 }
 
 #[test]
@@ -294,9 +322,7 @@ fn torn_block_file_append_truncated_and_redelivered() {
 
     // Re-delivering the block commits it cleanly; state converges with a
     // never-crashed reference.
-    reopened
-        .commit_block(&world.blocks[2])
-        .expect("redelivered tail block commits");
+    redeliver(&reopened, &world.blocks[2..]);
     let reference = world.replica("reference.org1", 2);
     for block in &world.blocks {
         reference.commit_block(block).expect("reference commits");
@@ -370,10 +396,10 @@ impl Vscc for PanickingVscc {
 }
 
 /// One panic policy for pooled work: a VSCC that panics on a pool worker
-/// fails its own channel with an error — `submit` / `wait_committed`
-/// return it instead of waiting forever on a block whose task count can
-/// never reach zero — and the worker survives to serve the other
-/// channels of the shared pool.
+/// fails its own channel with an error — `wait_committed` returns it
+/// instead of waiting forever on a block whose task count can never
+/// reach zero — and the worker survives to serve the other channels of
+/// the mux's shared pool.
 #[test]
 fn panicking_vscc_fails_its_channel_and_spares_the_pool() {
     let mut world = PipelineWorld::new();
@@ -383,26 +409,53 @@ fn panicking_vscc_fails_its_channel_and_spares_the_pool() {
     }
     let final_height = world.blocks.len() as u64 + 1; // deploy (LSCC), k1, k2
     // A single worker: if the panic killed it, nothing below would return.
-    let pool = PipelineManager::new(1);
+    let mux = Arc::new(DeliverMux::new(1));
     let victim = world.replica("victim.org1", 1);
     victim.register_vscc("kv", Arc::new(PanickingVscc));
-    let handle = victim.pipeline_shared(&pool, PipelineOptions::default());
-    // Whoever touches the stopped pipeline first is handed its error.
-    let refused = world.blocks.iter().find_map(|b| handle.submit(b.clone()).err());
+    let victim_chan = ChannelId::new("victim");
+    mux.attach(victim_chan.clone(), &victim, PipelineOptions::default())
+        .expect("victim attaches");
+    // Whoever touches the stopped pipeline first is handed its error. The
+    // wait runs on its own thread so that a wait which never returns
+    // fails this test instead of hanging the suite.
+    let refused = deliver_all(&mux, &victim_chan, &world.blocks).err();
+    let (tx, rx) = mpsc::channel();
+    let waiter = {
+        let (mux, chan) = (mux.clone(), victim_chan.clone());
+        std::thread::spawn(move || {
+            let _ = tx.send(mux.wait_committed(&chan, final_height));
+        })
+    };
+    let waited = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("wait_committed returns once the channel's pipeline has stopped");
+    waiter.join().unwrap();
     let err = refused
-        .or_else(|| handle.wait_committed(final_height).err())
+        .or_else(|| waited.err())
         .expect("the channel stops with an error")
         .to_string();
-    assert!(err.contains("VSCC panicked validating block 2"), "got: {err}");
-    let _ = handle.close();
-    assert_eq!(victim.height(), 2, "the deploy block commits, the poisoned one never does");
+    assert!(
+        err.contains("VSCC panicked validating block 2"),
+        "got: {err}"
+    );
+    assert_eq!(
+        victim.height(),
+        2,
+        "the deploy block commits, the poisoned one never does"
+    );
 
     let sibling = world.replica("sibling.org1", 1);
-    let handle = sibling.pipeline_shared(&pool, PipelineOptions::default());
-    for block in &world.blocks {
-        handle.submit(block.clone()).expect("sibling accepts");
-    }
-    assert_eq!(handle.close().expect("sibling drains").blocks, 3);
-    pool.close();
+    let sibling_chan = ChannelId::new("sibling");
+    mux.attach(sibling_chan.clone(), &sibling, PipelineOptions::default())
+        .expect("sibling attaches");
+    deliver_all(&mux, &sibling_chan, &world.blocks).expect("sibling accepts");
+    mux.wait_committed(&sibling_chan, final_height)
+        .expect("sibling drains");
+    assert_eq!(
+        mux.stats(&sibling_chan).expect("sibling attached").blocks,
+        3
+    );
+    let mux = Arc::into_inner(mux).expect("the waiter is gone");
+    let _ = mux.close();
     assert_eq!(sibling.height(), final_height);
 }

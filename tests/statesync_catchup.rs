@@ -14,6 +14,7 @@ use common::PipelineWorld;
 use fabric::gossip::{GossipConfig, GossipMessage, GossipNode, GossipOutput, PeerId};
 use fabric::msp::{Msp, MspRegistry};
 use fabric::net::PeerSpec;
+use fabric::peer::PipelineOptions;
 use fabric::primitives::wire::Wire;
 use fabric::simnet::{SimEvent, Simulator, MS};
 use fabric::statesync::{
@@ -255,14 +256,12 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
         .join_from_snapshot(PeerSpec::new(0, "late.org1", 2), &manifest, &entries);
     assert_eq!(joiner.height(), snap_height, "starts at the snapshot height");
 
-    let handle = joiner.pipeline();
-    for block in &world.blocks {
-        if block.header.number >= snap_height {
-            handle.submit(block.clone()).unwrap();
-        }
-    }
-    handle.wait_committed(full_height).unwrap();
-    let stats = handle.close().unwrap();
+    let mux = common::mux_for(&joiner, 2, PipelineOptions::default());
+    let tail = &world.blocks[(snap_height - 1) as usize..];
+    assert_eq!(tail[0].header.number, snap_height);
+    common::deliver_all(&mux, &channel, tail).unwrap();
+    mux.wait_committed(&channel, full_height).unwrap();
+    let stats = mux.close().unwrap().remove(&channel).unwrap();
     assert_eq!(stats.blocks, full_height - snap_height, "only the tail replayed");
 
     // The joiner is indistinguishable from the full-replay peer.
@@ -311,9 +310,9 @@ fn catchup_falls_back_to_full_replay_without_snapshots() {
 
     // The driver falls back to ordinary full block replay from genesis.
     let replica = world.replica("fallback.org1", 2);
-    for block in &world.blocks {
-        replica.commit_block(block).unwrap();
-    }
+    let mux = common::mux_for(&replica, 2, PipelineOptions::default());
+    common::deliver_all(&mux, &channel, &world.blocks).unwrap();
+    mux.close().unwrap();
     assert_eq!(replica.height(), world.builder.height());
     assert_eq!(
         replica.ledger().state_entries(),
