@@ -149,6 +149,68 @@ proptest! {
         }
     }
 
+    /// Shared-pool equivalence: two channels (independent replica
+    /// ledgers) attached to one mux with default credit windows share its
+    /// three VSCC workers, their in-order deliveries raced under a
+    /// proptest-chosen interleaving. Each channel's event stream, masks
+    /// and final state must match the sequential reference.
+    #[test]
+    fn multi_channel_shared_pool_equivalent_to_sequential(
+        ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 6..24),
+        interleave in prop::collection::vec(any::<u8>(), 48),
+    ) {
+        let mut world = PipelineWorld::new();
+        build_op_blocks(&mut world, &ops);
+
+        let sequential = world.replica("seq.org1", 2);
+        let masks_seq = commit_sequential(&sequential, &world.blocks);
+
+        let mux = DeliverMux::new(3);
+        let chans = [ChannelId::new("chan-a"), ChannelId::new("chan-b")];
+        let peers = [world.replica("chan-a.org1", 2), world.replica("chan-b.org1", 2)];
+        let opts = PipelineOptions {
+            intake_capacity: 4,
+            ..PipelineOptions::default()
+        };
+        for channel in 0..2 {
+            mux.attach(chans[channel].clone(), &peers[channel], opts)
+                .expect("channel attaches");
+        }
+        let events = [
+            mux.events(&chans[0]).expect("channel A events"),
+            mux.events(&chans[1]).expect("channel B events"),
+        ];
+        let mut next = [0usize; 2];
+        // Race the two channels' in-order deliveries in the chosen order.
+        for &choice in &interleave {
+            let channel = (choice % 2) as usize;
+            if next[channel] < world.blocks.len() {
+                common::deliver(&mux, &chans[channel], &world.blocks[next[channel]])
+                    .expect("mux accepts block");
+                next[channel] += 1;
+            }
+        }
+        let final_height = world.blocks.last().expect("blocks nonempty").header.number + 1;
+        for channel in 0..2 {
+            common::deliver_all(&mux, &chans[channel], &world.blocks[next[channel]..])
+                .expect("mux accepts blocks");
+            mux.wait_committed(&chans[channel], final_height).expect("channel drains");
+        }
+        mux.close().expect("mux closes clean");
+
+        for (channel, events) in events.into_iter().enumerate() {
+            let mut masks = Vec::with_capacity(world.blocks.len());
+            let mut expected_num = world.blocks[0].header.number;
+            while let Ok(event) = events.try_recv() {
+                prop_assert_eq!(event.block_num, expected_num, "events in block order");
+                expected_num += 1;
+                masks.push(event.validity);
+            }
+            prop_assert_eq!(&masks, &masks_seq, "channel {} masks diverge", channel);
+            assert_ledgers_equal(&sequential, &peers[channel]);
+        }
+    }
+
     /// Multi-channel equivalence: two channels (independent replica
     /// ledgers) share one mux and its VSCC pool, their deliveries raced
     /// under a proptest-chosen cross-channel interleaving and credit
