@@ -240,7 +240,11 @@ impl KvStore {
     }
 
     /// Convenience single-key put.
-    pub fn put(&self, key: impl Into<Vec<u8>>, value: impl Into<Vec<u8>>) -> Result<u64, StoreError> {
+    pub fn put(
+        &self,
+        key: impl Into<Vec<u8>>,
+        value: impl Into<Vec<u8>>,
+    ) -> Result<u64, StoreError> {
         let mut batch = WriteBatch::new();
         batch.put(key, value);
         self.write(batch)
@@ -461,9 +465,7 @@ fn scan_at(inner: &Inner, start: &[u8], end: &[u8], at_seq: u64) -> Vec<(Vec<u8>
     state
         .map
         .range::<[u8], _>((Bound::Included(start), upper))
-        .filter_map(|(key, chain)| {
-            resolve(Some(chain), at_seq).map(|value| (key.clone(), value))
-        })
+        .filter_map(|(key, chain)| resolve(Some(chain), at_seq).map(|value| (key.clone(), value)))
         .collect()
 }
 

@@ -151,7 +151,10 @@ impl BlockStore {
         if base == 0 {
             return Err(LedgerError::Snapshot("rebase to height 0".into()));
         }
-        log::append_record(base_file.as_mut(), &encode_base(base, &base_hash, last_config))?;
+        log::append_record(
+            base_file.as_mut(),
+            &encode_base(base, &base_hash, last_config),
+        )?;
         if self.sync_writes {
             base_file.sync()?;
         }
@@ -332,7 +335,10 @@ mod tests {
         let bad = Block::new(5, store.last_hash(), vec![]);
         assert!(matches!(
             store.append(&bad),
-            Err(LedgerError::OutOfOrder { expected: 2, got: 5 })
+            Err(LedgerError::OutOfOrder {
+                expected: 2,
+                got: 5
+            })
         ));
     }
 
@@ -420,7 +426,10 @@ mod tests {
         let early = Block::new(0, [0u8; 32], vec![envelope(1)]);
         assert!(matches!(
             store.append(&early),
-            Err(LedgerError::OutOfOrder { expected: 5, got: 0 })
+            Err(LedgerError::OutOfOrder {
+                expected: 5,
+                got: 0
+            })
         ));
         let b5 = Block::new(5, snapshot_tip, vec![envelope(1)]);
         store.append(&b5).unwrap();

@@ -344,7 +344,9 @@ mod tests {
         let ledger = Ledger::in_memory();
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 1, |sim| sim.put_state("cc", "k", b"v0".to_vec()))],
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "k", b"v0".to_vec())
+            })],
         );
         // Two transactions both read k's current version and write it.
         let e1 = simulate(&ledger, 2, |sim| {
@@ -369,7 +371,9 @@ mod tests {
         let ledger = Ledger::in_memory();
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 1, |sim| sim.put_state("cc", "k", b"v0".to_vec()))],
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "k", b"v0".to_vec())
+            })],
         );
         // Simulate BEFORE the conflicting update commits.
         let stale = simulate(&ledger, 2, |sim| {
@@ -385,7 +389,10 @@ mod tests {
         );
         let flags = commit_block(&ledger, vec![stale]);
         assert_eq!(flags, vec![TxValidationCode::MvccReadConflict]);
-        assert_eq!(ledger.get_state("cc", "k").unwrap(), Some(b"fresh".to_vec()));
+        assert_eq!(
+            ledger.get_state("cc", "k").unwrap(),
+            Some(b"fresh".to_vec())
+        );
     }
 
     #[test]
@@ -418,7 +425,9 @@ mod tests {
         let ledger = Ledger::in_memory();
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 1, |sim| sim.put_state("cc", "k", b"v".to_vec()))],
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "k", b"v".to_vec())
+            })],
         );
         let reader = simulate(&ledger, 2, |sim| {
             sim.get_state("cc", "k").unwrap();
@@ -438,7 +447,9 @@ mod tests {
         let ledger = Ledger::in_memory();
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 1, |sim| sim.put_state("cc", "k", b"v".to_vec()))],
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "k", b"v".to_vec())
+            })],
         );
         // Both simulated against the same state; tx0 writes k, tx1 reads k.
         let writer = simulate(&ledger, 2, |sim| {
@@ -494,7 +505,9 @@ mod tests {
         });
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 3, |sim| sim.put_state("cc", "b", b"2".to_vec()))],
+            vec![simulate(&ledger, 3, |sim| {
+                sim.put_state("cc", "b", b"2".to_vec())
+            })],
         );
         let flags = commit_block(&ledger, vec![ranged]);
         assert_eq!(flags, vec![TxValidationCode::PhantomReadConflict]);
@@ -505,7 +518,9 @@ mod tests {
         let ledger = Ledger::in_memory();
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 1, |sim| sim.put_state("cc", "a", b"1".to_vec()))],
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "a", b"1".to_vec())
+            })],
         );
         let ranged = simulate(&ledger, 2, |sim| {
             sim.get_state_range("cc", "a", "z").unwrap();
@@ -527,7 +542,9 @@ mod tests {
         let ledger = Ledger::in_memory();
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 1, |sim| sim.put_state("cc", "a", b"1".to_vec()))],
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "a", b"1".to_vec())
+            })],
         );
         let inserter = simulate(&ledger, 2, |sim| {
             sim.put_state("cc", "b", b"2".to_vec());
@@ -539,7 +556,10 @@ mod tests {
         let flags = commit_block(&ledger, vec![inserter, ranged]);
         assert_eq!(
             flags,
-            vec![TxValidationCode::Valid, TxValidationCode::PhantomReadConflict]
+            vec![
+                TxValidationCode::Valid,
+                TxValidationCode::PhantomReadConflict
+            ]
         );
     }
 
@@ -550,7 +570,9 @@ mod tests {
         let ledger = Ledger::in_memory();
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 1, |sim| sim.put_state("cc", "k", b"old".to_vec()))],
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "k", b"old".to_vec())
+            })],
         );
         let mut sim = ledger.simulator();
         sim.put_state("cc", "k", b"new".to_vec());
@@ -579,7 +601,9 @@ mod tests {
         let ledger = Ledger::in_memory();
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 1, |sim| sim.put_state("cc", "k", b"v0".to_vec()))],
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "k", b"v0".to_vec())
+            })],
         );
         let e1 = simulate(&ledger, 2, |sim| {
             sim.get_state("cc", "k").unwrap();
@@ -642,14 +666,19 @@ mod tests {
         let ledger = Ledger::in_memory();
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 1, |sim| sim.put_state("cc", "k", b"v".to_vec()))],
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "k", b"v".to_vec())
+            })],
         );
         let env = simulate(&ledger, 2, |sim| sim.put_state("cc", "j", b"w".to_vec()));
         let mut skipped = Block::new(5, ledger.last_hash(), vec![env]);
         skipped.metadata.validation = vec![TxValidationCode::Valid];
         assert!(matches!(
             ledger.commit(&skipped),
-            Err(LedgerError::OutOfOrder { expected: 1, got: 5 })
+            Err(LedgerError::OutOfOrder {
+                expected: 1,
+                got: 5
+            })
         ));
         // Nothing was appended or applied.
         assert_eq!(ledger.height(), 1);
@@ -673,11 +702,15 @@ mod tests {
         let ledger = Ledger::in_memory();
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 1, |sim| sim.put_state("cc", "k", b"v1".to_vec()))],
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "k", b"v1".to_vec())
+            })],
         );
         commit_block(
             &ledger,
-            vec![simulate(&ledger, 2, |sim| sim.put_state("cc", "k", b"v2".to_vec()))],
+            vec![simulate(&ledger, 2, |sim| {
+                sim.put_state("cc", "k", b"v2".to_vec())
+            })],
         );
         commit_block(
             &ledger,
@@ -757,7 +790,9 @@ mod tests {
         let source = Ledger::in_memory();
         commit_block(
             &source,
-            vec![simulate(&source, 1, |sim| sim.put_state("cc", "k", b"v".to_vec()))],
+            vec![simulate(&source, 1, |sim| {
+                sim.put_state("cc", "k", b"v".to_vec())
+            })],
         );
         let entries = source.state_entries();
 
@@ -765,7 +800,9 @@ mod tests {
         let busy = Ledger::in_memory();
         commit_block(
             &busy,
-            vec![simulate(&busy, 2, |sim| sim.put_state("cc", "x", b"y".to_vec()))],
+            vec![simulate(&busy, 2, |sim| {
+                sim.put_state("cc", "x", b"y".to_vec())
+            })],
         );
         assert!(matches!(
             busy.install_snapshot(1, source.last_hash(), 0, &entries),

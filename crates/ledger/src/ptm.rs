@@ -107,7 +107,11 @@ impl Ptm {
     }
 
     /// Reads the latest committed `(version, value)` of a key.
-    pub fn get_state(&self, ns: &str, key: &str) -> Result<Option<(Version, Vec<u8>)>, LedgerError> {
+    pub fn get_state(
+        &self,
+        ns: &str,
+        key: &str,
+    ) -> Result<Option<(Version, Vec<u8>)>, LedgerError> {
         match self.store.get(&state_key(ns, key)) {
             Some(raw) => Ok(Some(decode_value(&raw)?)),
             None => Ok(None),
@@ -223,7 +227,14 @@ impl Ptm {
             for ns_rw in &tx.response_payload.rwset.ns_rwsets {
                 for write in &ns_rw.writes {
                     let skey = state_key(&ns_rw.namespace, &write.key);
-                    overlay.insert(skey, if write.is_delete() { None } else { Some(version) });
+                    overlay.insert(
+                        skey,
+                        if write.is_delete() {
+                            None
+                        } else {
+                            Some(version)
+                        },
+                    );
                 }
             }
         }
@@ -253,8 +264,8 @@ impl Ptm {
                 Ok(k) => k,
                 Err(_) => continue,
             };
-            let in_range =
-                key.as_str() >= rq.start_key.as_str() && (rq.end_key.is_empty() || key.as_str() < rq.end_key.as_str());
+            let in_range = key.as_str() >= rq.start_key.as_str()
+                && (rq.end_key.is_empty() || key.as_str() < rq.end_key.as_str());
             if !in_range {
                 continue;
             }
