@@ -11,8 +11,9 @@
 #     including the parked-block test that pins the rw-check's timing.
 #  4. The kvstore, ledger, statesync and chaincode crates pass clippy
 #     with -D warnings (kvstore carries the state store; ledger the PTM
-#     over it; chaincode the deadline-guarded execution runtime), and
-#     the chaincode crate's unit tests (thread reuse, straggler
+#     over it; chaincode the deadline-guarded execution runtime), the
+#     kvstore and ledger crates are rustfmt-clean (`cargo fmt --check`),
+#     and the chaincode crate's unit tests (thread reuse, straggler
 #     retirement, shutdown) pass on their own; gate 15 skips that crate.
 #  5. The endorsement battery (equivalence proptests + fault injection)
 #     re-runs on its own so a tier-1 wobble can't mask it.
@@ -113,6 +114,12 @@ else
     echo "clippy not installed; falling back to rustc warning gate"
     find crates/kvstore/src crates/ledger/src -name '*.rs' -exec touch {} +
     RUSTFLAGS="-Dwarnings" cargo build -p fabric-kvstore -p fabric-ledger
+fi
+echo "== fabric-kvstore / fabric-ledger: rustfmt gate =="
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --check -p fabric-kvstore -p fabric-ledger
+else
+    echo "rustfmt not installed; skipping format gate"
 fi
 
 echo "== fabric-statesync: clippy gate (-D warnings) =="

@@ -145,11 +145,6 @@ impl StateStore {
         merkle.persist(self.backend.as_ref(), seq)
     }
 
-    /// Reclaims versions no live snapshot can observe.
-    pub fn compact(&self) {
-        self.kv.compact();
-    }
-
     /// Number of live (non-tombstone) keys.
     pub fn len(&self) -> usize {
         self.kv.len()

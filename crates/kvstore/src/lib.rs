@@ -6,7 +6,8 @@
 //!
 //! Design: an in-memory B-tree memtable holding *version chains* per key
 //! (lightweight MVCC so endorsement simulation gets a stable snapshot while
-//! commits proceed), a CRC-framed write-ahead log for durability, and
+//! commits proceed; each write trims the chains it touches to what a live
+//! snapshot can still read), a CRC-framed write-ahead log for durability, and
 //! whole-state checkpoints that truncate the log. Storage is abstracted
 //! behind [`backend::Backend`] with filesystem and in-memory
 //! implementations (the latter doubles as the paper's RAM-disk variant in

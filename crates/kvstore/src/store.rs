@@ -1,7 +1,12 @@
 //! The MVCC key-value store: memtable with version chains, WAL durability,
 //! snapshots, checkpointing, and crash recovery.
+//!
+//! A chain holds only what a reader can still see: each write trims the
+//! chains it touches down to the oldest live snapshot, and a key whose
+//! chain is then a tombstone every reader sees leaves the map.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -140,6 +145,63 @@ struct State {
     seq: u64,
     /// Sequence covered by the on-disk checkpoint.
     checkpoint_seq: u64,
+    /// Keys whose chains kept older versions for a live snapshot, each
+    /// with the seq of the write that left it so, in ascending seq.
+    deferred: VecDeque<(u64, Vec<u8>)>,
+}
+
+impl State {
+    /// Applies `ops` at `seq`, then trims what no reader can see anymore.
+    ///
+    /// `horizon` is the oldest live snapshot's seq, or `seq` when none is
+    /// live. Every chain the batch touches keeps its newest entry at or
+    /// below the horizon plus every entry above it; a chain that keeps
+    /// more than its head is queued and trimmed again by the first write
+    /// whose horizon reaches this `seq`. A key left as one tombstone at
+    /// or below the horizon leaves the map. Work is O(batch) plus the
+    /// queued keys the horizon passes.
+    fn apply(&mut self, ops: Vec<(Vec<u8>, Option<Vec<u8>>)>, seq: u64, horizon: u64) {
+        for (key, value) in ops {
+            match self.map.entry(key) {
+                // An absent key already reads as deleted at every seq.
+                Entry::Vacant(slot) => {
+                    if value.is_some() {
+                        slot.insert(vec![(seq, value)]);
+                    }
+                }
+                Entry::Occupied(mut slot) => {
+                    slot.get_mut().push((seq, value));
+                    if trim(slot.get_mut(), horizon) {
+                        slot.remove();
+                    } else if slot.get().len() > 1 {
+                        self.deferred.push_back((seq, slot.key().clone()));
+                    }
+                }
+            }
+        }
+        while self.deferred.front().is_some_and(|(at, _)| *at <= horizon) {
+            let (_, key) = self.deferred.pop_front().expect("front checked");
+            if let Entry::Occupied(mut slot) = self.map.entry(key) {
+                if trim(slot.get_mut(), horizon) {
+                    slot.remove();
+                }
+            }
+        }
+    }
+}
+
+/// The seq new snapshots read at, and the live snapshots.
+///
+/// A write advances `seq` to its own seq in the same critical section in
+/// which it reads its trim horizon, while it holds the state lock and
+/// before it applies its batch. So a snapshot either registers before
+/// that section, and the horizon keeps its versions, or after it, and it
+/// reads at the write's own seq, whose reads wait on the state lock until
+/// the batch is applied. Taking a snapshot never takes the state lock.
+struct Registry {
+    seq: u64,
+    /// Live snapshot seqs with reference counts.
+    live: BTreeMap<u64, usize>,
 }
 
 struct Inner {
@@ -147,8 +209,7 @@ struct Inner {
     wal: Mutex<Box<dyn BackendFile>>,
     backend: Arc<dyn Backend>,
     sync_writes: bool,
-    /// Active snapshot sequence numbers with reference counts.
-    snapshots: Mutex<BTreeMap<u64, usize>>,
+    snapshots: Mutex<Registry>,
 }
 
 /// A durable, snapshotable, ordered key-value store.
@@ -161,11 +222,17 @@ pub struct KvStore {
 
 impl KvStore {
     /// Opens a store, recovering state from the checkpoint and WAL.
+    ///
+    /// No snapshot exists while the WAL replays, so each batch is trimmed
+    /// as it applies and the store reloads its state, not its history.
     pub fn open(config: StoreConfig) -> Result<Self, StoreError> {
         let backend = config.backend;
-        let mut map: BTreeMap<Vec<u8>, Chain> = BTreeMap::new();
-        let mut seq = 0u64;
-        let mut checkpoint_seq = 0u64;
+        let mut state = State {
+            map: BTreeMap::new(),
+            seq: 0,
+            checkpoint_seq: 0,
+            deferred: VecDeque::new(),
+        };
 
         if backend.exists(CHECKPOINT_FILE)? {
             let mut f = backend.open(CHECKPOINT_FILE)?;
@@ -177,11 +244,9 @@ impl KvStore {
             // records, all stamped with the same seq.
             for payload in &records {
                 let (ck_seq, batch) = WriteBatch::deserialize(payload)?;
-                checkpoint_seq = ck_seq;
-                seq = ck_seq;
-                for (key, value) in batch.ops {
-                    map.insert(key, vec![(ck_seq, value)]);
-                }
+                state.checkpoint_seq = ck_seq;
+                state.seq = ck_seq;
+                state.apply(batch.ops, ck_seq, ck_seq);
             }
         }
 
@@ -193,26 +258,24 @@ impl KvStore {
         }
         for payload in records {
             let (batch_seq, batch) = WriteBatch::deserialize(&payload)?;
-            if batch_seq <= checkpoint_seq {
+            if batch_seq <= state.checkpoint_seq {
                 continue; // already folded into the checkpoint
             }
-            for (key, value) in batch.ops {
-                map.entry(key).or_default().push((batch_seq, value));
-            }
-            seq = seq.max(batch_seq);
+            state.apply(batch.ops, batch_seq, batch_seq);
+            state.seq = state.seq.max(batch_seq);
         }
 
+        let snapshots = Mutex::new(Registry {
+            seq: state.seq,
+            live: BTreeMap::new(),
+        });
         Ok(KvStore {
             inner: Arc::new(Inner {
-                state: Mutex::new(State {
-                    map,
-                    seq,
-                    checkpoint_seq,
-                }),
+                state: Mutex::new(state),
                 wal: Mutex::new(wal),
                 backend,
                 sync_writes: config.sync_writes,
-                snapshots: Mutex::new(BTreeMap::new()),
+                snapshots,
             }),
         })
     }
@@ -232,9 +295,12 @@ impl KvStore {
                 wal.sync()?;
             }
         }
-        for (key, value) in batch.ops {
-            state.map.entry(key).or_default().push((seq, value));
-        }
+        let horizon = {
+            let mut registry = self.inner.snapshots.lock();
+            registry.seq = seq;
+            registry.live.keys().next().copied().unwrap_or(seq)
+        };
+        state.apply(batch.ops, seq, horizon);
         state.seq = seq;
         Ok(seq)
     }
@@ -270,8 +336,10 @@ impl KvStore {
 
     /// Takes a consistent snapshot of the current state.
     pub fn snapshot(&self) -> Snapshot {
-        let seq = self.inner.state.lock().seq;
-        *self.inner.snapshots.lock().entry(seq).or_insert(0) += 1;
+        let mut registry = self.inner.snapshots.lock();
+        let seq = registry.seq;
+        *registry.live.entry(seq).or_insert(0) += 1;
+        drop(registry);
         Snapshot {
             inner: self.inner.clone(),
             seq,
@@ -360,39 +428,6 @@ impl KvStore {
         Ok(())
     }
 
-    /// Drops version-chain entries no snapshot can observe anymore.
-    pub fn compact(&self) {
-        let min_snapshot = self
-            .inner
-            .snapshots
-            .lock()
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or(u64::MAX);
-        let mut state = self.inner.state.lock();
-        let horizon = min_snapshot.min(state.seq);
-        let mut empty_keys = Vec::new();
-        for (key, chain) in state.map.iter_mut() {
-            // Keep the newest entry at-or-below the horizon plus everything
-            // above it.
-            let keep_from = chain
-                .iter()
-                .rposition(|(s, _)| *s <= horizon)
-                .unwrap_or_default();
-            if keep_from > 0 {
-                chain.drain(..keep_from);
-            }
-            // A chain that is a single tombstone visible to everyone can go.
-            if chain.len() == 1 && chain[0].1.is_none() && chain[0].0 <= horizon {
-                empty_keys.push(key.clone());
-            }
-        }
-        for key in empty_keys {
-            state.map.remove(&key);
-        }
-    }
-
     /// Number of live (non-tombstone) keys at the latest state.
     pub fn len(&self) -> usize {
         let state = self.inner.state.lock();
@@ -435,14 +470,24 @@ impl Snapshot {
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        let mut snaps = self.inner.snapshots.lock();
-        if let Some(count) = snaps.get_mut(&self.seq) {
+        let mut registry = self.inner.snapshots.lock();
+        if let Some(count) = registry.live.get_mut(&self.seq) {
             *count -= 1;
             if *count == 0 {
-                snaps.remove(&self.seq);
+                registry.live.remove(&self.seq);
             }
         }
     }
+}
+
+/// Drops the entries of `chain` no reader at or above `horizon` can see:
+/// all but the newest entry at or below it. Returns `true` if what is left
+/// is one tombstone at or below it, which every reader sees as absent.
+fn trim(chain: &mut Chain, horizon: u64) -> bool {
+    if let Some(keep_from) = chain.iter().rposition(|(s, _)| *s <= horizon) {
+        chain.drain(..keep_from);
+    }
+    matches!(chain.as_slice(), [(s, None)] if *s <= horizon)
 }
 
 /// Resolves the visible value of a chain at `at_seq`.
@@ -636,31 +681,118 @@ mod tests {
         assert_eq!(store.get(b"new"), Some(b"2".to_vec()));
     }
 
-    #[test]
-    fn compact_preserves_visible_versions() {
-        let store = mem_store();
-        store.put("k", "v1").unwrap();
-        let snap = store.snapshot();
-        store.put("k", "v2").unwrap();
-        store.put("k", "v3").unwrap();
-        store.compact();
-        // Snapshot still sees v1; latest still v3.
-        assert_eq!(snap.get(b"k"), Some(b"v1".to_vec()));
-        assert_eq!(store.get(b"k"), Some(b"v3".to_vec()));
-        drop(snap);
-        store.compact();
-        assert_eq!(store.get(b"k"), Some(b"v3".to_vec()));
+    /// `(keys, versions)` held in the store's map.
+    fn held(store: &KvStore) -> (usize, usize) {
+        let state = store.inner.state.lock();
+        let versions = state.map.values().map(Vec::len).sum();
+        (state.map.len(), versions)
     }
 
     #[test]
-    fn compact_removes_dead_tombstones() {
+    fn write_keeps_only_versions_a_snapshot_can_read() {
+        let store = mem_store();
+        store.put("k", "v1").unwrap();
+        store.put("k", "v2").unwrap();
+        assert_eq!(held(&store), (1, 1));
+        let snap = store.snapshot();
+        store.put("k", "v3").unwrap();
+        store.put("k", "v4").unwrap();
+        // The snapshot still sees v2; everything above it stays.
+        assert_eq!(held(&store), (1, 3));
+        assert_eq!(snap.get(b"k"), Some(b"v2".to_vec()));
+        assert_eq!(store.get(b"k"), Some(b"v4".to_vec()));
+        drop(snap);
+        // The next write trims the queued chain, not only its own keys.
+        store.put("other", "x").unwrap();
+        assert_eq!(held(&store), (2, 2));
+        assert_eq!(store.get(b"k"), Some(b"v4".to_vec()));
+    }
+
+    #[test]
+    fn deleted_key_leaves_the_map_once_no_snapshot_sees_it() {
         let store = mem_store();
         store.put("k", "v").unwrap();
         store.delete("k").unwrap();
-        store.compact();
-        assert_eq!(store.len(), 0);
-        // Internal map should be empty too (no chains left).
-        assert_eq!(store.scan(b"", b"").len(), 0);
+        assert_eq!(held(&store), (0, 0));
+        store.delete("never-written").unwrap();
+        assert_eq!(held(&store), (0, 0));
+
+        store.put("k", "v").unwrap();
+        let snap = store.snapshot();
+        store.delete("k").unwrap();
+        assert_eq!(held(&store), (1, 2));
+        assert_eq!(snap.get(b"k"), Some(b"v".to_vec()));
+        assert_eq!(store.get(b"k"), None);
+        drop(snap);
+        store.put("other", "x").unwrap();
+        assert_eq!(held(&store), (1, 1));
+        assert_eq!(store.scan(b"", b"").len(), 1);
+    }
+
+    #[test]
+    fn chain_held_by_a_snapshot_is_trimmed_after_it_drops() {
+        let store = mem_store();
+        store.put("k", "v0").unwrap();
+        let old = store.snapshot();
+        for i in 1..=5 {
+            store.put("k", format!("v{i}")).unwrap();
+            let _transient = store.snapshot();
+        }
+        assert_eq!(held(&store), (1, 6));
+        let newer = store.snapshot();
+        drop(old);
+        store.put("k", "v6").unwrap();
+        // `newer` (at v5) is now the horizon: v5 and v6 stay.
+        assert_eq!(held(&store), (1, 2));
+        assert_eq!(newer.get(b"k"), Some(b"v5".to_vec()));
+        drop(newer);
+        store.put("other", "x").unwrap();
+        assert_eq!(held(&store), (2, 2));
+    }
+
+    /// 10 000 puts and deletes over 100 keys with no live snapshot.
+    fn churn(store: &KvStore) -> BTreeMap<Vec<u8>, Vec<u8>> {
+        let mut live = BTreeMap::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..10_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = format!("key-{:03}", x % 100).into_bytes();
+            if x.is_multiple_of(3) {
+                store.delete(key.clone()).unwrap();
+                live.remove(&key);
+            } else {
+                let value = format!("value-{i}").into_bytes();
+                store.put(key.clone(), value.clone()).unwrap();
+                live.insert(key, value);
+            }
+        }
+        live
+    }
+
+    #[test]
+    fn versions_held_equal_live_keys_without_snapshots() {
+        let backend = Arc::new(crate::backend::MemBackend::new());
+        let config = || StoreConfig {
+            backend: backend.clone(),
+            sync_writes: false,
+        };
+        let live = {
+            let store = KvStore::open(config()).unwrap();
+            let live = churn(&store);
+            assert!(!live.is_empty() && live.len() < 100);
+            assert_eq!(held(&store), (live.len(), live.len()));
+            let expect: Vec<_> = live.clone().into_iter().collect();
+            assert_eq!(store.scan(b"", b""), expect);
+            live
+        };
+        // Replaying the WAL trims as it goes: the same bound after a reopen.
+        let store = KvStore::open(config()).unwrap();
+        assert_eq!(held(&store), (live.len(), live.len()));
+        let expect: Vec<_> = live.into_iter().collect();
+        assert_eq!(store.scan(b"", b""), expect);
+        assert_eq!(store.last_seq(), 10_000);
     }
 
     #[test]

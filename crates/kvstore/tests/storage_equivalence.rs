@@ -1,11 +1,15 @@
 //! Oracle-equivalence property: the state store must match a `BTreeMap`
-//! oracle under random interleavings of puts, deletes, snapshots,
-//! checkpoints, and compactions — byte-for-byte scans, point reads,
+//! oracle under random interleavings of puts, deletes, checkpoints, and
+//! snapshots taken and dropped across writes (so writes trim version
+//! chains both at once and deferred) — byte-for-byte scans, point reads,
 //! sequence numbers, and incremental Merkle roots — and must survive a
-//! reopen back to exactly that state.
+//! reopen back to exactly that state. A concurrency test pins snapshot
+//! reads to their seq while a writer overwrites the key they read.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::thread;
 
 use fabric_kvstore::merkle::root_of_entries;
 use fabric_kvstore::{MemBackend, Snapshot, StateStore, WriteBatch};
@@ -21,7 +25,18 @@ fn entries(oracle: &Oracle) -> Vec<(Vec<u8>, Vec<u8>)> {
     oracle.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
 }
 
-/// One generated step: a maintenance control code plus a batch of
+/// Asserts a held snapshot still reads exactly its capture point.
+fn check_held(snap: &Snapshot, frozen: &Oracle, at_seq: u64) -> Result<(), TestCaseError> {
+    let expect = entries(frozen);
+    prop_assert_eq!(snap.seq(), at_seq);
+    prop_assert_eq!(&snap.scan(b"", b""), &expect, "snapshot scan diverged");
+    if let Some((k, _)) = expect.first() {
+        prop_assert_eq!(snap.get(k), frozen.get(k).cloned());
+    }
+    Ok(())
+}
+
+/// One generated step: a control code plus a batch of
 /// `(key, kind, value-byte)` ops.
 type Step = (u8, Vec<(u8, u8, u8)>);
 
@@ -46,7 +61,10 @@ proptest! {
         for (control, ops) in &steps {
             match control {
                 0 => store.checkpoint().unwrap(),
-                1 => store.compact(),
+                1 if !held.is_empty() => {
+                    let (snap, frozen, at_seq) = held.remove(0);
+                    check_held(&snap, &frozen, at_seq)?;
+                }
                 2 => held.push((store.snapshot(), oracle.clone(), seq)),
                 _ => {}
             }
@@ -78,14 +96,9 @@ proptest! {
         }
 
         // Held snapshots stay pinned to their capture point no matter how
-        // many writes, checkpoints, and compactions happened since.
+        // many writes, checkpoints, and snapshot drops happened since.
         for (snap, frozen, at_seq) in &held {
-            let expect = entries(frozen);
-            prop_assert_eq!(snap.seq(), *at_seq);
-            prop_assert_eq!(&snap.scan(b"", b""), &expect, "snapshot scan diverged");
-            if let Some((k, _)) = expect.first() {
-                prop_assert_eq!(snap.get(k), frozen.get(k).cloned());
-            }
+            check_held(snap, frozen, *at_seq)?;
         }
         drop(held);
         drop(store);
@@ -97,4 +110,41 @@ proptest! {
         prop_assert_eq!(store.last_seq(), seq, "reopen seq");
         prop_assert_eq!(store.state_root(), root_of_entries(&expect), "reopen root");
     }
+}
+
+/// Readers take snapshots and read a hot key while a writer overwrites it
+/// once per batch, so the value at seq `n` is `n`. A snapshot must read
+/// the value as of its own seq even when a write lands between the moment
+/// it picks that seq and the moment it is registered.
+#[test]
+fn snapshot_reads_hold_their_seq_under_concurrent_overwrites() {
+    const WRITES: u64 = 20_000;
+    const READERS: usize = 2;
+    let store = Arc::new(StateStore::open(Arc::new(MemBackend::new()), false).unwrap());
+    store.put("hot", 0u64.to_le_bytes()).unwrap();
+    let done = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(READERS + 1));
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let (store, done, start) = (store.clone(), done.clone(), start.clone());
+            thread::spawn(move || {
+                start.wait();
+                while !done.load(Ordering::Relaxed) {
+                    let snap = store.snapshot();
+                    let value = snap.get(b"hot").expect("hot key is never deleted");
+                    let at = u64::from_le_bytes(value.try_into().unwrap());
+                    assert_eq!(at + 1, snap.seq(), "snapshot read another seq's value");
+                }
+            })
+        })
+        .collect();
+    start.wait();
+    for n in 1..WRITES {
+        store.put("hot", n.to_le_bytes()).unwrap();
+    }
+    done.store(true, Ordering::Relaxed);
+    for reader in readers {
+        reader.join().expect("a snapshot read another seq's value");
+    }
+    assert_eq!(store.last_seq(), WRITES);
 }
