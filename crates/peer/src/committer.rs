@@ -171,11 +171,7 @@ impl Committer {
         let mut flags = vec![TxValidationCode::NotValidated; n];
         let chunk = n.div_ceil(workers);
         crossbeam::thread::scope(|scope| {
-            for (envs, out) in block
-                .envelopes
-                .chunks(chunk)
-                .zip(flags.chunks_mut(chunk))
-            {
+            for (envs, out) in block.envelopes.chunks(chunk).zip(flags.chunks_mut(chunk)) {
                 scope.spawn(move |_| {
                     for (env, flag) in envs.iter().zip(out.iter_mut()) {
                         *flag = self.validate_envelope(ledger, env);
@@ -189,7 +185,11 @@ impl Committer {
 
     /// Validates one envelope: creator signature, then the chaincode's
     /// VSCC (custom or default-with-committed-policy).
-    pub(crate) fn validate_envelope(&self, ledger: &Ledger, envelope: &Envelope) -> TxValidationCode {
+    pub(crate) fn validate_envelope(
+        &self,
+        ledger: &Ledger,
+        envelope: &Envelope,
+    ) -> TxValidationCode {
         let view = self.view.read();
         match &envelope.content {
             EnvelopeContent::Config(update) => {
@@ -212,9 +212,8 @@ impl Committer {
                         Err(_) => return TxValidationCode::BadSignature,
                     }
                 }
-                let admin_policy = match fabric_policy::PolicyExpr::parse(
-                    &view.config.admin_policy,
-                ) {
+                let admin_policy = match fabric_policy::PolicyExpr::parse(&view.config.admin_policy)
+                {
                     Ok(p) => p,
                     Err(_) => return TxValidationCode::InvalidConfig,
                 };

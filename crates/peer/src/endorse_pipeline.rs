@@ -56,9 +56,7 @@ use parking_lot::Mutex;
 use fabric_chaincode::batch_escc;
 use fabric_ledger::Ledger;
 use fabric_primitives::flow::Pool;
-use fabric_primitives::transaction::{
-    ProposalResponse, ProposalResponsePayload, SignedProposal,
-};
+use fabric_primitives::transaction::{ProposalResponse, ProposalResponsePayload, SignedProposal};
 
 use crate::endorser::Endorser;
 use crate::PeerError;
@@ -141,9 +139,9 @@ impl EndorseTicket {
     /// Blocks until the proposal's endorsement (or failure) is ready.
     pub fn wait(self) -> Result<ProposalResponse, PeerError> {
         self.rx.recv().unwrap_or_else(|_| {
-            Err(PeerError::Chaincode(fabric_chaincode::ChaincodeError::Aborted(
-                "endorsement pipeline shut down".into(),
-            )))
+            Err(PeerError::Chaincode(
+                fabric_chaincode::ChaincodeError::Aborted("endorsement pipeline shut down".into()),
+            ))
         })
     }
 }
@@ -316,7 +314,9 @@ impl EndorsePipeline {
         let mut pending = self.shared.pending.load(Ordering::SeqCst);
         loop {
             if pending >= self.opts.intake_capacity {
-                self.shared.rejected_saturated.fetch_add(1, Ordering::SeqCst);
+                self.shared
+                    .rejected_saturated
+                    .fetch_add(1, Ordering::SeqCst);
                 return Err(EndorseReject::Saturated(Box::new(signed)));
             }
             match self.shared.pending.compare_exchange(
@@ -464,18 +464,19 @@ mod tests {
         let client = fabric_msp::issue_identity(&fx.ca1, "client1", Role::Client, b"c1");
         let pipeline = peer.endorse_pipeline(EndorseOptions::default());
         // Tampered signature → Identity, like the sequential path.
-        let mut sp = signed_proposal(&client, &fx.channel, "kvcc", "get", vec![b"k".to_vec()], [1; 32]);
+        let mut sp = signed_proposal(
+            &client,
+            &fx.channel,
+            "kvcc",
+            "get",
+            vec![b"k".to_vec()],
+            [1; 32],
+        );
         sp.signature[3] ^= 1;
-        assert!(matches!(
-            pipeline.endorse(sp),
-            Err(PeerError::Identity(_))
-        ));
+        assert!(matches!(pipeline.endorse(sp), Err(PeerError::Identity(_))));
         // Unknown chaincode → Chaincode(NotInstalled).
         let sp = signed_proposal(&client, &fx.channel, "ghost", "go", vec![], [2; 32]);
-        assert!(matches!(
-            pipeline.endorse(sp),
-            Err(PeerError::Chaincode(_))
-        ));
+        assert!(matches!(pipeline.endorse(sp), Err(PeerError::Chaincode(_))));
         // Business rejection → ChaincodeRejected.
         let sp = signed_proposal(&client, &fx.channel, "kvcc", "nope", vec![], [3; 32]);
         assert!(matches!(
@@ -500,12 +501,14 @@ mod tests {
         let g = gate.clone();
         peer.install_chaincode(
             "gated",
-            Arc::new(move |_: &mut fabric_chaincode::Stub<'_>| -> Result<Vec<u8>, String> {
-                while !g.load(Ordering::SeqCst) {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                Ok(vec![])
-            }),
+            Arc::new(
+                move |_: &mut fabric_chaincode::Stub<'_>| -> Result<Vec<u8>, String> {
+                    while !g.load(Ordering::SeqCst) {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    Ok(vec![])
+                },
+            ),
         );
         let pipeline = peer.endorse_pipeline(EndorseOptions {
             workers: 2,
@@ -513,10 +516,24 @@ mod tests {
             ..EndorseOptions::default()
         });
         let t1 = pipeline
-            .submit(signed_proposal(&client, &fx.channel, "gated", "go", vec![], [1; 32]))
+            .submit(signed_proposal(
+                &client,
+                &fx.channel,
+                "gated",
+                "go",
+                vec![],
+                [1; 32],
+            ))
             .expect("first in-flight");
         let t2 = pipeline
-            .submit(signed_proposal(&client, &fx.channel, "gated", "go", vec![], [2; 32]))
+            .submit(signed_proposal(
+                &client,
+                &fx.channel,
+                "gated",
+                "go",
+                vec![],
+                [2; 32],
+            ))
             .expect("second in-flight");
         // Third from the same client: over the cap.
         let rejected = pipeline.submit(signed_proposal(
@@ -530,7 +547,14 @@ mod tests {
         assert!(matches!(rejected, Err(EndorseReject::ClientSaturated(_))));
         // A different client is not affected by the first one's cap.
         let t3 = pipeline
-            .submit(signed_proposal(&other, &fx.channel, "gated", "go", vec![], [4; 32]))
+            .submit(signed_proposal(
+                &other,
+                &fx.channel,
+                "gated",
+                "go",
+                vec![],
+                [4; 32],
+            ))
             .expect("other client admitted");
         gate.store(true, Ordering::SeqCst);
         t1.wait().unwrap();
@@ -538,7 +562,14 @@ mod tests {
         t3.wait().unwrap();
         // Cap released after delivery: the client can submit again.
         assert!(pipeline
-            .submit(signed_proposal(&client, &fx.channel, "gated", "go", vec![], [5; 32]))
+            .submit(signed_proposal(
+                &client,
+                &fx.channel,
+                "gated",
+                "go",
+                vec![],
+                [5; 32]
+            ))
             .is_ok());
         pipeline.close();
     }
@@ -552,12 +583,14 @@ mod tests {
         let g = gate.clone();
         peer.install_chaincode(
             "gated",
-            Arc::new(move |_: &mut fabric_chaincode::Stub<'_>| -> Result<Vec<u8>, String> {
-                while !g.load(Ordering::SeqCst) {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                Ok(vec![])
-            }),
+            Arc::new(
+                move |_: &mut fabric_chaincode::Stub<'_>| -> Result<Vec<u8>, String> {
+                    while !g.load(Ordering::SeqCst) {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    Ok(vec![])
+                },
+            ),
         );
         let pipeline = peer.endorse_pipeline(EndorseOptions {
             workers: 1,

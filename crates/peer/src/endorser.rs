@@ -16,9 +16,7 @@ use parking_lot::RwLock;
 use fabric_chaincode::{default_escc, ChaincodeRuntime, Invocation};
 use fabric_ledger::Ledger;
 use fabric_msp::SigningIdentity;
-use fabric_primitives::transaction::{
-    ProposalResponse, ProposalResponsePayload, SignedProposal,
-};
+use fabric_primitives::transaction::{ProposalResponse, ProposalResponsePayload, SignedProposal};
 use fabric_primitives::wire::Wire;
 
 use crate::view::ChannelView;
@@ -69,11 +67,7 @@ impl Endorser {
         let validated = {
             let view = self.view.read();
             view.msp
-                .validate_and_verify(
-                    &proposal.creator,
-                    &proposal.to_wire(),
-                    &signed.signature,
-                )
+                .validate_and_verify(&proposal.creator, &proposal.to_wire(), &signed.signature)
                 .map_err(PeerError::Identity)?
         };
         let tx_id = proposal.tx_id();

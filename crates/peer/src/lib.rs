@@ -343,7 +343,14 @@ pub(crate) mod tests {
         let peer1 = make_peer(&fx, &fx.ca1, "peer0.org1");
         let rogue_ca = CertificateAuthority::new("ca.rogue", "RogueMSP", b"rogue");
         let rogue = fabric_msp::issue_identity(&rogue_ca, "evil", Role::Client, b"e");
-        let sp = signed_proposal(&rogue, &fx.channel, "kvcc", "get", vec![b"k".to_vec()], [4; 32]);
+        let sp = signed_proposal(
+            &rogue,
+            &fx.channel,
+            "kvcc",
+            "get",
+            vec![b"k".to_vec()],
+            [4; 32],
+        );
         assert!(matches!(
             peer1.process_proposal(&sp),
             Err(PeerError::Identity(_))
@@ -355,8 +362,14 @@ pub(crate) mod tests {
         let fx = fixture();
         let peer1 = make_peer(&fx, &fx.ca1, "peer0.org1");
         let client = fabric_msp::issue_identity(&fx.ca1, "client1", Role::Client, b"c1");
-        let mut sp =
-            signed_proposal(&client, &fx.channel, "kvcc", "get", vec![b"k".to_vec()], [5; 32]);
+        let mut sp = signed_proposal(
+            &client,
+            &fx.channel,
+            "kvcc",
+            "get",
+            vec![b"k".to_vec()],
+            [5; 32],
+        );
         sp.signature[3] ^= 1;
         assert!(matches!(
             peer1.process_proposal(&sp),
@@ -450,8 +463,7 @@ pub(crate) mod tests {
     fn crash_recovery_preserves_state() {
         let fx = fixture();
         let backend = Arc::new(MemBackend::new());
-        let identity =
-            fabric_msp::issue_identity(&fx.ca1, "peer0.org1", Role::Peer, b"peer0.org1");
+        let identity = fabric_msp::issue_identity(&fx.ca1, "peer0.org1", Role::Peer, b"peer0.org1");
         let admin = fabric_msp::issue_identity(&fx.ca1, "admin1", Role::Admin, b"a1");
         let client = fabric_msp::issue_identity(&fx.ca1, "client1", Role::Client, b"c1");
         let tx_id;
@@ -609,8 +621,7 @@ pub(crate) mod tests {
         let fx = fixture();
         let peer_par = make_peer(&fx, &fx.ca1, "peer-par");
         let peer_seq = {
-            let identity =
-                fabric_msp::issue_identity(&fx.ca1, "peer-seq", Role::Peer, b"peer-seq");
+            let identity = fabric_msp::issue_identity(&fx.ca1, "peer-seq", Role::Peer, b"peer-seq");
             let p = Peer::join(
                 identity,
                 &fx.genesis,

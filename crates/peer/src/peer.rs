@@ -103,7 +103,9 @@ impl Peer {
         config: PeerConfig,
     ) -> Result<Self, PeerError> {
         let peer = Self::open(identity, genesis, backend, config, |channel, view| {
-            manifest.verify(channel, &view.msp).map_err(PeerError::Snapshot)
+            manifest
+                .verify(channel, &view.msp)
+                .map_err(PeerError::Snapshot)
         })?;
         if peer.ledger.height() == 0 {
             let m = &manifest.manifest;
@@ -154,7 +156,11 @@ impl Peer {
         let ledger =
             Arc::new(Ledger::open(backend, config.sync_writes).map_err(PeerError::Ledger)?);
         Ok(Peer {
-            endorser: Arc::new(Endorser::new(identity.clone(), runtime.clone(), view.clone())),
+            endorser: Arc::new(Endorser::new(
+                identity.clone(),
+                runtime.clone(),
+                view.clone(),
+            )),
             committer: Committer::new(view.clone(), config.vscc_parallelism),
             identity,
             channel,
@@ -274,7 +280,9 @@ impl Peer {
 
     /// State query (world state, latest committed value).
     pub fn get_state(&self, namespace: &str, key: &str) -> Result<Option<Vec<u8>>, PeerError> {
-        self.ledger.get_state(namespace, key).map_err(PeerError::Ledger)
+        self.ledger
+            .get_state(namespace, key)
+            .map_err(PeerError::Ledger)
     }
 
     /// State range query over the latest committed state.

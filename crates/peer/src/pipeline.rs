@@ -476,7 +476,11 @@ impl BlockProfile {
 
     /// Would this block's custom-VSCC reads observe any in-flight key?
     fn conflicts_with(&self, inflight: &HashMap<(String, String), u32>) -> bool {
-        if self.custom_reads.iter().any(|key| inflight.contains_key(key)) {
+        if self
+            .custom_reads
+            .iter()
+            .any(|key| inflight.contains_key(key))
+        {
             return true;
         }
         if self.custom_ranges.is_empty() {
@@ -781,7 +785,10 @@ fn commit_in_order(shared: &Shared, completed: &CompletedVscc) -> Result<CommitE
     let start = Instant::now();
     let mut committed = (**block).clone();
     committed.metadata.validation = flags.clone();
-    shared.ledger.commit(&committed).map_err(PeerError::Ledger)?;
+    shared
+        .ledger
+        .commit(&committed)
+        .map_err(PeerError::Ledger)?;
     timing.ledger = start.elapsed();
 
     shared.committer.apply_config(&committed, &flags)?;
@@ -1039,7 +1046,10 @@ mod tests {
         // The reservoir is bounded, but count/mean/max stay exact.
         assert!(histogram.samples_us.len() <= HISTOGRAM_RESERVOIR);
         assert_eq!(histogram.count(), n as usize);
-        assert_eq!(histogram.avg(), Duration::from_micros((n * (n - 1) / 2) / n));
+        assert_eq!(
+            histogram.avg(),
+            Duration::from_micros((n * (n - 1) / 2) / n)
+        );
         let summary = histogram.summary();
         assert_eq!(summary.count, n as usize);
         assert_eq!(summary.max, Duration::from_micros(n - 1));
@@ -1096,8 +1106,18 @@ mod tests {
         // Persisted flags and state are byte-identical.
         for number in 0..sequential.height() {
             assert_eq!(
-                pipelined.get_block(number).unwrap().unwrap().metadata.validation,
-                sequential.get_block(number).unwrap().unwrap().metadata.validation
+                pipelined
+                    .get_block(number)
+                    .unwrap()
+                    .unwrap()
+                    .metadata
+                    .validation,
+                sequential
+                    .get_block(number)
+                    .unwrap()
+                    .unwrap()
+                    .metadata
+                    .validation
             );
         }
         assert_eq!(
@@ -1364,7 +1384,10 @@ mod tests {
         deliver_all(&mux, channel, &[writer_block, reader_block]);
         mux.wait_committed(channel, 5).unwrap();
         let stats = close_one(mux, channel).unwrap();
-        assert_eq!(pipelined.get_state("kvcc", "a").unwrap(), Some(b"w".to_vec()));
+        assert_eq!(
+            pipelined.get_state("kvcc", "a").unwrap(),
+            Some(b"w".to_vec())
+        );
         assert_eq!(
             stats.queues.dependency_stalls, 0,
             "disjoint keys must not stall the reader behind the in-flight writer"
@@ -1405,8 +1428,14 @@ mod tests {
         };
 
         let mut blocks = Vec::new();
-        append(&mut blocks, vec![fx::deploy_kvcc(&fixture, &[&builder], "Org1MSP", &admin)]);
-        append(&mut blocks, vec![endorse("kvcc", "put", &["hot", "v0"], 0x71)]);
+        append(
+            &mut blocks,
+            vec![fx::deploy_kvcc(&fixture, &[&builder], "Org1MSP", &admin)],
+        );
+        append(
+            &mut blocks,
+            vec![endorse("kvcc", "put", &["hot", "v0"], 0x71)],
+        );
         let stale_read = endorse("kvcc", "get", &["hot"], 0x72);
         append(
             &mut blocks,
@@ -1415,8 +1444,14 @@ mod tests {
                 endorse("kvcc", "put", &["hot", "v1"], 0x74),
             ],
         );
-        append(&mut blocks, vec![endorse("kvcc", "put", &["fast4", "v"], 0x75)]);
-        append(&mut blocks, vec![endorse("kvcc", "put", &["fast5", "v"], 0x76), stale_read]);
+        append(
+            &mut blocks,
+            vec![endorse("kvcc", "put", &["fast4", "v"], 0x75)],
+        );
+        append(
+            &mut blocks,
+            vec![endorse("kvcc", "put", &["fast5", "v"], 0x76), stale_read],
+        );
 
         let slow_vscc = || Arc::new(SleepVscc(Duration::from_millis(100)));
         let pipelined = fx::make_peer(&fixture, &fixture.ca1, "pipe.org1");
@@ -1450,11 +1485,24 @@ mod tests {
         );
         for number in 0..sequential.height() {
             assert_eq!(
-                pipelined.get_block(number).unwrap().unwrap().metadata.validation,
-                sequential.get_block(number).unwrap().unwrap().metadata.validation
+                pipelined
+                    .get_block(number)
+                    .unwrap()
+                    .unwrap()
+                    .metadata
+                    .validation,
+                sequential
+                    .get_block(number)
+                    .unwrap()
+                    .unwrap()
+                    .metadata
+                    .validation
             );
         }
-        assert_eq!(pipelined.ledger().last_hash(), sequential.ledger().last_hash());
+        assert_eq!(
+            pipelined.ledger().last_hash(),
+            sequential.ledger().last_hash()
+        );
         assert_eq!(
             pipelined.scan_state("kvcc", "", "").unwrap(),
             sequential.scan_state("kvcc", "", "").unwrap()

@@ -398,8 +398,9 @@ impl Catchup {
         if !slots.iter().all(|s| matches!(s.state, SlotState::Done(_))) {
             return self.dispatch();
         }
-        let Phase::Fetching { manifest, slots, .. } =
-            std::mem::replace(&mut self.phase, Phase::Finished)
+        let Phase::Fetching {
+            manifest, slots, ..
+        } = std::mem::replace(&mut self.phase, Phase::Finished)
         else {
             return Vec::new();
         };

@@ -5,9 +5,7 @@ use std::collections::{HashMap, HashSet};
 use fabric_ledger::Ledger;
 use fabric_msp::{issue_identity, CertificateAuthority, Msp, MspRegistry, Role, SigningIdentity};
 use fabric_primitives::block::Block;
-use fabric_primitives::ids::{
-    ChaincodeId, ChannelId, SerializedIdentity, TxId, TxValidationCode,
-};
+use fabric_primitives::ids::{ChaincodeId, ChannelId, SerializedIdentity, TxId, TxValidationCode};
 use fabric_primitives::rwset::TxReadWriteSet;
 use fabric_primitives::transaction::{
     ChaincodeResponse, Envelope, EnvelopeContent, ProposalPayload, ProposalResponsePayload,
@@ -17,7 +15,9 @@ use fabric_primitives::wire::Wire;
 
 use crate::consumer::{Catchup, ConsumerConfig, ProviderId, SyncOutput};
 use crate::manifest::{SignedManifest, SyncMessage};
-use crate::snapshot::{build_snapshot, decode_entries, Checkpointer, SnapshotConfig, SnapshotStore};
+use crate::snapshot::{
+    build_snapshot, decode_entries, Checkpointer, SnapshotConfig, SnapshotStore,
+};
 use crate::SyncError;
 
 // ---------------------------------------------------------------- fixtures
@@ -84,8 +84,10 @@ fn populated_ledger(blocks: u8) -> Ledger {
         let writes: Vec<(String, Vec<u8>)> = (0..8u8)
             .map(|i| (format!("key-{b}-{i}"), vec![b ^ i; 200]))
             .collect();
-        let borrowed: Vec<(&str, Vec<u8>)> =
-            writes.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+        let borrowed: Vec<(&str, Vec<u8>)> = writes
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.clone()))
+            .collect();
         commit_writes(&ledger, b, &borrowed);
     }
     ledger
