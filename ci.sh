@@ -12,9 +12,10 @@
 #  4. The kvstore, ledger, statesync and chaincode crates pass clippy
 #     with -D warnings (kvstore carries the state store; ledger the PTM
 #     over it; chaincode the deadline-guarded execution runtime), the
-#     kvstore and ledger crates are rustfmt-clean (`cargo fmt --check`),
-#     and the chaincode crate's unit tests (thread reuse, straggler
-#     retirement, shutdown) pass on their own; gate 15 skips that crate.
+#     kvstore, ledger, peer, statesync and simnet crates are
+#     rustfmt-clean (`cargo fmt --check`), and the chaincode crate's unit
+#     tests (thread reuse, straggler retirement, shutdown) pass on their
+#     own; gate 15 skips that crate.
 #  5. The endorsement battery (equivalence proptests + fault injection)
 #     re-runs on its own so a tier-1 wobble can't mask it.
 #  6. The storage battery (kill-at-every-offset crash recovery of the
@@ -115,9 +116,10 @@ else
     find crates/kvstore/src crates/ledger/src -name '*.rs' -exec touch {} +
     RUSTFLAGS="-Dwarnings" cargo build -p fabric-kvstore -p fabric-ledger
 fi
-echo "== fabric-kvstore / fabric-ledger: rustfmt gate =="
+echo "== kvstore / ledger / peer / statesync / simnet: rustfmt gate =="
 if cargo fmt --version >/dev/null 2>&1; then
-    cargo fmt --check -p fabric-kvstore -p fabric-ledger
+    cargo fmt --check -p fabric-kvstore -p fabric-ledger -p fabric-peer \
+        -p fabric-statesync -p fabric-simnet
 else
     echo "rustfmt not installed; skipping format gate"
 fi

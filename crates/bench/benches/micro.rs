@@ -39,12 +39,12 @@ fn bench_merkle(c: &mut Criterion) {
     });
 
     // One block's state commit: 100 transactions writing 3 keys each plus
-    // a history row per write, the shape `Ptm::commit_block` hands the store.
-    let transitions: Vec<Transition> = (0..601u32)
+    // the savepoint, the shape `Ptm::commit_block` hands the store.
+    let transitions: Vec<Transition> = (0..301u32)
         .map(|i| (format!("key-{i}").into_bytes(), None, Some(vec![0u8; 64])))
         .collect();
     let mut tree = StateRoot::empty();
-    c.bench_function("state_root_apply_601", |b| {
+    c.bench_function("state_root_apply_301", |b| {
         b.iter(|| tree.apply(black_box(&transitions)))
     });
 }

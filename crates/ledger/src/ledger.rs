@@ -6,17 +6,34 @@
 //! transactions together with the `savepoint` in one atomic batch. On open,
 //! any gap between the block store height and the savepoint is replayed,
 //! which is safe because state commits are idempotent.
+//!
+//! Key history (Fabric's `GetHistoryForKey`) is derived from the block
+//! store, not kept in the state database: every block records its
+//! transactions' writesets and validation flags, so a history query walks
+//! the retained blocks.
 
 use std::sync::Arc;
 
 use fabric_kvstore::backend::Backend;
 use fabric_kvstore::{MemBackend, StateStore, WriteBatch};
 use fabric_primitives::block::Block;
-use fabric_primitives::ids::{TxId, TxValidationCode};
+use fabric_primitives::ids::{TxId, TxValidationCode, Version};
+use fabric_primitives::transaction::EnvelopeContent;
 
 use crate::blockstore::{BlockStore, TxLocation};
 use crate::ptm::{Ptm, TxSimulator};
 use crate::LedgerError;
+
+/// One entry in a key's write history (Fabric's `GetHistoryForKey`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HistoryEntry {
+    /// The writing transaction's coordinates.
+    pub version: Version,
+    /// The writing transaction's id.
+    pub tx_id: TxId,
+    /// Whether the write was a deletion.
+    pub is_delete: bool,
+}
 
 /// A peer's local ledger: the blockchain and the latest state.
 pub struct Ledger {
@@ -174,19 +191,44 @@ impl Ledger {
             .collect())
     }
 
-    /// Chronological write history of a state key (valid txs only).
-    pub fn key_history(
-        &self,
-        ns: &str,
-        key: &str,
-    ) -> Result<Vec<crate::ptm::HistoryEntry>, LedgerError> {
-        self.ptm.history(ns, key)
+    /// Chronological write history of a state key: one entry per write by
+    /// a valid transaction, in chain order.
+    ///
+    /// Read from the retained blocks, so a query costs O(blocks held). A
+    /// ledger installed from a snapshot has no history below its base.
+    pub fn key_history(&self, ns: &str, key: &str) -> Result<Vec<HistoryEntry>, LedgerError> {
+        let mut entries = Vec::new();
+        for number in self.blocks.base()..self.blocks.height() {
+            let block = self.blocks.get_block(number)?.ok_or(LedgerError::Corrupt)?;
+            let flags = &block.metadata.validation;
+            for (i, (env, flag)) in block.envelopes.iter().zip(flags).enumerate() {
+                let EnvelopeContent::Transaction(tx) = &env.content else {
+                    continue;
+                };
+                if *flag != TxValidationCode::Valid {
+                    continue;
+                }
+                for ns_rw in &tx.response_payload.rwset.ns_rwsets {
+                    if ns_rw.namespace != ns {
+                        continue;
+                    }
+                    for write in ns_rw.writes.iter().filter(|w| w.key == key) {
+                        entries.push(HistoryEntry {
+                            version: Version::new(number, i as u32),
+                            tx_id: tx.tx_id(),
+                            is_delete: write.is_delete(),
+                        });
+                    }
+                }
+            }
+        }
+        Ok(entries)
     }
 
-    /// A point-in-time dump of the *entire* state database — world state,
-    /// history index, and the savepoint — as raw `(key, value)` pairs in
-    /// key order. This is the payload a state snapshot carries: installing
-    /// exactly these pairs reproduces the kvstore byte-for-byte.
+    /// A point-in-time dump of the *entire* state database — world state
+    /// and the savepoint — as raw `(key, value)` pairs in key order. This
+    /// is the payload a state snapshot carries: installing exactly these
+    /// pairs reproduces the kvstore byte-for-byte.
     pub fn state_entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.ptm.store().snapshot().scan(b"", b"")
     }
@@ -739,6 +781,126 @@ mod tests {
         assert_eq!(ledger.key_history("cc", "k").unwrap().len(), 1);
     }
 
+    /// A config envelope, as the orderer cuts into its own block.
+    fn config_envelope() -> Envelope {
+        use fabric_primitives::config::{
+            BatchConfig, ChannelConfig, ConfigUpdate, ConsensusType, OrdererConfig,
+        };
+        Envelope {
+            content: EnvelopeContent::Config(ConfigUpdate {
+                config: ChannelConfig {
+                    channel: ChannelId::new("ch"),
+                    sequence: 1,
+                    orgs: vec![],
+                    orderer: OrdererConfig {
+                        consensus: ConsensusType::Solo,
+                        addresses: vec![],
+                        batch: BatchConfig::default(),
+                    },
+                    admin_policy: String::new(),
+                    writer_policy: String::new(),
+                    reader_policy: String::new(),
+                },
+                signatures: vec![],
+            }),
+            signature: vec![],
+        }
+    }
+
+    #[test]
+    fn key_history_orders_writes_within_a_block_and_skips_config_blocks() {
+        let ledger = Ledger::in_memory();
+        // Two blind writes of k in one block: both valid, in tx order.
+        let first = simulate(&ledger, 1, |sim| sim.put_state("cc", "k", b"a".to_vec()));
+        let second = simulate(&ledger, 2, |sim| sim.put_state("cc", "k", b"b".to_vec()));
+        let flags = commit_block(&ledger, vec![first, second]);
+        assert_eq!(flags, vec![TxValidationCode::Valid; 2]);
+        let config_block = ledger.height();
+        commit_block(&ledger, vec![config_envelope()]);
+        assert_eq!(ledger.last_config(), config_block);
+        commit_block(
+            &ledger,
+            vec![simulate(&ledger, 3, |sim| sim.del_state("cc", "k"))],
+        );
+
+        let history = ledger.key_history("cc", "k").unwrap();
+        let versions: Vec<Version> = history.iter().map(|e| e.version).collect();
+        assert_eq!(
+            versions,
+            vec![Version::new(0, 0), Version::new(0, 1), Version::new(2, 0)]
+        );
+        assert_ne!(history[0].tx_id, history[1].tx_id);
+        assert_eq!(
+            history.iter().map(|e| e.is_delete).collect::<Vec<_>>(),
+            vec![false, false, true]
+        );
+        // The namespace is part of the key.
+        assert!(ledger.key_history("other", "k").unwrap().is_empty());
+    }
+
+    #[test]
+    fn key_history_survives_reopen_without_replay() {
+        let backend = Arc::new(MemBackend::new());
+        let (history, seq, entries) = {
+            let ledger = Ledger::open(backend.clone(), false).unwrap();
+            for i in 0..5u8 {
+                commit_block(
+                    &ledger,
+                    vec![simulate(&ledger, i + 1, |sim| {
+                        sim.put_state("cc", "k", vec![i]);
+                    })],
+                );
+            }
+            (
+                ledger.key_history("cc", "k").unwrap(),
+                ledger.ptm().store().last_seq(),
+                ledger.state_entries(),
+            )
+        };
+        assert_eq!(history.len(), 5);
+        let reopened = Ledger::open(backend, false).unwrap();
+        assert_eq!(reopened.key_history("cc", "k").unwrap(), history);
+        // Savepoint == height - 1, so open wrote no batch to the state.
+        assert_eq!(reopened.ptm().store().last_seq(), seq);
+        assert_eq!(reopened.state_entries(), entries);
+    }
+
+    #[test]
+    fn state_holds_live_keys_not_history() {
+        let backend = Arc::new(MemBackend::new());
+        let ledger = Ledger::open(backend.clone(), false).unwrap();
+        // 200 blocks overwrite the same 10 keys; the last deletes k3.
+        for round in 0..200u8 {
+            let env = simulate(&ledger, round, |sim| {
+                for k in 0..10 {
+                    if round == 199 && k == 3 {
+                        sim.del_state("cc", &format!("k{k}"));
+                    } else {
+                        sim.put_state("cc", &format!("k{k}"), vec![round]);
+                    }
+                }
+            });
+            assert_eq!(
+                commit_block(&ledger, vec![env]),
+                vec![TxValidationCode::Valid]
+            );
+        }
+        let mut expected: Vec<Vec<u8>> = (0..10)
+            .filter(|&k| k != 3)
+            .map(|k| format!("s/cc\0k{k}").into_bytes())
+            .collect();
+        expected.push(b"m/savepoint".to_vec());
+        expected.sort();
+        let keys = |l: &Ledger| -> Vec<Vec<u8>> {
+            l.state_entries().into_iter().map(|(k, _)| k).collect()
+        };
+        assert_eq!(keys(&ledger), expected);
+        assert_eq!(ledger.key_history("cc", "k3").unwrap().len(), 200);
+        drop(ledger);
+        let reopened = Ledger::open(backend, false).unwrap();
+        assert_eq!(keys(&reopened), expected);
+    }
+
     #[test]
     fn snapshot_install_reproduces_state_and_resumes_chain() {
         // Build a source ledger with a few blocks of state.
@@ -765,8 +927,10 @@ mod tests {
         assert_eq!(target.ptm().savepoint(), Some(height - 1));
         assert_eq!(target.state_entries(), entries, "byte-identical kvstore");
         assert_eq!(target.get_state("cc", "k2").unwrap(), Some(vec![2u8]));
-        // History came along with the snapshot.
-        assert_eq!(target.key_history("cc", "k0").unwrap().len(), 1);
+        // History lives in the blocks, and the target joined above k0's
+        // write: it has none of it.
+        assert_eq!(source.key_history("cc", "k0").unwrap().len(), 1);
+        assert!(target.key_history("cc", "k0").unwrap().is_empty());
 
         // The chain resumes where the snapshot left off.
         let env = simulate(&source, 9, |sim| sim.put_state("cc", "post", b"1".to_vec()));
@@ -777,6 +941,11 @@ mod tests {
         assert_eq!(target.height(), source.height());
         assert_eq!(target.last_hash(), source.last_hash());
         assert_eq!(target.state_entries(), source.state_entries());
+        // A write above the base is in both ledgers' history.
+        let post = source.key_history("cc", "post").unwrap();
+        assert_eq!(post.len(), 1);
+        assert_eq!(post[0].version, Version::new(height, 0));
+        assert_eq!(target.key_history("cc", "post").unwrap(), post);
 
         // Reopen survives: recovery must not try to replay pruned blocks.
         drop(target);

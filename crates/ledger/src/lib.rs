@@ -15,8 +15,8 @@ pub mod ledger;
 pub mod ptm;
 
 pub use blockstore::{BlockStore, TxLocation};
-pub use ledger::Ledger;
-pub use ptm::{HistoryEntry, Ptm, TxSimulator};
+pub use ledger::{HistoryEntry, Ledger};
+pub use ptm::{Ptm, TxSimulator};
 
 /// Errors produced by ledger operations.
 #[derive(Debug)]

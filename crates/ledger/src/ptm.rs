@@ -13,6 +13,9 @@
 //!   (one-copy serializability).
 //! * During **commit** it applies the writesets of valid transactions and
 //!   persists the savepoint in the same atomic batch.
+//!
+//! The store holds state, not history: a key's write history is read from
+//! the block store (`Ledger::key_history`).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -27,38 +30,6 @@ use crate::LedgerError;
 
 const SAVEPOINT_KEY: &[u8] = b"m/savepoint";
 const STATE_PREFIX: &[u8] = b"s/";
-const HISTORY_PREFIX: &[u8] = b"h/";
-
-/// One entry in a key's write history (the history database behind
-/// Fabric's `GetHistoryForKey`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistoryEntry {
-    /// The writing transaction's coordinates.
-    pub version: Version,
-    /// The writing transaction's id.
-    pub tx_id: TxId,
-    /// Whether the write was a deletion.
-    pub is_delete: bool,
-}
-
-/// History key: `h/<ns>\0<key>\0<block BE><tx BE>` — big-endian version
-/// suffix so a prefix scan yields chronological order.
-fn history_key(ns: &str, key: &str, version: Version) -> Vec<u8> {
-    let mut out = history_prefix(ns, key);
-    out.extend_from_slice(&version.block_num.to_be_bytes());
-    out.extend_from_slice(&version.tx_num.to_be_bytes());
-    out
-}
-
-fn history_prefix(ns: &str, key: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 + ns.len() + key.len() + 2);
-    out.extend_from_slice(HISTORY_PREFIX);
-    out.extend_from_slice(ns.as_bytes());
-    out.push(0);
-    out.extend_from_slice(key.as_bytes());
-    out.push(0);
-    out
-}
 
 fn state_key(ns: &str, key: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 + ns.len() + 1 + key.len());
@@ -305,7 +276,6 @@ impl Ptm {
                 EnvelopeContent::Config(_) => continue,
             };
             let version = Version::new(block.header.number, i as u32);
-            let tx_id = tx.tx_id();
             for ns_rw in &tx.response_payload.rwset.ns_rwsets {
                 for write in &ns_rw.writes {
                     let skey = state_key(&ns_rw.namespace, &write.key);
@@ -317,12 +287,6 @@ impl Ptm {
                             batch.delete(skey);
                         }
                     }
-                    // History index entry (append-only; idempotent on
-                    // recovery replay because the key is deterministic).
-                    let mut hval = Vec::with_capacity(33);
-                    hval.extend_from_slice(&tx_id.0);
-                    hval.push(write.is_delete() as u8);
-                    batch.put(history_key(&ns_rw.namespace, &write.key, version), hval);
                 }
             }
         }
@@ -332,31 +296,6 @@ impl Ptm {
         );
         self.store.write(batch)?;
         Ok(())
-    }
-
-    /// Returns the chronological write history of a key: every committed
-    /// (valid) transaction that set or deleted it.
-    pub fn history(&self, ns: &str, key: &str) -> Result<Vec<HistoryEntry>, LedgerError> {
-        let lo = history_prefix(ns, key);
-        let mut hi = lo.clone();
-        *hi.last_mut().expect("separator") = 1;
-        let mut entries = Vec::new();
-        for (k, raw) in self.store.scan(&lo, &hi) {
-            if raw.len() != 33 || k.len() < lo.len() + 12 {
-                return Err(LedgerError::Corrupt);
-            }
-            let suffix = &k[k.len() - 12..];
-            let block_num = u64::from_be_bytes(suffix[..8].try_into().expect("8 bytes"));
-            let tx_num = u32::from_be_bytes(suffix[8..].try_into().expect("4 bytes"));
-            let mut tx_bytes = [0u8; 32];
-            tx_bytes.copy_from_slice(&raw[..32]);
-            entries.push(HistoryEntry {
-                version: Version::new(block_num, tx_num),
-                tx_id: TxId(tx_bytes),
-                is_delete: raw[32] == 1,
-            });
-        }
-        Ok(entries)
     }
 
     /// Access to the underlying store (checkpointing, stats).

@@ -579,7 +579,7 @@ pub(crate) mod tests {
                 peer1.get_state("kvcc", &key).unwrap()
             );
         }
-        // Byte-identical world state (incl. version metadata and history).
+        // Byte-identical world state (incl. version metadata).
         assert_eq!(
             joiner.ledger().state_entries(),
             peer1.ledger().state_entries()

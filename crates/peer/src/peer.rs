@@ -297,7 +297,8 @@ impl Peer {
             .map_err(PeerError::Ledger)
     }
 
-    /// QSCC-style query: the write history of a state key.
+    /// QSCC-style query: the write history of a state key, read from the
+    /// blocks this peer holds (none below a snapshot base).
     pub fn get_key_history(
         &self,
         namespace: &str,

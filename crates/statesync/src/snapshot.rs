@@ -1,11 +1,13 @@
 //! Snapshot production: cutting the state into content-addressed chunks.
 //!
-//! A snapshot is a full dump of the versioned kvstore (state, history and
-//! savepoint keys alike — installing it reproduces the store byte for
-//! byte) serialized into one deterministic stream, split into fixed-size
-//! chunks, and grouped into Merkle-rooted segments. The segment roots live
-//! in the signed [`Manifest`], so every chunk can be verified in isolation
-//! against a document the consumer already trusts.
+//! A snapshot is a full dump of the versioned kvstore (state and savepoint
+//! keys alike — installing it reproduces the store byte for byte)
+//! serialized into one deterministic stream, split into fixed-size
+//! chunks, and grouped into Merkle-rooted segments. Key history is not in
+//! it: history is read from blocks, and a peer joined from a snapshot has
+//! none below the snapshot's height. The segment roots live in the signed
+//! [`Manifest`], so every chunk can be verified in isolation against a
+//! document the consumer already trusts.
 
 use std::collections::VecDeque;
 

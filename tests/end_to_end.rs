@@ -8,10 +8,11 @@ use fabric::client::ClientError;
 use fabric::kvstore::MemBackend;
 use fabric::msp::Role;
 use fabric::net::{kv_chaincode, Net, NetSpec, PeerSpec};
-use fabric::peer::{Peer, PeerConfig};
+use fabric::peer::{Deliver, DeliverMux, Peer, PeerConfig, PipelineOptions};
 use fabric::primitives::config::{BatchConfig, ConsensusType};
 use fabric::primitives::ids::TxValidationCode;
 use fabric::primitives::wire::Wire;
+use fabric::statesync::{decode_entries, SnapshotConfig};
 
 /// `orgs` on Solo, one KV-chaincode peer per org, blocks of `max_msgs`.
 fn spec(orgs: &[&str], max_msgs: u32) -> NetSpec {
@@ -323,4 +324,73 @@ fn peer_crash_recovery_via_persistent_backend() {
     net.settle();
     let (_, _, flag) = net.peers[0].get_transaction(&tx).unwrap().unwrap();
     assert_eq!(flag, TxValidationCode::Valid);
+}
+
+#[test]
+fn key_history_agrees_across_peers_and_starts_at_a_snapshot_base() {
+    let mut net = Net::new(spec(&["Org1", "Org2"], 1));
+    net.deploy("kv", "1.0", "OR(Org1MSP, Org2MSP)");
+    let client = net.client(0, "c1", Role::Client);
+    let channel = net.channel.clone();
+    let put = |net: &mut Net, value: u8| {
+        let endorsers: Vec<&Peer> = net.peers.iter().collect();
+        let tx = client
+            .invoke(
+                &endorsers,
+                &mut net.ordering,
+                "kv",
+                "put",
+                vec![b"hist".to_vec(), vec![value]],
+            )
+            .expect("invoke");
+        net.settle();
+        tx
+    };
+    let mut txs: Vec<_> = (0..3).map(|i| put(&mut net, i)).collect();
+
+    // A third peer joins from peer 0's snapshot and commits the tail
+    // through its own mux.
+    let snapshot = net.peers[0]
+        .state_snapshot(&SnapshotConfig::default())
+        .unwrap();
+    let base = snapshot.height();
+    let entries = decode_entries(&snapshot.manifest.manifest, &snapshot.segments).unwrap();
+    let joiner = net.join_from_snapshot(
+        PeerSpec::new(0, "late.org1", 2),
+        &snapshot.manifest,
+        &entries,
+    );
+    let mux = DeliverMux::new(2);
+    mux.attach(channel.clone(), &joiner, PipelineOptions::default())
+        .unwrap();
+    txs.extend((3..5).map(|i| put(&mut net, i)));
+    let height = net.peers[0].height();
+    for number in base..height {
+        let block = net.ordering.deliver(&channel, number).unwrap();
+        let verdict = mux.deliver(&channel, number, &block.to_wire()).unwrap();
+        assert_eq!(verdict, Deliver::Submitted);
+    }
+    mux.wait_committed(&channel, height).unwrap();
+    mux.close().unwrap();
+
+    // Both full peers report every write, one block each, in chain order.
+    let full = net.peers[0].get_key_history("kv", "hist").unwrap();
+    assert_eq!(net.peers[1].get_key_history("kv", "hist").unwrap(), full);
+    assert_eq!(full.iter().map(|e| e.tx_id).collect::<Vec<_>>(), txs);
+    assert!(full
+        .windows(2)
+        .all(|w| w[0].version.block_num < w[1].version.block_num));
+    assert!(full.iter().all(|e| !e.is_delete));
+    // The joiner has only the writes at or above its base.
+    let above: Vec<_> = full
+        .iter()
+        .filter(|e| e.version.block_num >= base)
+        .cloned()
+        .collect();
+    assert_eq!(above.len(), 2);
+    assert_eq!(joiner.get_key_history("kv", "hist").unwrap(), above);
+    // Their state is the same bytes.
+    let state = net.peers[0].ledger().state_entries();
+    assert_eq!(net.peers[1].ledger().state_entries(), state);
+    assert_eq!(joiner.ledger().state_entries(), state);
 }
