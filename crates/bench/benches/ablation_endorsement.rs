@@ -26,12 +26,7 @@ fn main() {
     println!("== Ablation: endorsement fan-out (1..4 orgs, AND policy) ==");
     println!("   ({n_tx} txs per point; default VSCC verifies one signature per endorsement)\n");
 
-    let mut table = Table::new(&[
-        "endorsers",
-        "endorse ms/tx",
-        "commit tps",
-        "tx bytes",
-    ]);
+    let mut table = Table::new(&["endorsers", "endorse ms/tx", "commit tps", "tx bytes"]);
     for orgs in 1..=4usize {
         let org_names: Vec<String> = (1..=orgs).map(|i| format!("Org{i}")).collect();
         let org_refs: Vec<&str> = org_names.iter().map(|s| s.as_str()).collect();

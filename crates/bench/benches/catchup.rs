@@ -57,11 +57,7 @@ fn build_chain(net: &mut Net, n_blocks: usize) -> Vec<Block> {
                 client.assemble_transaction(&proposal, &responses)
             })
             .collect();
-        let block = Block::new(
-            builder.height(),
-            blocks.last().unwrap().hash(),
-            envelopes,
-        );
+        let block = Block::new(builder.height(), blocks.last().unwrap().hash(), envelopes);
         builder.commit_block(&block).expect("put block commits");
         blocks.push(block);
     }
@@ -88,7 +84,11 @@ fn snapshot_catchup(net: &Net, snapshot: &Snapshot, blocks: &[Block]) -> (Durati
 
 fn main() {
     let smoke = std::env::var("FABRIC_BENCH_SMOKE").is_ok();
-    let chain_lengths: &[usize] = if smoke { &[8, 16] } else { &[8, 16, 32, 64, 128] };
+    let chain_lengths: &[usize] = if smoke {
+        &[8, 16]
+    } else {
+        &[8, 16, 32, 64, 128]
+    };
 
     println!(
         "== snapshot catch-up vs full replay ({} txs/block, {}-block tail) ==",

@@ -39,7 +39,9 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     println!("== Endorsement pipeline vs sequential endorser (Fabcoin spends) ==");
-    println!("   ({n_tx} single-coin spend proposals; inline chaincode execution; {cpus} host cpu(s))");
+    println!(
+        "   ({n_tx} single-coin spend proposals; inline chaincode execution; {cpus} host cpu(s))"
+    );
     if cpus < 4 {
         println!("   NOTE: endorsement is CPU-bound; on a {cpus}-core host the worker sweep");
         println!("   measures overhead, not scaling — interpret speedups accordingly.");
@@ -53,8 +55,11 @@ fn main() {
     let mut net =
         FabcoinNetwork::new(NetSpec::new(&["Org1"]).peer(PeerSpec::new(0, "endorser.org1", 1)));
     let coins = mint_coins(&mut net, n_tx);
-    let proposals: Vec<SignedProposal> =
-        coins.iter().take(n_tx).map(|c| self_spend(&net, c)).collect();
+    let proposals: Vec<SignedProposal> = coins
+        .iter()
+        .take(n_tx)
+        .map(|c| self_spend(&net, c))
+        .collect();
     let peer = &net.peers[0];
 
     // Baseline: the sequential endorser, one proposal end to end at a time.

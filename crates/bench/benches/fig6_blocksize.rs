@@ -23,7 +23,10 @@ fn main() {
 
     println!("== Fig. 6: block size vs throughput and e2e latency (spend workload) ==");
     println!("   paper: throughput plateaus ~3500 tps at 2 MB; latency grows with size");
-    println!("   ({} measured txs per point, {} VSCC workers)\n", n_tx, vcpus);
+    println!(
+        "   ({} measured txs per point, {} VSCC workers)\n",
+        n_tx, vcpus
+    );
 
     let mut table = Table::new(&[
         "block size",
@@ -35,7 +38,7 @@ fn main() {
     let mut spend_bytes = 0.0;
     for mb_x2 in [1u32, 2, 4, 8] {
         let block_bytes = mb_x2 * 512 * 1024; // 0.5, 1, 2, 4 MB
-        // Throughput at saturation.
+                                              // Throughput at saturation.
         let sat = run_pipeline(&PipelineConfig {
             n_tx,
             kind: TxKind::Spend,

@@ -9,11 +9,11 @@
 //! real measurement and a calibrated-model extrapolation (same service
 //! times on an ideal machine with that many cores).
 
+use fabric::simnet::{GBPS, MS};
 use fabric_bench::calibrate::calibrate;
 use fabric_bench::model::{simulate_wan, LinkSpec, ValidationModel, WanExperiment};
 use fabric_bench::pipeline::{run_pipeline, PipelineConfig, Storage, TxKind};
 use fabric_bench::stats::Table;
-use fabric::simnet::{GBPS, MS};
 
 fn modeled_tps(vcpus: usize, vscc_ns: u64, seq_ns: u64, block_txs: usize) -> f64 {
     // One LAN peer with an unconstrained network: pure validation bound.
@@ -65,8 +65,16 @@ fn main() {
     );
 
     for (kind, name, block_txs) in [
-        (TxKind::Mint, "mint (Fig. 7a)", fabric_bench::PAPER_MINT_PER_2MB),
-        (TxKind::Spend, "spend (Fig. 7b)", fabric_bench::PAPER_SPEND_PER_2MB),
+        (
+            TxKind::Mint,
+            "mint (Fig. 7a)",
+            fabric_bench::PAPER_MINT_PER_2MB,
+        ),
+        (
+            TxKind::Spend,
+            "spend (Fig. 7b)",
+            fabric_bench::PAPER_SPEND_PER_2MB,
+        ),
     ] {
         println!("-- {name} --");
         let mut table = Table::new(&[
@@ -85,8 +93,7 @@ fn main() {
                 storage: Storage::Mem,
                 paced_tps: None,
             });
-            let model =
-                modeled_tps(vcpus, cal.vscc_ns_per_tx, cal.seq_ns_per_tx, block_txs);
+            let model = modeled_tps(vcpus, cal.vscc_ns_per_tx, cal.seq_ns_per_tx, block_txs);
             table.row(vec![
                 format!("{vcpus}"),
                 format!("{:.0}", result.tps),

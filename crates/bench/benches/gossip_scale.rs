@@ -137,8 +137,7 @@ impl Run {
     }
 
     fn process(&mut self, node: usize, outputs: Vec<GossipOutput>) {
-        let mut work: Vec<(usize, GossipOutput)> =
-            outputs.into_iter().map(|o| (node, o)).collect();
+        let mut work: Vec<(usize, GossipOutput)> = outputs.into_iter().map(|o| (node, o)).collect();
         while !work.is_empty() {
             let batch: Vec<(usize, GossipOutput)> = std::mem::take(&mut work);
             for (at, output) in batch {
@@ -155,7 +154,8 @@ impl Run {
                         }
                         _ => {
                             self.fast_bytes += control_size(&message);
-                            self.sim.send_control(at, to as usize, Wire::Gossip(message));
+                            self.sim
+                                .send_control(at, to as usize, Wire::Gossip(message));
                         }
                     },
                     GossipOutput::DeliverBlock {
@@ -171,8 +171,7 @@ impl Run {
                         }
                     }
                     GossipOutput::PullFromOrderer { next, .. } => {
-                        let tip =
-                            (self.sim.now() / (BLOCK_EVERY * TICK)).min(self.chain_height);
+                        let tip = (self.sim.now() / (BLOCK_EVERY * TICK)).min(self.chain_height);
                         let channel = self.channel.clone();
                         for num in next..=tip.min(next.saturating_add(3)) {
                             self.injected[num as usize].get_or_insert(self.sim.now());
@@ -258,8 +257,11 @@ impl Run {
 
 fn main() {
     let smoke = std::env::var("FABRIC_BENCH_SMOKE").is_ok();
-    let (sizes, chain_height): (&[usize], u64) =
-        if smoke { (&[120], 20) } else { (&[250, 1000], 60) };
+    let (sizes, chain_height): (&[usize], u64) = if smoke {
+        (&[120], 20)
+    } else {
+        (&[250, 1000], 60)
+    };
     let end_tick = chain_height * BLOCK_EVERY + 40;
 
     println!(
@@ -273,7 +275,14 @@ fn main() {
     );
 
     let mut table = Table::new(&[
-        "peers", "mode", "p50 ms", "p99 ms", "converged", "KB/block", "bulk MB", "dropped",
+        "peers",
+        "mode",
+        "p50 ms",
+        "p99 ms",
+        "converged",
+        "KB/block",
+        "bulk MB",
+        "dropped",
     ]);
     let mut json_points = Vec::new();
     for &n in sizes {
@@ -288,7 +297,11 @@ fn main() {
             let p50 = {
                 let mut s = result.samples_ms.clone();
                 s.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-                if s.is_empty() { 0.0 } else { s[s.len() / 2] }
+                if s.is_empty() {
+                    0.0
+                } else {
+                    s[s.len() / 2]
+                }
             };
             p99[i] = stats.p99_ms;
             let kb_per_block = result.fast_bytes as f64 / 1024.0 / result.delivered.max(1) as f64;

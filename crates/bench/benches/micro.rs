@@ -148,7 +148,8 @@ fn bench_chaincode(c: &mut Criterion) {
         Ok(vec![])
     };
     registry.install("kv", Arc::new(put));
-    let runtime = |exec_timeout| ChaincodeRuntime::new(registry.clone(), RuntimeConfig { exec_timeout });
+    let runtime =
+        |exec_timeout| ChaincodeRuntime::new(registry.clone(), RuntimeConfig { exec_timeout });
     let inline = runtime(None);
     let guarded = runtime(Some(Duration::from_secs(2)));
     let ledger = Ledger::in_memory();

@@ -312,9 +312,7 @@ fn main() {
     let mut run_key_level = || {
         run_seq += 1;
         let dir = bench_dir.join(format!("run-{run_seq}"));
-        let backend = Arc::new(
-            fabric::kvstore::FsBackend::new(&dir).expect("bench scratch dir"),
-        );
+        let backend = Arc::new(fabric::kvstore::FsBackend::new(&dir).expect("bench scratch dir"));
         let mut spec = PeerSpec::new(0, "mode.org1", workers);
         spec.backend = Some(backend);
         spec.config.sync_writes = true;
@@ -340,7 +338,11 @@ fn main() {
     }
     let (tps, stalls) = best;
     let mut mode_table = Table::new(&["dependency mode", "tps", "dep stalls"]);
-    mode_table.row(vec!["key-level".into(), format!("{tps:.0}"), format!("{stalls}")]);
+    mode_table.row(vec![
+        "key-level".into(),
+        format!("{tps:.0}"),
+        format!("{stalls}"),
+    ]);
     println!(
         "\n-- dependency stalls on {fine_blocks} blocks x {fine_per_block} \
          key-disjoint spends --"
@@ -356,8 +358,7 @@ fn main() {
     // hosts.
     let probe_vscc = Duration::from_millis(10);
     let backlog_vscc = Duration::from_micros(500);
-    let (backlog_blocks, backlog_txs, probe_count) =
-        if smoke { (24, 8, 6) } else { (128, 32, 20) };
+    let (backlog_blocks, backlog_txs, probe_count) = if smoke { (24, 8, 6) } else { (128, 32, 20) };
     let backlog = build_sleep_chain(&net, backlog_blocks, backlog_txs, 31);
     let probes = build_sleep_chain(&net, probe_count, 1, 37);
     let starved_run = |with_backlog: bool| -> Duration {

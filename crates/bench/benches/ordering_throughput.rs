@@ -142,8 +142,7 @@ fn run(
             let backend = match consensus {
                 ConsensusType::Solo => ConsensusBackend::Solo,
                 ConsensusType::Raft => {
-                    let peers: Vec<u64> =
-                        (1..=n as u64).filter(|&p| p != i as u64 + 1).collect();
+                    let peers: Vec<u64> = (1..=n as u64).filter(|&p| p != i as u64 + 1).collect();
                     ConsensusBackend::Raft(fabric::raft::RaftNode::new(
                         i as u64 + 1,
                         peers,
@@ -210,7 +209,10 @@ fn run(
                 let outputs = nodes[to].step(from as u64, message);
                 driver.absorb(to, outputs);
             }
-            SimEvent::Timer { node, msg: Ev::Tick } => {
+            SimEvent::Timer {
+                node,
+                msg: Ev::Tick,
+            } => {
                 let outputs = nodes[node].tick();
                 driver.absorb(node, outputs);
                 driver.sim.schedule_in(TICK_MS * MS, node, Ev::Tick);
@@ -307,29 +309,25 @@ fn main() {
         "wire MB",
     ]);
     let mut json_points = Vec::new();
-    let mut record = |table: &mut Table,
-                      consensus: &str,
-                      n: usize,
-                      mode: &str,
-                      k: usize,
-                      r: &RunResult| {
-        table.row(vec![
-            consensus.into(),
-            format!("{n}"),
-            mode.into(),
-            format!("{k}"),
-            format!("{:.0}", r.tps),
-            format!("{:.2}", r.sim_secs),
-            format!("{}", r.blocks),
-            format!("{:.2}", r.wire_mb),
-        ]);
-        json_points.push(format!(
-            "{{\"consensus\":\"{consensus}\",\"osns\":{n},\"mode\":\"{mode}\",\
+    let mut record =
+        |table: &mut Table, consensus: &str, n: usize, mode: &str, k: usize, r: &RunResult| {
+            table.row(vec![
+                consensus.into(),
+                format!("{n}"),
+                mode.into(),
+                format!("{k}"),
+                format!("{:.0}", r.tps),
+                format!("{:.2}", r.sim_secs),
+                format!("{}", r.blocks),
+                format!("{:.2}", r.wire_mb),
+            ]);
+            json_points.push(format!(
+                "{{\"consensus\":\"{consensus}\",\"osns\":{n},\"mode\":\"{mode}\",\
              \"submit_batch\":{k},\"tps\":{:.1},\"sim_seconds\":{:.3},\"blocks\":{},\
              \"wire_mb\":{:.2}}}",
-            r.tps, r.sim_secs, r.blocks, r.wire_mb
-        ));
-    };
+                r.tps, r.sim_secs, r.blocks, r.wire_mb
+            ));
+        };
 
     // Raft grid: cluster size x replication mode x submit batch.
     for &n in cluster_sizes {
@@ -392,8 +390,10 @@ fn main() {
             ..PbftConfig::default()
         };
         let mut results = Vec::new();
-        for (pbft, mode_name) in [(conservative, "lockstep"), (PbftConfig::default(), "pipelined")]
-        {
+        for (pbft, mode_name) in [
+            (conservative, "lockstep"),
+            (PbftConfig::default(), "pipelined"),
+        ] {
             let r = run(
                 &net,
                 batch,

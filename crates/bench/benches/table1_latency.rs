@@ -18,13 +18,41 @@ struct PaperRow {
 }
 
 const PAPER: [PaperRow; 7] = [
-    PaperRow { stage: "(1) endorsement", mint: [5.6, 2.4, 15.0, 19.0], spend: [7.5, 4.2, 21.0, 26.0] },
-    PaperRow { stage: "(2) ordering", mint: [248.0, 60.0, 484.0, 523.0], spend: [365.0, 92.0, 624.0, 636.0] },
-    PaperRow { stage: "(3) VSCC val.", mint: [31.0, 10.2, 72.7, 113.0], spend: [35.3, 9.0, 57.0, 108.4] },
-    PaperRow { stage: "(4) R/W check", mint: [34.8, 3.9, 47.0, 59.0], spend: [61.5, 9.3, 88.5, 93.3] },
-    PaperRow { stage: "(5) ledger", mint: [50.6, 6.2, 70.1, 72.5], spend: [72.2, 8.8, 97.5, 105.0] },
-    PaperRow { stage: "(6) validation", mint: [116.0, 12.8, 156.0, 199.0], spend: [169.0, 17.8, 216.0, 230.0] },
-    PaperRow { stage: "(7) end-to-end", mint: [371.0, 63.0, 612.0, 646.0], spend: [542.0, 94.0, 805.0, 813.0] },
+    PaperRow {
+        stage: "(1) endorsement",
+        mint: [5.6, 2.4, 15.0, 19.0],
+        spend: [7.5, 4.2, 21.0, 26.0],
+    },
+    PaperRow {
+        stage: "(2) ordering",
+        mint: [248.0, 60.0, 484.0, 523.0],
+        spend: [365.0, 92.0, 624.0, 636.0],
+    },
+    PaperRow {
+        stage: "(3) VSCC val.",
+        mint: [31.0, 10.2, 72.7, 113.0],
+        spend: [35.3, 9.0, 57.0, 108.4],
+    },
+    PaperRow {
+        stage: "(4) R/W check",
+        mint: [34.8, 3.9, 47.0, 59.0],
+        spend: [61.5, 9.3, 88.5, 93.3],
+    },
+    PaperRow {
+        stage: "(5) ledger",
+        mint: [50.6, 6.2, 70.1, 72.5],
+        spend: [72.2, 8.8, 97.5, 105.0],
+    },
+    PaperRow {
+        stage: "(6) validation",
+        mint: [116.0, 12.8, 156.0, 199.0],
+        spend: [169.0, 17.8, 216.0, 230.0],
+    },
+    PaperRow {
+        stage: "(7) end-to-end",
+        mint: [371.0, 63.0, 612.0, 646.0],
+        spend: [542.0, 94.0, 805.0, 813.0],
+    },
 ];
 
 fn stats_of(result: &PipelineResult, idx: usize) -> LatencyStats {
@@ -89,9 +117,8 @@ fn main() {
         "measured spend",
     ]);
     for (idx, row) in PAPER.iter().enumerate() {
-        let fmt_paper = |v: &[f64; 4]| {
-            format!("{:.1} / {:.1} / {:.0} / {:.0}", v[0], v[1], v[2], v[3])
-        };
+        let fmt_paper =
+            |v: &[f64; 4]| format!("{:.1} / {:.1} / {:.0} / {:.0}", v[0], v[1], v[2], v[3]);
         table.row(vec![
             row.stage.to_string(),
             fmt_paper(&row.mint),

@@ -49,7 +49,11 @@ fn main() {
 
     for (gossip, label, paper) in [
         (false, "without gossip", &PAPER_NO_GOSSIP),
-        (true, "with gossip (2 orgs x 10 peers per DC)", &PAPER_GOSSIP),
+        (
+            true,
+            "with gossip (2 orgs x 10 peers per DC)",
+            &PAPER_GOSSIP,
+        ),
     ] {
         println!("-- {label} --");
         let mint = simulate_wan(&table2_experiment(
@@ -64,11 +68,7 @@ fn main() {
             spend_per_block,
             block_bytes,
         ));
-        let mut table = Table::new(&[
-            "DC",
-            "paper mint/spend",
-            "model mint/spend",
-        ]);
+        let mut table = Table::new(&["DC", "paper mint/spend", "model mint/spend"]);
         for (dc, p_mint, p_spend) in paper.iter() {
             let m = mint.region_tps.get(*dc).copied().unwrap_or(0.0);
             let s = spend.region_tps.get(*dc).copied().unwrap_or(0.0);

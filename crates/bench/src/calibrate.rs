@@ -62,8 +62,11 @@ pub fn calibrate(sample_txs: usize) -> Calibration {
     Calibration {
         verify_ns,
         vscc_ns_per_tx: per_tx(spend.vscc.avg_ms, spend.txs_per_block).max(1),
-        seq_ns_per_tx: per_tx(spend.rw_check.avg_ms + spend.ledger.avg_ms, spend.txs_per_block)
-            .max(1),
+        seq_ns_per_tx: per_tx(
+            spend.rw_check.avg_ms + spend.ledger.avg_ms,
+            spend.txs_per_block,
+        )
+        .max(1),
         spend_tx_bytes: spend.avg_tx_bytes as u64,
         mint_tx_bytes: mint.avg_tx_bytes as u64,
     }

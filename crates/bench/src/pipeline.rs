@@ -124,14 +124,24 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
     let mut peer = PeerSpec::new(0, "peer0.org1", cfg.vscc_parallelism);
     peer.backend = Some(backend);
     peer.config.sync_writes = matches!(cfg.storage, Storage::Fs(_));
-    let mut net = FabcoinNetwork::new(NetSpec { batch, ..NetSpec::new(&["Org1"]) }.peer(peer));
+    let mut net = FabcoinNetwork::new(
+        NetSpec {
+            batch,
+            ..NetSpec::new(&["Org1"])
+        }
+        .peer(peer),
+    );
 
     // --- Phase 1: mint the coins the spend phase will consume; Phase 2:
     // pre-build the measured proposals.
     let proposals: Vec<SignedProposal> = match cfg.kind {
         TxKind::Spend => {
             let coins = coins::mint_coins(&mut net, cfg.n_tx);
-            coins.iter().take(cfg.n_tx).map(|c| coins::self_spend(&net, c)).collect()
+            coins
+                .iter()
+                .take(cfg.n_tx)
+                .map(|c| coins::self_spend(&net, c))
+                .collect()
         }
         TxKind::Mint => (0..cfg.n_tx)
             .map(|_| net.mint_proposal(0, vec![net.coin_for(0, 10, "FBC")]))
@@ -187,7 +197,9 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
             }
         }
         send_ts.insert(txid, Instant::now());
-        net.ordering.broadcast(envelope).expect("broadcast accepted");
+        net.ordering
+            .broadcast(envelope)
+            .expect("broadcast accepted");
         // Feed any block the orderer has cut into the pipeline.
         submit_ready(
             &net.ordering,
@@ -255,15 +267,11 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
         blocks: block_sizes.len(),
         endorse: LatencyStats::from_durations(&endorse_samples),
         ordering: LatencyStats::from_durations(&ordering_samples),
-        vscc: LatencyStats::from_durations(
-            &timings.iter().map(|t| t.vscc).collect::<Vec<_>>(),
-        ),
+        vscc: LatencyStats::from_durations(&timings.iter().map(|t| t.vscc).collect::<Vec<_>>()),
         rw_check: LatencyStats::from_durations(
             &timings.iter().map(|t| t.rw_check).collect::<Vec<_>>(),
         ),
-        ledger: LatencyStats::from_durations(
-            &timings.iter().map(|t| t.ledger).collect::<Vec<_>>(),
-        ),
+        ledger: LatencyStats::from_durations(&timings.iter().map(|t| t.ledger).collect::<Vec<_>>()),
         validation: LatencyStats::from_durations(
             &timings.iter().map(|t| t.total()).collect::<Vec<_>>(),
         ),

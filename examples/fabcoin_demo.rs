@@ -63,7 +63,8 @@ fn main() {
         .key
         .clone();
     let dust_out = net.coin_for(alice, 1, "FBC");
-    net.spend(alice, &[dust_key], vec![dust_out]).expect("spend accepted");
+    net.spend(alice, &[dust_key], vec![dust_out])
+        .expect("spend accepted");
     net.pump();
     println!(
         "spend {}: {:?}; Alice = {} FBC, Bob = {} FBC",

@@ -35,7 +35,9 @@ fn run(consensus: ConsensusType, osn_count: usize) -> (u64, usize) {
     let mut spend_flags = Vec::new();
     for coin in coins {
         let out = net.coin_for(1, coin.amount, "FBC");
-        let tx = net.spend(0, std::slice::from_ref(&coin.key), vec![out]).expect("spend");
+        let tx = net
+            .spend(0, std::slice::from_ref(&coin.key), vec![out])
+            .expect("spend");
         for _ in 0..10 {
             net.tick();
         }
@@ -48,7 +50,10 @@ fn run(consensus: ConsensusType, osn_count: usize) -> (u64, usize) {
     let channel = net.net.channel.clone();
     net.ordering.assert_identical_chains(&channel);
 
-    (net.wallets[1].balance("FBC"), net.peers[0].height() as usize)
+    (
+        net.wallets[1].balance("FBC"),
+        net.peers[0].height() as usize,
+    )
 }
 
 fn main() {

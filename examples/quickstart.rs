@@ -52,8 +52,11 @@ fn main() {
     )
     .expect("bootstrap ordering");
     let genesis = ordering.deliver(&net.channel, 0).expect("genesis block");
-    println!("channel '{}' bootstrapped, genesis hash {}", net.channel,
-        &fabric::crypto::hex(&genesis.hash())[..16]);
+    println!(
+        "channel '{}' bootstrapped, genesis hash {}",
+        net.channel,
+        &fabric::crypto::hex(&genesis.hash())[..16]
+    );
 
     // 2. A peer joins the channel and installs the chaincode binary.
     let peer_identity =
@@ -80,18 +83,18 @@ fn main() {
         version: "1.0".into(),
         endorsement_policy: "Org1MSP.peer".into(),
     };
-    let proposal = admin_client.create_proposal(
-        LSCC_NAMESPACE,
-        "deploy",
-        vec![definition.to_wire()],
-    );
+    let proposal =
+        admin_client.create_proposal(LSCC_NAMESPACE, "deploy", vec![definition.to_wire()]);
     let responses = admin_client
         .collect_endorsements(&proposal, &[&peer])
         .expect("deploy endorsed");
     let envelope = admin_client.assemble_transaction(&proposal, &responses);
     ordering.broadcast(envelope).expect("deploy ordered");
     commit_available(&ordering, &net, &mux);
-    println!("chaincode 'kv' deployed with policy {:?}", definition.endorsement_policy);
+    println!(
+        "chaincode 'kv' deployed with policy {:?}",
+        definition.endorsement_policy
+    );
 
     // 4. A client invokes put("hello", "world"): execute → order → validate.
     let client_identity =
@@ -111,7 +114,11 @@ fn main() {
         .get_transaction(&tx_id)
         .expect("query ok")
         .expect("tx committed");
-    println!("transaction {} committed: {:?}", &tx_id.to_hex()[..16], flag);
+    println!(
+        "transaction {} committed: {:?}",
+        &tx_id.to_hex()[..16],
+        flag
+    );
 
     // 5. Query the state (simulation only, nothing ordered).
     let value = client

@@ -73,10 +73,7 @@ fn contention_invalidates_conflicting_increment() {
     let block_flags = &flags[0];
     assert_eq!(
         block_flags,
-        &vec![
-            TxValidationCode::Valid,
-            TxValidationCode::MvccReadConflict
-        ]
+        &vec![TxValidationCode::Valid, TxValidationCode::MvccReadConflict]
     );
     let counter = world.peers[0].get_state("kv", "counter").unwrap().unwrap();
     assert_eq!(u64::from_le_bytes(counter[..8].try_into().unwrap()), 1);
@@ -165,10 +162,7 @@ fn endorsement_from_wrong_org_set_fails_policy() {
     let e = client.assemble_transaction(&p, &r);
     world.ordering.broadcast(e).unwrap();
     let flags = world.settle();
-    assert_eq!(
-        flags[0],
-        vec![TxValidationCode::EndorsementPolicyFailure]
-    );
+    assert_eq!(flags[0], vec![TxValidationCode::EndorsementPolicyFailure]);
     assert_eq!(world.peers[0].get_state("kv", "k").unwrap(), None);
 }
 
@@ -268,9 +262,7 @@ fn config_update_through_full_stack() {
     }
     // The orderer adopted it too (its cutter now cuts at 7 — verify via
     // channel state).
-    let state = world.ordering.nodes()[0]
-        .channel(&world.channel)
-        .unwrap();
+    let state = world.ordering.nodes()[0].channel(&world.channel).unwrap();
     assert_eq!(state.config().sequence, 1);
 }
 

@@ -59,12 +59,7 @@ fn eq_world() -> &'static EqWorld {
         let mut world = PipelineWorld::new();
         // Seed committed state so reads, increments, and scans hit data.
         let seed: Vec<_> = (0..5u8)
-            .map(|i| {
-                world.endorse(
-                    "put",
-                    vec![format!("s{i}").into_bytes(), vec![i; 4]],
-                )
-            })
+            .map(|i| world.endorse("put", vec![format!("s{i}").into_bytes(), vec![i; 4]]))
             .collect();
         world.seal_block(seed);
         let clients = (0..3)
@@ -114,18 +109,12 @@ fn build_proposal(eq: &EqWorld, client_idx: usize, op: &Op, nonce: [u8; 32]) -> 
             vec![key.clone().into_bytes(), value.clone()],
             nonce,
         ),
-        Op::Get(key) => client.create_proposal_with_nonce(
-            "kv",
-            "get",
-            vec![key.clone().into_bytes()],
-            nonce,
-        ),
-        Op::Incr(key) => client.create_proposal_with_nonce(
-            "kv",
-            "incr",
-            vec![key.clone().into_bytes()],
-            nonce,
-        ),
+        Op::Get(key) => {
+            client.create_proposal_with_nonce("kv", "get", vec![key.clone().into_bytes()], nonce)
+        }
+        Op::Incr(key) => {
+            client.create_proposal_with_nonce("kv", "incr", vec![key.clone().into_bytes()], nonce)
+        }
         Op::Scan(prefix, dest) => client.create_proposal_with_nonce(
             "kv",
             "scanput",
@@ -135,12 +124,8 @@ fn build_proposal(eq: &EqWorld, client_idx: usize, op: &Op, nonce: [u8; 32]) -> 
         Op::RejectFn => client.create_proposal_with_nonce("kv", "no-such-fn", vec![], nonce),
         Op::Ghost => client.create_proposal_with_nonce("ghost", "go", vec![], nonce),
         Op::Tampered => {
-            let mut sp = client.create_proposal_with_nonce(
-                "kv",
-                "get",
-                vec![b"s0".to_vec()],
-                nonce,
-            );
+            let mut sp =
+                client.create_proposal_with_nonce("kv", "get", vec![b"s0".to_vec()], nonce);
             sp.signature[5] ^= 0x20;
             sp
         }

@@ -26,7 +26,9 @@ const WORKERS: usize = 2;
 /// (the configuration under attack in this battery).
 fn faulty_peer(world: &PipelineWorld, name: &str, timeout: Duration) -> Peer {
     let mut spec = PeerSpec::new(0, name, 1);
-    spec.config.runtime = RuntimeConfig { exec_timeout: Some(timeout) };
+    spec.config.runtime = RuntimeConfig {
+        exec_timeout: Some(timeout),
+    };
     world.net.join(spec)
 }
 
@@ -44,7 +46,11 @@ fn panicking_chaincode_does_not_poison_pipeline() {
     // worker, each healthy proposal after a panic proves it survived.
     // `(peer, simulation workers, runtime threads expected afterwards)`:
     let cases = [
-        (faulty_peer(&world, "panic-peer", Duration::from_secs(2)), WORKERS, 1),
+        (
+            faulty_peer(&world, "panic-peer", Duration::from_secs(2)),
+            WORKERS,
+            1,
+        ),
         (world.replica("inline-panic-peer", 1), 1, 0),
     ];
     for (peer, workers, runtime_threads) in cases {
@@ -74,12 +80,8 @@ fn panicking_chaincode_does_not_poison_pipeline() {
                     "panic must abort only its own proposal"
                 );
             } else {
-                let sp = cl.create_proposal_with_nonce(
-                    "kv",
-                    "put",
-                    vec![vec![b'p', i], vec![i]],
-                    nonce,
-                );
+                let sp =
+                    cl.create_proposal_with_nonce("kv", "put", vec![vec![b'p', i], vec![i]], nonce);
                 pipeline.endorse(sp).expect("healthy proposal endorses");
             }
         }
@@ -89,7 +91,10 @@ fn panicking_chaincode_does_not_poison_pipeline() {
         pipeline.close();
         // Panics are contained in place (catch_unwind), not survived by
         // a fresh thread: one-at-a-time proposals keep reusing one thread.
-        assert_eq!(peer.chaincode_runtime().execution_threads(), runtime_threads);
+        assert_eq!(
+            peer.chaincode_runtime().execution_threads(),
+            runtime_threads
+        );
     }
 }
 
@@ -116,24 +121,20 @@ fn timed_out_chaincode_recovers_worker_capacity() {
         let mut nonce = [0xC0u8; 32];
         nonce[0] = round;
         let sp = cl.create_proposal_with_nonce("stall", "go", vec![], nonce);
-        assert!(matches!(
-            pipeline.endorse(sp),
-            Err(PeerError::Chaincode(_))
-        ));
+        assert!(matches!(pipeline.endorse(sp), Err(PeerError::Chaincode(_))));
         nonce[1] = 1;
-        let sp = cl.create_proposal_with_nonce(
-            "kv",
-            "put",
-            vec![vec![b'q', round], vec![round]],
-            nonce,
-        );
+        let sp =
+            cl.create_proposal_with_nonce("kv", "put", vec![vec![b'q', round], vec![round]], nonce);
         pipeline.endorse(sp).expect("execution capacity recovered");
     }
     pipeline.close();
     // Each round leaves at most one straggler, and its healthy proposal
     // borrows at most one more thread.
     let threads = peer.chaincode_runtime().execution_threads();
-    assert!(threads <= ROUNDS as usize + 1, "{threads} threads after {ROUNDS} stalls");
+    assert!(
+        threads <= ROUNDS as usize + 1,
+        "{threads} threads after {ROUNDS} stalls"
+    );
 }
 
 #[test]
@@ -228,12 +229,8 @@ fn late_result_cannot_cross_into_another_response() {
                 }
             }
         } else {
-            let sp = cl.create_proposal_with_nonce(
-                "kv",
-                "put",
-                vec![vec![b'k', i], vec![i]],
-                nonce,
-            );
+            let sp =
+                cl.create_proposal_with_nonce("kv", "put", vec![vec![b'k', i], vec![i]], nonce);
             let expected_tx = sp.proposal.tx_id();
             let response = pipeline.endorse(sp).expect("quick put endorses");
             assert_eq!(
@@ -277,9 +274,7 @@ fn simulations_read_from_a_single_snapshot_under_concurrent_commits() {
     // The reader touches every key in one simulation (kv `multiget`): a
     // torn snapshot would show as reads with mixed block numbers in one
     // rw-set.
-    let read_args: Vec<Vec<u8>> = (0..KEYS)
-        .map(|k| format!("snap{k}").into_bytes())
-        .collect();
+    let read_args: Vec<Vec<u8>> = (0..KEYS).map(|k| format!("snap{k}").into_bytes()).collect();
 
     // Pre-build the writer's blocks: blind writes have empty read sets, so
     // endorsing them all NOW (against the seed state) keeps them valid
@@ -288,12 +283,7 @@ fn simulations_read_from_a_single_snapshot_under_concurrent_commits() {
     let mut prev = world.blocks.last().unwrap().hash();
     for (number, marker) in (world.builder.height()..).zip(1..=BLOCKS as u8) {
         let envelopes: Vec<Envelope> = (0..KEYS)
-            .map(|k| {
-                world.endorse(
-                    "put",
-                    vec![format!("snap{k}").into_bytes(), vec![marker]],
-                )
-            })
+            .map(|k| world.endorse("put", vec![format!("snap{k}").into_bytes(), vec![marker]]))
             .collect();
         let block = Block::new(number, prev, envelopes);
         prev = block.hash();
@@ -314,7 +304,9 @@ fn simulations_read_from_a_single_snapshot_under_concurrent_commits() {
         let done_writer = done.clone();
         scope.spawn(move || {
             for block in &pending_blocks {
-                builder.commit_block(block).expect("pre-built block commits");
+                builder
+                    .commit_block(block)
+                    .expect("pre-built block commits");
                 std::thread::sleep(Duration::from_millis(3));
             }
             done_writer.store(true, Ordering::SeqCst);
@@ -327,8 +319,7 @@ fn simulations_read_from_a_single_snapshot_under_concurrent_commits() {
             let mut nonce = [0xAAu8; 32];
             nonce[..4].copy_from_slice(&round.to_le_bytes());
             round += 1;
-            let sp =
-                cl.create_proposal_with_nonce("kv", "multiget", read_args.clone(), nonce);
+            let sp = cl.create_proposal_with_nonce("kv", "multiget", read_args.clone(), nonce);
             let response = pipeline.endorse(sp).expect("multiget endorses");
             let mut block_nums = std::collections::BTreeSet::new();
             let mut reads = 0;

@@ -119,8 +119,9 @@ fn randomized_workload_conserves_value() {
         let flag = net.tx_flag(tx).expect("every submission is on the ledger");
         match flag {
             TxValidationCode::Valid => valid_txs += 1,
-            TxValidationCode::MvccReadConflict
-            | TxValidationCode::EndorsementPolicyFailure => invalid_txs += 1,
+            TxValidationCode::MvccReadConflict | TxValidationCode::EndorsementPolicyFailure => {
+                invalid_txs += 1
+            }
             other => panic!("unexpected verdict {other:?}"),
         }
     }

@@ -53,7 +53,9 @@ fn mint_then_spend_end_to_end() {
     // The spent coin state is gone from the world state.
     let spent_key = &inputs[0];
     assert_eq!(
-        net.peers[0].get_state(FABCOIN_NAMESPACE, spent_key).unwrap(),
+        net.peers[0]
+            .get_state(FABCOIN_NAMESPACE, spent_key)
+            .unwrap(),
         None
     );
 }

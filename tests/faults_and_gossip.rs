@@ -43,7 +43,9 @@ fn dos_chaincode_cannot_stall_the_peer() {
     // Paper Sec. 3.2: an endorser unilaterally aborts a runaway chaincode;
     // only that proposal's liveness suffers.
     let mut spec = PeerSpec::new(0, "p", 1);
-    spec.config.runtime = RuntimeConfig { exec_timeout: Some(Duration::from_millis(150)) };
+    spec.config.runtime = RuntimeConfig {
+        exec_timeout: Some(Duration::from_millis(150)),
+    };
     let net = Net::new(NetSpec::new(&["Org1"]).peer(spec));
     let peer = &net.peers[0];
     peer.install_chaincode(
@@ -98,8 +100,7 @@ fn gossip_delivers_ordered_blocks_to_non_endorsing_peers() {
     }
 
     // Three peers in one org; ids 1..=3; node 1 becomes leader.
-    let bootstrap: Vec<(u64, String)> =
-        (1..=3).map(|id| (id, "Org1MSP".to_string())).collect();
+    let bootstrap: Vec<(u64, String)> = (1..=3).map(|id| (id, "Org1MSP".to_string())).collect();
     let mut gossips: Vec<GossipNode> = (1..=3)
         .map(|id| {
             GossipNode::new(
@@ -229,18 +230,15 @@ fn mislabelled_gossip_payloads_quarantine_the_provider() {
     );
     gossip.tick();
     for p in [2, 3] {
-        gossip.step(p, fabric::gossip::GossipMessage::Membership { alive: vec![] });
+        gossip.step(
+            p,
+            fabric::gossip::GossipMessage::Membership { alive: vec![] },
+        );
     }
 
     // Peer 2 relays undecodable payloads labelled as block 1.
     for i in 0..3u8 {
-        let err = mux.deliver_from_gossip(
-            &mut gossip,
-            &net.channel,
-            1,
-            &[i; 32],
-            Some(2),
-        );
+        let err = mux.deliver_from_gossip(&mut gossip, &net.channel, 1, &[i; 32], Some(2));
         assert!(matches!(err, Err(PeerError::BadBlock(_))));
     }
     assert!(gossip.is_quarantined(2), "three bad payloads quarantine");
@@ -276,14 +274,8 @@ fn mislabelled_gossip_payloads_quarantine_the_provider() {
             .unwrap();
         net.ordering.deliver(&net.channel, 1).unwrap()
     };
-    mux.deliver_from_gossip(
-        &mut gossip,
-        &net.channel,
-        1,
-        &block1.to_wire(),
-        Some(3),
-    )
-    .expect("genuine block accepted");
+    mux.deliver_from_gossip(&mut gossip, &net.channel, 1, &block1.to_wire(), Some(3))
+        .expect("genuine block accepted");
     assert!(!gossip.is_quarantined(3));
     mux.wait_committed(&net.channel, 2).unwrap();
     mux.close().unwrap();

@@ -118,7 +118,10 @@ impl GatewayWorkload {
         let bank = CentralBank::new(1, b"gateway-workload-cb");
         let net = Net::new(
             spec.chaincode(FABCOIN_NAMESPACE, Arc::new(FabcoinChaincode))
-                .vscc(FABCOIN_NAMESPACE, Arc::new(FabcoinVscc::new(bank.public_keys(), 1))),
+                .vscc(
+                    FABCOIN_NAMESPACE,
+                    Arc::new(FabcoinVscc::new(bank.public_keys(), 1)),
+                ),
         );
         let peer = net.join(PeerSpec::new(
             0,
@@ -206,7 +209,10 @@ impl GatewayWorkload {
                 .collect_endorsements(&proposal, &[&self.peer])
                 .expect("mint endorses");
             let envelope = self.client.assemble_transaction(&proposal, &responses);
-            self.net.ordering.broadcast(envelope).expect("mint broadcasts");
+            self.net
+                .ordering
+                .broadcast(envelope)
+                .expect("mint broadcasts");
         }
         // Nothing is in flight, so one settle round may end before the
         // mints commit (a Raft cluster first elects a leader).
@@ -228,7 +234,11 @@ impl GatewayWorkload {
         let mut from = None;
         for spread in 0..8u64 {
             let candidate = (self.zipf.rank(u_from) + spread * 37) % self.accounts;
-            if self.available.get(&candidate).is_some_and(|c| !c.is_empty()) {
+            if self
+                .available
+                .get(&candidate)
+                .is_some_and(|c| !c.is_empty())
+            {
                 from = Some(candidate);
                 break;
             }
@@ -273,13 +283,20 @@ impl GatewayWorkload {
         let mut attempt = signed.clone();
         let mut response = None;
         for _ in 0..self.retry.max_attempts.max(1) {
-            match self.front.submit(&self.endorse, attempt, self.clock.now_ms()) {
+            match self
+                .front
+                .submit(&self.endorse, attempt, self.clock.now_ms())
+            {
                 FrontSubmit::Admitted(ticket) => {
                     response = ticket.wait().ok();
                     break;
                 }
                 FrontSubmit::Duplicate => break,
-                FrontSubmit::RetryAfter { after_ms, proposal: p, .. } => {
+                FrontSubmit::RetryAfter {
+                    after_ms,
+                    proposal: p,
+                    ..
+                } => {
                     self.clock.advance(after_ms);
                     self.pump();
                     attempt = *p;
@@ -287,7 +304,10 @@ impl GatewayWorkload {
             }
         }
         let Some(response) = response else {
-            self.available.get_mut(&from).expect("entry exists").push((coin, amount));
+            self.available
+                .get_mut(&from)
+                .expect("entry exists")
+                .push((coin, amount));
             return TransferOutcome::ShedEndorse;
         };
         let envelope = self
@@ -306,9 +326,10 @@ impl GatewayWorkload {
             ref retry,
             ..
         } = *self;
-        let result = client.submit_via_gateway(gateway, clock, envelope, fee, *retry, |gw, _now| {
-            pump_inner(gw, &mut net.ordering, mux, delivered_next, &net.channel);
-        });
+        let result =
+            client.submit_via_gateway(gateway, clock, envelope, fee, *retry, |gw, _now| {
+                pump_inner(gw, &mut net.ordering, mux, delivered_next, &net.channel);
+            });
         match result {
             Ok(GatewayOutcome::Admitted { .. }) | Ok(GatewayOutcome::AlreadySubmitted) => {
                 self.inflight.insert(
@@ -323,7 +344,10 @@ impl GatewayWorkload {
                 TransferOutcome::Submitted
             }
             Err(_) => {
-                self.available.get_mut(&from).expect("entry exists").push((coin, amount));
+                self.available
+                    .get_mut(&from)
+                    .expect("entry exists")
+                    .push((coin, amount));
                 TransferOutcome::ShedOrder
             }
         }
@@ -337,7 +361,10 @@ impl GatewayWorkload {
             self.client
                 .create_proposal(FABCOIN_NAMESPACE, "balance", vec![addr, b"FBC".to_vec()]);
         for _ in 0..4 {
-            match self.front.submit(&self.endorse, proposal, self.clock.now_ms()) {
+            match self
+                .front
+                .submit(&self.endorse, proposal, self.clock.now_ms())
+            {
                 FrontSubmit::Admitted(ticket) => {
                     let response = ticket.wait().ok()?;
                     self.stats.queries += 1;
@@ -345,7 +372,11 @@ impl GatewayWorkload {
                     return Some(u64::from_le_bytes(raw[..8].try_into().ok()?));
                 }
                 FrontSubmit::Duplicate => return None,
-                FrontSubmit::RetryAfter { after_ms, proposal: p, .. } => {
+                FrontSubmit::RetryAfter {
+                    after_ms,
+                    proposal: p,
+                    ..
+                } => {
                     self.clock.advance(after_ms);
                     self.pump();
                     proposal = *p;
@@ -380,7 +411,10 @@ impl GatewayWorkload {
                 .expect("committed block readable");
             for (key, output) in self.wallet.apply_committed(&block, &event.validity) {
                 if let Some(&account) = self.account_of.get(&output.owner) {
-                    self.available.entry(account).or_default().push((key, output.amount));
+                    self.available
+                        .entry(account)
+                        .or_default()
+                        .push((key, output.amount));
                 }
             }
             for (env, flag) in block.envelopes.iter().zip(&event.validity) {
@@ -394,7 +428,10 @@ impl GatewayWorkload {
                         .push(self.clock.now_ms().saturating_sub(p.submitted_ms));
                 } else {
                     // The coin was never spent: back in play.
-                    self.available.entry(p.from).or_default().push((p.coin, p.amount));
+                    self.available
+                        .entry(p.from)
+                        .or_default()
+                        .push((p.coin, p.amount));
                     self.stats.invalidated += 1;
                 }
             }
@@ -410,7 +447,9 @@ impl GatewayWorkload {
             self.pump();
             // Let the commit pipeline catch up with everything delivered.
             if self.delivered_next > 0 {
-                let _ = self.mux.wait_committed(&self.net.channel, self.delivered_next);
+                let _ = self
+                    .mux
+                    .wait_committed(&self.net.channel, self.delivered_next);
                 self.pump();
             }
             self.collect_events();
@@ -549,7 +588,11 @@ fn closed_loop_mix_conserves_coins_on(spec: NetSpec) {
     );
 
     // Conservation: the mint total is all there is, wherever it moved.
-    assert_eq!(workload.total_on_ledger(), minted, "no value lost or minted");
+    assert_eq!(
+        workload.total_on_ledger(),
+        minted,
+        "no value lost or minted"
+    );
     assert_eq!(workload.wallet_total(), minted, "wallet view agrees");
     assert_eq!(workload.inflight_len(), 0);
     assert_eq!(workload.gateway.mempool_len(), 0);

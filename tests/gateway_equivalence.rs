@@ -104,7 +104,12 @@ fn permissive_gateway() -> Gateway {
 fn chain_bytes(cluster: &OrderingCluster) -> Vec<Vec<u8>> {
     let channel = &envelope_pool().net.channel;
     (0..cluster.height(channel))
-        .map(|seq| cluster.deliver(channel, seq).expect("below height").to_wire())
+        .map(|seq| {
+            cluster
+                .deliver(channel, seq)
+                .expect("below height")
+                .to_wire()
+        })
         .collect()
 }
 

@@ -79,8 +79,7 @@ fn raft_cluster(max_count: u32) -> OrderingCluster {
         preferred_max_bytes: 2 << 20,
         batch_timeout_ms: 400,
     };
-    OrderingCluster::new(ConsensusType::Raft, p.orderers.clone(), vec![genesis])
-        .expect("bootstrap")
+    OrderingCluster::new(ConsensusType::Raft, p.orderers.clone(), vec![genesis]).expect("bootstrap")
 }
 
 /// Every transaction id in `osn`'s chain, in order.
@@ -117,7 +116,10 @@ fn duplicate_flood_starves_nobody() {
     for (i, victim) in victims.iter().enumerate() {
         // 15 flood copies between every victim submission.
         for _ in 0..15 {
-            assert_eq!(gateway.submit(flooded.clone(), 1, i as u64), Admit::Duplicate);
+            assert_eq!(
+                gateway.submit(flooded.clone(), 1, i as u64),
+                Admit::Duplicate
+            );
         }
         assert_eq!(
             gateway.submit(victim.clone(), 1, i as u64),
@@ -150,9 +152,7 @@ fn front_dedup_drops_flood_before_verification() {
     let signed = world
         .client
         .create_proposal("kv", "put", vec![b"k".to_vec(), b"v".to_vec()]);
-    let FrontSubmit::Admitted(ticket) =
-        front.submit(&pipeline, signed.clone(), 0)
-    else {
+    let FrontSubmit::Admitted(ticket) = front.submit(&pipeline, signed.clone(), 0) else {
         panic!("first copy admitted");
     };
     ticket.wait().expect("endorses");
@@ -173,7 +173,10 @@ fn front_dedup_drops_flood_before_verification() {
     assert_eq!(fstats.admitted, 1);
     let pstats = pipeline.stats();
     assert_eq!(pstats.endorsed, 1, "pipeline simulated exactly one copy");
-    assert_eq!(pstats.failed, 0, "tampered floods never reached verification");
+    assert_eq!(
+        pstats.failed, 0,
+        "tampered floods never reached verification"
+    );
     assert_eq!(pstats.rejected_saturated + pstats.rejected_client, 0);
     pipeline.close();
 }
@@ -196,7 +199,10 @@ fn overflow_evicts_by_fee_then_age() {
     // Equal fee does not displace: the newcomer is shed.
     assert_eq!(
         gateway.submit(e[6].clone(), 10, 1),
-        Admit::RetryAfter { reason: ShedReason::FeeTooLow, after_ms: gateway.config().retry_after_ms * 2 }
+        Admit::RetryAfter {
+            reason: ShedReason::FeeTooLow,
+            after_ms: gateway.config().retry_after_ms * 2
+        }
     );
     // Strictly higher: evicts e[1] (the OLDEST fee-10 entry).
     assert_eq!(gateway.submit(e[7].clone(), 15, 2), Admit::Admitted);
@@ -209,7 +215,10 @@ fn overflow_evicts_by_fee_then_age() {
     // Equal to the new floor (15): shed.
     assert!(matches!(
         gateway.submit(e[9].clone(), 15, 4),
-        Admit::RetryAfter { reason: ShedReason::FeeTooLow, .. }
+        Admit::RetryAfter {
+            reason: ShedReason::FeeTooLow,
+            ..
+        }
     ));
     // 16 beats the floor: evicts e[7], the OLDER of the two 15s.
     assert_eq!(gateway.submit(e[10].clone(), 16, 5), Admit::Admitted);
@@ -306,8 +315,14 @@ fn retry_after_ignorer_limited_honorer_progresses() {
     // Honoring the hint costs one probe per wait (the verdict IS the
     // hint) but the honorer is never worse off than the abuser: both
     // drain the same token stream.
-    assert_eq!(hon_admitted, ign_admitted, "honorer starves nothing, gains everything");
-    assert!(hon_admitted >= 8, "tokens kept flowing (got {hon_admitted})");
+    assert_eq!(
+        hon_admitted, ign_admitted,
+        "honorer starves nothing, gains everything"
+    );
+    assert!(
+        hon_admitted >= 8,
+        "tokens kept flowing (got {hon_admitted})"
+    );
     assert!(
         hon_rejected <= hon_admitted + 1,
         "honorer pays at most one probe per admission ({hon_rejected} rejects)"
@@ -320,8 +335,15 @@ fn retry_after_ignorer_limited_honorer_progresses() {
     // most ~1000 of the 10 000 are worth remembering at any time; the map
     // overshoots that only up to its prune trigger.
     let (flood_counts, flood_hints, tracked_peak) = run(10);
-    assert!(tracked_peak <= 4096, "bucket map grew to {tracked_peak} under the flood");
-    assert_eq!((flood_counts, flood_hints), (counts, hon_hints), "pruning is invisible");
+    assert!(
+        tracked_peak <= 4096,
+        "bucket map grew to {tracked_peak} under the flood"
+    );
+    assert_eq!(
+        (flood_counts, flood_hints),
+        (counts, hon_hints),
+        "pruning is invisible"
+    );
 }
 
 /// The SDK backoff loop converges: a submission shed under zero-credit
@@ -363,7 +385,13 @@ fn client_backoff_converges_after_recovery() {
             },
         )
         .expect("converges once credits return");
-    assert_eq!(outcome, GatewayOutcome::Admitted { attempts: 2, waited_ms: clock.now_ms() });
+    assert_eq!(
+        outcome,
+        GatewayOutcome::Admitted {
+            attempts: 2,
+            waited_ms: clock.now_ms()
+        }
+    );
     assert!(pumps >= 1);
     assert!(clock.now_ms() > 0, "backoff actually waited");
     let stats = gateway.stats();
@@ -378,12 +406,18 @@ fn client_backoff_converges_after_recovery() {
             &mut clock,
             p.generic[43].clone(),
             1,
-            RetryPolicy { max_attempts: 3, ..RetryPolicy::default() },
+            RetryPolicy {
+                max_attempts: 3,
+                ..RetryPolicy::default()
+            },
             |_gw, _now| {},
         )
         .expect_err("stays overloaded");
     let msg = err.to_string();
-    assert!(msg.contains("3 attempts"), "surfaced the attempt count: {msg}");
+    assert!(
+        msg.contains("3 attempts"),
+        "surfaced the attempt count: {msg}"
+    );
 }
 
 /// Crashing the gateway's preferred OSN mid-drain: the drain fails over
@@ -397,7 +431,9 @@ fn dead_orderer_failover_loses_nothing() {
     for _ in 0..10 {
         cluster.tick();
     }
-    let leader = cluster.nodes()[0].consensus_leader().expect("leader elected") as usize;
+    let leader = cluster.nodes()[0]
+        .consensus_leader()
+        .expect("leader elected") as usize;
     let follower = (leader + 1) % OSNS;
     let mut gateway = Gateway::new(GatewayConfig {
         drain_max: 16,

@@ -137,7 +137,12 @@ impl Battery {
         );
         // Late joiners trickle in over two ticks.
         let spacing = (2 * TICK) / joiners.len().max(1) as u64;
-        schedule.wave(60 * TICK, spacing, joiners.iter().copied(), ChurnEvent::Join);
+        schedule.wave(
+            60 * TICK,
+            spacing,
+            joiners.iter().copied(),
+            ChurnEvent::Join,
+        );
         // A clean half/half split that heals 16 ticks later — short
         // enough that the healed deficit is pull-recoverable.
         schedule.partition_window(
@@ -181,8 +186,7 @@ impl Battery {
     /// through the worklist (e.g. a snapshot install delivering buffered
     /// blocks).
     fn process(&mut self, node: usize, outputs: Vec<GossipOutput>) {
-        let mut work: Vec<(usize, GossipOutput)> =
-            outputs.into_iter().map(|o| (node, o)).collect();
+        let mut work: Vec<(usize, GossipOutput)> = outputs.into_iter().map(|o| (node, o)).collect();
         while !work.is_empty() {
             let batch: Vec<(usize, GossipOutput)> = std::mem::take(&mut work);
             for (at, output) in batch {
@@ -240,7 +244,8 @@ impl Battery {
                     }
                     GossipOutput::SnapshotCatchup { provider, .. } => {
                         self.flips += 1;
-                        self.sim.send_control(at, provider as usize, Wire::SnapRequest);
+                        self.sim
+                            .send_control(at, provider as usize, Wire::SnapRequest);
                     }
                     GossipOutput::DeliverStateSync { payload, .. } => {
                         let height = u64::from_le_bytes(payload[..8].try_into().unwrap());
@@ -294,8 +299,7 @@ impl Battery {
                             // Serve the freshest checkpoint this provider
                             // holds (delivered height rounded down to the
                             // checkpoint interval).
-                            let height =
-                                self.nodes[to].delivered_height(&channel) / 10 * 10;
+                            let height = self.nodes[to].delivered_height(&channel) / 10 * 10;
                             if height > 0 {
                                 self.snap_serves += 1;
                                 self.nodes[to].send_state_sync(
@@ -337,7 +341,12 @@ fn thousand_peer_overlay_survives_the_churn_matrix() {
             );
         }
     }
-    assert_eq!(behind, 0, "{behind}/{} live nodes failed to converge", up.len());
+    assert_eq!(
+        behind,
+        0,
+        "{behind}/{} live nodes failed to converge",
+        up.len()
+    );
 
     // Deep laggards flipped to snapshot catch-up and were actually
     // served over the bulk lane.
@@ -384,7 +393,11 @@ fn thousand_peer_overlay_survives_the_churn_matrix() {
 
     // Restarted nodes were re-admitted under their bumped incarnation.
     for id in n / 10..n / 5 {
-        assert_eq!(battery.nodes[id].incarnation(), 1, "node {id} never restarted");
+        assert_eq!(
+            battery.nodes[id].incarnation(),
+            1,
+            "node {id} never restarted"
+        );
     }
 
     eprintln!(

@@ -57,7 +57,14 @@ fn sleepy_chain(
 ) -> Vec<Block> {
     let client = net.client(0, "fair-client");
     let envelopes: Vec<Envelope> = (0..txs_per_block)
-        .map(|i| make_envelope(&client, channel, nonce(salt * 1009 + i), TxReadWriteSet::default()))
+        .map(|i| {
+            make_envelope(
+                &client,
+                channel,
+                nonce(salt * 1009 + i),
+                TxReadWriteSet::default(),
+            )
+        })
         .collect();
     let mut prev = genesis.hash();
     (0..n_blocks)
@@ -106,11 +113,21 @@ fn channels_are_isolated_chains() {
     // 3 txs on A, 1 tx on B.
     for i in 0..3 {
         cluster
-            .broadcast(make_envelope(&client, &a, nonce(i), TxReadWriteSet::default()))
+            .broadcast(make_envelope(
+                &client,
+                &a,
+                nonce(i),
+                TxReadWriteSet::default(),
+            ))
             .unwrap();
     }
     cluster
-        .broadcast(make_envelope(&client, &b, nonce(100), TxReadWriteSet::default()))
+        .broadcast(make_envelope(
+            &client,
+            &b,
+            nonce(100),
+            TxReadWriteSet::default(),
+        ))
         .unwrap();
 
     // Heights are independent.
@@ -179,12 +196,8 @@ fn per_channel_state_access() {
     let net = TestNet::new(&["Org1"], ConsensusType::Solo, 1);
     let mut genesis_a = net.genesis.clone();
     genesis_a.channel = ChannelId::new("channel-a");
-    let cluster = OrderingCluster::new(
-        ConsensusType::Solo,
-        net.orderers(1),
-        vec![genesis_a],
-    )
-    .unwrap();
+    let cluster =
+        OrderingCluster::new(ConsensusType::Solo, net.orderers(1), vec![genesis_a]).unwrap();
     let node: &OrderingNode = &cluster.nodes()[0];
     let state = node.channel(&ChannelId::new("channel-a")).unwrap();
     assert_eq!(state.config().sequence, 0);
@@ -250,7 +263,12 @@ fn broadcast_on_both(
             n[8] = channel.0.len() as u8;
             n[9] = channel.0.as_bytes()[channel.0.len() - 1];
             ordering
-                .broadcast(make_envelope(&client, channel, n, TxReadWriteSet::default()))
+                .broadcast(make_envelope(
+                    &client,
+                    channel,
+                    n,
+                    TxReadWriteSet::default(),
+                ))
                 .unwrap();
         }
     }
@@ -351,8 +369,7 @@ fn gossip_delivers_two_channels_through_one_mux() {
     let genesis_a = ordering.deliver(&chan_a, 0).unwrap();
     let genesis_b = ordering.deliver(&chan_b, 0).unwrap();
 
-    let bootstrap: Vec<(u64, String)> =
-        (1..=2).map(|id| (id, "Org1MSP".to_string())).collect();
+    let bootstrap: Vec<(u64, String)> = (1..=2).map(|id| (id, "Org1MSP".to_string())).collect();
     let mut gossips: Vec<GossipNode> = (1..=2)
         .map(|id| {
             GossipNode::new(
@@ -540,9 +557,15 @@ fn deliver_mux_parks_gap_window_and_readmits_in_order() {
     let gauges = mux.gauges(&chan_a).unwrap();
     assert_eq!(gauges.saturated, 1);
     assert_eq!(gauges.duplicates, 1);
-    assert!(gauges.parked_peak >= 2, "3 and 2 were parked simultaneously");
+    assert!(
+        gauges.parked_peak >= 2,
+        "3 and 2 were parked simultaneously"
+    );
     let stats = mux.close().expect("mux closes clean");
-    assert_eq!(stats[&chan_a].blocks, 5, "each block committed exactly once");
+    assert_eq!(
+        stats[&chan_a].blocks, 5,
+        "each block committed exactly once"
+    );
     assert_eq!(peer.height(), 6);
 }
 
@@ -595,7 +618,10 @@ fn deliver_mux_dedups_duplicate_of_credit_stalled_block() {
     assert!(gauges.credit_stalls >= 1, "block 2 stalled on credits");
     assert_eq!(gauges.duplicates, 1);
     let stats = mux.close().expect("mux closes clean");
-    assert_eq!(stats[&chan_a].blocks, 3, "each block committed exactly once");
+    assert_eq!(
+        stats[&chan_a].blocks, 3,
+        "each block committed exactly once"
+    );
     assert_eq!(peer.height(), 4);
 }
 
@@ -647,7 +673,10 @@ fn deliver_mux_gap_backfill_races_credit_refresh() {
         "window fully refreshed once everything committed"
     );
     let stats = mux.close().expect("mux closes clean");
-    assert_eq!(stats[&chan_a].blocks, 4, "each block committed exactly once");
+    assert_eq!(
+        stats[&chan_a].blocks, 4,
+        "each block committed exactly once"
+    );
     assert_eq!(peer.height(), 5);
 }
 

@@ -97,11 +97,7 @@ fn envelope_pool() -> &'static Pool {
     })
 }
 
-fn raft_cluster(
-    batch: BatchConfig,
-    mode: ReplicationMode,
-    max_inflight: usize,
-) -> OrderingCluster {
+fn raft_cluster(batch: BatchConfig, mode: ReplicationMode, max_inflight: usize) -> OrderingCluster {
     let pool = envelope_pool();
     let mut genesis = pool.net.genesis.clone();
     genesis.orderer.batch = batch;
@@ -170,7 +166,12 @@ fn run_schedule(
 fn chain_bytes(cluster: &OrderingCluster) -> Vec<Vec<u8>> {
     let channel = &envelope_pool().net.channel;
     (0..cluster.height(channel))
-        .map(|seq| cluster.deliver(channel, seq).expect("below height").to_wire())
+        .map(|seq| {
+            cluster
+                .deliver(channel, seq)
+                .expect("below height")
+                .to_wire()
+        })
         .collect()
 }
 

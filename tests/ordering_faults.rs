@@ -146,9 +146,7 @@ fn leader_crash_mid_pipeline_loses_nothing_committed() {
     // The pre-crash committed prefix survived verbatim.
     for seq in 1..committed_height {
         assert!(
-            cluster
-                .deliver_from(survivor, &net.channel, seq)
-                .is_some(),
+            cluster.deliver_from(survivor, &net.channel, seq).is_some(),
             "committed block {seq} survived the leader crash"
         );
     }
@@ -238,7 +236,10 @@ fn forged_envelopes_never_reach_consensus_or_reorder_survivors() {
     cluster.assert_identical_chains(&net.channel);
     for osn in 0..OSNS {
         let all = delivered(&cluster, &net, osn);
-        assert_eq!(all, valid, "survivors in order, forgeries absent (OSN {osn})");
+        assert_eq!(
+            all, valid,
+            "survivors in order, forgeries absent (OSN {osn})"
+        );
     }
 }
 
@@ -315,9 +316,17 @@ fn config_envelope_flushes_partial_batch_under_pipelining() {
     for _ in 0..3 {
         cluster.tick();
     }
-    assert_eq!(cluster.height(&net.channel), 4, "new message-count cap live");
     assert_eq!(
-        cluster.deliver(&net.channel, 3).unwrap().metadata.last_config,
+        cluster.height(&net.channel),
+        4,
+        "new message-count cap live"
+    );
+    assert_eq!(
+        cluster
+            .deliver(&net.channel, 3)
+            .unwrap()
+            .metadata
+            .last_config,
         2
     );
     cluster.assert_identical_chains(&net.channel);
@@ -353,7 +362,11 @@ fn compacted_survivor_repairs_healed_follower_after_leader_crash() {
         cluster.nodes()[osn as usize].height(&net.channel).unwrap()
     };
     assert_eq!(height(&cluster, survivor), 7, "survivor holds six blocks");
-    assert_eq!(height(&cluster, victim), 1, "victim saw nothing past genesis");
+    assert_eq!(
+        height(&cluster, victim),
+        1,
+        "victim saw nothing past genesis"
+    );
 
     // The leader crashes and the partition heals: only the survivor can
     // win an election, and it must repair the victim from its own log.

@@ -15,7 +15,11 @@ fn nonce(i: u64) -> [u8; 32] {
     n
 }
 
-fn run_workload(consensus: ConsensusType, osns: usize, txs: u64) -> (TestNet, OrderingCluster, Vec<Envelope>) {
+fn run_workload(
+    consensus: ConsensusType,
+    osns: usize,
+    txs: u64,
+) -> (TestNet, OrderingCluster, Vec<Envelope>) {
     let net = TestNet::with_batch(
         &["Org1"],
         consensus,
@@ -27,8 +31,9 @@ fn run_workload(consensus: ConsensusType, osns: usize, txs: u64) -> (TestNet, Or
             batch_timeout_ms: 200,
         },
     );
-    let mut cluster = OrderingCluster::new(consensus, net.orderers(osns), vec![net.genesis.clone()])
-        .expect("bootstrap");
+    let mut cluster =
+        OrderingCluster::new(consensus, net.orderers(osns), vec![net.genesis.clone()])
+            .expect("bootstrap");
     let client = net.client(0, "c1");
     let mut sent = Vec::new();
     for i in 0..txs {
@@ -125,11 +130,7 @@ fn duplicates_are_delivered_not_filtered() {
     }
     let mut count = 0;
     for seq in 1..cluster.height(&net.channel) {
-        count += cluster
-            .deliver(&net.channel, seq)
-            .unwrap()
-            .envelopes
-            .len();
+        count += cluster.deliver(&net.channel, seq).unwrap().envelopes.len();
     }
     assert_eq!(count, 3, "all three (identical) submissions delivered");
 }
@@ -148,10 +149,7 @@ fn deliver_is_stable_and_repeatable() {
 /// Every envelope delivered on `osn`'s chain, in order.
 fn delivered_on(cluster: &OrderingCluster, net: &TestNet, osn: usize) -> Vec<Envelope> {
     let mut out = Vec::new();
-    let height = cluster
-        .nodes()[osn]
-        .height(&net.channel)
-        .unwrap_or(0);
+    let height = cluster.nodes()[osn].height(&net.channel).unwrap_or(0);
     for seq in 1..height {
         out.extend(
             cluster

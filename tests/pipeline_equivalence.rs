@@ -82,27 +82,18 @@ fn build_op_blocks(world: &mut PipelineWorld, ops: &[(u8, u8, u8)]) {
     for (i, &(op, key, defer)) in ops.iter().enumerate() {
         let key_name = format!("k{}", key % 3);
         let envelope = match op % 6 {
-            0 => world.endorse(
-                "put",
-                vec![key_name.into_bytes(), vec![op, key, defer]],
-            ),
+            0 => world.endorse("put", vec![key_name.into_bytes(), vec![op, key, defer]]),
             1 => world.endorse("incr", vec![key_name.into_bytes()]),
             2 => world.endorse(
                 "scanput",
                 vec![b"k".to_vec(), format!("out{}", key % 2).into_bytes()],
             ),
             3 => {
-                let env = world.endorse(
-                    "put",
-                    vec![key_name.into_bytes(), vec![op]],
-                );
+                let env = world.endorse("put", vec![key_name.into_bytes(), vec![op]]);
                 world.tamper_signature(env)
             }
             4 => {
-                let env = world.endorse(
-                    "put",
-                    vec![key_name.into_bytes(), vec![op]],
-                );
+                let env = world.endorse("put", vec![key_name.into_bytes(), vec![op]]);
                 world.strip_endorsements(env)
             }
             _ => world.endorse("incr", vec![key_name.into_bytes()]),

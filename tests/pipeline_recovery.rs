@@ -61,12 +61,7 @@ fn abort_with_queued_blocks_recovers_from_savepoint() {
     // Six blocks of disjoint-key puts (no dependency stalls, all valid).
     for b in 0..6u8 {
         let envelopes = (0..3)
-            .map(|i| {
-                world.endorse(
-                    "put",
-                    vec![format!("b{b}x{i}").into_bytes(), vec![b, i]],
-                )
-            })
+            .map(|i| world.endorse("put", vec![format!("b{b}x{i}").into_bytes(), vec![b, i]]))
             .collect();
         world.seal_block(envelopes);
     }
@@ -112,7 +107,10 @@ fn abort_with_queued_blocks_recovers_from_savepoint() {
     }
     redeliver(&reopened, &world.blocks[(crash_height as usize - 1)..]);
     assert_eq!(reopened.height(), reference.height());
-    assert_eq!(reopened.ledger().last_hash(), reference.ledger().last_hash());
+    assert_eq!(
+        reopened.ledger().last_hash(),
+        reference.ledger().last_hash()
+    );
     assert_eq!(
         reopened.scan_state("kv", "", "").unwrap(),
         reference.scan_state("kv", "", "").unwrap(),
@@ -128,12 +126,7 @@ fn close_with_queued_blocks_drains_then_restarts_from_savepoint() {
     let mut world = PipelineWorld::new();
     for b in 0..5u8 {
         let envelopes = (0..2)
-            .map(|i| {
-                world.endorse(
-                    "put",
-                    vec![format!("c{b}x{i}").into_bytes(), vec![b, i]],
-                )
-            })
+            .map(|i| world.endorse("put", vec![format!("c{b}x{i}").into_bytes(), vec![b, i]]))
             .collect();
         world.seal_block(envelopes);
     }
@@ -169,7 +162,10 @@ fn close_with_queued_blocks_drains_then_restarts_from_savepoint() {
     for block in &world.blocks {
         reference.commit_block(block).expect("reference commits");
     }
-    assert_eq!(reopened.ledger().last_hash(), reference.ledger().last_hash());
+    assert_eq!(
+        reopened.ledger().last_hash(),
+        reference.ledger().last_hash()
+    );
     assert_eq!(
         reopened.scan_state("kv", "", "").unwrap(),
         reference.scan_state("kv", "", "").unwrap(),
@@ -187,12 +183,7 @@ fn multi_channel_abort_isolates_channels_and_recovers_from_savepoint() {
     let mut world = PipelineWorld::new();
     for b in 0..6u8 {
         let envelopes = (0..3)
-            .map(|i| {
-                world.endorse(
-                    "put",
-                    vec![format!("m{b}x{i}").into_bytes(), vec![b, i]],
-                )
-            })
+            .map(|i| world.endorse("put", vec![format!("m{b}x{i}").into_bytes(), vec![b, i]]))
             .collect();
         world.seal_block(envelopes);
     }
@@ -219,7 +210,10 @@ fn multi_channel_abort_isolates_channels_and_recovers_from_savepoint() {
         .expect("survivor unaffected by the victim's slow backlog");
     mux.abort();
     let crash_height = victim.height();
-    assert!(crash_height >= 3, "the waited-for prefix must have committed");
+    assert!(
+        crash_height >= 3,
+        "the waited-for prefix must have committed"
+    );
     drop(victim);
 
     let reference = world.replica("reference.org1", 2);
@@ -243,7 +237,10 @@ fn multi_channel_abort_isolates_channels_and_recovers_from_savepoint() {
     );
     redeliver(&reopened, &world.blocks[(crash_height as usize - 1)..]);
     assert_eq!(reopened.height(), reference.height());
-    assert_eq!(reopened.ledger().last_hash(), reference.ledger().last_hash());
+    assert_eq!(
+        reopened.ledger().last_hash(),
+        reference.ledger().last_hash()
+    );
     assert_eq!(
         reopened.scan_state("kv", "", "").unwrap(),
         reference.scan_state("kv", "", "").unwrap(),
@@ -306,7 +303,8 @@ fn torn_block_file_append_truncated_and_redelivered() {
         let mut file = backend.open("blocks.dat").unwrap();
         let full_len = file.len().unwrap();
         assert!(full_len > intact_len, "the record reached the file");
-        file.truncate(intact_len + (full_len - intact_len) / 2).unwrap();
+        file.truncate(intact_len + (full_len - intact_len) / 2)
+            .unwrap();
     }
 
     // Reopen: the half record is truncated away, the chain ends at the
@@ -328,7 +326,10 @@ fn torn_block_file_append_truncated_and_redelivered() {
         reference.commit_block(block).expect("reference commits");
     }
     assert_eq!(reopened.height(), reference.height());
-    assert_eq!(reopened.ledger().last_hash(), reference.ledger().last_hash());
+    assert_eq!(
+        reopened.ledger().last_hash(),
+        reference.ledger().last_hash()
+    );
     assert_eq!(
         reopened.ledger().state_entries(),
         reference.ledger().state_entries(),
@@ -408,7 +409,7 @@ fn panicking_vscc_fails_its_channel_and_spares_the_pool() {
         world.seal_block(vec![envelope]);
     }
     let final_height = world.blocks.len() as u64 + 1; // deploy (LSCC), k1, k2
-    // A single worker: if the panic killed it, nothing below would return.
+                                                      // A single worker: if the panic killed it, nothing below would return.
     let mux = Arc::new(DeliverMux::new(1));
     let victim = world.replica("victim.org1", 1);
     victim.register_vscc("kv", Arc::new(PanickingVscc));

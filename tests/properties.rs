@@ -7,7 +7,9 @@ use fabric::crypto::{merkle, SigningKey};
 use fabric::kvstore::{KvStore, StoreConfig, WriteBatch};
 use fabric::policy::{PolicyExpr, Signer};
 use fabric::primitives::ids::Version;
-use fabric::primitives::rwset::{KeyRead, KeyWrite, NsReadWriteSet, RangeQueryInfo, TxReadWriteSet};
+use fabric::primitives::rwset::{
+    KeyRead, KeyWrite, NsReadWriteSet, RangeQueryInfo, TxReadWriteSet,
+};
 use fabric::primitives::wire::Wire;
 
 fn arb_u256() -> impl Strategy<Value = U256> {

@@ -37,7 +37,10 @@ fn sim_node(peer: PeerId) -> usize {
 
 /// Driver-side payloads flowing through the simulator.
 enum Msg {
-    Net { from: PeerId, message: GossipMessage },
+    Net {
+        from: PeerId,
+        message: GossipMessage,
+    },
     GossipTick,
     SyncTick,
 }
@@ -106,7 +109,10 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
             }
         }
         let advertised = store.advertised_height(&channel);
-        assert!(advertised > 0 && advertised < full_height, "partial snapshot");
+        assert!(
+            advertised > 0 && advertised < full_height,
+            "partial snapshot"
+        );
         gossips[sim_node(id)].advertise_snapshot(&channel, advertised);
         stores.insert(id, store);
     }
@@ -121,11 +127,18 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
     }
     while let Some((_, event)) = sim.next() {
         match event {
-            SimEvent::Timer { node, msg: Msg::GossipTick } => {
+            SimEvent::Timer {
+                node,
+                msg: Msg::GossipTick,
+            } => {
                 let outputs = gossips[node].tick();
                 route_gossip(&mut sim, (node + 1) as PeerId, outputs);
             }
-            SimEvent::Message { to, msg: Msg::Net { from, message }, .. } => {
+            SimEvent::Message {
+                to,
+                msg: Msg::Net { from, message },
+                ..
+            } => {
                 let outputs = gossips[to].step(from, message);
                 route_gossip(&mut sim, (to + 1) as PeerId, outputs);
             }
@@ -133,7 +146,11 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
         }
     }
     let discovered = gossips[sim_node(LATE)].snapshot_providers(&channel);
-    assert_eq!(discovered.len(), 3, "all providers advertised: {discovered:?}");
+    assert_eq!(
+        discovered.len(),
+        3,
+        "all providers advertised: {discovered:?}"
+    );
 
     // Provider 3 crashes after advertising; provider 2 will corrupt the
     // first segment response it serves. The consumer must route around
@@ -161,25 +178,36 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
             break;
         }
         match event {
-            SimEvent::Timer { msg: Msg::SyncTick, .. } => {
+            SimEvent::Timer {
+                msg: Msg::SyncTick, ..
+            } => {
                 if consumer.finished() {
                     continue;
                 }
                 ticks += 1;
                 assert!(ticks < 10_000, "catch-up wedged");
                 let outputs = consumer.tick();
-                drive_late(&mut sim, &channel, &mut signed_manifest, &mut installed, outputs);
+                drive_late(
+                    &mut sim,
+                    &channel,
+                    &mut signed_manifest,
+                    &mut installed,
+                    outputs,
+                );
                 sim.schedule_in(MS, sim_node(LATE), Msg::SyncTick);
             }
-            SimEvent::Message { to, msg: Msg::Net { from, message }, .. } => {
+            SimEvent::Message {
+                to,
+                msg: Msg::Net { from, message },
+                ..
+            } => {
                 let peer_id = (to + 1) as PeerId;
                 if peer_id == DEAD_PROVIDER {
                     continue; // crashed: requests to it vanish
                 }
                 if peer_id == LATE {
                     for output in gossips[to].step(from, message) {
-                        let GossipOutput::DeliverStateSync { from, payload, .. } = output
-                        else {
+                        let GossipOutput::DeliverStateSync { from, payload, .. } = output else {
                             continue;
                         };
                         // Peek for the signed manifest (the driver keeps it
@@ -191,12 +219,17 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
                             signed_manifest = Some(manifest);
                         }
                         let outputs = consumer.step_wire(from, &payload);
-                        drive_late(&mut sim, &channel, &mut signed_manifest, &mut installed, outputs);
+                        drive_late(
+                            &mut sim,
+                            &channel,
+                            &mut signed_manifest,
+                            &mut installed,
+                            outputs,
+                        );
                     }
                 } else {
                     for output in gossips[to].step(from, message) {
-                        let GossipOutput::DeliverStateSync { from, payload, .. } = output
-                        else {
+                        let GossipOutput::DeliverStateSync { from, payload, .. } = output else {
                             continue;
                         };
                         let Ok(request) = SyncMessage::from_wire(&payload) else {
@@ -210,9 +243,7 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
                             // The corrupting provider flips a byte in its
                             // first served segment.
                             if peer_id == CORRUPT_PROVIDER && corruptions == 0 {
-                                if let Some(byte) =
-                                    chunks.first_mut().and_then(|c| c.first_mut())
-                                {
+                                if let Some(byte) = chunks.first_mut().and_then(|c| c.first_mut()) {
                                     *byte ^= 0xff;
                                     corruptions += 1;
                                 }
@@ -246,15 +277,24 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
             && served.get(&1).copied().unwrap_or(0) >= 1,
         "segments fetched from multiple providers: {served:?}"
     );
-    assert_eq!(served.get(&DEAD_PROVIDER), None, "dead provider served nothing");
+    assert_eq!(
+        served.get(&DEAD_PROVIDER),
+        None,
+        "dead provider served nothing"
+    );
 
     // Phase C — install + tail replay through the pipelined committer.
     let snap_height = manifest.manifest.height;
     assert!(snap_height < full_height, "tail replay must be non-empty");
-    let joiner = world
-        .net
-        .join_from_snapshot(PeerSpec::new(0, "late.org1", 2), &manifest, &entries);
-    assert_eq!(joiner.height(), snap_height, "starts at the snapshot height");
+    let joiner =
+        world
+            .net
+            .join_from_snapshot(PeerSpec::new(0, "late.org1", 2), &manifest, &entries);
+    assert_eq!(
+        joiner.height(),
+        snap_height,
+        "starts at the snapshot height"
+    );
 
     let mux = common::mux_for(&joiner, 2, PipelineOptions::default());
     let tail = &world.blocks[(snap_height - 1) as usize..];
@@ -262,11 +302,18 @@ fn lagging_peer_catches_up_via_snapshot_despite_faults() {
     common::deliver_all(&mux, &channel, tail).unwrap();
     mux.wait_committed(&channel, full_height).unwrap();
     let stats = mux.close().unwrap().remove(&channel).unwrap();
-    assert_eq!(stats.blocks, full_height - snap_height, "only the tail replayed");
+    assert_eq!(
+        stats.blocks,
+        full_height - snap_height,
+        "only the tail replayed"
+    );
 
     // The joiner is indistinguishable from the full-replay peer.
     assert_eq!(joiner.height(), world.builder.height());
-    assert_eq!(joiner.ledger().last_hash(), world.builder.ledger().last_hash());
+    assert_eq!(
+        joiner.ledger().last_hash(),
+        world.builder.ledger().last_hash()
+    );
     assert_eq!(
         joiner.ledger().state_entries(),
         world.builder.ledger().state_entries(),
@@ -280,8 +327,10 @@ fn catchup_falls_back_to_full_replay_without_snapshots() {
     let channel = world.net.channel.clone();
 
     // Providers are alive but have no snapshots to serve.
-    let stores: HashMap<PeerId, SnapshotStore> =
-        PROVIDERS.iter().map(|&id| (id, SnapshotStore::new(2))).collect();
+    let stores: HashMap<PeerId, SnapshotStore> = PROVIDERS
+        .iter()
+        .map(|&id| (id, SnapshotStore::new(2)))
+        .collect();
     let mut consumer = Catchup::new(
         channel.clone(),
         channel_msps(&world),
@@ -365,11 +414,7 @@ fn malformed_provider_responses_charge_the_provider_not_panic() {
 fn route_gossip(sim: &mut Simulator<Msg>, from: PeerId, outputs: Vec<GossipOutput>) {
     for output in outputs {
         if let GossipOutput::Send { to, message } = output {
-            sim.send_control(
-                sim_node(from),
-                sim_node(to),
-                Msg::Net { from, message },
-            );
+            sim.send_control(sim_node(from), sim_node(to), Msg::Net { from, message });
         }
     }
 }
@@ -402,7 +447,11 @@ fn drive_late(
     }
 }
 
-fn route_sync(sim: &mut Simulator<Msg>, channel: &fabric::primitives::ChannelId, outputs: Vec<SyncOutput>) {
+fn route_sync(
+    sim: &mut Simulator<Msg>,
+    channel: &fabric::primitives::ChannelId,
+    outputs: Vec<SyncOutput>,
+) {
     for output in outputs {
         if let SyncOutput::Send { to, message } = output {
             route_sync_one(sim, channel, to, message);
