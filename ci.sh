@@ -12,15 +12,19 @@
 #  4. The kvstore, ledger, statesync and chaincode crates pass clippy
 #     with -D warnings (kvstore carries the state store; ledger the PTM
 #     over it; chaincode the deadline-guarded execution runtime), the
-#     kvstore, ledger, peer, statesync and simnet crates are
-#     rustfmt-clean (`cargo fmt --check`), and the chaincode crate's unit
+#     kvstore, ledger, peer, statesync, simnet and bench crates and the
+#     root package are rustfmt-clean (`cargo fmt --check`), and the
+#     chaincode crate's unit
 #     tests (thread reuse, straggler retirement, shutdown) pass on their
 #     own; gate 15 skips that crate.
 #  5. The endorsement battery (equivalence proptests + fault injection)
 #     re-runs on its own so a tier-1 wobble can't mask it.
-#  6. The storage battery (kill-at-every-offset crash recovery of the
-#     state store's WAL and Merkle bucket file + a proptest of the store
-#     against a BTreeMap oracle and a reopen) re-runs on its own.
+#  6. The storage battery re-runs on its own: kill-at-every-offset crash
+#     recovery of the ledger's one log, the block store (a ledger reopened
+#     on a torn `blocks.dat` lands on a committed prefix, or reports a
+#     state ahead of its chain as corrupt), of the state store's Merkle
+#     bucket file, and a proptest of the state store against a BTreeMap
+#     oracle and a reopen at its last checkpoint.
 #  7. The commit-pipeline battery re-runs under --release: multi-channel
 #     (cross-channel fairness, deliver credits, gap parking), pipeline
 #     equivalence (proptests: pipelined masks, state and chain bytes
@@ -116,10 +120,10 @@ else
     find crates/kvstore/src crates/ledger/src -name '*.rs' -exec touch {} +
     RUSTFLAGS="-Dwarnings" cargo build -p fabric-kvstore -p fabric-ledger
 fi
-echo "== kvstore / ledger / peer / statesync / simnet: rustfmt gate =="
+echo "== kvstore / ledger / peer / statesync / simnet / bench / root: rustfmt gate =="
 if cargo fmt --version >/dev/null 2>&1; then
     cargo fmt --check -p fabric-kvstore -p fabric-ledger -p fabric-peer \
-        -p fabric-statesync -p fabric-simnet
+        -p fabric-statesync -p fabric-simnet -p fabric-bench -p fabric
 else
     echo "rustfmt not installed; skipping format gate"
 fi
@@ -144,7 +148,8 @@ cargo test -q -p fabric-chaincode
 echo "== endorsement battery: equivalence + fault injection =="
 cargo test -q --test endorsement_equivalence --test endorsement_faults
 
-echo "== storage battery: crash recovery + oracle equivalence =="
+echo "== storage battery: ledger + Merkle crash recovery + oracle equivalence =="
+cargo test -q -p fabric-ledger --test ledger_recovery
 cargo test -q -p fabric-kvstore --test storage_recovery --test storage_equivalence
 
 echo "== commit-pipeline battery under --release: multi-channel + equivalence + recovery =="

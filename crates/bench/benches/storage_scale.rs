@@ -139,7 +139,7 @@ fn run(
     threads: usize,
     zipf: &Arc<Zipfian>,
 ) -> Report {
-    let store = StateStore::open(Arc::new(MemBackend::new()), false).expect("open");
+    let store = StateStore::open(Arc::new(MemBackend::new())).expect("open");
 
     // Bulk load in batches of 1024.
     let start = Instant::now();

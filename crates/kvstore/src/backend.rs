@@ -2,7 +2,7 @@
 //!
 //! The paper's Experiment 3 compares SSD-backed against RAM-disk-backed
 //! peers. Abstracting the byte storage behind [`Backend`] lets the same
-//! store, WAL, and block-store code run against both, and makes the
+//! state-store and block-store code run against both, and makes the
 //! comparison a one-line configuration change.
 //!
 //! Files expose two read paths: the historical `read_at(&mut self)` used

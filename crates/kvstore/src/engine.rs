@@ -1,6 +1,11 @@
 //! The state store the ledger and peer program against: [`KvStore`] plus
 //! the incremental Merkle state root from [`crate::merkle`], so
 //! `state_root()` is O(1) regardless of backend.
+//!
+//! A commit is memory-only: it holds the Merkle lock (the writer lock)
+//! and the state lock for the in-memory apply alone, so no reader ever
+//! waits on storage I/O. [`StateStore::checkpoint`] is the one write to
+//! storage, and [`StateStore::open`] reopens at the last checkpoint.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -60,11 +65,12 @@ pub struct StateStore {
 }
 
 impl StateStore {
-    /// Opens (and recovers) a store over `backend`.
-    pub fn open(backend: Arc<dyn Backend>, sync_writes: bool) -> Result<Self, StoreError> {
+    /// Opens a store over `backend` at its last checkpoint. The Merkle
+    /// tree loads from the bucket file if that file is stamped with the
+    /// checkpoint's seq, and is rebuilt from a full scan otherwise.
+    pub fn open(backend: Arc<dyn Backend>) -> Result<Self, StoreError> {
         let kv = KvStore::open(StoreConfig {
             backend: backend.clone(),
-            sync_writes,
         })?;
         let merkle = match StateRoot::load_if_current(backend.as_ref(), kv.last_seq())? {
             Some(tree) => tree,
@@ -135,7 +141,8 @@ impl StateStore {
         self.merkle.lock().root()
     }
 
-    /// Durably checkpoints so recovery does not replay the whole log.
+    /// Durably checkpoints the state and persists the Merkle buckets, so
+    /// the next open loads both instead of starting empty.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
         self.kv.checkpoint()?;
         // Stamp the root with the now-current seq; the merkle lock blocks
@@ -163,7 +170,7 @@ mod tests {
     use crate::merkle::root_of_entries;
 
     fn store() -> StateStore {
-        StateStore::open(Arc::new(MemBackend::new()), false).unwrap()
+        StateStore::open(Arc::new(MemBackend::new())).unwrap()
     }
 
     #[test]
@@ -215,12 +222,12 @@ mod tests {
     fn root_persists_across_reopen() {
         let backend = Arc::new(MemBackend::new());
         let root = {
-            let store = StateStore::open(backend.clone(), false).unwrap();
+            let store = StateStore::open(backend.clone()).unwrap();
             store.put("k", "v").unwrap();
             store.checkpoint().unwrap();
             store.state_root()
         };
-        let store = StateStore::open(backend, false).unwrap();
+        let store = StateStore::open(backend).unwrap();
         assert_eq!(store.state_root(), root);
         assert_eq!(store.get(b"k"), Some(b"v".to_vec()));
     }

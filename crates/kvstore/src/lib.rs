@@ -7,8 +7,10 @@
 //! Design: an in-memory B-tree memtable holding *version chains* per key
 //! (lightweight MVCC so endorsement simulation gets a stable snapshot while
 //! commits proceed; each write trims the chains it touches to what a live
-//! snapshot can still read), a CRC-framed write-ahead log for durability, and
-//! whole-state checkpoints that truncate the log. Storage is abstracted
+//! snapshot can still read) and whole-state checkpoints, the store's only
+//! writes to storage. The store keeps no log of its own: the peer's block
+//! store is the ledger's one log, and the ledger replays the blocks past
+//! the checkpoint's savepoint on open. Storage is abstracted
 //! behind [`backend::Backend`] with filesystem and in-memory
 //! implementations (the latter doubles as the paper's RAM-disk variant in
 //! Experiment 3).
@@ -19,10 +21,11 @@
 //!
 //! ## Crash safety
 //!
-//! Every committed batch is framed with a CRC-32; recovery replays intact
-//! records and truncates a torn tail. A checkpoint is written to a temp
-//! file and atomically renamed before the WAL is truncated, so a crash at
-//! any point leaves either the old or the new checkpoint intact.
+//! Every record on storage is framed with a CRC-32 ([`log`]). A checkpoint
+//! is written to a temp file, synced, and atomically renamed over the
+//! previous one, so a crash at any point leaves either the old or the new
+//! checkpoint intact. The Merkle bucket file is pure acceleration: a torn
+//! or stale one is ignored and the tree rebuilt from the state.
 
 pub mod backend;
 mod engine;

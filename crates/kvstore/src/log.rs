@@ -1,6 +1,7 @@
-//! Write-ahead log framing with CRC-32 integrity.
+//! Append-only record framing with CRC-32 integrity.
 //!
-//! Every committed write batch is appended as one framed record:
+//! The block store, the state checkpoint, and the Merkle bucket file all
+//! append their records framed as:
 //!
 //! ```text
 //! [u32 payload_len][u32 crc32(payload)][payload bytes]
@@ -16,7 +17,7 @@ use crate::StoreError;
 
 /// Slicing-by-8 lookup tables for IEEE CRC-32 (polynomial 0xEDB88320),
 /// generated at compile time. `TABLES[0]` is the classic byte table; the
-/// higher tables fold 8 input bytes per iteration, because every WAL
+/// higher tables fold 8 input bytes per iteration, because every block
 /// append and checkpoint record is checksummed and the bitwise form costs
 /// ~8 shifts per byte.
 const CRC_TABLES: [[u32; 256]; 8] = {
@@ -120,7 +121,7 @@ mod tests {
     #[test]
     fn append_and_read_back() {
         let backend = MemBackend::new();
-        let mut f = backend.open("wal").unwrap();
+        let mut f = backend.open("log").unwrap();
         append_record(f.as_mut(), b"one").unwrap();
         append_record(f.as_mut(), b"two").unwrap();
         append_record(f.as_mut(), b"").unwrap();
@@ -132,7 +133,7 @@ mod tests {
     #[test]
     fn torn_tail_ignored() {
         let backend = MemBackend::new();
-        let mut f = backend.open("wal").unwrap();
+        let mut f = backend.open("log").unwrap();
         append_record(f.as_mut(), b"complete").unwrap();
         let good_end = f.len().unwrap();
         // Simulate a crash mid-append: header promising more than exists.
@@ -147,7 +148,7 @@ mod tests {
     #[test]
     fn corrupt_record_stops_replay() {
         let backend = MemBackend::new();
-        let mut f = backend.open("wal").unwrap();
+        let mut f = backend.open("log").unwrap();
         append_record(f.as_mut(), b"first").unwrap();
         let good_end = f.len().unwrap();
         // A record with a bad checksum.
@@ -164,7 +165,7 @@ mod tests {
     #[test]
     fn empty_log() {
         let backend = MemBackend::new();
-        let mut f = backend.open("wal").unwrap();
+        let mut f = backend.open("log").unwrap();
         let (records, end) = read_all(f.as_mut()).unwrap();
         assert!(records.is_empty());
         assert_eq!(end, 0);

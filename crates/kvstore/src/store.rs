@@ -1,5 +1,12 @@
-//! The MVCC key-value store: memtable with version chains, WAL durability,
-//! snapshots, checkpointing, and crash recovery.
+//! The MVCC key-value store: memtable with version chains, snapshots, and
+//! whole-state checkpoints.
+//!
+//! The store writes no log. A write applies in memory and touches no
+//! storage; only [`KvStore::checkpoint`] writes, and [`KvStore::open`]
+//! loads the last checkpoint. What a caller needs to survive a crash past
+//! that checkpoint it must be able to replay itself: the ledger replays
+//! the blocks past the state's savepoint, which its block store appended
+//! and synced before the state write.
 //!
 //! A chain holds only what a reader can still see: each write trims the
 //! chains it touches down to the oldest live snapshot, and a key whose
@@ -12,12 +19,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{Backend, BackendFile};
+use crate::backend::Backend;
 use crate::log;
 use crate::StoreError;
 
-const WAL_FILE: &str = "wal.log";
-const WAL_TMP: &str = "wal.tmp";
 const CHECKPOINT_FILE: &str = "checkpoint.db";
 const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 
@@ -25,8 +30,6 @@ const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 pub struct StoreConfig {
     /// Byte storage (filesystem directory or in-memory).
     pub backend: Arc<dyn Backend>,
-    /// Whether every committed batch is fsync'd before acknowledging.
-    pub sync_writes: bool,
 }
 
 impl StoreConfig {
@@ -34,7 +37,6 @@ impl StoreConfig {
     pub fn in_memory() -> Self {
         StoreConfig {
             backend: Arc::new(crate::backend::MemBackend::new()),
-            sync_writes: false,
         }
     }
 
@@ -42,7 +44,6 @@ impl StoreConfig {
     pub fn at_dir(dir: impl Into<std::path::PathBuf>) -> Result<Self, StoreError> {
         Ok(StoreConfig {
             backend: Arc::new(crate::backend::FsBackend::new(dir)?),
-            sync_writes: true,
         })
     }
 }
@@ -143,8 +144,6 @@ struct State {
     map: BTreeMap<Vec<u8>, Chain>,
     /// Sequence number of the last committed batch.
     seq: u64,
-    /// Sequence covered by the on-disk checkpoint.
-    checkpoint_seq: u64,
     /// Keys whose chains kept older versions for a live snapshot, each
     /// with the seq of the write that left it so, in ascending seq.
     deferred: VecDeque<(u64, Vec<u8>)>,
@@ -206,9 +205,7 @@ struct Registry {
 
 struct Inner {
     state: Mutex<State>,
-    wal: Mutex<Box<dyn BackendFile>>,
     backend: Arc<dyn Backend>,
-    sync_writes: bool,
     snapshots: Mutex<Registry>,
 }
 
@@ -221,16 +218,15 @@ pub struct KvStore {
 }
 
 impl KvStore {
-    /// Opens a store, recovering state from the checkpoint and WAL.
+    /// Opens a store at its last checkpoint, or empty if it has none.
     ///
-    /// No snapshot exists while the WAL replays, so each batch is trimmed
-    /// as it applies and the store reloads its state, not its history.
+    /// Each checkpoint record is trimmed as it applies, so the store
+    /// loads the checkpoint's state with one version per key.
     pub fn open(config: StoreConfig) -> Result<Self, StoreError> {
         let backend = config.backend;
         let mut state = State {
             map: BTreeMap::new(),
             seq: 0,
-            checkpoint_seq: 0,
             deferred: VecDeque::new(),
         };
 
@@ -244,25 +240,9 @@ impl KvStore {
             // records, all stamped with the same seq.
             for payload in &records {
                 let (ck_seq, batch) = WriteBatch::deserialize(payload)?;
-                state.checkpoint_seq = ck_seq;
                 state.seq = ck_seq;
                 state.apply(batch.ops, ck_seq, ck_seq);
             }
-        }
-
-        let mut wal = backend.open(WAL_FILE)?;
-        let (records, good_end) = log::read_all(wal.as_mut())?;
-        // Drop a torn tail so subsequent appends are well-framed.
-        if good_end < wal.len()? {
-            wal.truncate(good_end)?;
-        }
-        for payload in records {
-            let (batch_seq, batch) = WriteBatch::deserialize(&payload)?;
-            if batch_seq <= state.checkpoint_seq {
-                continue; // already folded into the checkpoint
-            }
-            state.apply(batch.ops, batch_seq, batch_seq);
-            state.seq = state.seq.max(batch_seq);
         }
 
         let snapshots = Mutex::new(Registry {
@@ -272,29 +252,21 @@ impl KvStore {
         Ok(KvStore {
             inner: Arc::new(Inner {
                 state: Mutex::new(state),
-                wal: Mutex::new(wal),
                 backend,
-                sync_writes: config.sync_writes,
                 snapshots,
             }),
         })
     }
 
-    /// Commits a batch atomically, returning its sequence number.
+    /// Commits a batch atomically in memory, returning its sequence
+    /// number. No storage is touched: the batch is durable once a later
+    /// [`checkpoint`](Self::checkpoint) covers it.
     pub fn write(&self, batch: WriteBatch) -> Result<u64, StoreError> {
-        if batch.is_empty() {
-            return Ok(self.inner.state.lock().seq);
-        }
         let mut state = self.inner.state.lock();
-        let seq = state.seq + 1;
-        let payload = batch.serialize(seq);
-        {
-            let mut wal = self.inner.wal.lock();
-            log::append_record(wal.as_mut(), &payload)?;
-            if self.inner.sync_writes {
-                wal.sync()?;
-            }
+        if batch.is_empty() {
+            return Ok(state.seq);
         }
+        let seq = state.seq + 1;
         let horizon = {
             let mut registry = self.inner.snapshots.lock();
             registry.seq = seq;
@@ -352,14 +324,14 @@ impl KvStore {
         scan_at(&self.inner, start, end, u64::MAX)
     }
 
-    /// Writes a checkpoint and drops the WAL records it covers.
+    /// Durably writes the state as of now as the checkpoint the next
+    /// [`open`](Self::open) loads.
     ///
     /// The checkpoint serializes from an MVCC snapshot in bounded chunks,
     /// re-acquiring the state lock per chunk, so writers are never held
-    /// out during checkpoint file I/O. The WAL is rewritten (keeping only
-    /// records newer than the checkpoint) via temp-file + rename, so a
-    /// crash at any point leaves a recoverable pair of files. After a
-    /// successful checkpoint, recovery no longer replays covered records.
+    /// out during checkpoint file I/O. It is written to a temp file,
+    /// synced, and renamed over the previous one, so a crash at any point
+    /// leaves either the old or the new checkpoint intact.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
         // Keys examined per lock acquisition while streaming the state.
         const CHUNK_KEYS: usize = 512;
@@ -396,36 +368,7 @@ impl KvStore {
         }
         tmp.sync()?;
         drop(tmp);
-        self.inner.backend.rename(CHECKPOINT_TMP, CHECKPOINT_FILE)?;
-        drop(snap);
-
-        // Shed covered WAL records. Writes committed while the checkpoint
-        // streamed must survive, so the WAL is rewritten to a fresh file
-        // and atomically swapped in; the lock is held only for that tail
-        // rewrite, which is O(writes since the snapshot), not O(state).
-        let mut state = self.inner.state.lock();
-        let mut wal = self.inner.wal.lock();
-        if state.seq == ck_seq {
-            wal.truncate(0)?;
-        } else {
-            let (records, _) = log::read_all(wal.as_mut())?;
-            self.inner.backend.remove(WAL_TMP)?;
-            let mut fresh = self.inner.backend.open(WAL_TMP)?;
-            for payload in &records {
-                let (batch_seq, _) = WriteBatch::deserialize(payload)?;
-                if batch_seq > ck_seq {
-                    log::append_record(fresh.as_mut(), payload)?;
-                }
-            }
-            if self.inner.sync_writes {
-                fresh.sync()?;
-            }
-            drop(fresh);
-            self.inner.backend.rename(WAL_TMP, WAL_FILE)?;
-            *wal = self.inner.backend.open(WAL_FILE)?;
-        }
-        state.checkpoint_seq = ck_seq;
-        Ok(())
+        self.inner.backend.rename(CHECKPOINT_TMP, CHECKPOINT_FILE)
     }
 
     /// Number of live (non-tombstone) keys at the latest state.
@@ -591,93 +534,94 @@ mod tests {
         assert_eq!(store.scan(b"", b"").len(), 2);
     }
 
-    #[test]
-    fn recovery_from_wal() {
-        let backend = Arc::new(crate::backend::MemBackend::new());
-        {
-            let store = KvStore::open(StoreConfig {
-                backend: backend.clone(),
-                sync_writes: false,
-            })
-            .unwrap();
-            store.put("persist", "me").unwrap();
-            store.put("and", "me-too").unwrap();
-            store.delete("and").unwrap();
+    /// A backend that holds no files and fails any attempt to make one.
+    struct NoStorage;
+
+    impl Backend for NoStorage {
+        fn open(&self, name: &str) -> Result<Box<dyn crate::BackendFile>, StoreError> {
+            panic!("opened {name}")
         }
-        let store = KvStore::open(StoreConfig {
-            backend,
-            sync_writes: false,
-        })
-        .unwrap();
-        assert_eq!(store.get(b"persist"), Some(b"me".to_vec()));
-        assert_eq!(store.get(b"and"), None);
-        assert_eq!(store.last_seq(), 3);
+        fn exists(&self, _: &str) -> Result<bool, StoreError> {
+            Ok(false)
+        }
+        fn remove(&self, name: &str) -> Result<(), StoreError> {
+            panic!("removed {name}")
+        }
+        fn rename(&self, src: &str, _: &str) -> Result<(), StoreError> {
+            panic!("renamed {src}")
+        }
     }
 
     #[test]
-    fn recovery_with_checkpoint() {
-        let backend = Arc::new(crate::backend::MemBackend::new());
-        {
-            let store = KvStore::open(StoreConfig {
-                backend: backend.clone(),
-                sync_writes: false,
-            })
-            .unwrap();
-            store.put("a", "1").unwrap();
-            store.put("b", "2").unwrap();
-            store.checkpoint().unwrap();
-            store.put("c", "3").unwrap(); // after checkpoint, only in WAL
-        }
+    fn write_touches_no_storage() {
         let store = KvStore::open(StoreConfig {
-            backend,
-            sync_writes: false,
-        })
-        .unwrap();
-        assert_eq!(store.get(b"a"), Some(b"1".to_vec()));
-        assert_eq!(store.get(b"c"), Some(b"3".to_vec()));
-    }
-
-    #[test]
-    fn checkpoint_truncates_wal() {
-        let backend = Arc::new(crate::backend::MemBackend::new());
-        let store = KvStore::open(StoreConfig {
-            backend: backend.clone(),
-            sync_writes: false,
+            backend: Arc::new(NoStorage),
         })
         .unwrap();
         for i in 0..100 {
             store.put(format!("k{i}"), "v").unwrap();
         }
-        let mut wal = backend.open("wal.log").unwrap();
-        assert!(wal.len().unwrap() > 0);
-        store.checkpoint().unwrap();
-        assert_eq!(wal.len().unwrap(), 0);
+        store.delete("k0").unwrap();
+        let snap = store.snapshot();
+        store.put("k1", "w").unwrap();
+        assert_eq!(snap.get(b"k1"), Some(b"v".to_vec()));
+        assert_eq!(store.len(), 99);
+        assert_eq!(store.last_seq(), 102);
     }
 
     #[test]
-    fn torn_wal_tail_recovered() {
+    fn reopen_loads_the_last_checkpoint() {
         let backend = Arc::new(crate::backend::MemBackend::new());
+        let config = || StoreConfig {
+            backend: backend.clone(),
+        };
         {
-            let store = KvStore::open(StoreConfig {
-                backend: backend.clone(),
-                sync_writes: false,
-            })
-            .unwrap();
+            let store = KvStore::open(config()).unwrap();
+            store.put("persist", "me").unwrap();
+            store.put("and", "me-too").unwrap();
+            store.delete("and").unwrap();
+            store.checkpoint().unwrap();
+            // After the checkpoint: held in memory only.
+            store.put("persist", "later").unwrap();
+            store.put("c", "3").unwrap();
+        }
+        let store = KvStore::open(config()).unwrap();
+        assert_eq!(store.get(b"persist"), Some(b"me".to_vec()));
+        assert_eq!(store.get(b"and"), None);
+        assert_eq!(store.get(b"c"), None);
+        assert_eq!(store.last_seq(), 3);
+        // Seqs resume from the checkpoint, and the next checkpoint
+        // replaces it.
+        assert_eq!(store.put("c", "4").unwrap(), 4);
+        store.checkpoint().unwrap();
+        let store = KvStore::open(config()).unwrap();
+        assert_eq!(store.get(b"c"), Some(b"4".to_vec()));
+        assert_eq!(store.last_seq(), 4);
+    }
+
+    #[test]
+    fn torn_checkpoint_tmp_leaves_the_previous_checkpoint() {
+        let backend = Arc::new(crate::backend::MemBackend::new());
+        let config = || StoreConfig {
+            backend: backend.clone(),
+        };
+        {
+            let store = KvStore::open(config()).unwrap();
             store.put("good", "1").unwrap();
+            store.checkpoint().unwrap();
         }
-        // Simulate a crash mid-append.
+        // Simulate a crash while the next checkpoint streams: a torn temp
+        // file that was never renamed.
         {
-            let mut wal = backend.open("wal.log").unwrap();
-            wal.append(&[0xff, 0x00, 0x00]).unwrap();
+            let mut tmp = backend.open(CHECKPOINT_TMP).unwrap();
+            tmp.append(&[0xff, 0x00, 0x00]).unwrap();
         }
-        let store = KvStore::open(StoreConfig {
-            backend,
-            sync_writes: false,
-        })
-        .unwrap();
+        let store = KvStore::open(config()).unwrap();
         assert_eq!(store.get(b"good"), Some(b"1".to_vec()));
-        // And new writes still work after tail truncation.
+        // And the next checkpoint replaces the leftover temp file.
         store.put("new", "2").unwrap();
+        store.checkpoint().unwrap();
+        let store = KvStore::open(config()).unwrap();
         assert_eq!(store.get(b"new"), Some(b"2".to_vec()));
     }
 
@@ -776,7 +720,6 @@ mod tests {
         let backend = Arc::new(crate::backend::MemBackend::new());
         let config = || StoreConfig {
             backend: backend.clone(),
-            sync_writes: false,
         };
         let live = {
             let store = KvStore::open(config()).unwrap();
@@ -785,9 +728,11 @@ mod tests {
             assert_eq!(held(&store), (live.len(), live.len()));
             let expect: Vec<_> = live.clone().into_iter().collect();
             assert_eq!(store.scan(b"", b""), expect);
+            store.checkpoint().unwrap();
             live
         };
-        // Replaying the WAL trims as it goes: the same bound after a reopen.
+        // Loading the checkpoint trims as it goes: the same bound after a
+        // reopen.
         let store = KvStore::open(config()).unwrap();
         assert_eq!(held(&store), (live.len(), live.len()));
         let expect: Vec<_> = live.into_iter().collect();
@@ -821,12 +766,12 @@ mod tests {
             let store = KvStore::open(StoreConfig::at_dir(&dir).unwrap()).unwrap();
             store.put("durable", "yes").unwrap();
             store.checkpoint().unwrap();
-            store.put("post-ck", "also").unwrap();
+            store.put("post-ck", "memory only").unwrap();
         }
         {
             let store = KvStore::open(StoreConfig::at_dir(&dir).unwrap()).unwrap();
             assert_eq!(store.get(b"durable"), Some(b"yes".to_vec()));
-            assert_eq!(store.get(b"post-ck"), Some(b"also".to_vec()));
+            assert_eq!(store.get(b"post-ck"), None);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

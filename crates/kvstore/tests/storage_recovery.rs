@@ -1,19 +1,19 @@
-//! Kill-at-every-offset crash batteries for every on-disk structure the
-//! state store writes.
+//! Kill-at-every-offset crash battery for the Merkle bucket file, the one
+//! on-disk structure of the state store a crash can leave damaged.
 //!
-//! Model: a crash may lose any **suffix** of the write-ahead log, and may
-//! leave the Merkle bucket file (pure acceleration) torn or stale in any
-//! state. A checkpoint is synced and renamed before the WAL is truncated,
-//! so it is durable by construction and its damage is outside the crash
-//! model.
+//! Model: a crash may leave the Merkle bucket file (pure acceleration)
+//! torn or stale in any state. A checkpoint is synced and renamed over
+//! the previous one, so it is durable by construction and its damage is
+//! outside the crash model. The store writes no log: what a crash loses
+//! past the checkpoint is the ledger's to replay from its block store,
+//! and `crates/ledger/tests/ledger_recovery.rs` is that battery.
 //!
-//! Every battery drives the store through a scripted workload with an
+//! The battery drives the store through a scripted workload with an
 //! oracle of the state after each committed batch, photographs the
-//! "disk" with `MemBackend::deep_clone`, damages one file at every byte
-//! offset, reopens, and checks that recovery lands **exactly** on a
-//! committed prefix of the history (never a torn half-batch), that the
-//! incremental Merkle root matches a full recomputation, and that the
-//! store still accepts writes.
+//! "disk" with `MemBackend::deep_clone`, damages the file at every byte
+//! offset, reopens, and checks that recovery lands **exactly** on the
+//! checkpointed state, that the incremental Merkle root matches a full
+//! recomputation, and that the store still accepts writes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -110,7 +110,7 @@ fn reopen_truncated(disk: &MemBackend, name: &str, len: u64) -> StateStore {
         .expect("damaged file opens")
         .truncate(len)
         .expect("truncate");
-    StateStore::open(Arc::new(damaged), true).expect("recovery must succeed on a torn tail")
+    StateStore::open(Arc::new(damaged)).expect("recovery must succeed on a torn tail")
 }
 
 /// Asserts the recovered store sits exactly on a committed prefix of the
@@ -152,7 +152,7 @@ fn assert_still_writable(store: &StateStore) {
 #[test]
 fn merkle_bucket_file_torn_at_every_offset() {
     let disk = MemBackend::new();
-    let store = StateStore::open(Arc::new(disk.clone()), true).unwrap();
+    let store = StateStore::open(Arc::new(disk.clone())).unwrap();
     let (batches, states) = scripted_workload(12);
     for ops in &batches {
         apply(&store, ops);
@@ -168,35 +168,6 @@ fn merkle_bucket_file_torn_at_every_offset() {
         let store = reopen_truncated(&disk, "merkle.buckets", len);
         let seq = assert_committed_prefix(&store, &states);
         assert_eq!(seq as usize, batches.len());
-        assert_still_writable(&store);
-    }
-}
-
-#[test]
-fn wal_torn_at_every_offset_after_chunked_checkpoint() {
-    let disk = MemBackend::new();
-    let store = StateStore::open(Arc::new(disk.clone()), true).unwrap();
-    let (batches, states) = scripted_workload(16);
-    let mid = 8;
-    for ops in &batches[..mid] {
-        apply(&store, ops);
-    }
-    store.checkpoint().unwrap(); // multi-record chunked checkpoint
-    for ops in &batches[mid..] {
-        apply(&store, ops);
-    }
-    drop(store);
-
-    let total = disk.open("wal.log").unwrap().len().unwrap();
-    assert!(total > 0, "post-checkpoint batches must sit in the WAL");
-    for len in cut_points(total) {
-        let store = reopen_truncated(&disk, "wal.log", len);
-        let seq = assert_committed_prefix(&store, &states);
-        // The checkpoint floor holds regardless of how much WAL is lost.
-        assert!(
-            seq as usize >= mid,
-            "checkpointed batches lost: recovered seq {seq} < {mid}"
-        );
         assert_still_writable(&store);
     }
 }

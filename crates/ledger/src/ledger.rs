@@ -3,9 +3,14 @@
 //! Commit protocol (paper Sec. 4.4): the block — with its validation flags
 //! already recorded in the metadata — is first appended to the block store
 //! and flushed; then the PTM applies the state changes of valid
-//! transactions together with the `savepoint` in one atomic batch. On open,
-//! any gap between the block store height and the savepoint is replayed,
-//! which is safe because state commits are idempotent.
+//! transactions together with the `savepoint` in one atomic batch, in
+//! memory. The block store is the ledger's only log: the state store
+//! writes nothing per commit, and reopens at its last checkpoint. On
+//! open, the blocks between that checkpoint's savepoint and the block
+//! store height are replayed, which rebuilds exactly the state the
+//! crashed peer held. A state whose savepoint is past the chain's height
+//! cannot come from a crash (blocks are flushed before the state moves),
+//! so open reports it as corrupt instead of building on it.
 //!
 //! Key history (Fabric's `GetHistoryForKey`) is derived from the block
 //! store, not kept in the state database: every block records its
@@ -46,7 +51,7 @@ impl Ledger {
     /// whose state changes were lost in a crash.
     pub fn open(backend: Arc<dyn Backend>, sync_writes: bool) -> Result<Self, LedgerError> {
         let blocks = BlockStore::open(backend.clone(), sync_writes)?;
-        let store = StateStore::open(backend, sync_writes)?;
+        let store = StateStore::open(backend)?;
         let ledger = Ledger {
             blocks,
             ptm: Ptm::new(Arc::new(store)),
@@ -61,19 +66,20 @@ impl Ledger {
     }
 
     /// Replays state commits for blocks past the savepoint.
+    ///
+    /// The state must sit inside the chain: its savepoint below the block
+    /// store height, and (on a rebased store) at or above `base - 1`, the
+    /// snapshot's own savepoint, since no block below `base` is held to
+    /// replay. Anything else is [`LedgerError::Corrupt`].
     fn recover(&self) -> Result<(), LedgerError> {
         let height = self.blocks.height();
-        if height == 0 {
-            return Ok(());
-        }
         let start = match self.ptm.savepoint() {
             Some(sp) => sp + 1,
             None => 0,
         };
-        // A rebased store holds no blocks below `base`; their state came
-        // from the snapshot (whose savepoint is `base - 1`), so replay can
-        // never be asked to start below it on an intact ledger.
-        let start = start.max(self.blocks.base());
+        if start > height || start < self.blocks.base() {
+            return Err(LedgerError::Corrupt);
+        }
         for number in start..height {
             let block = self
                 .blocks
@@ -235,8 +241,11 @@ impl Ledger {
 
     /// Installs a verified state snapshot into an **empty** ledger: the
     /// state database is atomically replaced by `entries` (one write
-    /// batch, so a crash leaves either the old or the new state), and the
-    /// block store is rebased so the chain resumes at `height`.
+    /// batch), checkpointed, and only then the block store is rebased so
+    /// the chain resumes at `height`. The checkpoint comes first because
+    /// no block below `height` will ever be held to replay the state from.
+    /// A crash between the two leaves a state ahead of an empty chain,
+    /// which [`Ledger::open`] reports as corrupt.
     ///
     /// `height` is the number of blocks the snapshot covers (its savepoint
     /// must be `height - 1`), `block_hash` the hash of block `height - 1`,
@@ -279,6 +288,7 @@ impl Ledger {
                 self.ptm.savepoint()
             )));
         }
+        self.ptm.store().checkpoint()?;
         self.blocks.rebase(height, block_hash, last_config)
     }
 
@@ -290,7 +300,8 @@ impl Ledger {
     }
 
     /// Durably checkpoints the state database (snapshot-consistent; it
-    /// does not block commits for the duration).
+    /// does not block commits for the duration), so the next open replays
+    /// only the blocks committed after it.
     pub fn checkpoint_state(&self) -> Result<(), LedgerError> {
         Ok(self.ptm.store().checkpoint()?)
     }
@@ -315,6 +326,12 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::thread;
+    use std::time::Duration;
+
+    use fabric_kvstore::{BackendFile, StoreError};
     use fabric_primitives::ids::{ChaincodeId, ChannelId, SerializedIdentity, Version};
     use fabric_primitives::rwset::TxReadWriteSet;
     use fabric_primitives::transaction::{
@@ -839,30 +856,241 @@ mod tests {
     }
 
     #[test]
-    fn key_history_survives_reopen_without_replay() {
+    fn key_history_survives_reopen() {
         let backend = Arc::new(MemBackend::new());
-        let (history, seq, entries) = {
+        let (histories, entries) = {
             let ledger = Ledger::open(backend.clone(), false).unwrap();
             for i in 0..5u8 {
                 commit_block(
                     &ledger,
                     vec![simulate(&ledger, i + 1, |sim| {
                         sim.put_state("cc", "k", vec![i]);
+                        sim.put_state("cc", &format!("j{i}"), vec![i]);
                     })],
                 );
+                if i == 2 {
+                    ledger.checkpoint_state().unwrap();
+                }
             }
-            (
-                ledger.key_history("cc", "k").unwrap(),
-                ledger.ptm().store().last_seq(),
-                ledger.state_entries(),
-            )
+            let histories: Vec<_> = ["k", "j0", "j4", "absent"]
+                .iter()
+                .map(|key| ledger.key_history("cc", key).unwrap())
+                .collect();
+            (histories, ledger.state_entries())
         };
-        assert_eq!(history.len(), 5);
+        assert_eq!(histories[0].len(), 5);
+        // The reopen replays the two blocks past the checkpoint; the
+        // histories, read from the blocks, are unchanged by it.
         let reopened = Ledger::open(backend, false).unwrap();
-        assert_eq!(reopened.key_history("cc", "k").unwrap(), history);
-        // Savepoint == height - 1, so open wrote no batch to the state.
-        assert_eq!(reopened.ptm().store().last_seq(), seq);
+        for (key, history) in ["k", "j0", "j4", "absent"].iter().zip(&histories) {
+            assert_eq!(&reopened.key_history("cc", key).unwrap(), history);
+        }
         assert_eq!(reopened.state_entries(), entries);
+    }
+
+    /// Commits `blocks` one-key blocks on a fresh ledger over `backend`,
+    /// checkpointing after block `checkpoint_at`; returns the blocks.
+    fn chain_with_checkpoint(
+        backend: &Arc<MemBackend>,
+        blocks: u8,
+        checkpoint_at: u8,
+    ) -> Vec<Block> {
+        let ledger = Ledger::open(backend.clone(), false).unwrap();
+        for i in 0..blocks {
+            commit_block(
+                &ledger,
+                vec![simulate(&ledger, i + 1, |sim| {
+                    sim.put_state("cc", &format!("k{i}"), vec![i])
+                })],
+            );
+            if i == checkpoint_at {
+                ledger.checkpoint_state().unwrap();
+            }
+        }
+        (0..u64::from(blocks))
+            .map(|n| ledger.get_block(n).unwrap().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn state_ahead_of_its_chain_is_corrupt() {
+        let backend = Arc::new(MemBackend::new());
+        let blocks = chain_with_checkpoint(&backend, 4, 2);
+        // Cut blocks.dat inside block 2: the checkpoint (savepoint 2)
+        // is now ahead of a chain of height 2.
+        let block_bytes = |n: usize| 8 + blocks[n].to_wire().len() as u64;
+        let cut = block_bytes(0) + block_bytes(1) + 5;
+        let ahead = backend.deep_clone();
+        ahead.open("blocks.dat").unwrap().truncate(cut).unwrap();
+        assert!(matches!(
+            Ledger::open(Arc::new(ahead), false),
+            Err(LedgerError::Corrupt)
+        ));
+        // An empty block store under a non-empty state, likewise.
+        let emptied = backend.deep_clone();
+        emptied.open("blocks.dat").unwrap().truncate(0).unwrap();
+        assert!(matches!(
+            Ledger::open(Arc::new(emptied), false),
+            Err(LedgerError::Corrupt)
+        ));
+        // Cut inside block 3, past the checkpoint: a committed prefix.
+        let cut = cut - 5 + block_bytes(2) + 5;
+        let behind = backend.deep_clone();
+        behind.open("blocks.dat").unwrap().truncate(cut).unwrap();
+        let ledger = Ledger::open(Arc::new(behind), false).unwrap();
+        assert_eq!(ledger.height(), 3);
+        assert_eq!(ledger.ptm().savepoint(), Some(2));
+        assert_eq!(ledger.get_state("cc", "k3").unwrap(), None);
+    }
+
+    enum Event {
+        Parked,
+        Committed,
+    }
+
+    /// Shared by a [`ParkingBackend`] and its files: once armed, every
+    /// `sync` reports [`Event::Parked`] and waits on the barrier until the
+    /// test releases it.
+    struct Park {
+        armed: AtomicBool,
+        events: mpsc::Sender<Event>,
+        barrier: Barrier,
+    }
+
+    struct ParkingBackend {
+        inner: MemBackend,
+        park: Arc<Park>,
+    }
+
+    struct ParkingFile {
+        inner: Box<dyn BackendFile>,
+        park: Arc<Park>,
+    }
+
+    impl Backend for ParkingBackend {
+        fn open(&self, name: &str) -> Result<Box<dyn BackendFile>, StoreError> {
+            Ok(Box::new(ParkingFile {
+                inner: self.inner.open(name)?,
+                park: self.park.clone(),
+            }))
+        }
+        fn exists(&self, name: &str) -> Result<bool, StoreError> {
+            self.inner.exists(name)
+        }
+        fn remove(&self, name: &str) -> Result<(), StoreError> {
+            self.inner.remove(name)
+        }
+        fn rename(&self, src: &str, dst: &str) -> Result<(), StoreError> {
+            self.inner.rename(src, dst)
+        }
+    }
+
+    impl BackendFile for ParkingFile {
+        fn append(&mut self, data: &[u8]) -> Result<u64, StoreError> {
+            self.inner.append(data)
+        }
+        fn read_at(&mut self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
+            self.inner.read_at(offset, len)
+        }
+        fn read_at_shared(&self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
+            self.inner.read_at_shared(offset, len)
+        }
+        fn len(&mut self) -> Result<u64, StoreError> {
+            self.inner.len()
+        }
+        fn truncate(&mut self, len: u64) -> Result<(), StoreError> {
+            self.inner.truncate(len)
+        }
+        fn sync(&mut self) -> Result<(), StoreError> {
+            if self.park.armed.load(Ordering::SeqCst) {
+                self.park.events.send(Event::Parked).unwrap();
+                self.park.barrier.wait();
+            }
+            self.inner.sync()
+        }
+    }
+
+    /// Runs `read` on its own thread and waits at most five seconds for it,
+    /// so a read blocked behind storage I/O fails the test instead of
+    /// hanging it.
+    fn completes<T: Send + 'static>(
+        read: impl FnOnce() -> T + Send + 'static,
+    ) -> Result<T, mpsc::RecvTimeoutError> {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || tx.send(read()));
+        rx.recv_timeout(Duration::from_secs(5))
+    }
+
+    #[test]
+    fn reads_complete_while_a_commit_waits_on_storage() {
+        let (events, parked) = mpsc::channel();
+        let park = Arc::new(Park {
+            armed: AtomicBool::new(false),
+            events: events.clone(),
+            barrier: Barrier::new(2),
+        });
+        let backend = Arc::new(ParkingBackend {
+            inner: MemBackend::new(),
+            park: park.clone(),
+        });
+        let ledger = Arc::new(Ledger::open(backend, true).unwrap());
+        commit_block(
+            &ledger,
+            vec![simulate(&ledger, 1, |sim| {
+                sim.put_state("cc", "k", b"v0".to_vec())
+            })],
+        );
+        let root_before = ledger.state_root();
+        let env = simulate(&ledger, 2, |sim| sim.put_state("cc", "k", b"v1".to_vec()));
+        let mut block = Block::new(ledger.height(), ledger.last_hash(), vec![env]);
+        block.metadata.validation = vec![TxValidationCode::Valid];
+
+        park.armed.store(true, Ordering::SeqCst);
+        let committer = {
+            let ledger = ledger.clone();
+            thread::spawn(move || {
+                ledger.commit(&block).unwrap();
+                events.send(Event::Committed).unwrap();
+            })
+        };
+        let mut parks = 0;
+        loop {
+            let event = parked
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the commit neither parked nor finished");
+            if let Event::Committed = event {
+                break;
+            }
+            parks += 1;
+            let reads = (
+                completes({
+                    let ledger = ledger.clone();
+                    move || ledger.get_state("cc", "k").unwrap()
+                }),
+                completes({
+                    let ledger = ledger.clone();
+                    move || ledger.simulator().get_state("cc", "k").unwrap()
+                }),
+                completes({
+                    let ledger = ledger.clone();
+                    move || ledger.state_root()
+                }),
+            );
+            // Release the sync before judging, so a failure unwinds
+            // instead of leaving the committer parked.
+            park.barrier.wait();
+            let (get, simulated, root) = reads;
+            let get = get.expect("get_state waited on a sync");
+            let simulated = simulated.expect("a simulator read waited on a sync");
+            let root = root.expect("state_root waited on a sync");
+            // Parked before the state moved: every read sees block 0's.
+            assert_eq!(get, Some(b"v0".to_vec()));
+            assert_eq!(simulated, Some(b"v0".to_vec()));
+            assert_eq!(root, root_before);
+        }
+        committer.join().unwrap();
+        assert!(parks >= 1, "the block store syncs the append");
+        assert_eq!(ledger.get_state("cc", "k").unwrap(), Some(b"v1".to_vec()));
     }
 
     #[test]
@@ -952,6 +1180,56 @@ mod tests {
         let reopened = Ledger::open(backend, false).unwrap();
         assert_eq!(reopened.height(), source.height());
         assert_eq!(reopened.state_entries(), source.state_entries());
+    }
+
+    #[test]
+    fn snapshot_install_survives_reopen() {
+        let source = Ledger::in_memory();
+        for i in 0..4u8 {
+            commit_block(
+                &source,
+                vec![simulate(&source, i + 1, |sim| {
+                    sim.put_state("cc", &format!("k{i}"), vec![i]);
+                })],
+            );
+        }
+        let backend = Arc::new(MemBackend::new());
+        let target = Ledger::open(backend.clone(), false).unwrap();
+        target
+            .install_snapshot(
+                source.height(),
+                source.last_hash(),
+                source.last_config(),
+                &source.state_entries(),
+            )
+            .unwrap();
+        let view = |l: &Ledger| (l.height(), l.last_hash(), l.state_entries(), l.state_root());
+        let installed = view(&target);
+        drop(target);
+
+        // Right after the install: no block to replay, the checkpoint is
+        // the whole state.
+        let target = Ledger::open(backend.clone(), false).unwrap();
+        assert_eq!(view(&target), installed);
+        assert_eq!(view(&target), view(&source));
+
+        // Three more blocks, then a reopen that replays them over it.
+        for i in 4..7u8 {
+            let env = simulate(&source, i + 1, |sim| {
+                sim.put_state("cc", &format!("k{i}"), vec![i]);
+                sim.del_state("cc", "k0");
+            });
+            let mut block = Block::new(source.height(), source.last_hash(), vec![env]);
+            block.metadata.validation = vec![TxValidationCode::Valid];
+            source.commit(&block).unwrap();
+            target.commit(&block).unwrap();
+        }
+        let before = view(&target);
+        assert_eq!(before, view(&source));
+        drop(target);
+        let target = Ledger::open(backend, false).unwrap();
+        assert_eq!(view(&target), before);
+        assert_eq!(target.get_state("cc", "k0").unwrap(), None);
     }
 
     #[test]

@@ -136,11 +136,11 @@ proptest! {
         )
     ) {
         // Random puts/deletes/batches against a BTreeMap reference model,
-        // with a mid-sequence reopen (crash-recovery equivalence).
+        // with a checkpoint and a mid-sequence reopen, which must land
+        // exactly on the checkpointed state.
         let backend = std::sync::Arc::new(fabric::kvstore::MemBackend::new());
         let mut store = KvStore::open(StoreConfig {
             backend: backend.clone(),
-            sync_writes: false,
         }).unwrap();
         let mut model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = Default::default();
         let half = ops.len() / 2;
@@ -165,12 +165,15 @@ proptest! {
                 }
             }
             if i == half {
-                // Simulated restart.
+                // Simulated restart after a checkpoint.
+                store.checkpoint().unwrap();
                 drop(store);
                 store = KvStore::open(StoreConfig {
                     backend: backend.clone(),
-                    sync_writes: false,
                 }).unwrap();
+                let reopened: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
+                    store.scan(b"", b"").into_iter().collect();
+                prop_assert_eq!(&reopened, &model);
             }
         }
         let scanned: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
