@@ -21,9 +21,7 @@ pub mod system;
 
 pub use api::{Chaincode, Invocation, Stub, MAX_CALL_DEPTH};
 pub use lscc::{get_definition, ChaincodeDefinition, Lscc, LSCC_NAMESPACE};
-pub use runtime::{
-    ChaincodeRegistry, ChaincodeRuntime, ExecutionResult, RuntimeConfig,
-};
+pub use runtime::{ChaincodeRegistry, ChaincodeRuntime, ExecutionResult, RuntimeConfig};
 pub use system::{batch_escc, default_escc, DefaultVscc, Vscc};
 
 /// Errors from chaincode execution plumbing (distinct from chaincode-level

@@ -213,7 +213,11 @@ mod tests {
     fn unknown_function_rejected() {
         let (runtime, ledger) = runtime();
         let result = runtime
-            .execute(&ledger, LSCC_NAMESPACE, invocation("admin", "bogus", vec![]))
+            .execute(
+                &ledger,
+                LSCC_NAMESPACE,
+                invocation("admin", "bogus", vec![]),
+            )
             .unwrap();
         assert!(!result.response.is_ok());
     }

@@ -92,7 +92,9 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig { exec_timeout: Some(Duration::from_secs(2)) }
+        RuntimeConfig {
+            exec_timeout: Some(Duration::from_secs(2)),
+        }
     }
 }
 
@@ -187,7 +189,12 @@ impl ChaincodeRuntime {
         let (reply, result) = channel::bounded(1);
         let abandoned = Arc::new(AtomicBool::new(false));
         // A failed send drops `reply`, which reads as `Disconnected` below.
-        let _ = home.clone().send(Call { run, reply, abandoned: abandoned.clone(), home });
+        let _ = home.clone().send(Call {
+            run,
+            reply,
+            abandoned: abandoned.clone(),
+            home,
+        });
         match result.recv_timeout(timeout) {
             Ok(outcome) => outcome,
             // The thread runs on; it parks or retires once the invocation
@@ -220,7 +227,13 @@ impl ChaincodeRuntime {
 /// Returns when a call it ran was abandoned and another thread is
 /// parked, or once its sender is gone after the runtime is dropped.
 fn serve(threads: &Weak<Threads>, calls: &channel::Receiver<Call>) {
-    while let Ok(Call { run, reply, abandoned, home }) = calls.recv() {
+    while let Ok(Call {
+        run,
+        reply,
+        abandoned,
+        home,
+    }) = calls.recv()
+    {
         let outcome = catch_unwind(AssertUnwindSafe(run))
             .unwrap_or_else(|_| Err(ChaincodeError::Aborted("chaincode panicked".into())));
         // Park *before* replying, so a caller holding a result always
@@ -293,7 +306,12 @@ mod tests {
     ) -> (Arc<ChaincodeRuntime>, Arc<Ledger>) {
         let registry = Arc::new(ChaincodeRegistry::new());
         registry.install(name, cc);
-        let runtime = ChaincodeRuntime::new(registry, RuntimeConfig { exec_timeout: timeout });
+        let runtime = ChaincodeRuntime::new(
+            registry,
+            RuntimeConfig {
+                exec_timeout: timeout,
+            },
+        );
         (Arc::new(runtime), Arc::new(Ledger::in_memory()))
     }
 
@@ -333,7 +351,8 @@ mod tests {
 
     #[test]
     fn chaincode_error_becomes_error_response() {
-        let cc = Arc::new(|_: &mut Stub<'_>| Err::<Vec<u8>, _>("business rule violated".to_string()));
+        let cc =
+            Arc::new(|_: &mut Stub<'_>| Err::<Vec<u8>, _>("business rule violated".to_string()));
         let (runtime, ledger) = runtime_with("demo", cc, None);
         let result = runtime
             .execute(&ledger, "demo", invocation("go", vec![]))
@@ -410,9 +429,8 @@ mod tests {
 
     #[test]
     fn call_depth_limited() {
-        let recursive = Arc::new(|stub: &mut Stub<'_>| {
-            stub.invoke_chaincode("recursive", "go", vec![])
-        });
+        let recursive =
+            Arc::new(|stub: &mut Stub<'_>| stub.invoke_chaincode("recursive", "go", vec![]));
         let (runtime, ledger) = runtime_with("recursive", recursive, None);
         let result = runtime
             .execute(&ledger, "recursive", invocation("go", vec![]))
@@ -431,7 +449,8 @@ mod tests {
             barrier.wait();
             Ok(b"joined".to_vec())
         });
-        let (runtime, ledger) = runtime_with("rendezvous", cc, RuntimeConfig::default().exec_timeout);
+        let (runtime, ledger) =
+            runtime_with("rendezvous", cc, RuntimeConfig::default().exec_timeout);
         for caller in spawn_calls(&runtime, &ledger, "rendezvous", 4) {
             assert_eq!(caller.join().unwrap().unwrap().response.payload, b"joined");
         }
@@ -453,7 +472,9 @@ mod tests {
                 Err(ChaincodeError::Aborted(_))
             ));
         }
-        let ok = runtime.execute(&ledger, "flaky", invocation("ok", vec![])).unwrap();
+        let ok = runtime
+            .execute(&ledger, "flaky", invocation("ok", vec![]))
+            .unwrap();
         assert_eq!(ok.response.payload, b"fine");
         // Panics are contained in place, not survived by a fresh thread.
         assert_eq!(runtime.execution_threads(), 1);
@@ -485,7 +506,9 @@ mod tests {
             ));
         };
         let quick = || {
-            let ok = runtime.execute(&ledger, "sleepy", invocation("quick", vec![])).unwrap();
+            let ok = runtime
+                .execute(&ledger, "sleepy", invocation("quick", vec![]))
+                .unwrap();
             assert_eq!(ok.response.payload, b"ok");
         };
         // Alone, the straggler parks once its call returns and serves the
@@ -499,7 +522,11 @@ mod tests {
         quick();
         assert_eq!(runtime.execution_threads(), 2);
         // The second thread is parked, so the straggler retires on return.
-        assert_eq!(settle_threads(&runtime, 1), 1, "straggler parked beside an idle thread");
+        assert_eq!(
+            settle_threads(&runtime, 1),
+            1,
+            "straggler parked beside an idle thread"
+        );
         quick();
         assert_eq!(runtime.execution_threads(), 1);
     }
@@ -519,13 +546,22 @@ mod tests {
         });
         let (runtime, ledger) = runtime_with("bursty", cc, Some(Duration::from_millis(20)));
         for caller in spawn_calls(&runtime, &ledger, "bursty", BURST) {
-            assert!(matches!(caller.join().unwrap(), Err(ChaincodeError::Timeout)));
+            assert!(matches!(
+                caller.join().unwrap(),
+                Err(ChaincodeError::Timeout)
+            ));
         }
         assert_eq!(runtime.execution_threads(), BURST);
         // The first straggler to return parks; every later one retires.
-        assert_eq!(settle_threads(&runtime, 1), 1, "stragglers kept their threads");
+        assert_eq!(
+            settle_threads(&runtime, 1),
+            1,
+            "stragglers kept their threads"
+        );
         for _ in 0..50 {
-            runtime.execute(&ledger, "bursty", invocation("pass", vec![])).unwrap();
+            runtime
+                .execute(&ledger, "bursty", invocation("pass", vec![]))
+                .unwrap();
         }
         assert_eq!(runtime.execution_threads(), 1);
     }
@@ -537,7 +573,9 @@ mod tests {
         let cc = Arc::new(|_: &mut Stub<'_>| Ok(vec![]));
         let (runtime, ledger) = runtime_with("noop", cc, Some(Duration::from_secs(2)));
         for _ in 0..500 {
-            runtime.execute(&ledger, "noop", invocation("go", vec![])).unwrap();
+            runtime
+                .execute(&ledger, "noop", invocation("go", vec![]))
+                .unwrap();
         }
         assert_eq!(runtime.execution_threads(), 1);
     }
@@ -564,7 +602,9 @@ mod tests {
             caller.join().unwrap().unwrap();
         }
         for _ in 0..200 {
-            runtime.execute(&ledger, "gated", invocation("pass", vec![])).unwrap();
+            runtime
+                .execute(&ledger, "gated", invocation("pass", vec![]))
+                .unwrap();
         }
         assert_eq!(runtime.execution_threads(), WEDGED);
     }
@@ -620,12 +660,17 @@ mod tests {
             std::thread::sleep(Duration::from_millis(200));
             Ok(vec![])
         });
-        let (runtime, ledger) = runtime_with("slow", cc_slow, RuntimeConfig::default().exec_timeout);
-        runtime.registry().install("fast", Arc::new(|_: &mut Stub<'_>| Ok(b"fast".to_vec())));
+        let (runtime, ledger) =
+            runtime_with("slow", cc_slow, RuntimeConfig::default().exec_timeout);
+        runtime
+            .registry()
+            .install("fast", Arc::new(|_: &mut Stub<'_>| Ok(b"fast".to_vec())));
         let slow = spawn_calls(&runtime, &ledger, "slow", 1).pop().unwrap();
         std::thread::sleep(Duration::from_millis(20));
         let started = std::time::Instant::now();
-        let result = runtime.execute(&ledger, "fast", invocation("go", vec![])).unwrap();
+        let result = runtime
+            .execute(&ledger, "fast", invocation("go", vec![]))
+            .unwrap();
         assert_eq!(result.response.payload, b"fast");
         assert!(
             started.elapsed() < Duration::from_millis(150),
@@ -660,7 +705,11 @@ mod tests {
         while Arc::strong_count(&alive) > 1 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(Arc::strong_count(&alive), 1, "parked threads outlived the runtime");
+        assert_eq!(
+            Arc::strong_count(&alive),
+            1,
+            "parked threads outlived the runtime"
+        );
     }
 
     #[test]
@@ -676,7 +725,11 @@ mod tests {
         });
         let (runtime, ledger) = runtime_with("ctx", cc, None);
         let result = runtime
-            .execute(&ledger, "ctx", invocation("fn-name", vec![b"arg0".to_vec()]))
+            .execute(
+                &ledger,
+                "ctx",
+                invocation("fn-name", vec![b"arg0".to_vec()]),
+            )
             .unwrap();
         assert!(result.response.is_ok(), "{}", result.response.message);
     }

@@ -19,10 +19,7 @@ use fabric_primitives::transaction::{Endorsement, ProposalResponsePayload, Trans
 /// The default ESCC: sign the response payload, binding in the endorser
 /// identity (paper: "this endorsement is simply a signature by the peer's
 /// local signing identity").
-pub fn default_escc(
-    identity: &SigningIdentity,
-    payload: &ProposalResponsePayload,
-) -> Endorsement {
+pub fn default_escc(identity: &SigningIdentity, payload: &ProposalResponsePayload) -> Endorsement {
     let endorser = identity.serialized();
     let message = Endorsement::signing_bytes(payload, &endorser);
     Endorsement {
@@ -107,13 +104,8 @@ impl Vscc for DefaultVscc {
         // indicate tampering, not mere policy shortfall).
         let mut signers = Vec::with_capacity(tx.endorsements.len());
         for endorsement in &tx.endorsements {
-            let message =
-                Endorsement::signing_bytes(&tx.response_payload, &endorsement.endorser);
-            match msp.validate_and_verify(
-                &endorsement.endorser,
-                &message,
-                &endorsement.signature,
-            ) {
+            let message = Endorsement::signing_bytes(&tx.response_payload, &endorsement.endorser);
+            match msp.validate_and_verify(&endorsement.endorser, &message, &endorsement.signature) {
                 Ok(identity) => signers.push(Signer {
                     msp_id: identity.msp_id().to_string(),
                     role: identity.role().as_str().to_string(),

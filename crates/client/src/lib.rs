@@ -285,7 +285,10 @@ impl Client {
         for attempt in 1..=policy.max_attempts.max(1) {
             match gateway.submit(envelope.clone(), fee, clock.now_ms()) {
                 Admit::Admitted => {
-                    return Ok(GatewayOutcome::Admitted { attempts: attempt, waited_ms });
+                    return Ok(GatewayOutcome::Admitted {
+                        attempts: attempt,
+                        waited_ms,
+                    });
                 }
                 Admit::Duplicate => return Ok(GatewayOutcome::AlreadySubmitted),
                 Admit::RetryAfter { after_ms, .. } => {
@@ -351,11 +354,7 @@ mod tests {
         let sp = client.create_proposal("cc", "f", vec![b"a".to_vec()]);
         let mut msp = fabric_msp::MspRegistry::new();
         msp.add(fabric_msp::Msp::new("OrgMSP", ca.root_cert().clone()).unwrap());
-        msp.validate_and_verify(
-            &sp.proposal.creator,
-            &sp.proposal.to_wire(),
-            &sp.signature,
-        )
-        .unwrap();
+        msp.validate_and_verify(&sp.proposal.creator, &sp.proposal.to_wire(), &sp.signature)
+            .unwrap();
     }
 }

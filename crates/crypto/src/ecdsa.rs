@@ -85,7 +85,12 @@ impl Signature {
 
 impl core::fmt::Debug for Signature {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "Signature(r=0x{}, s=0x{})", self.r.to_hex(), self.s.to_hex())
+        write!(
+            f,
+            "Signature(r=0x{}, s=0x{})",
+            self.r.to_hex(),
+            self.s.to_hex()
+        )
     }
 }
 
@@ -247,7 +252,9 @@ impl SigningKey {
         loop {
             let k = nonce_gen.next_nonce();
             let point = Point::generator().mul(&k);
-            let (x, _) = point.to_affine().expect("k in [1, n-1] never yields infinity");
+            let (x, _) = point
+                .to_affine()
+                .expect("k in [1, n-1] never yields infinity");
             let r = x.reduce_once(&n);
             if r.is_zero() {
                 continue;
@@ -303,7 +310,9 @@ impl SigningKey {
             loop {
                 let k = nonce_gen.next_nonce();
                 let point = Point::generator().mul(&k);
-                let (x, _) = point.to_affine().expect("k in [1, n-1] never yields infinity");
+                let (x, _) = point
+                    .to_affine()
+                    .expect("k in [1, n-1] never yields infinity");
                 let r = x.reduce_once(&n);
                 if r.is_zero() {
                     continue;
@@ -371,7 +380,9 @@ impl Rfc6979 {
     fn new(private_scalar: &U256, hash: &Digest) -> Self {
         let x_bytes = private_scalar.to_be_bytes();
         // bits2octets: reduce the hash modulo n, then serialize.
-        let h_reduced = U256::from_be_bytes(hash).reduce_once(&order()).to_be_bytes();
+        let h_reduced = U256::from_be_bytes(hash)
+            .reduce_once(&order())
+            .to_be_bytes();
         let mut k = [0u8; 32];
         let v = [0x01u8; 32];
         // K = HMAC_K(V || 0x00 || x || h).
@@ -495,8 +506,14 @@ mod tests {
         let sec1 = key.verifying_key().to_sec1();
         let x: String = sec1[1..33].iter().map(|b| format!("{b:02x}")).collect();
         let y: String = sec1[33..].iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(x, "60fed4ba255a9d31c961eb74c6356d68c049b8923b61fa6ce669622e60f29fb6");
-        assert_eq!(y, "7903fe1008b8bc99a41ae9e95628bc64f2f1b20c2d7e9f5177a3c294d4462299");
+        assert_eq!(
+            x,
+            "60fed4ba255a9d31c961eb74c6356d68c049b8923b61fa6ce669622e60f29fb6"
+        );
+        assert_eq!(
+            y,
+            "7903fe1008b8bc99a41ae9e95628bc64f2f1b20c2d7e9f5177a3c294d4462299"
+        );
     }
 
     #[test]
@@ -569,7 +586,9 @@ mod tests {
         for _ in 0..4 {
             let key = SigningKey::generate(&mut rng);
             let sig = key.sign(b"random key test");
-            key.verifying_key().verify(b"random key test", &sig).unwrap();
+            key.verifying_key()
+                .verify(b"random key test", &sig)
+                .unwrap();
         }
     }
 

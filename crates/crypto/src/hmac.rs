@@ -124,7 +124,10 @@ mod tests {
         // Keys longer than the block size are first hashed (RFC 4231 case 6).
         let key = [0xaau8; 131];
         assert_eq!(
-            hex(&hmac(&key, b"Test Using Larger Than Block-Size Key - Hash Key First")),
+            hex(&hmac(
+                &key,
+                b"Test Using Larger Than Block-Size Key - Hash Key First"
+            )),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
     }

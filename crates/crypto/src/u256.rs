@@ -127,8 +127,7 @@ impl U256 {
         for i in 0..4 {
             let mut carry = 0u128;
             for j in 0..4 {
-                let acc =
-                    t[i + j] as u128 + self.0[i] as u128 * other.0[j] as u128 + carry;
+                let acc = t[i + j] as u128 + self.0[i] as u128 * other.0[j] as u128 + carry;
                 t[i + j] = acc as u64;
                 carry = acc >> 64;
             }

@@ -40,8 +40,7 @@ impl Chaincode for FabcoinChaincode {
                 let label = stub.arg_string(1)?;
                 let mut total: u64 = 0;
                 for (_, raw) in stub.get_state_range("", "")? {
-                    let coin =
-                        CoinState::from_wire(&raw).map_err(|e| format!("bad coin: {e}"))?;
+                    let coin = CoinState::from_wire(&raw).map_err(|e| format!("bad coin: {e}"))?;
                     if coin.owner == owner && coin.label == label {
                         total += coin.amount;
                     }

@@ -53,8 +53,7 @@ impl FabcoinVscc {
             .args
             .first()
             .ok_or(TxValidationCode::BadPayload)?;
-        let request =
-            FabcoinRequest::from_wire(raw).map_err(|_| TxValidationCode::BadPayload)?;
+        let request = FabcoinRequest::from_wire(raw).map_err(|_| TxValidationCode::BadPayload)?;
         let txid = tx.tx_id();
         let message = request.signing_bytes(&txid);
 
@@ -74,11 +73,7 @@ impl FabcoinVscc {
         }
         for (j, output) in request.outputs.iter().enumerate() {
             let key = coin_key(&txid, j as u32);
-            let write = ns
-                .writes
-                .iter()
-                .find(|w| w.key == key)
-                .ok_or(INVALID)?;
+            let write = ns.writes.iter().find(|w| w.key == key).ok_or(INVALID)?;
             match &write.value {
                 Some(value) if *value == output.to_wire() => {}
                 _ => return Err(INVALID),
@@ -123,10 +118,7 @@ impl FabcoinVscc {
             if read.version.is_none() {
                 return Err(INVALID); // read as missing: cannot spend
             }
-            let deleted = ns
-                .writes
-                .iter()
-                .any(|w| &w.key == input && w.is_delete());
+            let deleted = ns.writes.iter().any(|w| &w.key == input && w.is_delete());
             if !deleted {
                 return Err(INVALID);
             }

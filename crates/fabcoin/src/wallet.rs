@@ -92,7 +92,12 @@ impl Wallet {
             if tx.response_payload.chaincode.name != FABCOIN_NAMESPACE {
                 continue;
             }
-            let Some(Ok(request)) = tx.proposal_payload.args.first().map(|raw| FabcoinRequest::from_wire(raw)) else {
+            let Some(Ok(request)) = tx
+                .proposal_payload
+                .args
+                .first()
+                .map(|raw| FabcoinRequest::from_wire(raw))
+            else {
                 continue;
             };
             for input in &request.inputs {
@@ -239,11 +244,7 @@ mod tests {
         wallet.note_coin("t1.0", &coin(&addr, 10));
         let txid = TxId::derive(b"c", &[7; 32]);
         let request = wallet
-            .create_spend(
-                &["t1.0".into()],
-                vec![coin(&addr, 10)],
-                &txid,
-            )
+            .create_spend(&["t1.0".into()], vec![coin(&addr, 10)], &txid)
             .unwrap();
         assert_eq!(request.sigs.len(), 1);
         let key = fabric_crypto::VerifyingKey::from_sec1(&addr).unwrap();
@@ -280,8 +281,7 @@ mod tests {
         // Each signature verifies under a distinct bank key.
         let message = request.signing_bytes(&txid);
         for (i, sig_bytes) in request.sigs.iter().enumerate() {
-            let key =
-                fabric_crypto::VerifyingKey::from_sec1(&bank.public_keys()[i]).unwrap();
+            let key = fabric_crypto::VerifyingKey::from_sec1(&bank.public_keys()[i]).unwrap();
             let sig = fabric_crypto::Signature::from_bytes(sig_bytes).unwrap();
             key.verify(&message, &sig).unwrap();
         }

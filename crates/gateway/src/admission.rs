@@ -34,7 +34,9 @@ pub(crate) enum Gate {
     Pass,
     Duplicate,
     /// Rate limited; retry after this many milliseconds.
-    Limited { after_ms: u64 },
+    Limited {
+        after_ms: u64,
+    },
 }
 
 impl Admission {
@@ -87,7 +89,9 @@ impl Admission {
         match self.refill(client, now_ms).deficit(TOKEN) {
             0 => Gate::Pass,
             // Exact wait until the next whole token accrues.
-            deficit => Gate::Limited { after_ms: deficit.div_ceil(rate) },
+            deficit => Gate::Limited {
+                after_ms: deficit.div_ceil(rate),
+            },
         }
     }
 

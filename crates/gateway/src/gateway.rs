@@ -220,14 +220,18 @@ impl Gateway {
             Gate::Limited { after_ms } => {
                 self.stats.rate_limited += 1;
                 self.stats.retry_after_issued += 1;
-                return Admit::RetryAfter { reason: ShedReason::RateLimited, after_ms };
+                return Admit::RetryAfter {
+                    reason: ShedReason::RateLimited,
+                    after_ms,
+                };
             }
             Gate::Pass => {}
         }
         // End-to-end backpressure: committers report zero credits and the
         // mempool is past the watermark — shed at the edge.
         if self.credits == Some(0)
-            && self.pool.len() * 100 >= self.pool.capacity() * self.config.shed_watermark_pct as usize
+            && self.pool.len() * 100
+                >= self.pool.capacity() * self.config.shed_watermark_pct as usize
         {
             self.stats.overload_shed += 1;
             self.stats.retry_after_issued += 1;
@@ -255,7 +259,11 @@ impl Gateway {
             self.stats.evicted += 1;
         }
         self.admission.commit(tx_id, &client, now_ms);
-        self.pool.push(PoolEntry { envelope, tx_id, fee });
+        self.pool.push(PoolEntry {
+            envelope,
+            tx_id,
+            fee,
+        });
         self.stats.admitted += 1;
         Admit::Admitted
     }

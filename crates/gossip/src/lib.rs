@@ -790,9 +790,7 @@ impl GossipNode {
             entry.heartbeat = advert.heartbeat;
             // Age-discounted lease: the peer is only as fresh to us as it
             // was to the advertiser (never rolling our own lease back).
-            entry.last_heard = entry
-                .last_heard
-                .max(self.now.saturating_sub(advert.age));
+            entry.last_heard = entry.last_heard.max(self.now.saturating_sub(advert.age));
             // A fresher heartbeat is authoritative for the peer's org —
             // re-registration under a new org must not leave a stale org
             // corrupting leader election.
@@ -835,13 +833,21 @@ impl GossipNode {
                 incarnation: self.incarnation,
                 heartbeat: self.now,
                 age: 0,
-                delivered: self.delivered.iter().map(|(c, &h)| (c.clone(), h)).collect(),
+                delivered: self
+                    .delivered
+                    .iter()
+                    .map(|(c, &h)| (c.clone(), h))
+                    .collect(),
                 snapshots: self
                     .my_snapshots
                     .iter()
                     .map(|(c, &h)| (c.clone(), h))
                     .collect(),
-                credits: self.my_credits.iter().map(|(c, &n)| (c.clone(), n)).collect(),
+                credits: self
+                    .my_credits
+                    .iter()
+                    .map(|(c, &n)| (c.clone(), n))
+                    .collect(),
             }];
             let advertised = self.random_alive(self.config.max_adverts.saturating_sub(1), None);
             for peer in advertised {
@@ -852,9 +858,21 @@ impl GossipNode {
                     incarnation: member.incarnation,
                     heartbeat: member.heartbeat,
                     age: self.now.saturating_sub(member.last_heard),
-                    delivered: member.delivered.iter().map(|(c, &h)| (c.clone(), h)).collect(),
-                    snapshots: member.snapshots.iter().map(|(c, &h)| (c.clone(), h)).collect(),
-                    credits: member.credits.iter().map(|(c, &n)| (c.clone(), n)).collect(),
+                    delivered: member
+                        .delivered
+                        .iter()
+                        .map(|(c, &h)| (c.clone(), h))
+                        .collect(),
+                    snapshots: member
+                        .snapshots
+                        .iter()
+                        .map(|(c, &h)| (c.clone(), h))
+                        .collect(),
+                    credits: member
+                        .credits
+                        .iter()
+                        .map(|(c, &n)| (c.clone(), n))
+                        .collect(),
                 });
             }
             for target in self.random_alive(self.config.fanout, None) {
@@ -1100,9 +1118,7 @@ impl GossipNode {
             .members
             .iter()
             .filter(|(&id, m)| {
-                now.saturating_sub(m.last_heard) < timeout
-                    && !m.quarantined(now)
-                    && keep(id, m)
+                now.saturating_sub(m.last_heard) < timeout && !m.quarantined(now) && keep(id, m)
             })
             .map(|(&id, _)| id)
             .collect();
@@ -1431,8 +1447,7 @@ mod tests {
             fanout: 10,
             ..GossipConfig::default()
         };
-        let bootstrap: Vec<(PeerId, String)> =
-            (2..=5).map(|id| (id, "A".to_string())).collect();
+        let bootstrap: Vec<(PeerId, String)> = (2..=5).map(|id| (id, "A".to_string())).collect();
         let mut node = GossipNode::new(1, "A", &bootstrap, vec![channel()], config, 1);
         node.tick(); // liveness baseline so everyone samples as alive
         for peer in 2..=5 {
@@ -1562,8 +1577,7 @@ mod tests {
             fanout: 10,
             ..GossipConfig::default()
         };
-        let bootstrap: Vec<(PeerId, String)> =
-            (2..=4).map(|id| (id, "A".to_string())).collect();
+        let bootstrap: Vec<(PeerId, String)> = (2..=4).map(|id| (id, "A".to_string())).collect();
         let mut node = GossipNode::new(1, "A", &bootstrap, vec![channel()], config, 1);
         node.tick();
         for peer in 2..=4 {
@@ -1662,8 +1676,7 @@ mod tests {
             membership_interval: 1000, // isolate pull traffic
             ..GossipConfig::default()
         };
-        let bootstrap: Vec<(PeerId, String)> =
-            (2..=4).map(|id| (id, "A".to_string())).collect();
+        let bootstrap: Vec<(PeerId, String)> = (2..=4).map(|id| (id, "A".to_string())).collect();
         let mut node = GossipNode::new(1, "A", &bootstrap, vec![channel()], config, 1);
         node.tick();
         for peer in 2..=4 {
@@ -1733,8 +1746,7 @@ mod tests {
             ..GossipConfig::default()
         };
         let bootstrap: Vec<(PeerId, String)> = vec![(1, "A".into()), (2, "A".into())];
-        let mut observer =
-            GossipNode::new(1, "A", &bootstrap, vec![channel()], config.clone(), 1);
+        let mut observer = GossipNode::new(1, "A", &bootstrap, vec![channel()], config.clone(), 1);
         // Observer's clock runs far ahead; peer 2 heartbeats at 500.
         for _ in 0..600 {
             observer.tick();
@@ -1749,12 +1761,17 @@ mod tests {
             snapshots: vec![],
             credits: vec![(channel(), 0)],
         };
-        observer.step(2, GossipMessage::Membership { alive: vec![old_advert] });
+        observer.step(
+            2,
+            GossipMessage::Membership {
+                alive: vec![old_advert],
+            },
+        );
         assert_eq!(observer.peer_credits(2, &channel()), Some(0));
 
         // Peer 2 restarts: incarnation 1, heartbeat restarts at 3.
-        let restarted = GossipNode::new(2, "A", &bootstrap, vec![channel()], config, 2)
-            .with_incarnation(1);
+        let restarted =
+            GossipNode::new(2, "A", &bootstrap, vec![channel()], config, 2).with_incarnation(1);
         assert_eq!(restarted.incarnation(), 1);
         let new_advert = PeerAdvert {
             peer: 2,
@@ -1935,8 +1952,7 @@ mod tests {
             pull_interval: 1000,
             ..GossipConfig::default()
         };
-        let bootstrap: Vec<(PeerId, String)> =
-            (2..=20).map(|id| (id, "A".to_string())).collect();
+        let bootstrap: Vec<(PeerId, String)> = (2..=20).map(|id| (id, "A".to_string())).collect();
         let mut node = GossipNode::new(1, "A", &bootstrap, vec![channel()], config, 1);
         assert_eq!(node.member_count(), 19);
         // Peer 2 keeps talking; the rest stay silent forever.
@@ -2286,17 +2302,15 @@ mod tests {
                     }
                 )
             });
-            let last_fast = out
-                .iter()
-                .rposition(|o| {
-                    matches!(
-                        o,
-                        GossipOutput::Send {
-                            message: GossipMessage::Membership { .. },
-                            ..
-                        }
-                    )
-                });
+            let last_fast = out.iter().rposition(|o| {
+                matches!(
+                    o,
+                    GossipOutput::Send {
+                        message: GossipMessage::Membership { .. },
+                        ..
+                    }
+                )
+            });
             if let (Some(b), Some(f)) = (first_bulk, last_fast) {
                 assert!(f < b, "bulk sends must come after fast-path sends");
             }
@@ -2479,16 +2493,14 @@ mod tests {
                 payload: vec![1],
             },
         );
-        assert!(out.iter().any(|o| matches!(
-            o,
-            GossipOutput::DeliverBlock { from: Some(2), .. }
-        )));
+        assert!(out
+            .iter()
+            .any(|o| matches!(o, GossipOutput::DeliverBlock { from: Some(2), .. })));
         // Orderer-sourced blocks have no provider to score.
         let out = node.on_block_from_orderer(&channel(), 2, vec![2]);
-        assert!(out.iter().any(|o| matches!(
-            o,
-            GossipOutput::DeliverBlock { from: None, .. }
-        )));
+        assert!(out
+            .iter()
+            .any(|o| matches!(o, GossipOutput::DeliverBlock { from: None, .. })));
     }
 
     #[test]
@@ -2498,8 +2510,7 @@ mod tests {
             membership_interval: 1,
             ..GossipConfig::default()
         };
-        let bootstrap: Vec<(PeerId, String)> =
-            (2..=100).map(|id| (id, "A".to_string())).collect();
+        let bootstrap: Vec<(PeerId, String)> = (2..=100).map(|id| (id, "A".to_string())).collect();
         let mut node = GossipNode::new(1, "A", &bootstrap, vec![channel()], config, 1);
         node.tick();
         for p in 2..=100 {
@@ -2512,7 +2523,11 @@ mod tests {
                 ..
             } = o
             {
-                assert!(alive.len() <= 8, "heartbeat carried {} adverts", alive.len());
+                assert!(
+                    alive.len() <= 8,
+                    "heartbeat carried {} adverts",
+                    alive.len()
+                );
                 assert_eq!(alive[0].peer, 1, "self advert always included first");
             }
         }

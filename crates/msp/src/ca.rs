@@ -69,7 +69,12 @@ impl CertificateAuthority {
 
     /// Issues a certificate for `public_key` with the given subject and
     /// role, consuming the next serial number.
-    pub fn issue(&self, subject: impl Into<String>, role: Role, public_key: &VerifyingKey) -> Certificate {
+    pub fn issue(
+        &self,
+        subject: impl Into<String>,
+        role: Role,
+        public_key: &VerifyingKey,
+    ) -> Certificate {
         let serial = {
             let mut s = self.next_serial.lock();
             let v = *s;

@@ -269,7 +269,13 @@ mod tests {
 
     #[test]
     fn role_round_trip() {
-        for r in [Role::Client, Role::Peer, Role::Orderer, Role::Admin, Role::Authority] {
+        for r in [
+            Role::Client,
+            Role::Peer,
+            Role::Orderer,
+            Role::Admin,
+            Role::Authority,
+        ] {
             assert_eq!(Role::from_wire(&r.to_wire()).unwrap(), r);
         }
         assert!(Role::from_wire(&[9]).is_err());

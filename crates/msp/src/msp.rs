@@ -120,8 +120,7 @@ impl MspRegistry {
     pub fn from_channel_config(config: &ChannelConfig) -> Result<Self, CertError> {
         let mut reg = MspRegistry::new();
         for org in &config.orgs {
-            let root =
-                Certificate::from_wire(&org.root_cert).map_err(|_| CertError::Malformed)?;
+            let root = Certificate::from_wire(&org.root_cert).map_err(|_| CertError::Malformed)?;
             reg.add(Msp::new(org.msp_id.clone(), root)?);
         }
         Ok(reg)
@@ -147,7 +146,10 @@ impl MspRegistry {
     /// This is the single entry point used by peers and orderers to
     /// authenticate remote parties.
     pub fn validate(&self, identity: &SerializedIdentity) -> Result<ValidatedIdentity, CertError> {
-        let msp = self.msps.get(&identity.msp_id).ok_or(CertError::UnknownMsp)?;
+        let msp = self
+            .msps
+            .get(&identity.msp_id)
+            .ok_or(CertError::UnknownMsp)?;
         let cert =
             Certificate::from_wire(&identity.cert_bytes).map_err(|_| CertError::Malformed)?;
         msp.validate_cert(&cert)
@@ -223,7 +225,10 @@ mod tests {
         let id = client(&ca, b"c1");
         let serial = id.cert().serial;
         reg.get("Org1MSP").unwrap().revoke(serial);
-        assert_eq!(reg.validate(&id.serialized()).err(), Some(CertError::Revoked));
+        assert_eq!(
+            reg.validate(&id.serialized()).err(),
+            Some(CertError::Revoked)
+        );
     }
 
     #[test]
@@ -271,9 +276,7 @@ mod tests {
 
     #[test]
     fn registry_from_channel_config() {
-        use fabric_primitives::config::{
-            BatchConfig, ConsensusType, OrdererConfig, OrgConfig,
-        };
+        use fabric_primitives::config::{BatchConfig, ConsensusType, OrdererConfig, OrgConfig};
         use fabric_primitives::ids::ChannelId;
 
         let ca = CertificateAuthority::new("ca.org1", "Org1MSP", b"s1");
@@ -305,7 +308,10 @@ mod tests {
         let id = client(&ca, b"c1");
         reg.validate(&id.serialized()).unwrap(); // populates the cache
         reg.get("Org1MSP").unwrap().revoke(id.cert().serial);
-        assert_eq!(reg.validate(&id.serialized()).err(), Some(CertError::Revoked));
+        assert_eq!(
+            reg.validate(&id.serialized()).err(),
+            Some(CertError::Revoked)
+        );
     }
 
     #[test]

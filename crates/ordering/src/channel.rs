@@ -103,7 +103,9 @@ impl ChannelAccess {
     /// over the new config bytes.
     pub fn check_config_update(&self, update: &ConfigUpdate) -> Result<(), OrderError> {
         if update.config.channel != self.config.channel {
-            return Err(OrderError::BadConfig("config targets another channel".into()));
+            return Err(OrderError::BadConfig(
+                "config targets another channel".into(),
+            ));
         }
         if update.config.sequence != self.config.sequence + 1 {
             return Err(OrderError::BadConfig(format!(

@@ -109,11 +109,9 @@ impl OrderingCluster {
                         0xfab,
                     ))
                 }
-                ConsensusType::Pbft => ConsensusBackend::Pbft(fabric_pbft::PbftNode::new(
-                    i as u64,
-                    n,
-                    options.pbft,
-                )),
+                ConsensusType::Pbft => {
+                    ConsensusBackend::Pbft(fabric_pbft::PbftNode::new(i as u64, n, options.pbft))
+                }
             };
             nodes.push(OrderingNode::new(
                 i as u64,
@@ -224,10 +222,7 @@ impl OrderingCluster {
     /// Broadcasts a batch of envelopes via the next live OSN in one
     /// intake round (access checks + one consensus slot); returns one
     /// verdict per envelope, in order.
-    pub fn broadcast_batch(
-        &mut self,
-        envelopes: Vec<Envelope>,
-    ) -> Vec<Result<(), OrderError>> {
+    pub fn broadcast_batch(&mut self, envelopes: Vec<Envelope>) -> Vec<Result<(), OrderError>> {
         let entry = self.next_live_entry();
         self.broadcast_batch_via(entry, envelopes)
     }
@@ -304,7 +299,8 @@ impl OrderingCluster {
             for node in &live[1..] {
                 let block = node.deliver(channel, seq).expect("below min height");
                 assert_eq!(
-                    block.header, expected.header,
+                    block.header,
+                    expected.header,
                     "OSN {} cut a different block {}",
                     node.id(),
                     seq

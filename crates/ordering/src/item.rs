@@ -50,10 +50,9 @@ impl OrderedItem {
     pub fn channel(&self) -> &ChannelId {
         match self {
             OrderedItem::Tx { channel, .. } | OrderedItem::TimeToCut { channel, .. } => channel,
-            OrderedItem::Batch { items } => items
-                .first()
-                .expect("batches are never empty")
-                .channel(),
+            OrderedItem::Batch { items } => {
+                items.first().expect("batches are never empty").channel()
+            }
         }
     }
 

@@ -244,8 +244,7 @@ mod tests {
         let net = TestNet::new(&["Org1"], ConsensusType::Solo, 1);
         let mut cluster = solo_cluster(&net);
         // A client from an org that is not a channel member.
-        let rogue_ca =
-            fabric_msp::CertificateAuthority::new("ca.rogue", "RogueMSP", b"rogue-seed");
+        let rogue_ca = fabric_msp::CertificateAuthority::new("ca.rogue", "RogueMSP", b"rogue-seed");
         let rogue = fabric_msp::issue_identity(&rogue_ca, "evil", fabric_msp::Role::Client, b"ek");
         let env = make_envelope(&rogue, &net.channel, nonce(1), TxReadWriteSet::default());
         assert!(matches!(
@@ -499,7 +498,9 @@ mod tests {
         for _ in 0..20 {
             cluster.tick();
         }
-        let block = cluster.deliver(&net.channel, 1).expect("block cut by timeout");
+        let block = cluster
+            .deliver(&net.channel, 1)
+            .expect("block cut by timeout");
         let sig = &block.metadata.signatures[0];
         // Verify against the orderer MSP.
         let msp = fabric_msp::MspRegistry::from_channel_config(&net.genesis).unwrap();
@@ -571,7 +572,11 @@ mod tests {
         cluster.tick();
         assert_eq!(cluster.height(&net.channel), 1, "2 ticks = 200 ms < 250 ms");
         cluster.tick();
-        assert_eq!(cluster.height(&net.channel), 2, "3 ticks = 300 ms >= 250 ms");
+        assert_eq!(
+            cluster.height(&net.channel),
+            2,
+            "3 ticks = 300 ms >= 250 ms"
+        );
     }
 
     #[test]
@@ -607,7 +612,10 @@ mod tests {
         );
         // The three survivors filled one block, in submission order.
         let block = cluster.deliver(&net.channel, 1).expect("batch cut");
-        assert_eq!(block.envelopes, vec![envs[0].clone(), envs[1].clone(), envs[3].clone()]);
+        assert_eq!(
+            block.envelopes,
+            vec![envs[0].clone(), envs[1].clone(), envs[3].clone()]
+        );
     }
 
     #[test]

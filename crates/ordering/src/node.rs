@@ -165,7 +165,10 @@ impl OrderingNode {
     /// [`OrderingNode::broadcast_batch`] of one.
     pub fn broadcast(&mut self, envelope: Envelope) -> Result<Vec<OsnOutput>, OrderError> {
         let (mut verdicts, out) = self.broadcast_batch(vec![envelope]);
-        verdicts.pop().expect("one verdict per envelope").map(|()| out)
+        verdicts
+            .pop()
+            .expect("one verdict per envelope")
+            .map(|()| out)
     }
 
     /// Handles a batched `broadcast`: checks every envelope against its

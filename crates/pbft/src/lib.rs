@@ -188,10 +188,7 @@ mod tests {
                 cluster.delivered[i].iter().any(|(_, d)| d == &vec![2]),
                 "replica {i} delivered the request after view change"
             );
-            assert!(
-                cluster.nodes[i].view() > 0,
-                "replica {i} moved past view 0"
-            );
+            assert!(cluster.nodes[i].view() > 0, "replica {i} moved past view 0");
         }
     }
 
@@ -270,7 +267,11 @@ mod tests {
             let data: Vec<&Vec<u8>> = d.iter().map(|(_, p)| p).collect();
             assert_eq!(
                 data,
-                (0..5u8).map(|i| vec![i]).collect::<Vec<_>>().iter().collect::<Vec<_>>(),
+                (0..5u8)
+                    .map(|i| vec![i])
+                    .collect::<Vec<_>>()
+                    .iter()
+                    .collect::<Vec<_>>(),
                 "replica {i} delivers every payload once, in intake order"
             );
         }

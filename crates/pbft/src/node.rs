@@ -430,10 +430,7 @@ impl PbftNode {
             .entry(new_view)
             .or_default()
             .insert(self.id, prepared.clone());
-        self.broadcast(
-            PbftMessage::ViewChange { new_view, prepared },
-            out,
-        );
+        self.broadcast(PbftMessage::ViewChange { new_view, prepared }, out);
         self.maybe_install_view(new_view, out);
     }
 

@@ -52,8 +52,7 @@ fn requirement_sets(expr: &PolicyExpr) -> Result<Vec<Vec<Principal>>, PolicyErro
             let mut out = Vec::new();
             let mut indices: Vec<usize> = (0..k).collect();
             loop {
-                let chosen: Vec<PolicyExpr> =
-                    indices.iter().map(|&i| subs[i].clone()).collect();
+                let chosen: Vec<PolicyExpr> = indices.iter().map(|&i| subs[i].clone()).collect();
                 out.extend(cross_product(&chosen)?);
                 if out.len() > MAX_REQUIREMENT_SETS {
                     return Err(PolicyError::TooComplex);
@@ -114,7 +113,14 @@ fn matchable(principals: &[Principal], signers: &[Signer]) -> bool {
     let mut match_of: Vec<Option<usize>> = vec![None; signers.len()];
     for (pi, principal) in principals.iter().enumerate() {
         let mut visited = vec![false; signers.len()];
-        if !augment(pi, principal, principals, signers, &mut match_of, &mut visited) {
+        if !augment(
+            pi,
+            principal,
+            principals,
+            signers,
+            &mut match_of,
+            &mut visited,
+        ) {
             return false;
         }
     }
@@ -140,7 +146,14 @@ fn augment(
                 return true;
             }
             Some(other) => {
-                if augment(other, &principals[other], principals, signers, match_of, visited) {
+                if augment(
+                    other,
+                    &principals[other],
+                    principals,
+                    signers,
+                    match_of,
+                    visited,
+                ) {
                     match_of[si] = Some(pi);
                     return true;
                 }

@@ -333,7 +333,11 @@ mod tests {
     fn three_out_of_five() {
         // The paper's example: "three out of five".
         let p = PolicyExpr::parse("OutOf(3, P1, P2, P3, P4, P5)").unwrap();
-        let three = [signer("P1", "peer"), signer("P3", "peer"), signer("P5", "peer")];
+        let three = [
+            signer("P1", "peer"),
+            signer("P3", "peer"),
+            signer("P5", "peer"),
+        ];
         let two = [signer("P1", "peer"), signer("P3", "peer")];
         assert!(p.is_satisfied(&three).unwrap());
         assert!(!p.is_satisfied(&two).unwrap());

@@ -80,7 +80,9 @@ fn tokenize(text: &str) -> Result<Vec<Token>, PolicyError> {
                 tokens.push(Token::Ident(ident));
             }
             other => {
-                return Err(PolicyError::Parse(format!("unexpected character {other:?}")));
+                return Err(PolicyError::Parse(format!(
+                    "unexpected character {other:?}"
+                )));
             }
         }
     }
@@ -111,7 +113,9 @@ impl Parser {
         if *t == token {
             Ok(())
         } else {
-            Err(PolicyError::Parse(format!("expected {token:?}, found {t:?}")))
+            Err(PolicyError::Parse(format!(
+                "expected {token:?}, found {t:?}"
+            )))
         }
     }
 
@@ -184,11 +188,7 @@ impl Parser {
                         ))),
                     };
                 }
-                _ => {
-                    return Err(PolicyError::Parse(format!(
-                        "unknown combinator {ident:?}"
-                    )))
-                }
+                _ => return Err(PolicyError::Parse(format!("unknown combinator {ident:?}"))),
             }
         }
         // Otherwise a principal, optionally role-qualified.

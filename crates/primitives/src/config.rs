@@ -295,7 +295,11 @@ mod tests {
 
     #[test]
     fn consensus_type_round_trip() {
-        for c in [ConsensusType::Solo, ConsensusType::Raft, ConsensusType::Pbft] {
+        for c in [
+            ConsensusType::Solo,
+            ConsensusType::Raft,
+            ConsensusType::Pbft,
+        ] {
             assert_eq!(ConsensusType::from_wire(&c.to_wire()).unwrap(), c);
         }
         assert!(ConsensusType::from_wire(&[7]).is_err());

@@ -360,7 +360,6 @@ impl<K: Hash + Eq + Clone> DedupWindow<K> {
             self.by_stamp.remove(&stamp);
         }
     }
-
 }
 
 #[cfg(test)]
@@ -394,11 +393,16 @@ mod tests {
             sched.submit(a, i).unwrap();
             sched.submit(b, 1000 + i).unwrap();
         }
-        let served: Vec<u64> = (0..4 * DRR_QUANTUM).map(|_| sched.next().unwrap()).collect();
+        let served: Vec<u64> = (0..4 * DRR_QUANTUM)
+            .map(|_| sched.next().unwrap())
+            .collect();
         // `b` woke last, so it entered at the head of the round.
         let q = DRR_QUANTUM;
-        let expected: Vec<u64> =
-            (1000..1000 + q).chain(0..q).chain(1000 + q..1000 + 2 * q).chain(q..2 * q).collect();
+        let expected: Vec<u64> = (1000..1000 + q)
+            .chain(0..q)
+            .chain(1000 + q..1000 + 2 * q)
+            .chain(q..2 * q)
+            .collect();
         assert_eq!(served, expected);
     }
 

@@ -256,9 +256,8 @@ mod tests {
                 .iter()
                 .map(|(k, v)| (*k, *v)),
         );
-        let h3 = RangeQueryInfo::hash_results(
-            [("a", Version::new(1, 0))].iter().map(|(k, v)| (*k, *v)),
-        );
+        let h3 =
+            RangeQueryInfo::hash_results([("a", Version::new(1, 0))].iter().map(|(k, v)| (*k, *v)));
         assert_ne!(h1, h2);
         assert_ne!(h1, h3);
     }

@@ -207,7 +207,10 @@ pub struct Endorsement {
 
 impl Endorsement {
     /// Builds the exact byte string an endorser signs.
-    pub fn signing_bytes(payload: &ProposalResponsePayload, endorser: &SerializedIdentity) -> Vec<u8> {
+    pub fn signing_bytes(
+        payload: &ProposalResponsePayload,
+        endorser: &SerializedIdentity,
+    ) -> Vec<u8> {
         let mut bytes = payload.to_wire();
         bytes.extend_from_slice(&endorser.to_wire());
         bytes
@@ -468,7 +471,10 @@ mod tests {
     #[test]
     fn response_payload_round_trip() {
         let rp = sample_response_payload();
-        assert_eq!(ProposalResponsePayload::from_wire(&rp.to_wire()).unwrap(), rp);
+        assert_eq!(
+            ProposalResponsePayload::from_wire(&rp.to_wire()).unwrap(),
+            rp
+        );
     }
 
     #[test]

@@ -84,11 +84,9 @@ impl Cluster {
     fn absorb(&mut self, from: NodeId, outputs: Vec<Output>) {
         for output in outputs {
             match output {
-                Output::Send { to, message } => self.network.push_back(InFlight {
-                    from,
-                    to,
-                    message,
-                }),
+                Output::Send { to, message } => {
+                    self.network.push_back(InFlight { from, to, message })
+                }
                 Output::Committed { index, data } => {
                     let idx = self.node_index(from);
                     self.committed[idx].push((index, data));
@@ -173,7 +171,8 @@ impl Cluster {
         for (node, committed) in self.committed.iter().enumerate() {
             for (i, entry) in committed.iter().enumerate() {
                 assert_eq!(
-                    entry, &longest[i],
+                    entry,
+                    &longest[i],
                     "node {} disagrees at commit position {}",
                     node + 1,
                     i
@@ -332,9 +331,7 @@ mod tests {
         let healthy: Vec<_> = (0..3).filter(|&i| i != (dead - 1) as usize).collect();
         for &i in &healthy {
             assert!(
-                cluster.committed[i]
-                    .iter()
-                    .any(|(_, d)| d == b"after"),
+                cluster.committed[i].iter().any(|(_, d)| d == b"after"),
                 "healthy node {} missing post-failover commit",
                 i + 1
             );
@@ -407,7 +404,10 @@ mod tests {
         assert_eq!(cluster.nodes[idx].log_offset(), 10);
         assert_eq!(cluster.nodes[idx].retained_len(), 0);
         assert_eq!(cluster.nodes[idx].log_len(), 10, "total length unchanged");
-        assert!(cluster.nodes[idx].entry(5).is_none(), "compacted entry gone");
+        assert!(
+            cluster.nodes[idx].entry(5).is_none(),
+            "compacted entry gone"
+        );
 
         // Followers compact independently, clamped to the floor the leader
         // advertised: every peer matched all 10 entries, so the floor is 10.
@@ -506,7 +506,11 @@ mod tests {
             cluster.tick();
         }
         let s_idx = (survivor - 1) as usize;
-        assert_eq!(cluster.nodes[s_idx].commit_index(), 9, "survivor applied all");
+        assert_eq!(
+            cluster.nodes[s_idx].commit_index(),
+            9,
+            "survivor applied all"
+        );
         let offset = cluster.nodes[s_idx].compact(u64::MAX);
 
         // The leader goes silent; the straggler heals and must be repaired
@@ -601,8 +605,7 @@ mod tests {
             retransmit_beats: u64::MAX,
             ..RaftConfig::default()
         };
-        let mut cluster =
-            Cluster::with_config_and_fault(3, 7, config, Box::new(|_| Fate::Deliver));
+        let mut cluster = Cluster::with_config_and_fault(3, 7, config, Box::new(|_| Fate::Deliver));
         let leader = cluster.elect_leader(200);
         let mute = (1..=3u64).find(|&i| i != leader).unwrap();
         let sent = std::rc::Rc::new(std::cell::Cell::new(0usize));

@@ -274,7 +274,10 @@ impl RaftNode {
     }
 
     fn last_log_term(&self) -> u64 {
-        self.log.last().map(|e| e.term).unwrap_or(self.snapshot_term)
+        self.log
+            .last()
+            .map(|e| e.term)
+            .unwrap_or(self.snapshot_term)
     }
 
     fn term_at(&self, index: u64) -> u64 {
@@ -655,15 +658,17 @@ impl RaftNode {
         // anchor the consistency check at the compaction boundary.
         let (prev_log_index, prev_log_term, entries) = if prev_log_index < self.log_offset {
             let skip = ((self.log_offset - prev_log_index) as usize).min(entries.len());
-            (self.log_offset, self.snapshot_term, entries[skip..].to_vec())
+            (
+                self.log_offset,
+                self.snapshot_term,
+                entries[skip..].to_vec(),
+            )
         } else {
             (prev_log_index, prev_log_term, entries)
         };
 
         // Consistency check.
-        if prev_log_index > self.last_log_index()
-            || self.term_at(prev_log_index) != prev_log_term
-        {
+        if prev_log_index > self.last_log_index() || self.term_at(prev_log_index) != prev_log_term {
             out.push(Output::Send {
                 to: from,
                 message: Message::AppendEntriesResponse {

@@ -89,9 +89,7 @@ impl<T> Sender<T> {
             if state.receivers == 0 {
                 return Err(SendError(value));
             }
-            let full = state
-                .capacity
-                .is_some_and(|cap| state.queue.len() >= cap);
+            let full = state.capacity.is_some_and(|cap| state.queue.len() >= cap);
             if !full {
                 state.queue.push_back(value);
                 drop(state);
