@@ -11,10 +11,10 @@
 #     including the parked-block test that pins the rw-check's timing.
 #  4. The kvstore, ledger, statesync and chaincode crates pass clippy
 #     with -D warnings (kvstore carries the state store; ledger the PTM
-#     over it; chaincode the deadline-guarded execution runtime), the
-#     kvstore, ledger, peer, statesync, simnet and bench crates and the
-#     root package are rustfmt-clean (`cargo fmt --check`), and the
-#     chaincode crate's unit
+#     over it; chaincode the deadline-guarded execution runtime), every
+#     package of the workspace (all member crates, the shims and the root
+#     package; `benchmark/` is its own workspace) is rustfmt-clean
+#     (`cargo fmt --all --check`), and the chaincode crate's unit
 #     tests (thread reuse, straggler retirement, shutdown) pass on their
 #     own; gate 15 skips that crate.
 #  5. The endorsement battery (equivalence proptests + fault injection)
@@ -120,10 +120,9 @@ else
     find crates/kvstore/src crates/ledger/src -name '*.rs' -exec touch {} +
     RUSTFLAGS="-Dwarnings" cargo build -p fabric-kvstore -p fabric-ledger
 fi
-echo "== kvstore / ledger / peer / statesync / simnet / bench / root: rustfmt gate =="
+echo "== workspace: rustfmt gate =="
 if cargo fmt --version >/dev/null 2>&1; then
-    cargo fmt --check -p fabric-kvstore -p fabric-ledger -p fabric-peer \
-        -p fabric-statesync -p fabric-simnet -p fabric-bench -p fabric
+    cargo fmt --all --check
 else
     echo "rustfmt not installed; skipping format gate"
 fi

@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use fabric::crypto::{digest, SigningKey};
 use fabric::kvstore::merkle::{StateRoot, Transition};
-use fabric::kvstore::{KvStore, StoreConfig, WriteBatch};
+use fabric::kvstore::{MemBackend, StateStore, WriteBatch};
 use fabric::policy::{PolicyExpr, Signer};
 use fabric::primitives::wire::Wire;
 
@@ -51,7 +51,7 @@ fn bench_merkle(c: &mut Criterion) {
 
 fn bench_kvstore(c: &mut Criterion) {
     let mut group = c.benchmark_group("kvstore");
-    let store = KvStore::open(StoreConfig::in_memory()).unwrap();
+    let store = StateStore::open(std::sync::Arc::new(MemBackend::new())).unwrap();
     for i in 0..10_000u32 {
         store.put(i.to_le_bytes().to_vec(), vec![0u8; 64]).unwrap();
     }

@@ -1,23 +1,22 @@
 //! # fabric-kvstore
 //!
-//! A durable, ordered, snapshotable key-value store — the workspace's
-//! substitute for LevelDB/CouchDB underneath the peer transaction manager
-//! (paper Sec. 4.4).
+//! The world state underneath the peer transaction manager (paper
+//! Sec. 4.4), and the workspace's substitute for LevelDB/CouchDB: one
+//! type, [`StateStore`], durable, ordered and snapshotable, with an
+//! incremental Merkle state root.
 //!
 //! Design: an in-memory B-tree memtable holding *version chains* per key
 //! (lightweight MVCC so endorsement simulation gets a stable snapshot while
 //! commits proceed; each write trims the chains it touches to what a live
-//! snapshot can still read) and whole-state checkpoints, the store's only
-//! writes to storage. The store keeps no log of its own: the peer's block
-//! store is the ledger's one log, and the ledger replays the blocks past
-//! the checkpoint's savepoint on open. Storage is abstracted
-//! behind [`backend::Backend`] with filesystem and in-memory
-//! implementations (the latter doubles as the paper's RAM-disk variant in
-//! Experiment 3).
-//!
-//! [`StateStore`] is the one store a peer's world state lives in: the
-//! durable store above plus the incremental Merkle state root of
-//! [`merkle`]. Running it over [`MemBackend`] is the in-memory variant.
+//! snapshot can still read), whole-state checkpoints, the store's only
+//! writes to storage, and the bucketed hash tree of [`merkle`], updated
+//! per batch from the old values each write reads off its chain heads.
+//! The store keeps no log of its own: the peer's block store is the
+//! ledger's one log, and the ledger replays the blocks past the
+//! checkpoint's savepoint on open. Storage is abstracted behind
+//! [`backend::Backend`] with filesystem and in-memory implementations;
+//! running over [`MemBackend`] is the paper's RAM-disk variant in
+//! Experiment 3.
 //!
 //! ## Crash safety
 //!
@@ -28,14 +27,12 @@
 //! or stale one is ignored and the tree rebuilt from the state.
 
 pub mod backend;
-mod engine;
 pub mod log;
 pub mod merkle;
 mod store;
 
 pub use backend::{Backend, BackendFile, FsBackend, MemBackend};
-pub use engine::{StateStore, StorageSnapshot};
-pub use store::{KvStore, Snapshot, StoreConfig, WriteBatch};
+pub use store::{Snapshot, StateStore, StorageSnapshot, WriteBatch};
 
 /// Errors produced by the store.
 #[derive(Debug)]

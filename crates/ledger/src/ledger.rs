@@ -268,6 +268,16 @@ impl Ledger {
         if height == 0 {
             return Err(LedgerError::Snapshot("snapshot covers no blocks".into()));
         }
+        // The snapshot's own savepoint key must agree with the manifest
+        // height, or recovery arithmetic would diverge from the chain.
+        // Checked before anything is written, so a rejected install
+        // leaves the ledger empty.
+        let savepoint = Ptm::savepoint_of(entries);
+        if savepoint != Some(height - 1) {
+            return Err(LedgerError::Snapshot(format!(
+                "snapshot savepoint {savepoint:?} does not match height {height}"
+            )));
+        }
         let mut batch = WriteBatch::new();
         let incoming: std::collections::HashSet<&[u8]> =
             entries.iter().map(|(k, _)| k.as_slice()).collect();
@@ -280,14 +290,6 @@ impl Ledger {
             batch.put(key.clone(), value.clone());
         }
         self.ptm.store().write(batch)?;
-        // The snapshot's own savepoint key must agree with the manifest
-        // height, or recovery arithmetic would diverge from the chain.
-        if self.ptm.savepoint() != Some(height - 1) {
-            return Err(LedgerError::Snapshot(format!(
-                "snapshot savepoint {:?} does not match height {height}",
-                self.ptm.savepoint()
-            )));
-        }
         self.ptm.store().checkpoint()?;
         self.blocks.rebase(height, block_hash, last_config)
     }
@@ -315,11 +317,6 @@ impl Ledger {
     /// Direct access to the PTM (used by the peer's committer).
     pub fn ptm(&self) -> &Ptm {
         &self.ptm
-    }
-
-    /// Direct access to the block store.
-    pub fn block_store(&self) -> &BlockStore {
-        &self.blocks
     }
 }
 
@@ -1041,6 +1038,8 @@ mod tests {
             })],
         );
         let root_before = ledger.state_root();
+        let tip_before = (ledger.height(), ledger.last_hash());
+        let tx0 = ledger.get_block(0).unwrap().unwrap().envelopes[0].tx_id();
         let env = simulate(&ledger, 2, |sim| sim.put_state("cc", "k", b"v1".to_vec()));
         let mut block = Block::new(ledger.height(), ledger.last_hash(), vec![env]);
         block.metadata.validation = vec![TxValidationCode::Valid];
@@ -1075,18 +1074,36 @@ mod tests {
                     let ledger = ledger.clone();
                     move || ledger.state_root()
                 }),
+                completes({
+                    let ledger = ledger.clone();
+                    move || (ledger.height(), ledger.last_hash())
+                }),
+                completes({
+                    let ledger = ledger.clone();
+                    move || ledger.contains_tx(&tx0)
+                }),
+                completes({
+                    let ledger = ledger.clone();
+                    move || ledger.get_block(0).unwrap()
+                }),
             );
             // Release the sync before judging, so a failure unwinds
             // instead of leaving the committer parked.
             park.barrier.wait();
-            let (get, simulated, root) = reads;
+            let (get, simulated, root, tip, seen, block0) = reads;
             let get = get.expect("get_state waited on a sync");
             let simulated = simulated.expect("a simulator read waited on a sync");
             let root = root.expect("state_root waited on a sync");
+            let tip = tip.expect("height or last_hash waited on a sync");
+            let seen = seen.expect("contains_tx waited on a sync");
+            let block0 = block0.expect("get_block waited on a sync");
             // Parked before the state moved: every read sees block 0's.
             assert_eq!(get, Some(b"v0".to_vec()));
             assert_eq!(simulated, Some(b"v0".to_vec()));
             assert_eq!(root, root_before);
+            assert_eq!(tip, tip_before);
+            assert!(seen);
+            assert_eq!(block0.map(|b| b.header.number), Some(0));
         }
         committer.join().unwrap();
         assert!(parks >= 1, "the block store syncs the append");
@@ -1256,12 +1273,26 @@ mod tests {
             Err(LedgerError::Snapshot(_))
         ));
 
-        // Height that disagrees with the snapshot's own savepoint.
+        // Height that disagrees with the snapshot's own savepoint: nothing
+        // is written, and block 0 commits as on a fresh ledger.
         let target = Ledger::in_memory();
         assert!(matches!(
             target.install_snapshot(7, source.last_hash(), 0, &entries),
             Err(LedgerError::Snapshot(_))
         ));
+        assert_eq!(target.state_entries(), vec![]);
+        assert_eq!(target.ptm().savepoint(), None);
+        let fresh = Ledger::in_memory();
+        for ledger in [&target, &fresh] {
+            commit_block(
+                ledger,
+                vec![simulate(ledger, 3, |sim| {
+                    sim.put_state("cc", "other", b"w".to_vec())
+                })],
+            );
+        }
+        assert_eq!(target.state_entries(), fresh.state_entries());
+        assert_eq!(target.state_root(), fresh.state_root());
     }
 
     #[test]

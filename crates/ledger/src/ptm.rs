@@ -40,6 +40,10 @@ fn state_key(ns: &str, key: &str) -> Vec<u8> {
     out
 }
 
+fn decode_savepoint(raw: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(raw.get(..8)?.try_into().ok()?))
+}
+
 fn encode_value(version: Version, value: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + value.len());
     out.extend_from_slice(&version.block_num.to_le_bytes());
@@ -72,9 +76,14 @@ impl Ptm {
     /// The largest block number whose writes are fully applied, or `None`
     /// if no block has been committed yet.
     pub fn savepoint(&self) -> Option<u64> {
-        self.store
-            .get(SAVEPOINT_KEY)
-            .map(|raw| u64::from_le_bytes(raw[..8].try_into().expect("8 bytes")))
+        decode_savepoint(&self.store.get(SAVEPOINT_KEY)?)
+    }
+
+    /// The savepoint a raw state dump (`Ledger::state_entries`) carries,
+    /// read without writing the dump anywhere.
+    pub(crate) fn savepoint_of(entries: &[(Vec<u8>, Vec<u8>)]) -> Option<u64> {
+        let (_, raw) = entries.iter().find(|(key, _)| key == SAVEPOINT_KEY)?;
+        decode_savepoint(raw)
     }
 
     /// Reads the latest committed `(version, value)` of a key.

@@ -144,10 +144,10 @@ impl DeliverMux {
     /// the mux commits to the peer's ledger: do not call
     /// [`Peer::commit_block`] on it as well.
     ///
-    /// `opts.deliver_credits` is clamped to `1..=intake_capacity` — a
-    /// submit under credits must never block the deliver thread on a
-    /// full pipeline intake (it holds the mux lock, shared by every
-    /// channel).
+    /// `opts.deliver_credits` is clamped to ≥ 1. It also bounds the
+    /// pipeline's intake queue, so a submit under credits never blocks
+    /// the deliver thread on a full intake (it holds the mux lock, shared
+    /// by every channel).
     pub fn attach(
         &self,
         channel: ChannelId,
@@ -167,7 +167,7 @@ impl DeliverMux {
             MuxEntry {
                 handle,
                 next,
-                window: opts.deliver_credits.clamp(1, opts.intake_capacity.max(1)) as u64,
+                window: opts.deliver_credits.max(1) as u64,
                 park: opts.park_window.max(1) as u64,
                 parked: BTreeMap::new(),
                 gauges: MuxGauges::default(),

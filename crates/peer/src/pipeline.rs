@@ -91,14 +91,11 @@ use crate::PeerError;
 /// (the mux's pool width is fixed by [`crate::DeliverMux::new`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineOptions {
-    /// Bounded capacity of the intake queue — backpressure for the
-    /// deliver/gossip side when validation falls behind.
-    pub intake_capacity: usize,
     /// Deliver credit window ([`crate::DeliverMux`]): how many blocks may
     /// be in flight (submitted but not committed) before the mux parks
     /// further deliveries and reports zero credits to gossip. Clamped to
-    /// `1..=intake_capacity` so a deliver never blocks on a full intake
-    /// queue.
+    /// ≥ 1. The pipeline's intake queue is bounded by the same window, so
+    /// a submit under credits never finds it full.
     pub deliver_credits: usize,
     /// How many blocks ahead of the channel head the mux parks
     /// out-of-order deliveries for in-order re-admission (gossip pushes
@@ -110,7 +107,6 @@ pub struct PipelineOptions {
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
-            intake_capacity: 64,
             deliver_credits: 32,
             park_window: 32,
         }
@@ -532,7 +528,7 @@ impl PipelineHandle {
             conflicts_cv: Condvar::new(),
         });
 
-        let (intake_tx, intake_rx) = bounded::<Block>(opts.intake_capacity.max(1));
+        let (intake_tx, intake_rx) = bounded::<Block>(opts.deliver_credits.max(1));
         let sched = pool.scheduler().clone();
         let slot = sched.register();
         let (done_tx, done_rx) = unbounded::<CompletedVscc>();
@@ -1083,7 +1079,7 @@ mod tests {
             &pipelined,
             4,
             PipelineOptions {
-                intake_capacity: 2,
+                deliver_credits: 2,
                 ..PipelineOptions::default()
             },
         );
@@ -1278,7 +1274,7 @@ mod tests {
             &pipelined,
             4,
             PipelineOptions {
-                intake_capacity: 8,
+                deliver_credits: 8,
                 ..PipelineOptions::default()
             },
         );

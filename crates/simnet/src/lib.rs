@@ -149,12 +149,6 @@ impl<M> Simulator<M> {
         };
     }
 
-    /// Sets both directions of a link.
-    pub fn set_link_symmetric(&mut self, a: SimNodeId, b: SimNodeId, latency_ns: u64, bps: u64) {
-        self.set_link(a, b, latency_ns, bps);
-        self.set_link(b, a, latency_ns, bps);
-    }
-
     fn push(&mut self, at: SimTime, event: SimEvent<M>) {
         let idx = self.payloads.len();
         self.payloads.push(Some(event));

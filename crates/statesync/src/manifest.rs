@@ -201,17 +201,6 @@ pub enum SyncMessage {
     },
 }
 
-impl SyncMessage {
-    /// Whether this message carries bulk snapshot data and should ride
-    /// the gossip layer's throttled lane (`GossipNode::send_state_sync`)
-    /// rather than the fast path. Control messages (manifest handshake,
-    /// segment requests) are small and latency-sensitive; only
-    /// [`SyncMessage::SegmentResponse`] ships megabytes.
-    pub fn is_bulk(&self) -> bool {
-        matches!(self, SyncMessage::SegmentResponse { .. })
-    }
-}
-
 impl Wire for SyncMessage {
     fn encode(&self, enc: &mut Encoder) {
         match self {

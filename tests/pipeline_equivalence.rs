@@ -28,7 +28,7 @@ fn commit_sequential(peer: &Peer, blocks: &[Block]) -> Vec<Vec<TxValidationCode>
 fn commit_pipelined(peer: &Peer, blocks: &[Block], workers: usize) -> Vec<Vec<TxValidationCode>> {
     let channel = peer.channel();
     let opts = PipelineOptions {
-        intake_capacity: 4,
+        deliver_credits: 4,
         ..PipelineOptions::default()
     };
     let mux = common::mux_for(peer, workers, opts);
@@ -160,7 +160,7 @@ proptest! {
         let chans = [ChannelId::new("chan-a"), ChannelId::new("chan-b")];
         let peers = [world.replica("chan-a.org1", 2), world.replica("chan-b.org1", 2)];
         let opts = PipelineOptions {
-            intake_capacity: 4,
+            deliver_credits: 4,
             ..PipelineOptions::default()
         };
         for channel in 0..2 {
@@ -227,7 +227,6 @@ proptest! {
         let peers = [world.replica("chan-a.org1", 2), world.replica("chan-b.org1", 2)];
         for channel in 0..2 {
             mux.attach(chans[channel].clone(), &peers[channel], PipelineOptions {
-                intake_capacity: 4,
                 deliver_credits: credits[channel],
                 park_window: 4,
             }).expect("channel attaches");

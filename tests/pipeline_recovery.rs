@@ -38,11 +38,11 @@ impl Vscc for SlowVscc {
     }
 }
 
-/// A two-block intake: the mux clamps its credit window to it, so most
+/// A two-block credit window, which also bounds the intake, so most
 /// delivered blocks are still queued when a test crashes or closes.
 fn small_intake() -> PipelineOptions {
     PipelineOptions {
-        intake_capacity: 2,
+        deliver_credits: 2,
         ..PipelineOptions::default()
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use fabric::crypto::u256::U256;
 use fabric::crypto::{merkle, SigningKey};
-use fabric::kvstore::{KvStore, StoreConfig, WriteBatch};
+use fabric::kvstore::{StateStore, WriteBatch};
 use fabric::policy::{PolicyExpr, Signer};
 use fabric::primitives::ids::Version;
 use fabric::primitives::rwset::{
@@ -139,9 +139,7 @@ proptest! {
         // with a checkpoint and a mid-sequence reopen, which must land
         // exactly on the checkpointed state.
         let backend = std::sync::Arc::new(fabric::kvstore::MemBackend::new());
-        let mut store = KvStore::open(StoreConfig {
-            backend: backend.clone(),
-        }).unwrap();
+        let mut store = StateStore::open(backend.clone()).unwrap();
         let mut model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = Default::default();
         let half = ops.len() / 2;
         for (i, (op, key, value)) in ops.into_iter().enumerate() {
@@ -168,9 +166,7 @@ proptest! {
                 // Simulated restart after a checkpoint.
                 store.checkpoint().unwrap();
                 drop(store);
-                store = KvStore::open(StoreConfig {
-                    backend: backend.clone(),
-                }).unwrap();
+                store = StateStore::open(backend.clone()).unwrap();
                 let reopened: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
                     store.scan(b"", b"").into_iter().collect();
                 prop_assert_eq!(&reopened, &model);
