@@ -139,7 +139,6 @@ impl GatewayWorkload {
             PipelineOptions {
                 deliver_credits: 8,
                 park_window: 32,
-                ..Default::default()
             },
         )
         .expect("attach commit pipeline");

@@ -646,7 +646,6 @@ fn deliver_mux_gap_backfill_races_credit_refresh() {
         PipelineOptions {
             deliver_credits: 1,
             park_window: 8,
-            ..PipelineOptions::default()
         },
     )
     .unwrap();
